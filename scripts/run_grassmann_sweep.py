@@ -3,8 +3,8 @@
 
 Each case subdivides the zero chart, checks the seven bounded cones and
 their active sets, and reports fan size and wall-clock time.  Cases are
-`n,d,l` triples; the default grid covers the reference set plus the n = 4
-corner.
+`n,d,l` triples; the default grid covers the reference set, the n = 4
+corner and 7,2,1.
 
 Example:
     python3 scripts/run_grassmann_sweep.py
@@ -17,7 +17,7 @@ import time
 
 from mockfan.grassmann import GrassmannSpec, verify, vol_expression
 
-DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1"]
+DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1", "7,2,1"]
 
 
 def parse_case(text: str) -> GrassmannSpec:

@@ -301,39 +301,28 @@ class Cone:
 
     # -- face enumeration ------------------------------------------------------
 
-    def faces(self) -> list["Face"]:
-        """All faces, each exactly once, including the cone and its minimal face.
-
-        Enumerated by closing ray sets under iterated facet intersection;
-        a face of a cone is determined by the set of extreme rays on it.
-        """
-        facets = self.facets
-        nr = len(self.rays)
-        if not facets:
-            return [Face(self, frozenset(), self)]
-        facet_masks = []
-        for f in facets:
+    def facet_masks(self) -> list[int]:
+        """Per facet, the bitmask of the extreme rays tight on it."""
+        masks = []
+        for f in self.facets:
             mask = 0
             for i, r in enumerate(self.rays):
                 if dot(r, f) == 0:
                     mask |= 1 << i
-            facet_masks.append(mask)
-        full = (1 << nr) - 1
-        seen = {full}
-        order = [full]
-        head = 0
-        while head < len(order):
-            cur = order[head]
-            head += 1
-            for fm in facet_masks:
-                child = cur & fm
-                if child not in seen:
-                    seen.add(child)
-                    order.append(child)
+            masks.append(mask)
+        return masks
+
+    def faces(self) -> list["Face"]:
+        """All faces, each exactly once, including the cone and its minimal face.
+
+        A face of a cone is determined by the set of extreme rays on it, so
+        the faces are the closure of the full ray mask under `mask_closure`.
+        """
+        if not self.facets:
+            return [Face(self, frozenset(), self)]
         out = []
-        for mask in order:
-            ray_subset = tuple(self.rays[i] for i in range(nr) if mask >> i & 1)
-            tight = frozenset(j for j, fm in enumerate(facet_masks) if mask & ~fm == 0)
+        for mask, tight in mask_closure(self.facet_masks(), [(1 << len(self.rays)) - 1]):
+            ray_subset = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
             cone = Cone(self.rank, ray_subset, self.lineality, None, None,
                         _token=_CONE_TOKEN)
             out.append(Face(self, tight, cone))
@@ -362,6 +351,33 @@ class Cone:
 
 
 _CONE_TOKEN = object()
+
+
+def mask_closure(facet_masks: Sequence[int],
+                 start: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
+    """Ray masks reachable from `start` by intersecting with facet masks.
+
+    Returns each mask once, in breadth-first order, with the set of facets
+    tight on it.  When the start masks are faces, the result is every face
+    inside one of them.
+    """
+    seen: set[int] = set()
+    order: list[int] = []
+    for m in start:
+        if m not in seen:
+            seen.add(m)
+            order.append(m)
+    head = 0
+    while head < len(order):
+        cur = order[head]
+        head += 1
+        for fm in facet_masks:
+            child = cur & fm
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return [(mask, frozenset(j for j, fm in enumerate(facet_masks) if mask & ~fm == 0))
+            for mask in order]
 
 
 @dataclass(frozen=True)

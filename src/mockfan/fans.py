@@ -103,18 +103,6 @@ class Fan:
         return (f"Fan(rank={self.rank}, cones={len(self.cones)}, "
                 f"has_t={self.has_t_coordinate})")
 
-    def maximal_cones(self) -> list[Cone]:
-        """Cones not strictly contained in another cone of the fan."""
-        by_dim = sorted(self.cones, key=lambda c: -c.dim())
-        maximal: list[Cone] = []
-        for c in by_dim:
-            if not any(is_subcone(c, m) for m in maximal):
-                maximal.append(c)
-        return maximal
-
-    def support_contains(self, v: Sequence) -> bool:
-        return any(c.contains(v) for c in self.maximal_cones())
-
     def _require_t(self, op: str):
         if not self.has_t_coordinate:
             raise FanError(f"{op} requires a fan with a t coordinate")

@@ -87,6 +87,13 @@ def _one_int(tokens: Sequence[str], what: str) -> int:
     return _ints(tokens, what)[0]
 
 
+def _count(lines: _Lines, keyword: str) -> int:
+    n = _one_int(lines.expect(keyword), keyword)
+    if n < 0:
+        raise ParseError(f"{keyword} count must be nonnegative, got {n}")
+    return n
+
+
 def _read_vectors(lines: _Lines, count: int, rank: int, what: str) -> list[tuple[int, ...]]:
     out = []
     for _ in range(count):
@@ -117,9 +124,9 @@ def read_cone(text: str) -> Cone:
     lines = _Lines(text)
     _check_schema(lines, CONE_SCHEMA)
     rank = _one_int(lines.expect("rank"), "rank")
-    nrays = _one_int(lines.expect("rays"), "rays")
+    nrays = _count(lines, "rays")
     rays = _read_vectors(lines, nrays, rank, "ray")
-    nlin = _one_int(lines.expect("lineality"), "lineality")
+    nlin = _count(lines, "lineality")
     lin = _read_vectors(lines, nlin, rank, "lineality")
     return cone_from_generators(rank, rays, lin)
 
@@ -152,16 +159,18 @@ def write_fan(f: Fan) -> str:
 def _read_fan_body(lines: _Lines) -> Fan:
     rank = _one_int(lines.expect("rank"), "rank")
     has_t = _one_int(lines.expect("has_t"), "has_t")
-    nrays = _one_int(lines.expect("rays"), "rays")
+    if has_t not in (0, 1):
+        raise ParseError(f"has_t must be 0 or 1, got {has_t}")
+    nrays = _count(lines, "rays")
     rays = _read_vectors(lines, nrays, rank, "ray")
-    ncones = _one_int(lines.expect("cones"), "cones")
+    ncones = _count(lines, "cones")
     cones = []
     for _ in range(ncones):
         idx = _ints(lines.expect("cone"), "cone ray indices")
-        try:
-            gens = [rays[i] for i in idx]
-        except IndexError as exc:
-            raise ParseError(f"cone ray index out of range: {exc}") from exc
+        bad = [i for i in idx if not 0 <= i < nrays]
+        if bad:
+            raise ParseError(f"cone ray index {bad[0]} out of range for {nrays} rays")
+        gens = [rays[i] for i in idx]
         cones.append(cone_from_generators(rank, gens))
     return fan_from_cones(rank, cones, has_t=bool(has_t))
 
@@ -195,9 +204,9 @@ def read_chart(text: str) -> MockPolytopeChart:
     label = label_tokens[0]
     rank = _one_int(lines.expect("rank"), "rank")
     scale = _one_int(lines.expect("scale"), "scale")
-    nduals = _one_int(lines.expect("sigma_duals"), "sigma_duals")
+    nduals = _count(lines, "sigma_duals")
     duals = _read_vectors(lines, nduals, rank, "sigma dual")
-    nitems = _one_int(lines.expect("items"), "items")
+    nitems = _count(lines, "items")
     items = []
     for _ in range(nitems):
         tokens = lines.expect("item")
@@ -239,7 +248,7 @@ def read_result(text: str) -> tuple[Fan, dict[Cone, frozenset[str]]]:
     lines = _Lines(text)
     _check_schema(lines, RESULT_SCHEMA)
     fan = _read_fan_body(lines)
-    nsets = _one_int(lines.expect("active_sets"), "active_sets")
+    nsets = _count(lines, "active_sets")
     active: dict[Cone, frozenset[str]] = {}
     for _ in range(nsets):
         tokens = lines.expect("cone")
@@ -302,7 +311,7 @@ def write_annotations(fan: Fan, annotations: Mapping[Cone, StratumAnnotation]) -
 def read_annotations(text: str, fan: Fan) -> dict[Cone, StratumAnnotation]:
     lines = _Lines(text)
     _check_schema(lines, ANNOTATIONS_SCHEMA)
-    count = _one_int(lines.expect("annotations"), "annotations")
+    count = _count(lines, "annotations")
     out: dict[Cone, StratumAnnotation] = {}
     for _ in range(count):
         tokens = lines.expect("cone")
@@ -328,7 +337,7 @@ def write_expression(s: FormalSum) -> str:
 def read_expression(text: str) -> FormalSum:
     lines = _Lines(text)
     _check_schema(lines, EXPRESSION_SCHEMA)
-    count = _one_int(lines.expect("terms"), "terms")
+    count = _count(lines, "terms")
     total = FormalSum.zero()
     for _ in range(count):
         parts = lines.next().split()

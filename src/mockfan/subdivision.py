@@ -18,11 +18,12 @@ when D is built, so an item's stored exponent never includes it.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cones import Cone, dual_cone, cone_from_generators, Face
+from .cones import Cone, Face, cone_from_generators, dual_cone, mask_closure
 from .exact import IntVec, Scalar, dot, is_zero_vec
 from .fans import Fan, FanError, fan_from_cones
 
@@ -147,58 +148,30 @@ class SubdivisionResult:
                     for it in self.chart.items if it.id in active})
 
 
-def _faces_avoiding_apex(c: Cone) -> list[tuple[tuple[int, ...], frozenset[int]]]:
-    """Ray-index tuples and tight facet sets of the faces of c avoiding (0, 1).
+def _faces_avoiding_apex(c: Cone, facet_masks: Sequence[int]
+                         ) -> list[tuple[int, frozenset[int]]]:
+    """Ray masks and tight facet sets of the faces of c avoiding (0, 1).
 
     A face avoids the apex direction exactly when some facet tight on it
     pairs positively with (0, 1); the avoiding faces are downward closed, so
-    a breadth-first walk from the apex-positive facet cuts reaches them all.
+    the mask closure of the apex-positive facets reaches them all.
     """
-    apex = (0,) * (c.rank - 1) + (1,)
-    facets = c.facets
-    apex_positive = [j for j, f in enumerate(facets) if dot(apex, f) > 0]
-    nr = len(c.rays)
-    facet_masks = []
-    for f in facets:
-        mask = 0
-        for i, r in enumerate(c.rays):
-            if dot(r, f) == 0:
-                mask |= 1 << i
-        facet_masks.append(mask)
-    full = (1 << nr) - 1
-    seen = set()
-    order = []
-    for j in apex_positive:
-        m = full & facet_masks[j]
-        if m not in seen:
-            seen.add(m)
-            order.append(m)
-    head = 0
-    while head < len(order):
-        cur = order[head]
-        head += 1
-        for fm in facet_masks:
-            child = cur & fm
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-    if 0 not in seen:
-        seen.add(0)
-        order.append(0)
-    out = []
-    for mask in order:
-        rays = tuple(i for i in range(nr) if mask >> i & 1)
-        tight = frozenset(j for j, fm in enumerate(facet_masks) if mask & ~fm == 0)
-        out.append((rays, tight))
-    return out
+    start = [m for m, f in zip(facet_masks, c.facets) if f[-1] > 0]
+    return mask_closure(facet_masks, start or [0])
 
 
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
     """Run the full pipeline on one chart.
 
-    The projected fan is rebuilt through the verifying fan constructor when
-    `verify` is set; a failure there indicates a pipeline bug and raises
-    SubdivisionInconsistency.
+    The fan is the projection of the faces of the lifted cone C that avoid
+    the apex direction (0, 1).  With `verify` set, `_certify_lower_faces`
+    checks, from the rays, facets and face masks of C and the chart alone,
+    that this family is a fan, that it covers the chart support exactly
+    once, and that it is the subdivision of the chart; no face is derived
+    again.  A failed check is a pipeline bug and raises
+    SubdivisionInconsistency.  Input that has no lifted cone behind it, a
+    fan or result read from a file or the union of glued charts, is
+    checked by `fan_from_cones` instead.
     """
     r = chart.ambient_dual_rank
     big = dual_cone(build_D(chart))
@@ -209,30 +182,142 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
         raise ChartError(
             "chart support and items do not span the dual space: "
             "the subdivision would not be strongly convex")
+    facet_masks = big.facet_masks()
+    walk = _faces_avoiding_apex(big, facet_masks)
     faces = []
     proj_cones = []
-    for ray_idx, tight in _faces_avoiding_apex(big):
-        sub_rays = tuple(big.rays[i] for i in ray_idx)
+    for mask, tight in walk:
+        sub_rays = tuple(ray for i, ray in enumerate(big.rays) if mask >> i & 1)
         face_cone = Cone._make(big.rank, sub_rays, ())
         faces.append(Face(big, tight, face_cone))
         proj_cones.append(Cone._make(r, [rr[:-1] for rr in sub_rays], ()))
     if len(set(proj_cones)) != len(proj_cones):
         raise SubdivisionInconsistency(
             "subdivision inconsistency: projection identified two faces")
-    try:
-        if verify:
-            fan = fan_from_cones(r, proj_cones, has_t=True)
-            if len(fan) != len(proj_cones):
-                raise SubdivisionInconsistency(
-                    "subdivision inconsistency: projected family not face-closed")
-        else:
-            fan = Fan._trusted(r, proj_cones, True)
-    except FanError as exc:
-        raise SubdivisionInconsistency(f"subdivision inconsistency: {exc}") from exc
+    if verify:
+        _certify_lower_faces(chart, big, facet_masks, walk, proj_cones)
+    fan = Fan._trusted(r, proj_cones, True)
     active = {}
     for cone in fan:
         active[cone] = _active_set_at_interior_point(chart, cone)
     return SubdivisionResult(chart, big, tuple(faces), fan, active)
+
+
+def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Sequence[int],
+                         walk: Sequence[tuple[int, frozenset[int]]],
+                         proj_cones: Sequence[Cone]) -> None:
+    """Certify that the projected lower faces of C are the subdivision fan of S.
+
+    Notation: C = `big` has rays x and facet normals f = (a, c), where
+    c = <f, (0, 1)> is the apex pairing; S is the chart support, of
+    dimension d; pi(v, s) = v.  The cells are the facets with c > 0.
+    `walk` holds the ray mask and tight facets of each face of C inside a
+    cell, and `proj_cones` their images under pi.  The checks:
+
+    1. Validity: <f, x> >= 0 for every facet f and ray x of C.
+    2. Items: every lifted item (w, 1) pairs >= 0 with every ray of C, and
+       the rays of each cell are exactly the rays some item is tight on.
+    3. Faces: every walked face has a tight facet with c > 0.  A walked face
+       F of dimension k >= 1 has a walked facet, and every walked face of
+       dimension k - 2 in a walked facet of F lies in exactly two of them.
+    4. Cells: every cell is walked and projects to a cone of dimension d.
+    5. Rays: every ray of a cell projects into S, with t >= 0.
+    6. Walls: a walked face of dimension d - 1 lies either in exactly two
+       cells A and B, strictly on opposite sides of the hyperplane of
+       n = c_B f_A - c_A f_B, or in exactly one cell and on a facet of S.
+    7. Degree one: the sum p of the projected rays of one cell A lies in no
+       other cell B: the lift of p onto the hyperplane of f_B is not in C.
+
+    Soundness.  Nothing is taken on trust from the double description that
+    produced C.  Let C' be the cone the rays of C span.
+
+    - By 1 each walked mask is the face of C' cut out by its tight facets,
+      and faces include each other as their masks do.  On the hyperplane
+      of a facet with c > 0 the lift is s = -<a, v>/c, so by 3 pi is
+      injective on the span of each walked face and keeps its dimension.
+    - The walk holds every face of a walked face F, by induction on
+      k = dim F.  For k <= 2 this is 3.  For k > 2 the walked facets of F
+      have all their faces walked, and by 3 each of their ridges lies in
+      exactly two of them: they form a closed pseudomanifold inside the
+      boundary sphere of F, so they are the whole boundary.
+    - pi is injective on the union of the cells: if x and x + l(0, 1),
+      l > 0, lay in cells A and B, then <f_B, x> = -l c_B < 0, against 1.
+      So the images of two walked faces meet in the image of their
+      intersection, a walked face of both: the projected family is a fan.
+    - By 4 and 5 the cells are d-dimensional cones in S.  The number of
+      cells over a point q of the relative interior of S stays the same
+      when q crosses a wall of two cells, where one cell ends and the
+      other begins (6), and one-cell walls lie on the boundary of S.  So
+      it is the same at every q off the faces of codimension two, and by
+      7 it is one: the cells cover S exactly once.
+    - By 2 and 5 the cells lie in the lifted cone of the chart, whose lower
+      boundary is the graph of -val, and over each cell the lift is
+      -<w, v> <= -val(v) for an item w.  So the cells lift onto the graph
+      of -val, each where one item attains the minimum: the fan is the
+      subdivision of the chart.
+
+    n has lift coordinate c_B c_A - c_A c_B = 0, so 6 tests the projected
+    cells.  A failed check raises SubdivisionInconsistency.
+    """
+    def fail(what: str):
+        raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
+
+    rays, facets = big.rays, big.facets
+    support = support_cone(chart)
+    d = support.dim()
+    cells = [j for j, f in enumerate(facets) if f[-1] > 0]
+    cone_of = {mask: cone for (mask, _), cone in zip(walk, proj_cones)}
+    if any(dot(x, f) < 0 for f in facets for x in rays):
+        fail("a facet of C is negative on a ray of C")
+    item_masks = set()
+    for w in chart.lifted_generators():
+        pairing = [dot(w, x) for x in rays]
+        if any(v < 0 for v in pairing):
+            fail(f"item exponent {w[:-1]} is negative on a ray of C")
+        item_masks.add(sum(1 << i for i, v in enumerate(pairing) if v == 0))
+    if any(facet_masks[j] not in item_masks for j in cells):
+        fail("a cell of C lies on no item's hyperplane")
+    if any(not any(facets[j][-1] > 0 for j in tight) for _, tight in walk):
+        fail("a walked face lies in no cell")
+    dims = {mask: cone.dim() for mask, cone in cone_of.items()}
+    facets_of = {mask: {mask & fm for fm in facet_masks if dims.get(mask & fm) == k - 1}
+                 for mask, k in dims.items()}
+    for mask, k in dims.items():
+        ridges = Counter(e for g in facets_of[mask] for e in facets_of[g])
+        if (k >= 1 and not facets_of[mask]) or any(n != 2 for n in ridges.values()):
+            fail(f"the walked faces of {list(cone_of[mask].rays)} do not close up")
+    if not cells or any(dims.get(facet_masks[j]) != d for j in cells):
+        fail(f"a cell is not walked or does not have the dimension {d} of the support")
+    for j in cells:
+        for v in cone_of[facet_masks[j]].rays:
+            if v[-1] < 0 or not chart.in_support(v):
+                fail(f"projected ray {v} lies outside the support or has t < 0")
+    for (mask, tight), cone in zip(walk, proj_cones):
+        if dims[mask] != d - 1:
+            continue
+        around = [j for j in tight if facets[j][-1] > 0]
+        if len(around) == 2:
+            a, b = around
+            fa, fb = facets[a], facets[b]
+            normal = tuple(fb[-1] * u - fa[-1] * w for u, w in zip(fa, fb))
+            side_a = [dot(normal, x) for i, x in enumerate(rays) if facet_masks[a] >> i & 1]
+            side_b = [dot(normal, x) for i, x in enumerate(rays) if facet_masks[b] >> i & 1]
+            if not (max(side_a) <= 0 < max(side_b) and min(side_a) < 0 <= min(side_b)):
+                fail(f"cells {a} and {b} are not on opposite sides of their wall "
+                     f"{list(cone.rays)}")
+        elif len(around) == 1:
+            if not any(all(dot(v, g) == 0 for v in cone.rays) for g in support.facets):
+                fail(f"wall {list(cone.rays)} of cell {around[0]} is unpaired "
+                     "and not on the support boundary")
+        else:
+            fail(f"wall {list(cone.rays)} lies in {len(around)} cells")
+    a = cells[0]
+    p = cone_of[facet_masks[a]].relative_interior_point()
+    for b in cells[1:]:
+        fb = facets[b]
+        lift = tuple(fb[-1] * u for u in p) + (-dot(fb[:-1], p),)
+        if big.contains(lift):
+            fail(f"an interior point of cell {a} also lies in cell {b}")
 
 
 def _active_set_at_interior_point(chart: MockPolytopeChart, cone: Cone) -> frozenset[str]:

@@ -4,6 +4,7 @@ import pytest
 
 from genutil import random_cone, random_orthant_chart
 from mockfan import formats
+from mockfan.cli import main
 from mockfan.cones import cone_from_generators as cg
 from mockfan.fans import fan_from_cones
 from mockfan.grassmann import GrassmannSpec, vol_expression, zero_chart
@@ -104,3 +105,49 @@ def test_comments_and_blank_lines_ignored():
     text = ("# a cone\nschema mockfan.cone/1\n\nrank 2\nrays 1\n1 0\n"
             "# trailing\nlineality 0\n")
     assert formats.read_cone(text) == cg(2, [(1, 0)])
+
+
+# Each text is well formed except for one negative count, a negative ray
+# index or a has_t flag other than 0 or 1.
+MALFORMED = {
+    "fan cone -1": (formats.read_fan, "schema mockfan.fan/1\nrank 2\nhas_t 0\n"
+                    "rays 2\n1 0\n0 1\ncones 1\ncone -1\n"),
+    "fan has_t 7": (formats.read_fan, "schema mockfan.fan/1\nrank 2\nhas_t 7\n"
+                    "rays 1\n0 1\ncones 1\ncone 0\n"),
+    "fan has_t 7 rays -1": (formats.read_fan, "schema mockfan.fan/1\nrank 2\n"
+                            "has_t 7\nrays -1\ncones 0\n"),
+    "fan rays -1": (formats.read_fan, "schema mockfan.fan/1\nrank 2\nhas_t 0\n"
+                    "rays -1\ncones 0\n"),
+    "fan cones -1": (formats.read_fan, "schema mockfan.fan/1\nrank 2\nhas_t 0\n"
+                     "rays 1\n1 0\ncones -1\n"),
+    "cone rays -1": (formats.read_cone, "schema mockfan.cone/1\nrank 2\nrays -1\n"
+                     "lineality 0\n"),
+    "cone lineality -1": (formats.read_cone, "schema mockfan.cone/1\nrank 2\n"
+                          "rays 1\n1 0\nlineality -1\n"),
+    "chart sigma_duals -1": (formats.read_chart, "schema mockfan.chart/1\nlabel demo\n"
+                             "rank 2\nscale 1\nsigma_duals -1\nitems 1\n"
+                             "item a kappa 0 exponent 0 0\n"),
+    "chart items -1": (formats.read_chart, "schema mockfan.chart/1\nlabel demo\n"
+                       "rank 2\nscale 1\nsigma_duals 1\n0 1\nitems -1\n"),
+    "result active_sets -1": (formats.read_result, "schema mockfan.result/1\nrank 2\n"
+                              "has_t 1\nrays 1\n0 1\ncones 2\ncone\ncone 0\n"
+                              "active_sets -1\n"),
+    "annotations -1": (lambda text: formats.read_annotations(
+        text, fan_from_cones(2, [], has_t=True)),
+        "schema mockfan.annotations/1\nannotations -1\n"),
+    "expression terms -1": (formats.read_expression,
+                            "schema mockfan.expression/1\nterms -1\nrendered 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_rejects_negative_counts_indices_and_bad_flags(case):
+    reader, text = MALFORMED[case]
+    with pytest.raises(formats.ParseError):
+        reader(text)
+
+
+def test_cli_exits_2_on_negative_ray_index(tmp_path):
+    path = tmp_path / "fan.txt"
+    path.write_text(MALFORMED["fan cone -1"][1])
+    assert main(["bounded", "-i", str(path)]) == 2

@@ -1,18 +1,23 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genutil import (interior_lattice_point, lattice_points_in_support,
                      random_orthant_chart)
+from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import cone_from_inequalities, dual_cone, intersect, is_subcone
 from mockfan.exact import dot
-from mockfan.fans import fan_from_cones, is_refinement, rescale, rescale_cone
+from mockfan.fans import (FanError, fan_from_cones, is_refinement, refines_cone_faces,
+                          rescale, rescale_cone)
 from mockfan.subdivision import (ChartError, GlueError, LiftedExponent,
-                                 MockPolytopeChart, build_D, glue_charts,
-                                 rescaled_chart, subdivide_chart, support_cone,
-                                 val_min)
+                                 MockPolytopeChart, SubdivisionInconsistency,
+                                 build_D, glue_charts, rescaled_chart,
+                                 subdivide_chart, support_cone, val_min)
 
 
 def halfline_chart():
@@ -290,3 +295,104 @@ def test_lifted_generators_dedup():
                         LiftedExponent("b", (1, 0, 0), 1),
                         LiftedExponent("c", (0, 1, 0), 0)])
     assert len(ch.lifted_generators()) == 2
+
+
+# -- the fan certificate of subdivide_chart against the fan_from_cones oracle ----
+
+@st.composite
+def orthant_charts(draw):
+    rank = draw(st.integers(2, 4))
+    items = draw(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=rank - 1,
+                                             max_size=rank - 1),
+                                    st.integers(0, 4)),
+                          min_size=1, max_size=8))
+    return orthant_chart([LiftedExponent(f"i{k}", tuple(e) + (0,), kappa)
+                          for k, (e, kappa) in enumerate(items)],
+                         rank=rank, scale=draw(st.integers(1, 2)))
+
+
+@given(orthant_charts())
+@settings(max_examples=60, deadline=None)
+def test_certificate_agrees_with_fan_from_cones(ch):
+    res = subdivide_chart(ch)
+    r = ch.ambient_dual_rank
+    assert res.projected_fan == fan_from_cones(r, list(res.projected_fan), has_t=True)
+    assert refines_cone_faces(res.projected_fan, support_cone(ch))
+
+
+def triangle_chart():
+    # three cells; C has facets (-1,2,1,1), (0,0,1,0), (0,0,2,1), (0,1,0,0),
+    # (1,-1,0,1), (1,0,0,0), so the cells are facets 0, 2 and 4
+    return orthant_chart([LiftedExponent("a", (0, 0, 0), 2),
+                          LiftedExponent("b", (1, -1, 0), 0),
+                          LiftedExponent("c", (-1, 2, 0), 1)])
+
+
+def with_facets_of_C(d, facets):
+    """D with its rays, which are the facets of C = dual_cone(D), replaced."""
+    return cones.Cone(d.rank, tuple(facets), d.lineality, d.facets, d.span_eqs,
+                      _token=cones._CONE_TOKEN)
+
+
+def certificate_rejects(monkeypatch, chart, bad_d, match):
+    """Run the pipeline on a corrupted lifted cone; the certificate must fail.
+    Returns the family the unchecked pipeline projects from the same cone."""
+    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    with pytest.raises(SubdivisionInconsistency, match=match):
+        subdivide_chart(chart)
+    return list(subdivide_chart(chart, verify=False).projected_fan)
+
+
+def oracle_rejects(chart, family):
+    """fan_from_cones, plus the support refinement test that it leaves out."""
+    try:
+        fan = fan_from_cones(chart.ambient_dual_rank, family, has_t=True)
+    except FanError:
+        return True
+    return len(fan) != len(family) or not refines_cone_faces(fan, support_cone(chart))
+
+
+def test_certificate_rejects_dropped_cell(monkeypatch):
+    ch = triangle_chart()
+    d = build_D(ch)
+    family = certificate_rejects(monkeypatch, ch, with_facets_of_C(d, d.rays[1:]),
+                                 "do not close up")
+    assert oracle_rejects(ch, family)
+
+
+def test_certificate_rejects_duplicated_cell(monkeypatch):
+    ch = triangle_chart()
+    good = subdivide_chart(ch).projected_fan
+    d = build_D(ch)
+    family = certificate_rejects(monkeypatch, ch,
+                                 with_facets_of_C(d, d.rays + d.rays[:1]),
+                                 "opposite sides")
+    # The mask walk merges the two copies of the cell, so the projected
+    # family is the genuine fan and the oracle, which sees only the family,
+    # accepts it; the broken facet list of C is visible to the certificate.
+    assert set(family) == set(good)
+    assert not oracle_rejects(ch, family)
+
+
+@pytest.mark.parametrize("index, normal, match", [
+    (2, (1, 0, 2, 1), "no item's hyperplane"),      # a cell: (0, 0, 2, 1)
+    (3, (0, 1, -1, 0), "negative on a ray"),         # the support facet y >= 0
+])
+def test_certificate_rejects_perturbed_facet_normal(monkeypatch, index, normal, match):
+    ch = triangle_chart()
+    d = build_D(ch)
+    facets = list(d.rays)
+    facets[index] = normal
+    family = certificate_rejects(monkeypatch, ch, with_facets_of_C(d, facets), match)
+    assert oracle_rejects(ch, family)
+
+
+def test_certificate_rejects_unpaired_wall(monkeypatch):
+    # C of a chart cut down to x >= y: the walls on x = y have one cell and
+    # do not lie on the boundary of the support
+    ch = triangle_chart()
+    narrow = replace(ch, sigma_dual_generators=ch.sigma_dual_generators + ((1, -1, 0),))
+    family = certificate_rejects(monkeypatch, ch, build_D(narrow), "unpaired")
+    fan = fan_from_cones(ch.ambient_dual_rank, family, has_t=True)
+    assert len(fan) == len(family)   # a fan, but not one covering the support
+    assert oracle_rejects(ch, family)
