@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-Rational = Fraction
 IntVec = tuple[int, ...]
 Scalar = Union[int, Fraction]
 Vec = tuple[Scalar, ...]
@@ -62,18 +61,6 @@ def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: int, a: IntVec) -> IntVec:
-    return tuple(c * x for x in a)
-
-
 def vec_neg(a: IntVec) -> IntVec:
     return tuple(-x for x in a)
 
@@ -102,10 +89,12 @@ def integerize(v: Sequence[Scalar]) -> IntVec:
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination.
 
-    Rational rows are scaled to primitive integer rows first; scaling rows
-    does not change the rank.
+    Integer rows go to the elimination as they are; a row holding a
+    Fraction is scaled to a primitive integer row first, which does not
+    change the rank.
     """
-    m = [list(integerize(r)) for r in rows if not is_zero_vec(r)]
+    m = [list(r) if all(isinstance(x, int) for x in r) else list(integerize(r))
+         for r in rows if not is_zero_vec(r)]
     if not m:
         return 0
     ncols = len(m[0])

@@ -23,6 +23,9 @@ Grammar (one record per line, whitespace separated):
                    M lines `<coeff> <label token>`; `rendered <text>`
 
 Label tokens: `pt`, `hyp:<ambient_dim>:<degree>`, `sym:<name>`.
+
+Blank lines and lines starting with `#` are skipped anywhere.  Readers
+reject a negative rank or count and any other text after the last record.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ class _Lines:
     def done(self) -> bool:
         return self.pos >= len(self.lines)
 
+    def end(self):
+        if not self.done():
+            raise ParseError(f"unexpected text after the end of the file: "
+                             f"{self.lines[self.pos]!r}")
+
 
 def _ints(tokens: Sequence[str], what: str) -> tuple[int, ...]:
     try:
@@ -87,10 +95,10 @@ def _one_int(tokens: Sequence[str], what: str) -> int:
     return _ints(tokens, what)[0]
 
 
-def _count(lines: _Lines, keyword: str) -> int:
+def _nonnegative(lines: _Lines, keyword: str) -> int:
     n = _one_int(lines.expect(keyword), keyword)
     if n < 0:
-        raise ParseError(f"{keyword} count must be nonnegative, got {n}")
+        raise ParseError(f"{keyword} must be nonnegative, got {n}")
     return n
 
 
@@ -123,11 +131,12 @@ def write_cone(c: Cone) -> str:
 def read_cone(text: str) -> Cone:
     lines = _Lines(text)
     _check_schema(lines, CONE_SCHEMA)
-    rank = _one_int(lines.expect("rank"), "rank")
-    nrays = _count(lines, "rays")
+    rank = _nonnegative(lines, "rank")
+    nrays = _nonnegative(lines, "rays")
     rays = _read_vectors(lines, nrays, rank, "ray")
-    nlin = _count(lines, "lineality")
+    nlin = _nonnegative(lines, "lineality")
     lin = _read_vectors(lines, nlin, rank, "lineality")
+    lines.end()
     return cone_from_generators(rank, rays, lin)
 
 
@@ -157,13 +166,13 @@ def write_fan(f: Fan) -> str:
 
 
 def _read_fan_body(lines: _Lines) -> Fan:
-    rank = _one_int(lines.expect("rank"), "rank")
+    rank = _nonnegative(lines, "rank")
     has_t = _one_int(lines.expect("has_t"), "has_t")
     if has_t not in (0, 1):
         raise ParseError(f"has_t must be 0 or 1, got {has_t}")
-    nrays = _count(lines, "rays")
+    nrays = _nonnegative(lines, "rays")
     rays = _read_vectors(lines, nrays, rank, "ray")
-    ncones = _count(lines, "cones")
+    ncones = _nonnegative(lines, "cones")
     cones = []
     for _ in range(ncones):
         idx = _ints(lines.expect("cone"), "cone ray indices")
@@ -178,7 +187,9 @@ def _read_fan_body(lines: _Lines) -> Fan:
 def read_fan(text: str) -> Fan:
     lines = _Lines(text)
     _check_schema(lines, FAN_SCHEMA)
-    return _read_fan_body(lines)
+    fan = _read_fan_body(lines)
+    lines.end()
+    return fan
 
 
 # -- charts --------------------------------------------------------------------
@@ -202,11 +213,11 @@ def read_chart(text: str) -> MockPolytopeChart:
     if len(label_tokens) != 1:
         raise ParseError("label must be a single token")
     label = label_tokens[0]
-    rank = _one_int(lines.expect("rank"), "rank")
+    rank = _nonnegative(lines, "rank")
     scale = _one_int(lines.expect("scale"), "scale")
-    nduals = _count(lines, "sigma_duals")
+    nduals = _nonnegative(lines, "sigma_duals")
     duals = _read_vectors(lines, nduals, rank, "sigma dual")
-    nitems = _count(lines, "items")
+    nitems = _nonnegative(lines, "items")
     items = []
     for _ in range(nitems):
         tokens = lines.expect("item")
@@ -218,6 +229,7 @@ def read_chart(text: str) -> MockPolytopeChart:
         if len(exp) != rank:
             raise ParseError(f"item {item_id!r} exponent has {len(exp)} entries, expected {rank}")
         items.append(LiftedExponent(item_id, exp, k))
+    lines.end()
     return MockPolytopeChart(label, rank, tuple(duals), tuple(items), scale=scale)
 
 
@@ -238,7 +250,7 @@ def read_fan_or_result(text: str) -> Fan:
     lines = _Lines(text)
     tokens = lines.expect("schema")
     if tokens == [FAN_SCHEMA]:
-        return _read_fan_body(lines)
+        return read_fan(text)
     if tokens == [RESULT_SCHEMA]:
         return read_result(text)[0]
     raise ParseError(f"expected a fan or result file, got schema {' '.join(tokens)}")
@@ -248,7 +260,7 @@ def read_result(text: str) -> tuple[Fan, dict[Cone, frozenset[str]]]:
     lines = _Lines(text)
     _check_schema(lines, RESULT_SCHEMA)
     fan = _read_fan_body(lines)
-    nsets = _count(lines, "active_sets")
+    nsets = _nonnegative(lines, "active_sets")
     active: dict[Cone, frozenset[str]] = {}
     for _ in range(nsets):
         tokens = lines.expect("cone")
@@ -258,6 +270,7 @@ def read_result(text: str) -> tuple[Fan, dict[Cone, frozenset[str]]]:
         if not 0 <= idx < len(fan.cones):
             raise ParseError(f"active set cone index {idx} out of range")
         active[fan.cones[idx]] = frozenset(tokens[2:])
+    lines.end()
     return fan, active
 
 
@@ -311,7 +324,7 @@ def write_annotations(fan: Fan, annotations: Mapping[Cone, StratumAnnotation]) -
 def read_annotations(text: str, fan: Fan) -> dict[Cone, StratumAnnotation]:
     lines = _Lines(text)
     _check_schema(lines, ANNOTATIONS_SCHEMA)
-    count = _count(lines, "annotations")
+    count = _nonnegative(lines, "annotations")
     out: dict[Cone, StratumAnnotation] = {}
     for _ in range(count):
         tokens = lines.expect("cone")
@@ -322,6 +335,7 @@ def read_annotations(text: str, fan: Fan) -> dict[Cone, StratumAnnotation]:
             raise ParseError(f"annotation cone index {idx} out of range")
         labels = tuple(parse_label(t) for t in tokens[2:])
         out[fan.cones[idx]] = StratumAnnotation(f"c{idx}", len(labels), labels)
+    lines.end()
     return out
 
 
@@ -337,7 +351,7 @@ def write_expression(s: FormalSum) -> str:
 def read_expression(text: str) -> FormalSum:
     lines = _Lines(text)
     _check_schema(lines, EXPRESSION_SCHEMA)
-    count = _count(lines, "terms")
+    count = _nonnegative(lines, "terms")
     total = FormalSum.zero()
     for _ in range(count):
         parts = lines.next().split()
@@ -345,6 +359,9 @@ def read_expression(text: str) -> FormalSum:
             raise ParseError("term line must be: <coeff> <label>")
         coeff = _ints(parts[:1], "coefficient")[0]
         total = total + FormalSum.of(parse_label(parts[1]), coeff)
+    if not lines.done():
+        lines.expect("rendered")
+    lines.end()
     return total
 
 

@@ -7,7 +7,10 @@ cone D generated by the lifted items and the support duals, dualizes to C,
 and reads the subdivision off the faces of C that avoid the lift direction
 (0, 1): projecting those faces along the lift coordinate yields the fan on
 which the pointwise minimum of the item functionals is cell-wise linear.
-The items attaining the minimum on a cell form its active set.
+The items attaining the minimum on a cell form its active set.  They are
+read off the rays of C: C lies on the nonnegative side of every lifted item
+(w, 1), and on a face that avoids (0, 1) the items attaining the minimum
+are exactly those whose lifted vector is zero on every ray of the face.
 
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
 whose last slot is the delta (t-dual) coordinate; the lift appends one more
@@ -51,6 +54,12 @@ class LiftedExponent:
         object.__setattr__(self, "exponent", tuple(self.exponent))
 
 
+def _check_token(what: str, token: str):
+    """Ids and labels are single tokens of the chart and result files."""
+    if not isinstance(token, str) or not token or any(ch.isspace() for ch in token):
+        raise ChartError(f"{what} {token!r} must be a nonempty string without whitespace")
+
+
 @dataclass(frozen=True)
 class MockPolytopeChart:
     """Input data of one chart: support dual generators plus the item family."""
@@ -65,6 +74,7 @@ class MockPolytopeChart:
                            tuple(tuple(g) for g in self.sigma_dual_generators))
         object.__setattr__(self, "items", tuple(self.items))
         r = self.ambient_dual_rank
+        _check_token("chart label", self.label)
         if r < 1:
             raise ChartError("chart ambient rank must be positive")
         if self.scale < 1:
@@ -76,6 +86,7 @@ class MockPolytopeChart:
                 raise ChartError("sigma dual generator rank mismatch")
         ids = set()
         for it in self.items:
+            _check_token("item id", it.id)
             if len(it.exponent) != r:
                 raise ChartError(f"item {it.id!r} exponent rank mismatch")
             if it.id in ids:
@@ -172,6 +183,15 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     SubdivisionInconsistency.  Input that has no lifted cone behind it, a
     fan or result read from a file or the union of glued charts, is
     checked by `fan_from_cones` instead.
+
+    Active sets come from one pairing of each distinct lifted item (w, 1)
+    with the rays of C, kept as the mask of the rays it is zero on.  The
+    active set of a face with ray mask m is every item whose mask covers m.
+    This is exact: each (w, 1) is >= 0 on C, so it is zero at a relative
+    interior point (v, s) of the face iff it is zero on all the face's
+    rays, and then <w, v> = -s <= <w', v> for every item w'.  A face on
+    which no item is zero is not a lower face and raises
+    SubdivisionInconsistency.
     """
     r = chart.ambient_dual_rank
     big = dual_cone(build_D(chart))
@@ -194,18 +214,45 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     if len(set(proj_cones)) != len(proj_cones):
         raise SubdivisionInconsistency(
             "subdivision inconsistency: projection identified two faces")
+    item_masks, negative = _lifted_item_masks(chart, big.rays)
     if verify:
-        _certify_lower_faces(chart, big, facet_masks, walk, proj_cones)
+        _certify_lower_faces(chart, big, facet_masks, walk, proj_cones,
+                             item_masks, negative)
     fan = Fan._trusted(r, proj_cones, True)
+    ids_by_mask = [(item_masks[chart.effective_exponent(it) + (1,)], it.id)
+                   for it in chart.items]
+    mask_of = {cone: mask for (mask, _), cone in zip(walk, proj_cones)}
     active = {}
     for cone in fan:
-        active[cone] = _active_set_at_interior_point(chart, cone)
+        mask = mask_of[cone]
+        ids = frozenset(i for m, i in ids_by_mask if mask & ~m == 0)
+        if not ids:
+            raise SubdivisionInconsistency(
+                f"subdivision inconsistency: no item is active on {list(cone.rays)}")
+        active[cone] = ids
     return SubdivisionResult(chart, big, tuple(faces), fan, active)
+
+
+def _lifted_item_masks(chart: MockPolytopeChart, rays: Sequence[IntVec]
+                       ) -> tuple[dict[IntVec, int], list[IntVec]]:
+    """Pair each distinct lifted item (w, 1) with the rays of C once.
+
+    Returns the mask of the rays each lifted item is zero on, and the lifted
+    items that are negative on some ray (none, when C is the dual of D).
+    """
+    masks, negative = {}, []
+    for w in chart.lifted_generators():
+        pairing = [dot(w, x) for x in rays]
+        if any(v < 0 for v in pairing):
+            negative.append(w)
+        masks[w] = sum(1 << i for i, v in enumerate(pairing) if v == 0)
+    return masks, negative
 
 
 def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Sequence[int],
                          walk: Sequence[tuple[int, frozenset[int]]],
-                         proj_cones: Sequence[Cone]) -> None:
+                         proj_cones: Sequence[Cone], item_masks: Mapping[IntVec, int],
+                         negative: Sequence[IntVec]) -> None:
     """Certify that the projected lower faces of C are the subdivision fan of S.
 
     Notation: C = `big` has rays x and facet normals f = (a, c), where
@@ -269,13 +316,10 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
     cone_of = {mask: cone for (mask, _), cone in zip(walk, proj_cones)}
     if any(dot(x, f) < 0 for f in facets for x in rays):
         fail("a facet of C is negative on a ray of C")
-    item_masks = set()
-    for w in chart.lifted_generators():
-        pairing = [dot(w, x) for x in rays]
-        if any(v < 0 for v in pairing):
-            fail(f"item exponent {w[:-1]} is negative on a ray of C")
-        item_masks.add(sum(1 << i for i, v in enumerate(pairing) if v == 0))
-    if any(facet_masks[j] not in item_masks for j in cells):
+    if negative:
+        fail(f"item exponent {negative[0][:-1]} is negative on a ray of C")
+    item_planes = set(item_masks.values())
+    if any(facet_masks[j] not in item_planes for j in cells):
         fail("a cell of C lies on no item's hyperplane")
     if any(not any(facets[j][-1] > 0 for j in tight) for _, tight in walk):
         fail("a walked face lies in no cell")
@@ -318,14 +362,6 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
         lift = tuple(fb[-1] * u for u in p) + (-dot(fb[:-1], p),)
         if big.contains(lift):
             fail(f"an interior point of cell {a} also lies in cell {b}")
-
-
-def _active_set_at_interior_point(chart: MockPolytopeChart, cone: Cone) -> frozenset[str]:
-    """Active set from the pairing at the lift of a relative interior point."""
-    v = cone.relative_interior_point()
-    val = val_min(chart, v)
-    return frozenset(it.id for it in chart.items
-                     if dot(v, chart.effective_exponent(it)) == val)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genutil import random_cone, random_orthant_chart
 from mockfan import formats
@@ -8,7 +10,7 @@ from mockfan.cli import main
 from mockfan.cones import cone_from_generators as cg
 from mockfan.fans import fan_from_cones
 from mockfan.grassmann import GrassmannSpec, vol_expression, zero_chart
-from mockfan.subdivision import subdivide_chart
+from mockfan.subdivision import LiftedExponent, MockPolytopeChart, subdivide_chart
 from mockfan.volume import ClassLabel, FormalSum, StratumAnnotation
 
 
@@ -151,3 +153,104 @@ def test_cli_exits_2_on_negative_ray_index(tmp_path):
     path = tmp_path / "fan.txt"
     path.write_text(MALFORMED["fan cone -1"][1])
     assert main(["bounded", "-i", str(path)]) == 2
+
+
+# Each text is a complete file with a negative rank, or a complete file
+# followed by one more record.
+CONE_TEXT = "schema mockfan.cone/1\nrank 2\nrays 1\n1 0\nlineality 0\n"
+FAN_TEXT = "schema mockfan.fan/1\nrank 2\nhas_t 0\nrays 1\n1 0\ncones 2\ncone\ncone 0\n"
+CHART_TEXT = ("schema mockfan.chart/1\nlabel demo\nrank 2\nscale 1\nsigma_duals 1\n"
+              "0 1\nitems 1\nitem a kappa 0 exponent 0 0\n")
+RESULT_TEXT = ("schema mockfan.result/1\nrank 2\nhas_t 1\nrays 1\n0 1\ncones 2\ncone\n"
+               "cone 0\nactive_sets 2\ncone 0 items a\ncone 1 items a\n")
+ANNOTATIONS_TEXT = "schema mockfan.annotations/1\nannotations 1\ncone 1 labels pt\n"
+EXPRESSION_TEXT = "schema mockfan.expression/1\nterms 1\n+1 pt\nrendered pt\n"
+
+
+def read_annotations_on_result_fan(text):
+    return formats.read_annotations(text, formats.read_result(RESULT_TEXT)[0])
+
+
+STRICT = {
+    "cone rank -3": (formats.read_cone,
+                     "schema mockfan.cone/1\nrank -3\nrays 0\nlineality 0\n"),
+    "fan rank -3": (formats.read_fan,
+                    "schema mockfan.fan/1\nrank -3\nhas_t 0\nrays 0\ncones 0\n"),
+    "chart rank -3": (formats.read_chart,
+                      "schema mockfan.chart/1\nlabel demo\nrank -3\nscale 1\n"
+                      "sigma_duals 0\nitems 0\n"),
+    "result rank -3": (formats.read_result,
+                       "schema mockfan.result/1\nrank -3\nhas_t 1\nrays 0\ncones 0\n"
+                       "active_sets 0\n"),
+    "cone trailing ray": (formats.read_cone, CONE_TEXT + "0 1\n"),
+    "cone trailing cone": (formats.read_cone, CONE_TEXT + CONE_TEXT),
+    "fan trailing cone": (formats.read_fan, FAN_TEXT + "cone 0\n"),
+    "fan or result trailing word": (formats.read_fan_or_result, FAN_TEXT + "garbage\n"),
+    "chart trailing item": (formats.read_chart,
+                            CHART_TEXT + "item b kappa 0 exponent 1 0\n"),
+    "result trailing active set": (formats.read_result, RESULT_TEXT + "cone 1 items b\n"),
+    "result as fan trailing word": (formats.read_fan_or_result, RESULT_TEXT + "x\n"),
+    "annotations trailing word": (read_annotations_on_result_fan,
+                                  ANNOTATIONS_TEXT + "garbage\n"),
+    "expression trailing word": (formats.read_expression, EXPRESSION_TEXT + "garbage\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT))
+def test_rejects_negative_rank_and_text_after_the_file(case):
+    reader, text = STRICT[case]
+    with pytest.raises(formats.ParseError):
+        reader(text)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (formats.read_cone, CONE_TEXT), (formats.read_fan, FAN_TEXT),
+    (formats.read_chart, CHART_TEXT), (formats.read_result, RESULT_TEXT),
+    (read_annotations_on_result_fan, ANNOTATIONS_TEXT),
+    (formats.read_expression, EXPRESSION_TEXT)])
+def test_trailing_blank_and_comment_lines_are_accepted(reader, text):
+    assert reader(text + "\n# end\n\n") == reader(text)
+
+
+@pytest.mark.parametrize("case", ["cone rank -3", "cone trailing ray"])
+def test_cli_exits_2_on_negative_rank_and_trailing_text(tmp_path, capsys, case):
+    path = tmp_path / "cone.txt"
+    path.write_text(STRICT[case][1])
+    assert main(["dual", "-i", str(path)]) == 2
+    assert "error[input]" in capsys.readouterr().err
+
+
+token = st.text(min_size=1, max_size=6).filter(
+    lambda s: not any(ch.isspace() for ch in s))
+
+
+@st.composite
+def charts(draw):
+    rank = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-99, 99), min_size=rank, max_size=rank).map(tuple)
+    ids = draw(st.lists(token, min_size=1, max_size=6, unique=True))
+    items = tuple(LiftedExponent(i, draw(vec), draw(st.integers(-9, 9))) for i in ids)
+    return MockPolytopeChart(draw(token), rank, tuple(draw(st.lists(vec, max_size=4))),
+                             items, scale=draw(st.integers(1, 5)))
+
+
+@given(charts())
+@settings(max_examples=200, deadline=None)
+def test_chart_write_read_write_is_byte_identical(chart):
+    text = formats.write_chart(chart)
+    back = formats.read_chart(text)
+    assert back == chart
+    assert formats.write_chart(back) == text
+
+
+@given(st.lists(token, min_size=3, max_size=3, unique=True), token)
+@settings(max_examples=50, deadline=None)
+def test_result_with_arbitrary_ids_round_trips(ids, label):
+    items = tuple(LiftedExponent(i, e, k) for i, e, k in
+                  zip(ids, [(0, 0, 0), (1, -1, 0), (-1, 2, 0)], [2, 0, 1]))
+    duals = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    res = subdivide_chart(MockPolytopeChart(label, 3, duals, items))
+    text = formats.write_result(res.projected_fan, res.active_sets)
+    fan, active = formats.read_result(text)
+    assert active == dict(res.active_sets)
+    assert formats.write_result(fan, active) == text

@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genutil import (interior_lattice_point, lattice_points_in_support,
@@ -14,6 +14,7 @@ from mockfan.cones import cone_from_inequalities, dual_cone, intersect, is_subco
 from mockfan.exact import dot
 from mockfan.fans import (FanError, fan_from_cones, is_refinement, refines_cone_faces,
                           rescale, rescale_cone)
+from mockfan.grassmann import GrassmannSpec, zero_chart
 from mockfan.subdivision import (ChartError, GlueError, LiftedExponent,
                                  MockPolytopeChart, SubdivisionInconsistency,
                                  build_D, glue_charts, rescaled_chart,
@@ -396,3 +397,98 @@ def test_certificate_rejects_unpaired_wall(monkeypatch):
     fan = fan_from_cones(ch.ambient_dual_rank, family, has_t=True)
     assert len(fan) == len(family)   # a fan, but not one covering the support
     assert oracle_rejects(ch, family)
+
+
+# -- active sets from the ray masks of C against the val_min oracle --------------
+
+def active_set_oracle(chart, cone):
+    """Items attaining val_min at a relative interior point of the cone."""
+    v = cone.relative_interior_point()
+    val = val_min(chart, v)
+    return frozenset(it.id for it in chart.items
+                     if dot(v, chart.effective_exponent(it)) == val)
+
+
+@st.composite
+def general_charts(draw):
+    """Charts whose support need not be an orthant (t >= 0 is always a
+    facet condition), with kappa and delta slots that vary, and with items
+    copied so that two ids share one effective exponent."""
+    rank = draw(st.integers(2, 4))
+    scale = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).map(tuple)
+    duals = [tuple(1 if j == rank - 1 else 0 for j in range(rank))]
+    duals += draw(st.lists(vec, min_size=rank - 1, max_size=rank + 1))
+    specs = draw(st.lists(st.tuples(vec, st.integers(0, 4)), min_size=1, max_size=7))
+    for k in draw(st.lists(st.integers(0, len(specs) - 1), max_size=3)):
+        exponent, kappa = specs[k]
+        shift = draw(st.integers(-2, 2))
+        specs.append((exponent[:-1] + (exponent[-1] + scale * shift,), kappa - shift))
+    items = [LiftedExponent(f"i{k}", e, kappa) for k, (e, kappa) in enumerate(specs)]
+    return MockPolytopeChart("general", rank, tuple(duals), tuple(items), scale=scale)
+
+
+def subdivide_full_support(ch):
+    """The subdivision of a chart with a full-dimensional support, else None."""
+    if support_cone(ch).dim() != ch.ambient_dual_rank:
+        return None
+    try:
+        return subdivide_chart(ch)
+    except ChartError:
+        return None
+
+
+@given(general_charts())
+@settings(max_examples=80, deadline=None)
+def test_mask_active_sets_equal_val_min_oracle(ch):
+    res = subdivide_full_support(ch)
+    assume(res is not None)
+    for cone in res.projected_fan:
+        assert res.active_sets[cone] == active_set_oracle(ch, cone)
+
+
+def test_general_charts_cover_duplicates_kappa_and_non_orthant_supports():
+    seen = set()
+
+    @given(general_charts())
+    @settings(max_examples=100, deadline=None, database=None)
+    def probe(ch):
+        if subdivide_full_support(ch) is None:
+            return
+        r = ch.ambient_dual_rank
+        if len(ch.lifted_generators()) < len(ch.items):
+            seen.add("duplicate")
+        if any(it.kappa for it in ch.items):
+            seen.add("kappa")
+        if support_cone(ch) != cg(r, [tuple(int(j == i) for j in range(r))
+                                      for i in range(r)]):
+            seen.add("non-orthant")
+
+    probe()
+    assert seen == {"duplicate", "kappa", "non-orthant"}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_mask_active_sets_on_every_cone_of_the_zero_chart(n):
+    ch = zero_chart(GrassmannSpec(n, 2, 1))
+    res = subdivide_chart(ch)
+    for cone in res.projected_fan:
+        assert res.active_sets[cone] == active_set_oracle(ch, cone)
+
+
+def test_empty_active_set_is_an_inconsistency(monkeypatch):
+    # as if no lifted item were zero on any ray of C
+    monkeypatch.setattr(subdivision, "_lifted_item_masks", lambda chart, rays: (
+        {w: 0 for w in chart.lifted_generators()}, []))
+    with pytest.raises(SubdivisionInconsistency, match="no item is active"):
+        subdivide_chart(triangle_chart(), verify=False)
+
+
+def test_chart_ids_must_be_single_tokens():
+    item = LiftedExponent("a", (0, 0))
+    for label in ("", "a b", "a\tb", "a\nb"):
+        with pytest.raises(ChartError, match="chart label"):
+            MockPolytopeChart(label, 2, ((0, 1),), (item,))
+    for item_id in ("", "x y", "x\u00a0y", "x\u2028y", 7):
+        with pytest.raises(ChartError, match="item id"):
+            MockPolytopeChart("ok", 2, ((0, 1),), (LiftedExponent(item_id, (0, 0)),))
