@@ -56,14 +56,14 @@ def _cmd_faces(args) -> int:
 def _cmd_subdivide(args) -> int:
     chart = formats.read_chart(_read(args.input))
     result = subdivide_chart(chart)
-    _emit(formats.write_subdivision_result(result), args.output)
+    _emit(formats.write_result(result.projected_fan, result.active_sets), args.output)
     return EXIT_OK
 
 
 def _cmd_glue(args) -> int:
     results = [subdivide_chart(formats.read_chart(_read(p))) for p in args.inputs]
     glued = glue_charts(results)
-    _emit(formats.write_glue_result(glued), args.output)
+    _emit(formats.write_result(glued.fan, glued.active_sets), args.output)
     return EXIT_OK
 
 

@@ -1,29 +1,34 @@
 """Rational polyhedral cones with exact dual representations and face data.
 
 A `Cone` is canonical: extreme rays are primitive, reduced modulo the
-lineality space (orthogonal representative, cleared to integers), and sorted;
-the lineality basis is the Hermite normal form of the saturated lineality
-lattice.  Cones that describe the same point set therefore compare equal as
-structures, which is what fans and the subdivision pipeline rely on.
+lineality space (orthogonal representative), and sorted; the lineality basis
+is the Hermite normal form of the saturated lineality lattice.  Cones that
+describe the same point set therefore compare equal as structures, which is
+what fans and the subdivision pipeline rely on.
 
-Representation conversion uses an incremental double description method over
-exact integers.  Both the V-representation (rays, lineality) and the
+Everything is integer arithmetic.  The orthogonal representative comes from
+an integer Gram-Schmidt basis of the lineality, each step scaled by o.o > 0
+so that no `Fraction` is needed: the primitive result is the rational
+projection cleared to integers.
+
+Representation conversion uses an incremental double description (DD) method
+over exact integers.  Both the V-representation (rays, lineality) and the
 H-representation (facet inequalities plus span equalities) are available on
 every cone; the H-side is computed lazily for cones created through trusted
-internal paths and eagerly for user-supplied generators.
+internal paths and eagerly for user-supplied generators.  A cone given by
+generators costs one DD (generators to facets); its rays and lineality are
+read off the generator x facet incidence (`cone_from_generators`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
     IntVec,
     Scalar,
     dot,
-    integerize,
     is_zero_vec,
     kernel_basis,
     lattice_basis_extension_test,
@@ -91,38 +96,42 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
     return [r for r, _ in rays], lin
 
 
-def _solve_fraction(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly (Gaussian elimination)."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+def _orthogonal_basis(basis: Sequence[IntVec]) -> list[IntVec]:
+    """Integer Gram-Schmidt: primitive pairwise orthogonal vectors, same span.
 
-
-def _reduce_mod_subspace(v: IntVec, basis: Sequence[IntVec]) -> Optional[IntVec]:
-    """Orthogonal-complement representative of v modulo span(basis), integerized.
-
-    Returns None when v lies in the subspace.  The representative is unique
-    up to positive scaling, so primitivizing makes it canonical.
+    Each step w <- (o.o) w - (o.w) o scales by o.o > 0, so every vector is a
+    positive multiple of its rational Gram-Schmidt counterpart.
     """
-    if not basis:
-        return tuple(v)
-    gram = [[Fraction(dot(bi, bj)) for bj in basis] for bi in basis]
-    rhs = [Fraction(dot(bi, v)) for bi in basis]
-    coeff = _solve_fraction(gram, rhs)
-    w = [Fraction(x) - sum(c * Fraction(b[k]) for c, b in zip(coeff, basis))
-         for k, x in enumerate(v)]
-    if all(x == 0 for x in w):
+    ortho: list[IntVec] = []
+    for w in basis:
+        for o in ortho:
+            w = _project_off(w, o)
+        ortho.append(primitive(w))
+    return ortho
+
+
+def _project_off(v: IntVec, o: IntVec) -> IntVec:
+    """(o.o) v - (o.v) o: a positive multiple of v projected orthogonally to o."""
+    ov = dot(o, v)
+    if ov == 0:
+        return v
+    oo = dot(o, o)
+    return tuple(oo * x - ov * y for x, y in zip(v, o))
+
+
+def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[IntVec]:
+    """Primitive orthogonal-complement representative of v modulo span(ortho).
+
+    `ortho` must be pairwise orthogonal (`_orthogonal_basis`), so projecting
+    off one vector at a time projects off the span.  Returns None when v lies
+    in the subspace.  The representative is unique up to positive scaling,
+    so primitivizing makes it canonical.
+    """
+    for o in ortho:
+        v = _project_off(v, o)
+    if is_zero_vec(v):
         return None
-    return integerize(w)
+    return primitive(v)
 
 
 def _saturated_subspace_basis(vectors: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
@@ -208,11 +217,10 @@ class Cone:
     def _canonicalize(rank: int, raw_rays: Sequence[IntVec],
                       raw_lin: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         lin = _saturated_subspace_basis(raw_lin, rank)
+        ortho = _orthogonal_basis(lin)
         rays = set()
         for r in raw_rays:
-            if is_zero_vec(r):
-                continue
-            red = _reduce_mod_subspace(r, lin) if lin else primitive(r)
+            red = _orthogonal_representative(r, ortho)
             if red is not None:
                 rays.add(red)
         return tuple(sorted(rays)), lin
@@ -396,9 +404,20 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
                          lineality_generators: Sequence[Sequence[int]] = ()) -> Cone:
     """Canonical cone spanned by `generators` plus the span of `lineality_generators`.
 
-    Redundant generators are dropped, the lineality space is extracted as the
-    largest linear subspace of the cone, and rays are reduced modulo lineality
-    and primitivized.  Both representations are computed eagerly.
+    One DD, on the generators as inequalities of the dual, gives the facets
+    and span equalities; both representations are then known.  The rest is
+    read off the generator x facet incidence, with no second DD:
+
+    - the lineality space is the span of the lineality generators and of
+      every generator tight on all facets (the minimal face of a cone is
+      generated by the generators in it);
+    - the tight set of a generator g cuts out the smallest face holding g,
+      so g spans an extreme ray modulo the lineality iff no generator
+      outside the lineality has a strictly larger tight set; every such
+      tight set is one ray, whatever generator carries it.
+
+    Rays are reduced modulo the lineality by integer orthogonal projection
+    and primitivized, as in `Cone._canonicalize`.
     """
     gens = []
     for g in generators:
@@ -414,9 +433,22 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
             lins.append(primitive(g))
     facets_raw, span_raw = _vrep_from_constraints(rank, gens, lins)
     facets, span_eqs = Cone._canonicalize(rank, facets_raw, span_raw)
-    rays_raw, lin_raw = _vrep_from_constraints(rank, list(facets), list(span_eqs))
-    rays, lin = Cone._canonicalize(rank, rays_raw, lin_raw)
-    return Cone(rank, rays, lin, facets, span_eqs, _token=_CONE_TOKEN)
+    full = (1 << len(facets)) - 1
+    ray_of_mask: dict[int, IntVec] = {}
+    for g in gens:
+        mask = 0
+        for j, f in enumerate(facets):
+            if dot(g, f) == 0:
+                mask |= 1 << j
+        if mask == full:
+            lins.append(g)
+        else:
+            ray_of_mask.setdefault(mask, g)
+    lin = _saturated_subspace_basis(lins, rank)
+    ortho = _orthogonal_basis(lin)
+    rays = sorted(_orthogonal_representative(g, ortho) for mask, g in ray_of_mask.items()
+                  if not any(mask & ~other == 0 for other in ray_of_mask if other != mask))
+    return Cone(rank, tuple(rays), lin, facets, span_eqs, _token=_CONE_TOKEN)
 
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],

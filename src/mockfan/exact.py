@@ -12,6 +12,7 @@ algorithms (Bareiss elimination, unimodular row operations).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -58,7 +59,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     if len(a) != len(b):
         raise ExactError(f"rank mismatch in pairing: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def vec_neg(a: IntVec) -> IntVec:

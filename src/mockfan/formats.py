@@ -34,8 +34,7 @@ from typing import Mapping, Sequence
 
 from .cones import Cone, cone_from_generators
 from .fans import Fan, fan_from_cones
-from .subdivision import (GlueResult, LiftedExponent, MockPolytopeChart,
-                          SubdivisionResult)
+from .subdivision import LiftedExponent, MockPolytopeChart
 from .volume import ClassLabel, FormalSum, StratumAnnotation
 
 
@@ -272,14 +271,6 @@ def read_result(text: str) -> tuple[Fan, dict[Cone, frozenset[str]]]:
         active[fan.cones[idx]] = frozenset(tokens[2:])
     lines.end()
     return fan, active
-
-
-def write_glue_result(res: GlueResult) -> str:
-    return write_result(res.fan, res.active_sets)
-
-
-def write_subdivision_result(res: SubdivisionResult) -> str:
-    return write_result(res.projected_fan, res.active_sets)
 
 
 # -- class labels, annotations, expressions --------------------------------------

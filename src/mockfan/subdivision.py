@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cones import Cone, Face, cone_from_generators, dual_cone, mask_closure
+from .cones import _CONE_TOKEN, Cone, Face, cone_from_generators, dual_cone, mask_closure
 from .exact import IntVec, Scalar, dot, is_zero_vec
 from .fans import Fan, FanError, fan_from_cones
 
@@ -171,6 +171,21 @@ def _faces_avoiding_apex(c: Cone, facet_masks: Sequence[int]
     return mask_closure(facet_masks, start or [0])
 
 
+def _face_dims(masks: Sequence[int], facet_masks: Sequence[int]) -> dict[int, int]:
+    """Dimension of each face of a pointed cone, graded from its ray mask.
+
+    `masks` must be closed under intersection with the facet masks.  The
+    zero face has the empty mask; a nonzero face F has dimension one more
+    than its largest proper face F & f, because each facet of F is cut out
+    by one facet f of the cone.
+    """
+    dims: dict[int, int] = {}
+    for mask in sorted(masks, key=int.bit_count):
+        dims[mask] = 1 + max((dims[mask & fm] for fm in facet_masks if mask & fm != mask),
+                             default=-1)
+    return dims
+
+
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
     """Run the full pipeline on one chart.
 
@@ -182,7 +197,11 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     again.  A failed check is a pipeline bug and raises
     SubdivisionInconsistency.  Input that has no lifted cone behind it, a
     fan or result read from a file or the union of glued charts, is
-    checked by `fan_from_cones` instead.
+    checked by `fan_from_cones` instead.  Without `verify`, each projected
+    cone's dimension is graded from the walked masks (`_face_dims`): a lower
+    face lies on a facet hyperplane that (0, 1) is not in, so pi keeps its
+    dimension.  With `verify`, the certificate takes dimensions from exact
+    ranks, which its soundness argument needs.
 
     Active sets come from one pairing of each distinct lifted item (w, 1)
     with the rays of C, kept as the mask of the rays it is zero on.  The
@@ -207,8 +226,10 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     faces = []
     proj_cones = []
     for mask, tight in walk:
+        # a subset of C's sorted canonical rays, and C has no lineality:
+        # the face is canonical as it stands
         sub_rays = tuple(ray for i, ray in enumerate(big.rays) if mask >> i & 1)
-        face_cone = Cone._make(big.rank, sub_rays, ())
+        face_cone = Cone(big.rank, sub_rays, (), None, None, _token=_CONE_TOKEN)
         faces.append(Face(big, tight, face_cone))
         proj_cones.append(Cone._make(r, [rr[:-1] for rr in sub_rays], ()))
     if len(set(proj_cones)) != len(proj_cones):
@@ -218,6 +239,10 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     if verify:
         _certify_lower_faces(chart, big, facet_masks, walk, proj_cones,
                              item_masks, negative)
+    else:
+        dims = _face_dims([mask for mask, _ in walk], facet_masks)
+        for (mask, _), cone in zip(walk, proj_cones):
+            cone._dim = dims[mask]
     fan = Fan._trusted(r, proj_cones, True)
     ids_by_mask = [(item_masks[chart.effective_exponent(it) + (1,)], it.id)
                    for it in chart.items]

@@ -1,15 +1,17 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutil import random_cone, random_generators
+from mockfan import cones
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
                            is_face_of, is_subcone, zero_cone)
-from mockfan.exact import dot
+from mockfan.exact import dot, integerize, primitive
 
 
 def orthant(rank=2):
@@ -191,3 +193,115 @@ def test_canonical_form_invariant_under_scaling_and_order(gens, scale, rnd):
     rnd.shuffle(shuffled)
     scaled = [tuple(scale * x for x in g) for g in shuffled]
     assert cone_from_generators(3, scaled) == c
+
+
+# -- the integer, single-DD construction against the Fraction, two-DD oracle ----
+
+def _solve_fraction(matrix, rhs):
+    """Solve a square nonsingular system exactly (Gaussian elimination)."""
+    n = len(matrix)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv = m[col][col]
+        m[col] = [x / inv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def fraction_reduction(v, basis):
+    """Orthogonal representative of v modulo span(basis), by a Fraction Gram
+    solve, integerized; None when v lies in the span."""
+    if not basis:
+        return primitive(v)
+    gram = [[Fraction(dot(bi, bj)) for bj in basis] for bi in basis]
+    coeff = _solve_fraction(gram, [Fraction(dot(bi, v)) for bi in basis])
+    w = [x - sum(c * b[k] for c, b in zip(coeff, basis)) for k, x in enumerate(v)]
+    return None if all(x == 0 for x in w) else integerize(w)
+
+
+def oracle_canonicalize(rank, raw_rays, raw_lin):
+    lin = cones._saturated_subspace_basis(raw_lin, rank)
+    rays = {fraction_reduction(r, lin) for r in raw_rays if any(r)}
+    return tuple(sorted(rays - {None})), lin
+
+
+def two_dd_oracle(rank, generators, lineality_generators=()):
+    """(rays, lineality, facets, span_eqs) by DD twice: generators -> facets
+    -> rays, each result canonicalized with the Fraction reduction."""
+    gens = [primitive(g) for g in generators if any(g)]
+    lins = [primitive(g) for g in lineality_generators if any(g)]
+    facets, span_eqs = oracle_canonicalize(
+        rank, *cones._vrep_from_constraints(rank, gens, lins))
+    rays, lin = oracle_canonicalize(
+        rank, *cones._vrep_from_constraints(rank, list(facets), list(span_eqs)))
+    return rays, lin, facets, span_eqs
+
+
+@st.composite
+def generator_sets(draw):
+    """Rank 1-7, 0-12 generators and 0-3 lineality generators, with
+    duplicates, positive multiples, zero vectors and generators inside the
+    lineality mixed in."""
+    rank = draw(st.integers(1, 7))
+    vec = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(tuple)
+    gens = draw(st.lists(vec, max_size=12))
+    lins = draw(st.lists(vec, max_size=3))
+    extras = []
+    for kind in draw(st.lists(st.sampled_from(["dup", "multiple", "zero", "in_lin"]),
+                              max_size=3)):
+        if kind == "zero":
+            extras.append((0,) * rank)
+        elif kind == "in_lin" and lins:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(lins),
+                                   max_size=len(lins)))
+            extras.append(tuple(sum(c * l[k] for c, l in zip(coeffs, lins))
+                                for k in range(rank)))
+        elif gens and kind in ("dup", "multiple"):
+            g = draw(st.sampled_from(gens))
+            extras.append(g if kind == "dup" else tuple(draw(st.integers(2, 4)) * x
+                                                        for x in g))
+    gens = draw(st.permutations(gens + extras))
+    return rank, gens[:12], lins
+
+
+def assert_matches_oracle(rank, gens, lins=()):
+    c = cone_from_generators(rank, gens, lins)
+    assert (c.rays, c.lineality, c.facets, c.span_eqs) == two_dd_oracle(rank, gens, lins)
+
+
+@given(generator_sets())
+@settings(max_examples=300, deadline=None)
+def test_single_dd_construction_matches_two_dd_oracle(data):
+    assert_matches_oracle(*data)
+
+
+@pytest.mark.parametrize("rank, gens, lins", [
+    (3, [], []),                                               # {0}
+    (3, [(0, 0, 0)], []),                                      # {0} from a zero vector
+    (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], []),
+    (3, [(1, 1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),      # full space
+    (3, [(1, 0, 0), (2, 0, 0), (1, 0, 0), (0, 1, 0)], []),    # duplicate, multiple
+    (3, [(1, 2, 0), (0, 0, 1), (1, 2, 5)], [(1, 2, 3)]),       # generator in the lineality
+    (4, [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 1)], []),
+])
+def test_single_dd_construction_edge_cases(rank, gens, lins):
+    assert_matches_oracle(rank, gens, lins)
+
+
+@given(st.integers(1, 7).flatmap(lambda rank: st.tuples(
+    st.lists(st.integers(-4, 4), min_size=rank, max_size=rank).map(tuple),
+    st.lists(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank).map(tuple),
+             max_size=rank))))
+@settings(max_examples=300, deadline=None)
+def test_integer_reduction_equals_fraction_reduction(data):
+    v, vectors = data
+    lin = cones._saturated_subspace_basis(vectors, len(v))
+    ortho = cones._orthogonal_basis(lin)
+    assert all(dot(a, b) == 0 for a, b in itertools.combinations(ortho, 2))
+    expected = fraction_reduction(v, lin) if any(v) else None
+    assert cones._orthogonal_representative(v, ortho) == expected

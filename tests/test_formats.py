@@ -10,7 +10,8 @@ from mockfan.cli import main
 from mockfan.cones import cone_from_generators as cg
 from mockfan.fans import fan_from_cones
 from mockfan.grassmann import GrassmannSpec, vol_expression, zero_chart
-from mockfan.subdivision import LiftedExponent, MockPolytopeChart, subdivide_chart
+from mockfan.subdivision import (LiftedExponent, MockPolytopeChart, rescaled_chart,
+                                 subdivide_chart)
 from mockfan.volume import ClassLabel, FormalSum, StratumAnnotation
 
 
@@ -254,3 +255,17 @@ def test_result_with_arbitrary_ids_round_trips(ids, label):
     fan, active = formats.read_result(text)
     assert active == dict(res.active_sets)
     assert formats.write_result(fan, active) == text
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_fan_write_read_write_is_byte_identical(rnd, scale):
+    chart = random_orthant_chart(rnd, max_rank=4, max_items=8)
+    res = subdivide_chart(rescaled_chart(chart, scale))
+    fan = res.projected_fan
+    text = formats.write_fan(fan)
+    back = formats.read_fan(text)
+    assert back == fan
+    assert formats.write_fan(back) == text
+    result_text = formats.write_result(fan, res.active_sets)
+    assert formats.read_fan_or_result(text) == formats.read_fan_or_result(result_text) == fan

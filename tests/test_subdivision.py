@@ -11,7 +11,7 @@ from genutil import (interior_lattice_point, lattice_points_in_support,
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import cone_from_inequalities, dual_cone, intersect, is_subcone
-from mockfan.exact import dot
+from mockfan.exact import dot, rank as matrix_rank
 from mockfan.fans import (FanError, fan_from_cones, is_refinement, refines_cone_faces,
                           rescale, rescale_cone)
 from mockfan.grassmann import GrassmannSpec, zero_chart
@@ -492,3 +492,30 @@ def test_chart_ids_must_be_single_tokens():
     for item_id in ("", "x y", "x\u00a0y", "x\u2028y", 7):
         with pytest.raises(ChartError, match="item id"):
             MockPolytopeChart("ok", 2, ((0, 1),), (LiftedExponent(item_id, (0, 0)),))
+
+
+# -- face dimensions graded from the walk against exact.rank ---------------------
+
+def assert_graded_dims_equal_ranks(ch):
+    big = dual_cone(build_D(ch))
+    facet_masks = big.facet_masks()
+    walk = subdivision._faces_avoiding_apex(big, facet_masks)
+    dims = subdivision._face_dims([mask for mask, _ in walk], facet_masks)
+    assert set(dims) == {mask for mask, _ in walk}
+    for mask, _ in walk:
+        rays = [x for i, x in enumerate(big.rays) if mask >> i & 1]
+        assert dims[mask] == matrix_rank(rays) == matrix_rank([x[:-1] for x in rays])
+    res = subdivide_chart(ch, verify=False)
+    assert all(cone.dim() == matrix_rank(cone.rays) for cone in res.projected_fan)
+
+
+@given(general_charts())
+@settings(max_examples=60, deadline=None)
+def test_graded_face_dims_equal_rank_on_random_charts(ch):
+    assume(subdivide_full_support(ch) is not None)
+    assert_graded_dims_equal_ranks(ch)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_graded_face_dims_equal_rank_on_the_zero_chart(n):
+    assert_graded_dims_equal_ranks(zero_chart(GrassmannSpec(n, 2, 1)))
