@@ -303,10 +303,6 @@ class Cone:
                 point[k] += r[k]
         return tuple(point)
 
-    def incidence(self) -> list[list[bool]]:
-        """Ray x facet tightness matrix."""
-        return [[dot(r, f) == 0 for f in self.facets] for r in self.rays]
-
     # -- face enumeration ------------------------------------------------------
 
     def facet_masks(self) -> list[int]:
@@ -325,14 +321,18 @@ class Cone:
 
         A face of a cone is determined by the set of extreme rays on it, so
         the faces are the closure of the full ray mask under `mask_closure`.
+        Every face holds the lineality space, so its dimension is the
+        lineality's plus the grade of its mask (`face_dims`).
         """
-        if not self.facets:
-            return [Face(self, frozenset(), self)]
+        facet_masks = self.facet_masks()
+        walk = mask_closure(facet_masks, [(1 << len(self.rays)) - 1])
+        dims = face_dims([mask for mask, _ in walk], facet_masks)
         out = []
-        for mask, tight in mask_closure(self.facet_masks(), [(1 << len(self.rays)) - 1]):
+        for mask, tight in walk:
             ray_subset = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
             cone = Cone(self.rank, ray_subset, self.lineality, None, None,
                         _token=_CONE_TOKEN)
+            cone._dim = len(self.lineality) + dims[mask]
             out.append(Face(self, tight, cone))
         out.sort(key=lambda f: (f.cone.dim(), f.cone.rays))
         return out
@@ -386,6 +386,19 @@ def mask_closure(facet_masks: Sequence[int],
                 order.append(child)
     return [(mask, frozenset(j for j, fm in enumerate(facet_masks) if mask & ~fm == 0))
             for mask in order]
+
+
+def face_dims(masks: Sequence[int], facet_masks: Sequence[int]) -> dict[int, int]:
+    """Grade of each face mask (closed under `& facet mask`): the face's
+    dimension minus the lineality's.  The minimal face (empty mask) has
+    grade 0; any other face F has one more than its largest proper face
+    F & f, because each facet of F is cut out by one facet f of the cone.
+    """
+    dims: dict[int, int] = {}
+    for mask in sorted(masks, key=int.bit_count):
+        dims[mask] = 1 + max((dims[mask & fm] for fm in facet_masks if mask & fm != mask),
+                             default=-1)
+    return dims
 
 
 @dataclass(frozen=True)

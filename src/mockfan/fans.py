@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .cones import Cone, intersect, is_face_of, is_subcone, zero_cone
+from .cones import Cone, intersect, is_subcone, zero_cone
 from .exact import dot, lcm_all
 
 
@@ -129,8 +129,15 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     Raises FanError("not a fan") when two cones meet outside a common face,
     and rejects non-strongly-convex members.  For t-flagged fans every ray
     must have nonnegative t-coordinate (height-one semantics break otherwise).
+
+    Faces lie inside their cone, so the maximal cones of the face closure
+    are input cones, and only their faces are walked: every member must be
+    one of them, and two maximal cones must meet in a face of each, which
+    together with face closure is the full pairwise condition.  Canonical
+    form makes equal point sets equal structures, so membership in the
+    face set of m is exactly the test `is_face_of(meet, m)`.
     """
-    closed: set[Cone] = set()
+    members: set[Cone] = set()
     for c in cones:
         if c.rank != rank:
             raise FanError(f"cone rank {c.rank} does not match fan rank {rank}")
@@ -138,36 +145,20 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
             raise FanError("not a fan: member cone is not strongly convex")
         if has_t and any(r[-1] < 0 for r in c.rays):
             raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
-        for f in c.faces():
-            closed.add(f.cone)
-    if not closed:
-        closed.add(zero_cone(rank))
-    _verify_fan_condition(closed)
-    return Fan._trusted(rank, closed, has_t)
-
-
-def _verify_fan_condition(cones: set[Cone]):
-    """Pairwise common-face verification, reduced to maximal members.
-
-    Every member must be a face of some maximal member, and maximal members
-    must pairwise intersect in common faces; together with face closure this
-    is equivalent to the full pairwise condition.
-    """
-    by_dim = sorted(cones, key=lambda c: (-c.dim(), c.rays))
+        members.add(c)
     maximal: list[Cone] = []
-    for c in by_dim:
+    for c in sorted(members or [zero_cone(rank)], key=lambda c: (-c.dim(), c.rays)):
         if not any(is_subcone(c, m) for m in maximal):
             maximal.append(c)
-    maximal_set = set(maximal)
-    for c in cones:
-        if c in maximal_set:
-            continue
-        if not any(is_subcone(c, m) and is_face_of(c, m) for m in maximal):
-            raise FanError("not a fan: cone is not a face of any maximal cone")
+    faces_of = {m: {f.cone for f in m.faces()} for m in maximal}
+    closed = set().union(*faces_of.values())
+    if not members <= closed:
+        raise FanError("not a fan: cone is not a face of any maximal cone")
     for m1, m2 in itertools.combinations(maximal, 2):
         meet = intersect(m1, m2)
-        if not (is_face_of(meet, m1) and is_face_of(meet, m2)):
+        if meet not in faces_of[m1] or meet not in faces_of[m2]:
             raise FanError("not a fan: intersection is not a common face")
+    return Fan._trusted(rank, closed, has_t)
 
 
 def is_refinement(fine: Fan, coarse: Fan) -> bool:

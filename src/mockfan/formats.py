@@ -325,7 +325,7 @@ def read_annotations(text: str, fan: Fan) -> dict[Cone, StratumAnnotation]:
         if not 0 <= idx < len(fan.cones):
             raise ParseError(f"annotation cone index {idx} out of range")
         labels = tuple(parse_label(t) for t in tokens[2:])
-        out[fan.cones[idx]] = StratumAnnotation(f"c{idx}", len(labels), labels)
+        out[fan.cones[idx]] = StratumAnnotation(f"c{idx}", labels)
     lines.end()
     return out
 

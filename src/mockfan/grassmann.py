@@ -388,11 +388,10 @@ def grassmann_annotations(spec: GrassmannSpec) -> dict[Cone, StratumAnnotation]:
     expected = expected_bounded_cones(spec)
     ann: dict[Cone, StratumAnnotation] = {}
     for name in ("tau1", "tau2"):
-        ann[expected[name]] = StratumAnnotation(name, 1, (ClassLabel.point(),))
-    ann[expected["sigma1"]] = StratumAnnotation("sigma1", 1, (hypersurface_label(spec),))
+        ann[expected[name]] = StratumAnnotation(name, (ClassLabel.point(),))
+    ann[expected["sigma1"]] = StratumAnnotation("sigma1", (hypersurface_label(spec),))
     for name in ("tau0", "tau3", "sigma0", "sigma2"):
-        ann[expected[name]] = StratumAnnotation(
-            name, 1, (ClassLabel.symbolic(f"E({name})"),))
+        ann[expected[name]] = StratumAnnotation(name, (ClassLabel.symbolic(f"E({name})"),))
     return ann
 
 

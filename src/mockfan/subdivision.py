@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cones import _CONE_TOKEN, Cone, Face, cone_from_generators, dual_cone, mask_closure
-from .exact import IntVec, Scalar, dot, is_zero_vec
+from .cones import (_CONE_TOKEN, Cone, Face, cone_from_generators, dual_cone, face_dims,
+                    mask_closure)
+from .exact import IntVec, Scalar, dot, is_zero_vec, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
 
@@ -171,21 +172,6 @@ def _faces_avoiding_apex(c: Cone, facet_masks: Sequence[int]
     return mask_closure(facet_masks, start or [0])
 
 
-def _face_dims(masks: Sequence[int], facet_masks: Sequence[int]) -> dict[int, int]:
-    """Dimension of each face of a pointed cone, graded from its ray mask.
-
-    `masks` must be closed under intersection with the facet masks.  The
-    zero face has the empty mask; a nonzero face F has dimension one more
-    than its largest proper face F & f, because each facet of F is cut out
-    by one facet f of the cone.
-    """
-    dims: dict[int, int] = {}
-    for mask in sorted(masks, key=int.bit_count):
-        dims[mask] = 1 + max((dims[mask & fm] for fm in facet_masks if mask & fm != mask),
-                             default=-1)
-    return dims
-
-
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
     """Run the full pipeline on one chart.
 
@@ -197,11 +183,14 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     again.  A failed check is a pipeline bug and raises
     SubdivisionInconsistency.  Input that has no lifted cone behind it, a
     fan or result read from a file or the union of glued charts, is
-    checked by `fan_from_cones` instead.  Without `verify`, each projected
-    cone's dimension is graded from the walked masks (`_face_dims`): a lower
-    face lies on a facet hyperplane that (0, 1) is not in, so pi keeps its
-    dimension.  With `verify`, the certificate takes dimensions from exact
-    ranks, which its soundness argument needs.
+    checked by `fan_from_cones` instead.  A support that reaches t < 0 is
+    bad input and raises ChartError before the walk.
+
+    Every walked face and its projection take their dimension from one
+    source, the grade of the face's mask (`cones.face_dims`): a lower face
+    lies on a facet hyperplane that (0, 1) is not in, so pi keeps its
+    dimension.  The certificate, whose soundness argument needs exact
+    ranks, computes them and fails where a grade differs.
 
     Active sets come from one pairing of each distinct lifted item (w, 1)
     with the rays of C, kept as the mask of the rays it is zero on.  The
@@ -213,6 +202,9 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     SubdivisionInconsistency.
     """
     r = chart.ambient_dual_rank
+    support = support_cone(chart)
+    if any(x[-1] < 0 for x in support.rays) or any(v[-1] != 0 for v in support.lineality):
+        raise ChartError("chart support reaches t < 0: its sigma duals must imply t >= 0")
     big = dual_cone(build_D(chart))
     apex = (0,) * r + (1,)
     if not big.contains(apex):
@@ -223,6 +215,7 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
             "the subdivision would not be strongly convex")
     facet_masks = big.facet_masks()
     walk = _faces_avoiding_apex(big, facet_masks)
+    dims = face_dims([mask for mask, _ in walk], facet_masks)
     faces = []
     proj_cones = []
     for mask, tight in walk:
@@ -230,8 +223,10 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
         # the face is canonical as it stands
         sub_rays = tuple(ray for i, ray in enumerate(big.rays) if mask >> i & 1)
         face_cone = Cone(big.rank, sub_rays, (), None, None, _token=_CONE_TOKEN)
+        proj = Cone._make(r, [rr[:-1] for rr in sub_rays], ())
+        face_cone._dim = proj._dim = dims[mask]
         faces.append(Face(big, tight, face_cone))
-        proj_cones.append(Cone._make(r, [rr[:-1] for rr in sub_rays], ()))
+        proj_cones.append(proj)
     if len(set(proj_cones)) != len(proj_cones):
         raise SubdivisionInconsistency(
             "subdivision inconsistency: projection identified two faces")
@@ -239,17 +234,11 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     if verify:
         _certify_lower_faces(chart, big, facet_masks, walk, proj_cones,
                              item_masks, negative)
-    else:
-        dims = _face_dims([mask for mask, _ in walk], facet_masks)
-        for (mask, _), cone in zip(walk, proj_cones):
-            cone._dim = dims[mask]
     fan = Fan._trusted(r, proj_cones, True)
     ids_by_mask = [(item_masks[chart.effective_exponent(it) + (1,)], it.id)
                    for it in chart.items]
-    mask_of = {cone: mask for (mask, _), cone in zip(walk, proj_cones)}
     active = {}
-    for cone in fan:
-        mask = mask_of[cone]
+    for (mask, _), cone in zip(walk, proj_cones):
         ids = frozenset(i for m, i in ids_by_mask if mask & ~m == 0)
         if not ids:
             raise SubdivisionInconsistency(
@@ -289,9 +278,11 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
     1. Validity: <f, x> >= 0 for every facet f and ray x of C.
     2. Items: every lifted item (w, 1) pairs >= 0 with every ray of C, and
        the rays of each cell are exactly the rays some item is tight on.
-    3. Faces: every walked face has a tight facet with c > 0.  A walked face
-       F of dimension k >= 1 has a walked facet, and every walked face of
-       dimension k - 2 in a walked facet of F lies in exactly two of them.
+    3. Faces: every walked face has a tight facet with c > 0, and its
+       dimension k, the rank of its projected rays, is the grade the walk
+       gave it.  A walked face F with k >= 1 has a walked facet, and every
+       walked face of dimension k - 2 in a walked facet of F lies in
+       exactly two of them.
     4. Cells: every cell is walked and projects to a cone of dimension d.
     5. Rays: every ray of a cell projects into S, with t >= 0.
     6. Walls: a walked face of dimension d - 1 lies either in exactly two
@@ -348,7 +339,11 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
         fail("a cell of C lies on no item's hyperplane")
     if any(not any(facets[j][-1] > 0 for j in tight) for _, tight in walk):
         fail("a walked face lies in no cell")
-    dims = {mask: cone.dim() for mask, cone in cone_of.items()}
+    dims = {}
+    for mask, cone in cone_of.items():
+        dims[mask] = matrix_rank(cone.rays) if cone.rays else 0
+        if dims[mask] != cone.dim():
+            fail(f"the graded dimension {cone.dim()} of {list(cone.rays)} is not its rank")
     facets_of = {mask: {mask & fm for fm in facet_masks if dims.get(mask & fm) == k - 1}
                  for mask, k in dims.items()}
     for mask, k in dims.items():

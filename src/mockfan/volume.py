@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .cones import Cone
-from .fans import Fan
+from .fans import Fan, euler_char_height1
 
 
 @dataclass(frozen=True, order=True)
@@ -113,21 +113,22 @@ class FormalSum:
 
 @dataclass(frozen=True)
 class StratumAnnotation:
-    """Connected components of the stratum over one cone: r labels."""
+    """Connected components of the stratum over one cone: one label each."""
     cone_id: str
-    component_count: int
     labels: tuple[ClassLabel, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != self.component_count:
-            raise ValueError("annotation needs exactly component_count labels")
-        if self.component_count < 1:
-            raise ValueError("component count must be positive")
+        if not self.labels:
+            raise ValueError("annotation needs at least one label")
+
+    @property
+    def component_count(self) -> int:
+        return len(self.labels)
 
 
 def default_annotation(cone_id: str) -> StratumAnnotation:
-    return StratumAnnotation(cone_id, 1, (ClassLabel.symbolic(f"E({cone_id})"),))
+    return StratumAnnotation(cone_id, (ClassLabel.symbolic(f"E({cone_id})"),))
 
 
 def vol_skeleton(fan: Fan,
@@ -136,9 +137,9 @@ def vol_skeleton(fan: Fan,
                  cone_ids: Optional[Mapping[Cone, str]] = None) -> FormalSum:
     """Signed sum over bounded cones passing the filter.
 
-    Each contributing cone adds (-1)^(dim - 1) times the sum of its
-    annotation labels; cones without an annotation get one symbolic label
-    E(<cone id>) with component count 1.
+    Each contributing cone adds its height-one Euler characteristic
+    (-1)^(dim - 1) times the sum of its annotation labels; cones without an
+    annotation get one symbolic label E(<cone id>) with component count 1.
     """
     total = FormalSum.zero()
     for cone in fan.bounded_cones():
@@ -148,7 +149,7 @@ def vol_skeleton(fan: Fan,
         if ann is None:
             cid = cone_ids[cone] if cone_ids and cone in cone_ids else _fallback_id(fan, cone)
             ann = default_annotation(cid)
-        sign = 1 if cone.dim() % 2 == 1 else -1
+        sign = euler_char_height1(cone)
         for label in ann.labels:
             total = total + FormalSum.of(label, sign)
     return total

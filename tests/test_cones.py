@@ -11,7 +11,7 @@ from mockfan import cones
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
                            is_face_of, is_subcone, zero_cone)
-from mockfan.exact import dot, integerize, primitive
+from mockfan.exact import dot, integerize, primitive, rank as matrix_rank
 
 
 def orthant(rank=2):
@@ -124,15 +124,6 @@ def test_contains_examples():
     assert not c.contains((-1, 2))
     from fractions import Fraction
     assert c.contains((Fraction(1, 2), Fraction(3, 7)))
-
-
-def test_incidence_matrix():
-    c = orthant()
-    inc = c.incidence()
-    for i, r in enumerate(c.rays):
-        for j, f in enumerate(c.facets):
-            assert inc[i][j] == (dot(r, f) == 0)
-    assert sum(sum(row) for row in inc) == 2  # each ray tight on one facet
 
 
 def test_predicates():
@@ -305,3 +296,17 @@ def test_integer_reduction_equals_fraction_reduction(data):
     assert all(dot(a, b) == 0 for a, b in itertools.combinations(ortho, 2))
     expected = fraction_reduction(v, lin) if any(v) else None
     assert cones._orthogonal_representative(v, ortho) == expected
+
+
+# -- face dimensions graded from the mask walk against exact.rank ---------------
+
+@given(generator_sets())
+@settings(max_examples=150, deadline=None)
+def test_graded_face_dims_equal_rank(data):
+    c = cone_from_generators(*data)
+    faces = c.faces()
+    for f in faces:
+        gens = list(f.cone.rays) + list(f.cone.lineality)
+        assert f.cone.dim() == (matrix_rank(gens) if gens else 0)
+    assert [f.cone.dim() for f in faces] == sorted(f.cone.dim() for f in faces)
+    assert faces[-1].cone == c

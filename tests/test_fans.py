@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genutil import random_orthant_chart
 from mockfan.cones import cone_from_generators as cg
-from mockfan.cones import is_subcone, zero_cone
+from mockfan.cones import intersect, is_face_of, is_subcone, zero_cone
+from mockfan.exact import rank as matrix_rank
 from mockfan.fans import (Fan, FanError, euler_char_height1, fan_from_cones,
                           is_bounded_cone, is_compactly_arranged,
                           is_refinement, is_special_cone,
@@ -206,6 +210,122 @@ def test_euler_additivity_over_refinements():
             assert total == euler_char_height1(sigma), (chart, sigma)
 
 
+@pytest.mark.parametrize("half_above", [False, True])
+def test_meet_on_a_face_of_only_one_cone_rejected(half_above):
+    # the two cones meet in cone(e1, e1 + e2): a facet of one of them, but
+    # only half of the facet cone(e1, e2) of the other; either may come first
+    half, whole = [(1, 0, 0), (1, 1, 0)], [(1, 0, 0), (0, 1, 0)]
+    up, down = (half, whole) if half_above else (whole, half)
+    pair = [cg(3, up + [(0, 0, 1)]), cg(3, down + [(0, 0, -1)])]
+    for cones in (pair, pair[::-1]):
+        with pytest.raises(FanError, match="not a common face"):
+            fan_from_cones(3, cones)
+
+
 def test_direct_fan_construction_forbidden():
     with pytest.raises(FanError):
         Fan(2, (), False)
+
+
+# -- fan_from_cones against the pairwise, is_face_of-based check it replaced -----
+
+def verify_fan_condition_oracle(cones):
+    """Every member is a face of a maximal member, and maximal members meet
+    in common faces; maximal members are searched among all of `cones`, with
+    dimensions from exact ranks."""
+    def dim(c):
+        return matrix_rank(list(c.rays)) if c.rays else 0
+
+    maximal = []
+    for c in sorted(cones, key=lambda c: (-dim(c), c.rays)):
+        if not any(is_subcone(c, m) for m in maximal):
+            maximal.append(c)
+    for c in cones:
+        if c not in maximal and not any(is_subcone(c, m) and is_face_of(c, m)
+                                        for m in maximal):
+            raise FanError("not a fan: cone is not a face of any maximal cone")
+    for m1, m2 in itertools.combinations(maximal, 2):
+        meet = intersect(m1, m2)
+        if not (is_face_of(meet, m1) and is_face_of(meet, m2)):
+            raise FanError("not a fan: intersection is not a common face")
+
+
+def fan_from_cones_oracle(rank, cones, has_t=False):
+    """Close every member under faces, then run the pairwise check."""
+    closed = set()
+    for c in cones:
+        if not c.is_strongly_convex():
+            raise FanError("not a fan: member cone is not strongly convex")
+        if has_t and any(r[-1] < 0 for r in c.rays):
+            raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
+        closed.update(f.cone for f in c.faces())
+    verify_fan_condition_oracle(closed or {zero_cone(rank)})
+    return Fan._trusted(rank, closed or {zero_cone(rank)}, has_t)
+
+
+FAMILIES = ("fan", "maximal", "subset", "overlap", "non_face", "perturbed", "split")
+
+
+@st.composite
+def cone_families(draw):
+    """The cones of a chart fan, its maximal cones only, or a subset of them,
+    or its cells with a non-fan injected: a cone overlapping the interior of
+    a cell, a cone inside a cell that is not a face, one perturbed cell, or
+    one cell split in two at the midpoint q of two of its rays, which leaves
+    a T-junction where the split edge lies on a neighbour's face."""
+    chart = random_orthant_chart(draw(st.randoms(use_true_random=False)), max_rank=3)
+    fan = subdivide_chart(chart, verify=False).projected_fan
+    rank = fan.rank
+    top = max(c.dim() for c in fan)
+    cells = [c for c in fan if c.dim() == top]
+    kind = draw(st.sampled_from(FAMILIES))
+    family = {"fan": list(fan), "maximal": cells}.get(kind, list(cells))
+    if kind == "subset":
+        family = draw(st.lists(st.sampled_from(list(fan)), unique=True))
+    elif kind in ("overlap", "non_face"):
+        cell = draw(st.sampled_from(cells))
+        p = cell.relative_interior_point()
+        if kind == "non_face":
+            other = draw(st.sampled_from(cell.rays))
+        else:
+            outside = (-1,) + (0,) * (rank - 2) + (1,)
+            other = draw(st.sampled_from([outside] + sorted(
+                {r for c in fan for r in c.rays} - set(cell.rays))))
+        family.append(cg(rank, [p, other]))
+    elif kind == "perturbed":
+        k = draw(st.integers(0, len(cells) - 1))
+        rays = list(cells[k].rays)
+        i = draw(st.integers(0, len(rays) - 1))
+        shift = draw(st.lists(st.integers(-1, 1), min_size=rank - 1, max_size=rank - 1))
+        rays[i] = tuple(x + y for x, y in zip(rays[i], shift)) + (rays[i][-1],)
+        family[k] = cg(rank, rays)
+    elif kind == "split":
+        k = draw(st.integers(0, len(cells) - 1))
+        rays = list(cells[k].rays)
+        i, j = draw(st.lists(st.integers(0, len(rays) - 1), min_size=2, max_size=2,
+                             unique=True))
+        q = tuple(x + y for x, y in zip(rays[i], rays[j]))
+        family[k] = cg(rank, rays[:i] + [q] + rays[i + 1:])
+        family.append(cg(rank, rays[:j] + [q] + rays[j + 1:]))
+    return kind, fan, draw(st.permutations(family))
+
+
+def outcome(check, rank, family):
+    try:
+        return check(rank, family, has_t=True)
+    except FanError as exc:
+        return str(exc)
+
+
+@given(cone_families())
+@settings(max_examples=80, deadline=None)
+def test_fan_from_cones_agrees_with_the_pairwise_oracle(case):
+    kind, fan, family = case
+    got = outcome(fan_from_cones, fan.rank, family)
+    assert got == outcome(fan_from_cones_oracle, fan.rank, family)
+    if kind in ("fan", "maximal"):
+        assert got == fan
+    elif kind == "subset":
+        assert isinstance(got, Fan)
+    elif kind in ("overlap", "non_face"):
+        assert got.startswith("not a fan")

@@ -81,7 +81,7 @@ def test_annotations_roundtrip():
     fan = fan_from_cones(3, [cg(3, [(0, 0, 1), (1, 0, 1)])], has_t=True)
     two = cg(3, [(0, 0, 1), (1, 0, 1)])
     idx = fan.cones.index(two)
-    ann = {two: StratumAnnotation(f"c{idx}", 2,
+    ann = {two: StratumAnnotation(f"c{idx}",
                                   (ClassLabel.point(), ClassLabel.symbolic("E(x)")))}
     text = formats.write_annotations(fan, ann)
     back = formats.read_annotations(text, fan)

@@ -213,7 +213,7 @@ def test_vol_difference_of_annotations_at_one_cone(report521):
     changed = dict(base)
     sigma1 = expected_bounded_cones(spec)["sigma1"]
     f_label = ClassLabel.symbolic("F(sigma1)")
-    changed[sigma1] = StratumAnnotation("sigma1", 1, (f_label,))
+    changed[sigma1] = StratumAnnotation("sigma1", (f_label,))
     flt = lambda c: result.effective_dimension(c) >= 2
     v1 = vol_skeleton(result.projected_fan, base, active_filter=flt)
     v2 = vol_skeleton(result.projected_fan, changed, active_filter=flt)

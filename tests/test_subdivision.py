@@ -500,13 +500,15 @@ def assert_graded_dims_equal_ranks(ch):
     big = dual_cone(build_D(ch))
     facet_masks = big.facet_masks()
     walk = subdivision._faces_avoiding_apex(big, facet_masks)
-    dims = subdivision._face_dims([mask for mask, _ in walk], facet_masks)
+    dims = cones.face_dims([mask for mask, _ in walk], facet_masks)
     assert set(dims) == {mask for mask, _ in walk}
     for mask, _ in walk:
         rays = [x for i, x in enumerate(big.rays) if mask >> i & 1]
         assert dims[mask] == matrix_rank(rays) == matrix_rank([x[:-1] for x in rays])
-    res = subdivide_chart(ch, verify=False)
-    assert all(cone.dim() == matrix_rank(cone.rays) for cone in res.projected_fan)
+    for verify in (False, True):
+        res = subdivide_chart(ch, verify=verify)
+        assert all(cone.dim() == matrix_rank(cone.rays) for cone in res.projected_fan)
+        assert all(f.cone.dim() == matrix_rank(f.cone.rays) for f in res.faces_avoiding)
 
 
 @given(general_charts())
@@ -519,3 +521,30 @@ def test_graded_face_dims_equal_rank_on_random_charts(ch):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_graded_face_dims_equal_rank_on_the_zero_chart(n):
     assert_graded_dims_equal_ranks(zero_chart(GrassmannSpec(n, 2, 1)))
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_certificate_rejects_a_wrong_grade(monkeypatch, dim):
+    # one walked face of the given dimension is graded one too high
+    def wrong_face_dims(masks, facet_masks):
+        dims = cones.face_dims(masks, facet_masks)
+        dims[min(m for m in dims if dims[m] == dim)] += 1
+        return dims
+
+    monkeypatch.setattr(subdivision, "face_dims", wrong_face_dims)
+    with pytest.raises(SubdivisionInconsistency, match="graded dimension"):
+        subdivide_chart(triangle_chart())
+
+
+# -- a support that reaches t < 0 is bad input, not a pipeline bug ---------------
+
+@pytest.mark.parametrize("verify", [True, False])
+@pytest.mark.parametrize("duals", [((1, 0), (0, -1)), ((1, 0),), ((1, 0), (1, 1))])
+def test_support_reaching_negative_t_is_a_chart_error(duals, verify):
+    # supports: x >= 0 and t <= 0; x >= 0 with the t-axis as lineality;
+    # x >= 0 and x + t >= 0, with the ray (1, -1)
+    ch = MockPolytopeChart("down", 2, duals, (LiftedExponent("i0", (3, 0), 1),
+                                              LiftedExponent("i1", (-1, 0), 2),
+                                              LiftedExponent("i2", (-2, 0), 4)))
+    with pytest.raises(ChartError, match="t < 0"):
+        subdivide_chart(ch, verify=verify)

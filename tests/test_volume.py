@@ -64,8 +64,8 @@ def _bounded_fan():
 def test_vol_skeleton_signs():
     fan, ray, two = _bounded_fan()
     pt = ClassLabel.point()
-    ann = {ray: StratumAnnotation("r", 1, (pt,)),
-           two: StratumAnnotation("t", 1, (pt,))}
+    ann = {ray: StratumAnnotation("r", (pt,)),
+           two: StratumAnnotation("t", (pt,))}
     empty = vol_skeleton(fan, ann, active_filter=lambda c: False)
     assert empty.is_zero()
     only_ray = vol_skeleton(fan, ann, active_filter=lambda c: c == ray)
@@ -93,10 +93,10 @@ def test_vol_skeleton_additive_in_annotations():
     pt = ClassLabel.point()
     e = ClassLabel.symbolic("E(x)")
     f = ClassLabel.symbolic("F(x)")
-    base = {ray: StratumAnnotation("r", 1, (pt,)),
-            two: StratumAnnotation("t", 1, (e,))}
+    base = {ray: StratumAnnotation("r", (pt,)),
+            two: StratumAnnotation("t", (e,))}
     changed = dict(base)
-    changed[two] = StratumAnnotation("t", 1, (f,))
+    changed[two] = StratumAnnotation("t", (f,))
     v1 = vol_skeleton(fan, base)
     v2 = vol_skeleton(fan, changed)
     sign = 1 if two.dim() % 2 else -1
@@ -107,22 +107,21 @@ def test_sign_matches_euler_characteristic():
     fan, _, _ = _bounded_fan()
     pt = ClassLabel.point()
     for cone in fan.bounded_cones():
-        single = vol_skeleton(fan, {cone: StratumAnnotation("x", 1, (pt,))},
+        single = vol_skeleton(fan, {cone: StratumAnnotation("x", (pt,))},
                               active_filter=lambda c: c == cone)
         assert single.coefficient(pt) == euler_char_height1(cone)
 
 
 def test_annotation_validation():
-    with pytest.raises(ValueError, match="component_count"):
-        StratumAnnotation("x", 2, (ClassLabel.point(),))
-    with pytest.raises(ValueError, match="positive"):
-        StratumAnnotation("x", 0, ())
+    with pytest.raises(ValueError, match="at least one label"):
+        StratumAnnotation("x", ())
 
 
 def test_multi_component_annotation():
     fan, ray, two = _bounded_fan()
     pt = ClassLabel.point()
     e = ClassLabel.symbolic("E(x)")
-    ann = {two: StratumAnnotation("t", 2, (pt, e))}
+    ann = {two: StratumAnnotation("t", (pt, e))}
+    assert ann[two].component_count == 2
     v = vol_skeleton(fan, ann, active_filter=lambda c: c == two)
     assert v == -(FormalSum.of(pt) + FormalSum.of(e))
