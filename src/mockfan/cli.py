@@ -84,8 +84,7 @@ def _cmd_vol(args) -> int:
     annotations = {}
     if args.annotations:
         annotations = formats.read_annotations(_read(args.annotations), fan)
-    cone_ids = {c: f"c{i}" for i, c in enumerate(fan.cones)}
-    total = vol_skeleton(fan, annotations, cone_ids=cone_ids)
+    total = vol_skeleton(fan, annotations)
     _emit(formats.write_expression(total), args.output)
     return EXIT_OK
 

@@ -319,21 +319,10 @@ class Cone:
     def faces(self) -> list["Face"]:
         """All faces, each exactly once, including the cone and its minimal face.
 
-        A face of a cone is determined by the set of extreme rays on it, so
-        the faces are the closure of the full ray mask under `mask_closure`.
-        Every face holds the lineality space, so its dimension is the
-        lineality's plus the grade of its mask (`face_dims`).
+        The walk from the full ray mask (`walk_faces`), sorted by dimension
+        and rays.
         """
-        facet_masks = self.facet_masks()
-        walk = mask_closure(facet_masks, [(1 << len(self.rays)) - 1])
-        dims = face_dims([mask for mask, _ in walk], facet_masks)
-        out = []
-        for mask, tight in walk:
-            ray_subset = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
-            cone = Cone(self.rank, ray_subset, self.lineality, None, None,
-                        _token=_CONE_TOKEN)
-            cone._dim = len(self.lineality) + dims[mask]
-            out.append(Face(self, tight, cone))
+        out = walk_faces(self, [(1 << len(self.rays)) - 1])
         out.sort(key=lambda f: (f.cone.dim(), f.cone.rays))
         return out
 
@@ -403,10 +392,31 @@ def face_dims(masks: Sequence[int], facet_masks: Sequence[int]) -> dict[int, int
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a parent cone: the tight facet indices and the face as a cone."""
-    parent: Cone
+    """A face of a cone: its extreme-ray mask, tight facet indices, and the face as a cone."""
+    mask: int
     tight_facets: frozenset[int]
     cone: Cone
+
+
+def walk_faces(c: Cone, start: Iterable[int]) -> list[Face]:
+    """Every face of c inside one of the `start` faces (ray masks), in walk order.
+
+    A face of a cone is determined by the set of extreme rays on it, so the
+    faces are the closure of the start masks under `mask_closure`.  Every
+    face holds the lineality space, so its dimension is the lineality's plus
+    the grade of its mask (`face_dims`).  A subset of c's sorted canonical
+    rays, reduced modulo the same lineality, is canonical as it stands.
+    """
+    facet_masks = c.facet_masks()
+    walk = mask_closure(facet_masks, start)
+    dims = face_dims([mask for mask, _ in walk], facet_masks)
+    out = []
+    for mask, tight in walk:
+        rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
+        cone = Cone(c.rank, rays, c.lineality, None, None, _token=_CONE_TOKEN)
+        cone._dim = len(c.lineality) + dims[mask]
+        out.append(Face(mask, tight, cone))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +428,9 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
     """Canonical cone spanned by `generators` plus the span of `lineality_generators`.
 
     One DD, on the generators as inequalities of the dual, gives the facets
-    and span equalities; both representations are then known.  The rest is
-    read off the generator x facet incidence, with no second DD:
+    and span equalities; both representations are then known, and so is
+    the dimension, the rank minus the number of span equalities.  The rest
+    is read off the generator x facet incidence, with no second DD:
 
     - the lineality space is the span of the lineality generators and of
       every generator tight on all facets (the minimal face of a cone is
@@ -461,7 +472,9 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
     ortho = _orthogonal_basis(lin)
     rays = sorted(_orthogonal_representative(g, ortho) for mask, g in ray_of_mask.items()
                   if not any(mask & ~other == 0 for other in ray_of_mask if other != mask))
-    return Cone(rank, tuple(rays), lin, facets, span_eqs, _token=_CONE_TOKEN)
+    cone = Cone(rank, tuple(rays), lin, facets, span_eqs, _token=_CONE_TOKEN)
+    cone._dim = rank - len(span_eqs)
+    return cone
 
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],

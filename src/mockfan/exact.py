@@ -176,65 +176,15 @@ def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
     return tuple(tuple(r) for r in kernel)
 
 
-def elementary_divisors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero elementary divisors d_1 | d_2 | ... (Smith normal form diagonal)."""
-    work = [list(r) for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    divisors: list[int] = []
-    top = 0
-    while True:
-        piv = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if work[i][j] != 0 and (piv is None or abs(work[i][j]) < abs(work[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        pi, pj = piv
-        work[top], work[pi] = work[pi], work[top]
-        for row in work:
-            row[top], row[pj] = row[pj], row[top]
-        dirty = False
-        p = work[top][top]
-        for i in range(top + 1, m):
-            if work[i][top] % p:
-                dirty = True
-            q = work[i][top] // p
-            if q:
-                work[i] = [work[i][k] - q * work[top][k] for k in range(n)]
-        for j in range(top + 1, n):
-            if work[top][j] % p:
-                dirty = True
-            q = work[top][j] // p
-            if q:
-                for row in work:
-                    row[j] -= q * row[top]
-        if dirty:
-            continue
-        # pivot divides everything it cleared; enforce divisibility on the rest
-        bad = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if work[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            work[top] = [a + b for a, b in zip(work[top], work[bad])]
-            continue
-        divisors.append(abs(p))
-        top += 1
-    return tuple(divisors)
-
-
 def lattice_basis_extension_test(rows: Sequence[Sequence[int]]) -> bool:
     """True iff the (independent) rows extend to a basis of the ambient lattice.
 
-    Decided by the Smith normal form having all elementary divisors equal to 1.
+    They do iff their lattice is saturated, that is equal to span(rows) ∩ Z^n,
+    the kernel of their kernel; the Hermite forms of the two lattices are
+    canonical, so comparing them decides it.
     """
     rows = [tuple(r) for r in rows]
     if rank(rows) != len(rows):
         raise ExactError("lattice_basis_extension_test requires independent rows")
-    return all(d == 1 for d in elementary_divisors(rows))
+    n = len(rows[0]) if rows else 0
+    return hnf(rows) == kernel_basis(kernel_basis(rows, n), n)

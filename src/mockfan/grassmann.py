@@ -284,14 +284,16 @@ def expected_bounded_cones(spec: GrassmannSpec) -> dict[str, Cone]:
 
 
 def expected_active_sets(spec: GrassmannSpec) -> dict[str, frozenset[str]]:
+    """Each cone's active set: the ids of the strata of S (`stratify_S`) it
+    is made of, with S enumerated once and bucketed by weight split."""
     d = spec.d
+    ids_by_split: dict[tuple[int, int, int], list[str]] = {}
+    for alpha in enumerate_S(spec):
+        ids_by_split.setdefault(weight_split(spec.n, alpha), []).append(
+            alpha_id(spec.n, alpha))
 
     def ids(strata: list[tuple[int, int, int]]) -> frozenset[str]:
-        out = set()
-        for (d0, d1, d2) in strata:
-            for alpha in stratify_S(spec, d0, d1, d2):
-                out.add(alpha_id(spec.n, alpha))
-        return frozenset(out)
+        return frozenset(i for split in strata for i in ids_by_split.get(split, ()))
 
     return {
         "tau0": ids([(0, d - i, i) for i in range(1, d + 1)]),

@@ -26,8 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cones import (_CONE_TOKEN, Cone, Face, cone_from_generators, dual_cone, face_dims,
-                    mask_closure)
+from .cones import Cone, Face, cone_from_generators, dual_cone, walk_faces
 from .exact import IntVec, Scalar, dot, is_zero_vec, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
@@ -160,18 +159,6 @@ class SubdivisionResult:
                     for it in self.chart.items if it.id in active})
 
 
-def _faces_avoiding_apex(c: Cone, facet_masks: Sequence[int]
-                         ) -> list[tuple[int, frozenset[int]]]:
-    """Ray masks and tight facet sets of the faces of c avoiding (0, 1).
-
-    A face avoids the apex direction exactly when some facet tight on it
-    pairs positively with (0, 1); the avoiding faces are downward closed, so
-    the mask closure of the apex-positive facets reaches them all.
-    """
-    start = [m for m, f in zip(facet_masks, c.facets) if f[-1] > 0]
-    return mask_closure(facet_masks, start or [0])
-
-
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
     """Run the full pipeline on one chart.
 
@@ -187,7 +174,7 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     bad input and raises ChartError before the walk.
 
     Every walked face and its projection take their dimension from one
-    source, the grade of the face's mask (`cones.face_dims`): a lower face
+    source, the grade `cones.walk_faces` gives the face's mask: a lower face
     lies on a facet hyperplane that (0, 1) is not in, so pi keeps its
     dimension.  The certificate, whose soundness argument needs exact
     ranks, computes them and fails where a grade differs.
@@ -213,33 +200,29 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
         raise ChartError(
             "chart support and items do not span the dual space: "
             "the subdivision would not be strongly convex")
+    # a face avoids (0, 1) exactly when some facet tight on it pairs
+    # positively with (0, 1); these faces are downward closed, so the walk
+    # from the apex-positive facets reaches them all
     facet_masks = big.facet_masks()
-    walk = _faces_avoiding_apex(big, facet_masks)
-    dims = face_dims([mask for mask, _ in walk], facet_masks)
-    faces = []
+    faces = walk_faces(big, [m for m, f in zip(facet_masks, big.facets) if f[-1] > 0] or [0])
     proj_cones = []
-    for mask, tight in walk:
-        # a subset of C's sorted canonical rays, and C has no lineality:
-        # the face is canonical as it stands
-        sub_rays = tuple(ray for i, ray in enumerate(big.rays) if mask >> i & 1)
-        face_cone = Cone(big.rank, sub_rays, (), None, None, _token=_CONE_TOKEN)
-        proj = Cone._make(r, [rr[:-1] for rr in sub_rays], ())
-        face_cone._dim = proj._dim = dims[mask]
-        faces.append(Face(big, tight, face_cone))
+    for face in faces:
+        proj = Cone._make(r, [x[:-1] for x in face.cone.rays], ())
+        proj._dim = face.cone.dim()
         proj_cones.append(proj)
     if len(set(proj_cones)) != len(proj_cones):
         raise SubdivisionInconsistency(
             "subdivision inconsistency: projection identified two faces")
     item_masks, negative = _lifted_item_masks(chart, big.rays)
     if verify:
-        _certify_lower_faces(chart, big, facet_masks, walk, proj_cones,
+        _certify_lower_faces(chart, big, facet_masks, faces, proj_cones,
                              item_masks, negative)
     fan = Fan._trusted(r, proj_cones, True)
     ids_by_mask = [(item_masks[chart.effective_exponent(it) + (1,)], it.id)
                    for it in chart.items]
     active = {}
-    for (mask, _), cone in zip(walk, proj_cones):
-        ids = frozenset(i for m, i in ids_by_mask if mask & ~m == 0)
+    for face, cone in zip(faces, proj_cones):
+        ids = frozenset(i for m, i in ids_by_mask if face.mask & ~m == 0)
         if not ids:
             raise SubdivisionInconsistency(
                 f"subdivision inconsistency: no item is active on {list(cone.rays)}")
@@ -264,15 +247,15 @@ def _lifted_item_masks(chart: MockPolytopeChart, rays: Sequence[IntVec]
 
 
 def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Sequence[int],
-                         walk: Sequence[tuple[int, frozenset[int]]],
-                         proj_cones: Sequence[Cone], item_masks: Mapping[IntVec, int],
+                         faces: Sequence[Face], proj_cones: Sequence[Cone],
+                         item_masks: Mapping[IntVec, int],
                          negative: Sequence[IntVec]) -> None:
     """Certify that the projected lower faces of C are the subdivision fan of S.
 
     Notation: C = `big` has rays x and facet normals f = (a, c), where
     c = <f, (0, 1)> is the apex pairing; S is the chart support, of
     dimension d; pi(v, s) = v.  The cells are the facets with c > 0.
-    `walk` holds the ray mask and tight facets of each face of C inside a
+    `faces` holds the ray mask and tight facets of each face of C inside a
     cell, and `proj_cones` their images under pi.  The checks:
 
     1. Validity: <f, x> >= 0 for every facet f and ray x of C.
@@ -329,7 +312,7 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
     support = support_cone(chart)
     d = support.dim()
     cells = [j for j, f in enumerate(facets) if f[-1] > 0]
-    cone_of = {mask: cone for (mask, _), cone in zip(walk, proj_cones)}
+    cone_of = {face.mask: cone for face, cone in zip(faces, proj_cones)}
     if any(dot(x, f) < 0 for f in facets for x in rays):
         fail("a facet of C is negative on a ray of C")
     if negative:
@@ -337,7 +320,7 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
     item_planes = set(item_masks.values())
     if any(facet_masks[j] not in item_planes for j in cells):
         fail("a cell of C lies on no item's hyperplane")
-    if any(not any(facets[j][-1] > 0 for j in tight) for _, tight in walk):
+    if any(not any(facets[j][-1] > 0 for j in face.tight_facets) for face in faces):
         fail("a walked face lies in no cell")
     dims = {}
     for mask, cone in cone_of.items():
@@ -356,10 +339,10 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
         for v in cone_of[facet_masks[j]].rays:
             if v[-1] < 0 or not chart.in_support(v):
                 fail(f"projected ray {v} lies outside the support or has t < 0")
-    for (mask, tight), cone in zip(walk, proj_cones):
-        if dims[mask] != d - 1:
+    for face, cone in zip(faces, proj_cones):
+        if dims[face.mask] != d - 1:
             continue
-        around = [j for j in tight if facets[j][-1] > 0]
+        around = [j for j in face.tight_facets if facets[j][-1] > 0]
         if len(around) == 2:
             a, b = around
             fa, fb = facets[a], facets[b]

@@ -133,27 +133,21 @@ def default_annotation(cone_id: str) -> StratumAnnotation:
 
 def vol_skeleton(fan: Fan,
                  annotations: Mapping[Cone, StratumAnnotation],
-                 active_filter: Optional[Callable[[Cone], bool]] = None,
-                 cone_ids: Optional[Mapping[Cone, str]] = None) -> FormalSum:
+                 active_filter: Optional[Callable[[Cone], bool]] = None) -> FormalSum:
     """Signed sum over bounded cones passing the filter.
 
     Each contributing cone adds its height-one Euler characteristic
     (-1)^(dim - 1) times the sum of its annotation labels; cones without an
-    annotation get one symbolic label E(<cone id>) with component count 1.
+    annotation get one symbolic label E(c<i>), i the cone's index in the
+    fan, with component count 1.
     """
+    ids = {cone: f"c{i}" for i, cone in enumerate(fan.cones)}
     total = FormalSum.zero()
     for cone in fan.bounded_cones():
         if active_filter is not None and not active_filter(cone):
             continue
-        ann = annotations.get(cone)
-        if ann is None:
-            cid = cone_ids[cone] if cone_ids and cone in cone_ids else _fallback_id(fan, cone)
-            ann = default_annotation(cid)
+        ann = annotations.get(cone) or default_annotation(ids[cone])
         sign = euler_char_height1(cone)
         for label in ann.labels:
             total = total + FormalSum.of(label, sign)
     return total
-
-
-def _fallback_id(fan: Fan, cone: Cone) -> str:
-    return f"c{fan.cones.index(cone)}"

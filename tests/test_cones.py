@@ -263,6 +263,7 @@ def generator_sets(draw):
 def assert_matches_oracle(rank, gens, lins=()):
     c = cone_from_generators(rank, gens, lins)
     assert (c.rays, c.lineality, c.facets, c.span_eqs) == two_dd_oracle(rank, gens, lins)
+    assert c.dim() == matrix_rank(list(c.rays) + list(c.lineality))
 
 
 @given(generator_sets())
@@ -310,3 +311,18 @@ def test_graded_face_dims_equal_rank(data):
         assert f.cone.dim() == (matrix_rank(gens) if gens else 0)
     assert [f.cone.dim() for f in faces] == sorted(f.cone.dim() for f in faces)
     assert faces[-1].cone == c
+
+
+# -- a walk from some faces against the whole face lattice ------------------------
+
+@given(generator_sets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_walk_faces_equals_the_faces_inside_its_start(gens, data):
+    c = cone_from_generators(*gens)
+    faces = c.faces()
+    start = data.draw(st.lists(st.sampled_from([f.mask for f in faces]), max_size=4))
+    walked = cones.walk_faces(c, start)
+    expected = [f for f in faces if any(f.mask & ~s == 0 for s in start)]
+    assert len(walked) == len({f.mask for f in walked})
+    assert ({f.mask: (f.tight_facets, f.cone, f.cone.dim()) for f in walked}
+            == {f.mask: (f.tight_facets, f.cone, f.cone.dim()) for f in expected})

@@ -5,12 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mockfan.exact import (ExactError, dot, elementary_divisors, hnf,
-                           integerize, kernel_basis,
+from mockfan.exact import (ExactError, dot, hnf, integerize, kernel_basis,
                            lattice_basis_extension_test, primitive, rank)
 
 vec = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(tuple)
 nonzero_vec = vec.filter(lambda v: any(v))
+
+
+def elementary_divisors(rows):
+    """Nonzero elementary divisors d_1 | d_2 | ... (Smith normal form diagonal).
+
+    The oracle of `lattice_basis_extension_test`: independent rows extend to
+    a lattice basis iff every elementary divisor is 1.
+    """
+    work = [list(r) for r in rows]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    divisors = []
+    top = 0
+    while True:
+        piv = None
+        for i in range(top, m):
+            for j in range(top, n):
+                if work[i][j] != 0 and (piv is None or abs(work[i][j]) < abs(work[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        work[top], work[pi] = work[pi], work[top]
+        for row in work:
+            row[top], row[pj] = row[pj], row[top]
+        dirty = False
+        p = work[top][top]
+        for i in range(top + 1, m):
+            if work[i][top] % p:
+                dirty = True
+            q = work[i][top] // p
+            if q:
+                work[i] = [work[i][k] - q * work[top][k] for k in range(n)]
+        for j in range(top + 1, n):
+            if work[top][j] % p:
+                dirty = True
+            q = work[top][j] // p
+            if q:
+                for row in work:
+                    row[j] -= q * row[top]
+        if dirty:
+            continue
+        # pivot divides everything it cleared; enforce divisibility on the rest
+        bad = None
+        for i in range(top + 1, m):
+            for j in range(top + 1, n):
+                if work[i][j] % p:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            work[top] = [a + b for a, b in zip(work[top], work[bad])]
+            continue
+        divisors.append(abs(p))
+        top += 1
+    return tuple(divisors)
 
 
 def test_primitive_examples():
@@ -133,6 +189,20 @@ def test_lattice_basis_extension_dependent_rows():
 @settings(max_examples=60)
 def test_single_vector_extension_iff_primitive(v):
     assert lattice_basis_extension_test([v]) == (primitive(v) == tuple(v))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple),
+    min_size=0, max_size=n)))
+@settings(max_examples=300)
+def test_lattice_basis_extension_iff_elementary_divisors_are_one(rows):
+    if rank(rows) != len(rows):
+        with pytest.raises(ExactError, match="independent"):
+            lattice_basis_extension_test(rows)
+        return
+    divisors = elementary_divisors(rows)
+    assert len(divisors) == len(rows)
+    assert lattice_basis_extension_test(rows) == all(d == 1 for d in divisors)
 
 
 def test_integerize():

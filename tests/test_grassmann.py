@@ -93,6 +93,31 @@ def test_enumerate_and_stratify():
         stratify_S(spec, 1, 1, 1)
 
 
+def expected_active_sets_oracle(spec):
+    """Each cone's strata, one `stratify_S` call (a full scan of S) each."""
+    d = spec.d
+
+    def ids(strata):
+        return frozenset(alpha_id(spec.n, alpha) for split in strata
+                         for alpha in stratify_S(spec, *split))
+
+    return {
+        "tau0": ids([(0, d - i, i) for i in range(1, d + 1)]),
+        "tau1": ids([(0, d - 1, 1), (0, d, 0)]),
+        "tau2": ids([(0, d, 0), (1, d - 1, 0)]),
+        "tau3": ids([(i, d - i, 0) for i in range(1, d + 1)]),
+        "sigma0": ids([(0, d - 1, 1)]),
+        "sigma1": ids([(0, d, 0)]),
+        "sigma2": ids([(1, d - 1, 0)]),
+    }
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (5, 3), (6, 4), (7, 3)])
+def test_expected_active_sets_match_the_strata(n, d):
+    spec = GrassmannSpec(n, d)
+    assert expected_active_sets(spec) == expected_active_sets_oracle(spec)
+
+
 def test_alpha_id_roundtrip_unique():
     spec = GrassmannSpec(5, 3)
     ids = [alpha_id(5, a) for a in enumerate_S(spec)]

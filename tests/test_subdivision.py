@@ -496,17 +496,23 @@ def test_chart_ids_must_be_single_tokens():
 
 # -- face dimensions graded from the walk against exact.rank ---------------------
 
+def faces_avoiding_apex_oracle(big):
+    """The faces of C avoiding (0, 1), picked from its whole face lattice:
+    those on some facet that pairs positively with (0, 1)."""
+    return [f for f in big.faces()
+            if any(big.facets[j][-1] > 0 for j in f.tight_facets)]
+
+
 def assert_graded_dims_equal_ranks(ch):
     big = dual_cone(build_D(ch))
-    facet_masks = big.facet_masks()
-    walk = subdivision._faces_avoiding_apex(big, facet_masks)
-    dims = cones.face_dims([mask for mask, _ in walk], facet_masks)
-    assert set(dims) == {mask for mask, _ in walk}
-    for mask, _ in walk:
+    expected = {f.mask: f for f in faces_avoiding_apex_oracle(big)}
+    for mask, f in expected.items():
         rays = [x for i, x in enumerate(big.rays) if mask >> i & 1]
-        assert dims[mask] == matrix_rank(rays) == matrix_rank([x[:-1] for x in rays])
+        assert f.cone.rays == tuple(rays)
+        assert f.cone.dim() == matrix_rank(rays) == matrix_rank([x[:-1] for x in rays])
     for verify in (False, True):
         res = subdivide_chart(ch, verify=verify)
+        assert {f.mask: f for f in res.faces_avoiding} == expected
         assert all(cone.dim() == matrix_rank(cone.rays) for cone in res.projected_fan)
         assert all(f.cone.dim() == matrix_rank(f.cone.rays) for f in res.faces_avoiding)
 
@@ -526,12 +532,14 @@ def test_graded_face_dims_equal_rank_on_the_zero_chart(n):
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 def test_certificate_rejects_a_wrong_grade(monkeypatch, dim):
     # one walked face of the given dimension is graded one too high
+    face_dims = cones.face_dims
+
     def wrong_face_dims(masks, facet_masks):
-        dims = cones.face_dims(masks, facet_masks)
+        dims = face_dims(masks, facet_masks)
         dims[min(m for m in dims if dims[m] == dim)] += 1
         return dims
 
-    monkeypatch.setattr(subdivision, "face_dims", wrong_face_dims)
+    monkeypatch.setattr(cones, "face_dims", wrong_face_dims)
     with pytest.raises(SubdivisionInconsistency, match="graded dimension"):
         subdivide_chart(triangle_chart())
 

@@ -77,7 +77,7 @@ def test_vol_skeleton_signs():
 def test_vol_skeleton_default_annotation():
     fan, ray, two = _bounded_fan()
     ids = {c: f"c{i}" for i, c in enumerate(fan.cones)}
-    total = vol_skeleton(fan, {}, cone_ids=ids)
+    total = vol_skeleton(fan, {})
     # bounded cones: two rays at t > 0 (sign +) and the 2-cone (sign -)
     expected = FormalSum.zero()
     for cone in fan.bounded_cones():
