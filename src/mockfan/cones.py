@@ -53,7 +53,10 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
     list of extreme rays tagged with the bitmask of already-processed
     inequalities they are tight on.  Adjacency of a positive/negative ray
     pair is decided by the standard combinatorial test (no third ray is
-    tight on the common tight set).
+    tight on the common tight set).  Two adjacent rays span a face of
+    dimension len(lin) + 2, cut out by their common tight set, so that set
+    has at least dim - len(lin) - 2 members; a pair with fewer is skipped
+    before the scan over all rays (Fukuda-Prodon 1996).
     """
     constraints = [a for a in inequalities if not is_zero_vec(a)]
     lin: list[IntVec] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
@@ -84,11 +87,13 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
             rays = [(r, m) for r, m, _, _ in pos] + zero
             continue
         new = [(r, m) for r, m, _, _ in pos] + zero
+        need = dim - len(lin) - 2
         for rp, mp, vp, ip in pos:
             for rn, mn, vn, jn in neg:
                 common = mp & mn
-                if any(k != ip and k != jn and (common & ~m) == 0
-                       for k, (_, m) in enumerate(rays)):
+                if common.bit_count() < need or any(
+                        k != ip and k != jn and (common & ~m) == 0
+                        for k, (_, m) in enumerate(rays)):
                     continue
                 combo = primitive(tuple(vp * rn[k] - vn * rp[k] for k in range(dim)))
                 new.append((combo, common | (1 << idx)))
@@ -230,6 +235,15 @@ class Cone:
               facets=None, span_eqs=None) -> "Cone":
         crays, clin = Cone._canonicalize(rank, rays, lineality)
         return Cone(rank, crays, clin, facets, span_eqs, _token=_CONE_TOKEN)
+
+    @staticmethod
+    def _trusted(rank: int, rays: tuple[IntVec, ...], lineality: tuple[IntVec, ...],
+                 dim: int) -> "Cone":
+        """Internal constructor for rays and lineality already in canonical
+        form, of a cone whose dimension is known."""
+        cone = Cone(rank, rays, lineality, None, None, _token=_CONE_TOKEN)
+        cone._dim = dim
+        return cone
 
     # -- H-representation ----------------------------------------------------
 
@@ -413,9 +427,8 @@ def walk_faces(c: Cone, start: Iterable[int]) -> list[Face]:
     out = []
     for mask, tight in walk:
         rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
-        cone = Cone(c.rank, rays, c.lineality, None, None, _token=_CONE_TOKEN)
-        cone._dim = len(c.lineality) + dims[mask]
-        out.append(Face(mask, tight, cone))
+        out.append(Face(mask, tight, Cone._trusted(c.rank, rays, c.lineality,
+                                                   len(c.lineality) + dims[mask])))
     return out
 
 

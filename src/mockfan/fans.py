@@ -127,8 +127,9 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     """Close the given cones under faces and verify the fan conditions.
 
     Raises FanError("not a fan") when two cones meet outside a common face,
-    and rejects non-strongly-convex members.  For t-flagged fans every ray
-    must have nonnegative t-coordinate (height-one semantics break otherwise).
+    naming the cones, and rejects non-strongly-convex members.  For
+    t-flagged fans every ray must have nonnegative t-coordinate (height-one
+    semantics break otherwise).
 
     Faces lie inside their cone, so the maximal cones of the face closure
     are input cones, and only their faces are walked: every member must be
@@ -153,11 +154,14 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     faces_of = {m: {f.cone for f in m.faces()} for m in maximal}
     closed = set().union(*faces_of.values())
     if not members <= closed:
-        raise FanError("not a fan: cone is not a face of any maximal cone")
+        stray = min(members - closed, key=_cone_sort_key)
+        raise FanError("not a fan: cone is not a face of any maximal cone: "
+                       f"{list(stray.rays)}")
     for m1, m2 in itertools.combinations(maximal, 2):
         meet = intersect(m1, m2)
         if meet not in faces_of[m1] or meet not in faces_of[m2]:
-            raise FanError("not a fan: intersection is not a common face")
+            raise FanError("not a fan: intersection is not a common face: "
+                           f"{list(m1.rays)} and {list(m2.rays)}")
     return Fan._trusted(rank, closed, has_t)
 
 

@@ -268,6 +268,8 @@ def read_result(text: str) -> tuple[Fan, dict[Cone, frozenset[str]]]:
         idx = _ints(tokens[:1], "cone index")[0]
         if not 0 <= idx < len(fan.cones):
             raise ParseError(f"active set cone index {idx} out of range")
+        if fan.cones[idx] in active:
+            raise ParseError(f"active set cone index {idx} repeated")
         active[fan.cones[idx]] = frozenset(tokens[2:])
     lines.end()
     return fan, active
@@ -324,6 +326,8 @@ def read_annotations(text: str, fan: Fan) -> dict[Cone, StratumAnnotation]:
         idx = _ints(tokens[:1], "cone index")[0]
         if not 0 <= idx < len(fan.cones):
             raise ParseError(f"annotation cone index {idx} out of range")
+        if fan.cones[idx] in out:
+            raise ParseError(f"annotation cone index {idx} repeated")
         labels = tuple(parse_label(t) for t in tokens[2:])
         out[fan.cones[idx]] = StratumAnnotation(f"c{idx}", labels)
     lines.end()

@@ -21,13 +21,14 @@ when D is built, so an item's stored exponent never includes it.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cones import Cone, Face, cone_from_generators, dual_cone, walk_faces
-from .exact import IntVec, Scalar, dot, is_zero_vec, rank as matrix_rank
+from .exact import IntVec, Scalar, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
 
@@ -179,14 +180,17 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     dimension.  The certificate, whose soundness argument needs exact
     ranks, computes them and fails where a grade differs.
 
-    Active sets come from one pairing of each distinct lifted item (w, 1)
-    with the rays of C, kept as the mask of the rays it is zero on.  The
-    active set of a face with ray mask m is every item whose mask covers m.
-    This is exact: each (w, 1) is >= 0 on C, so it is zero at a relative
-    interior point (v, s) of the face iff it is zero on all the face's
-    rays, and then <w, v> = -s <= <w', v> for every item w'.  A face on
-    which no item is zero is not a lower face and raises
-    SubdivisionInconsistency.
+    The per-face work is done from data computed once per ray of C.  Each
+    walked ray is projected and primitivised once; a face's projection is
+    the images of its rays in one fixed sorted order, canonical as it
+    stands.  Active sets come from one pairing of each distinct lifted item
+    (w, 1) with the rays of C, kept per ray as the bitset of the items zero
+    on it.  The active set of a face is the AND of these bitsets over its
+    rays: every item zero on all of them.  This is exact: each (w, 1) is
+    >= 0 on C, so it is zero at a relative interior point (v, s) of the
+    face iff it is zero on all the face's rays, and then
+    <w, v> = -s <= <w', v> for every item w'.  A face on which no item is
+    zero is not a lower face and raises SubdivisionInconsistency.
     """
     r = chart.ambient_dual_rank
     support = support_cone(chart)
@@ -205,11 +209,26 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     # from the apex-positive facets reaches them all
     facet_masks = big.facet_masks()
     faces = walk_faces(big, [m for m, f in zip(facet_masks, big.facets) if f[-1] > 0] or [0])
-    proj_cones = []
-    for face in faces:
-        proj = Cone._make(r, [x[:-1] for x in face.cone.rays], ())
-        proj._dim = face.cone.dim()
-        proj_cones.append(proj)
+    # pi is injective on the span of a lower face, which lies on a facet
+    # hyperplane that (0, 1) is not in, so the primitive images of a face's
+    # rays are distinct and nonzero: in one sorted order of the images they
+    # are the canonical rays of its projection.  Each ray of C is projected
+    # once.  pi is also injective on the union of the lower faces (see
+    # `_certify_lower_faces`), so the images of all walked rays are checked
+    # for that once, not face by face.
+    walked = functools.reduce(operator.or_, (face.mask for face in faces), 0)
+    images = {i: big.rays[i][:-1] for i in _bits(walked)}
+    if any(is_zero_vec(v) for v in images.values()):
+        raise SubdivisionInconsistency(
+            "subdivision inconsistency: a walked ray of C projects to zero")
+    images = {i: primitive(v) for i, v in images.items()}
+    if len(set(images.values())) != len(images):
+        raise SubdivisionInconsistency(
+            "subdivision inconsistency: two walked rays of C have one projection")
+    ordered = [(1 << i, images[i]) for i in sorted(images, key=images.__getitem__)]
+    proj_cones = [Cone._trusted(r, tuple(v for bit, v in ordered if face.mask & bit), (),
+                                face.cone.dim())
+                  for face in faces]
     if len(set(proj_cones)) != len(proj_cones):
         raise SubdivisionInconsistency(
             "subdivision inconsistency: projection identified two faces")
@@ -218,16 +237,28 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
         _certify_lower_faces(chart, big, facet_masks, faces, proj_cones,
                              item_masks, negative)
     fan = Fan._trusted(r, proj_cones, True)
-    ids_by_mask = [(item_masks[chart.effective_exponent(it) + (1,)], it.id)
-                   for it in chart.items]
+    zero_on = [0] * len(big.rays)
+    for k, it in enumerate(chart.items):
+        for i in _bits(item_masks[chart.effective_exponent(it) + (1,)]):
+            zero_on[i] |= 1 << k
+    everything = (1 << len(chart.items)) - 1
     active = {}
     for face, cone in zip(faces, proj_cones):
-        ids = frozenset(i for m, i in ids_by_mask if face.mask & ~m == 0)
-        if not ids:
+        on_face = functools.reduce(operator.and_, (zero_on[i] for i in _bits(face.mask)),
+                                   everything)
+        if not on_face:
             raise SubdivisionInconsistency(
                 f"subdivision inconsistency: no item is active on {list(cone.rays)}")
-        active[cone] = ids
+        active[cone] = frozenset(chart.items[k].id for k in _bits(on_face))
     return SubdivisionResult(chart, big, tuple(faces), fan, active)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _lifted_item_masks(chart: MockPolytopeChart, rays: Sequence[IntVec]

@@ -326,3 +326,56 @@ def test_walk_faces_equals_the_faces_inside_its_start(gens, data):
     assert len(walked) == len({f.mask for f in walked})
     assert ({f.mask: (f.tight_facets, f.cone, f.cone.dim()) for f in walked}
             == {f.mask: (f.tight_facets, f.cone, f.cone.dim()) for f in expected})
+
+
+# -- DD with the adjacency pre-filter against DD without it ----------------------
+
+def dd_without_prefilter(dim, inequalities):
+    """`cones._dd` as it was before the popcount pre-filter: every
+    positive/negative pair goes through the scan over all rays."""
+    constraints = [a for a in inequalities if any(a)]
+    lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    for idx, a in enumerate(constraints):
+        hit = next((i for i, b in enumerate(lin) if dot(a, b) != 0), None)
+        if hit is not None:
+            b = lin.pop(hit)
+            vb = dot(a, b)
+            if vb < 0:
+                b, vb = tuple(-x for x in b), -vb
+            lin = [primitive(tuple(vb * u[k] - dot(a, u) * b[k] for k in range(dim)))
+                   for u in lin]
+            rays = [(primitive(tuple(vb * r[k] - dot(a, r) * b[k] for k in range(dim))),
+                     mask | (1 << idx)) for r, mask in rays]
+            rays.append((b, (1 << idx) - 1))
+            continue
+        pos, zero, neg = [], [], []
+        for i, (r, mask) in enumerate(rays):
+            v = dot(a, r)
+            if v > 0:
+                pos.append((r, mask, v, i))
+            elif v < 0:
+                neg.append((r, mask, v, i))
+            else:
+                zero.append((r, mask | (1 << idx)))
+        new = [(r, m) for r, m, _, _ in pos] + zero
+        for rp, mp, vp, ip in pos:
+            for rn, mn, vn, jn in neg:
+                common = mp & mn
+                if any(k != ip and k != jn and (common & ~m) == 0
+                       for k, (_, m) in enumerate(rays)):
+                    continue
+                combo = primitive(tuple(vp * rn[k] - vn * rp[k] for k in range(dim)))
+                new.append((combo, common | (1 << idx)))
+        rays = new
+    return [r for r, _ in rays], lin
+
+
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(st.just(dim), st.lists(
+    st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple), max_size=12))))
+@settings(max_examples=300, deadline=None)
+def test_dd_prefilter_keeps_rays_and_lineality(system):
+    dim, inequalities = system
+    rays, lin = cones._dd(dim, inequalities)
+    expected_rays, expected_lin = dd_without_prefilter(dim, inequalities)
+    assert (set(rays), set(lin)) == (set(expected_rays), set(expected_lin))

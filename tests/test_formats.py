@@ -213,6 +213,35 @@ def test_trailing_blank_and_comment_lines_are_accepted(reader, text):
     assert reader(text + "\n# end\n\n") == reader(text)
 
 
+# Two lines for one cone index: the second must be rejected, not read over the first.
+REPEATED_RESULT_TEXT = RESULT_TEXT.replace(
+    "active_sets 2\ncone 0 items a\ncone 1 items a\n",
+    "active_sets 2\ncone 0 items a b\ncone 0 items zz a b\n")
+REPEATED_ANNOTATIONS_TEXT = ("schema mockfan.annotations/1\nannotations 2\n"
+                             "cone 1 labels pt\ncone 1 labels pt pt\n")
+
+
+@pytest.mark.parametrize("reader, text, match", [
+    (formats.read_result, REPEATED_RESULT_TEXT, "active set cone index 0 repeated"),
+    (read_annotations_on_result_fan, REPEATED_ANNOTATIONS_TEXT,
+     "annotation cone index 1 repeated")], ids=["result", "annotations"])
+def test_rejects_a_repeated_cone_index(reader, text, match):
+    with pytest.raises(formats.ParseError, match=match):
+        reader(text)
+
+
+@pytest.mark.parametrize("result_text, annotations_text", [
+    (REPEATED_RESULT_TEXT, ANNOTATIONS_TEXT), (RESULT_TEXT, REPEATED_ANNOTATIONS_TEXT)],
+    ids=["result", "annotations"])
+def test_cli_exits_2_on_a_repeated_cone_index(tmp_path, capsys, result_text,
+                                              annotations_text):
+    result, annotations = tmp_path / "result.txt", tmp_path / "ann.txt"
+    result.write_text(result_text)
+    annotations.write_text(annotations_text)
+    assert main(["vol", "-i", str(result), "--annotations", str(annotations)]) == 2
+    assert "repeated" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["cone rank -3", "cone trailing ray"])
 def test_cli_exits_2_on_negative_rank_and_trailing_text(tmp_path, capsys, case):
     path = tmp_path / "cone.txt"

@@ -556,3 +556,59 @@ def test_support_reaching_negative_t_is_a_chart_error(duals, verify):
                                               LiftedExponent("i2", (-2, 0), 4)))
     with pytest.raises(ChartError, match="t < 0"):
         subdivide_chart(ch, verify=verify)
+
+
+# -- per-ray projection and active sets against the per-face computations -------
+
+def assert_per_ray_data_equal_per_face_oracles(ch):
+    """Each face's projection, canonicalised from its own rays, is the fan
+    cone the pipeline built from C's projected rays, with the same
+    dimension; and the active set the per-ray AND gives is every item whose
+    zero mask covers the face's mask."""
+    for verify in (False, True):
+        res = subdivide_chart(ch, verify=verify)
+        fan_cones = {c: c for c in res.projected_fan}
+        item_masks, _ = subdivision._lifted_item_masks(ch, res.big_cone.rays)
+        ids_by_mask = [(item_masks[ch.effective_exponent(it) + (1,)], it.id)
+                       for it in ch.items]
+        projections = []
+        for face in res.faces_avoiding:
+            proj = cones.Cone._make(ch.ambient_dual_rank,
+                                    [x[:-1] for x in face.cone.rays], ())
+            assert proj.rays == fan_cones[proj].rays
+            assert proj.dim() == fan_cones[proj].dim() == face.cone.dim()
+            assert res.active_sets[proj] == frozenset(
+                i for m, i in ids_by_mask if face.mask & ~m == 0)
+            projections.append(proj)
+        assert len(set(projections)) == len(projections) == len(fan_cones)
+
+
+@given(general_charts())
+@settings(max_examples=60, deadline=None)
+def test_per_ray_projection_and_active_sets_on_random_charts(ch):
+    assume(subdivide_full_support(ch) is not None)
+    assert_per_ray_data_equal_per_face_oracles(ch)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_per_ray_projection_and_active_sets_on_the_zero_chart(n):
+    assert_per_ray_data_equal_per_face_oracles(zero_chart(GrassmannSpec(n, 2, 1)))
+
+
+def test_a_walked_ray_projecting_to_zero_is_an_inconsistency(monkeypatch):
+    # as if the walk reached all of C, the apex ray (0, 0, 0, 1) included
+    monkeypatch.setattr(subdivision, "walk_faces", lambda c, start: cones.walk_faces(
+        c, [(1 << len(c.rays)) - 1]))
+    with pytest.raises(SubdivisionInconsistency, match="projects to zero"):
+        subdivide_chart(triangle_chart(), verify=False)
+
+
+def test_two_walked_rays_with_one_projection_are_an_inconsistency(monkeypatch):
+    # a C for the half-line chart with the extra ray (2, 0, 1) over (1, 0, 0),
+    # walked from the facet (-1, 0, 2), while (1, 0, 0) is on the facet (0, 0, 1)
+    rays_of_C = ((-1, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 0, 1))
+    bad_d = cones.Cone(3, ((-1, 0, 2), (0, 0, 1)), (), rays_of_C, (),
+                       _token=cones._CONE_TOKEN)
+    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    with pytest.raises(SubdivisionInconsistency, match="one projection"):
+        subdivide_chart(halfline_chart(), verify=False)
