@@ -4,8 +4,8 @@
 Each case subdivides the zero chart, checks the seven bounded cones and
 their active sets, and reports fan size and wall-clock time.  Cases are
 `n,d,l` triples; the default grid covers the reference set, the n = 4
-corner, 7,2,1, 8,2,1 (the largest chart, 406 items and 4364 cones) and
-6,4,1.
+corner, 7,2,1, 8,2,1 (the largest chart, 406 items and 4364 cones), 6,4,1
+and 7,3,1.
 
 Example:
     python3 scripts/run_grassmann_sweep.py
@@ -19,7 +19,7 @@ import time
 from mockfan.grassmann import GrassmannSpec, verify, vol_expression
 
 DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1", "7,2,1",
-                 "8,2,1", "6,4,1"]
+                 "8,2,1", "6,4,1", "7,3,1"]
 
 
 def parse_case(text: str) -> GrassmannSpec:

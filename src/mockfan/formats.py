@@ -293,6 +293,8 @@ def parse_label(token: str) -> ClassLabel:
         if len(parts) != 3:
             raise ParseError(f"bad hypersurface label {token!r}")
         dims = _ints(parts[1:], "hypersurface label")
+        if min(dims) < 1:
+            raise ParseError(f"hypersurface label {token!r} needs a dimension and degree >= 1")
         return ClassLabel.hypersurface(dims[0], dims[1])
     if token.startswith("sym:"):
         name = token[4:]
@@ -347,17 +349,20 @@ def read_expression(text: str) -> FormalSum:
     lines = _Lines(text)
     _check_schema(lines, EXPRESSION_SCHEMA)
     count = _nonnegative(lines, "terms")
-    total = FormalSum.zero()
+    terms = {}
     for _ in range(count):
         parts = lines.next().split()
         if len(parts) != 2:
             raise ParseError("term line must be: <coeff> <label>")
         coeff = _ints(parts[:1], "coefficient")[0]
-        total = total + FormalSum.of(parse_label(parts[1]), coeff)
+        label = parse_label(parts[1])
+        if coeff == 0 or label in terms:
+            raise ParseError(f"term {parts[1]} is repeated or has coefficient 0")
+        terms[label] = coeff
     if not lines.done():
         lines.expect("rendered")
     lines.end()
-    return total
+    return FormalSum(terms)
 
 
 # -- reports ----------------------------------------------------------------------

@@ -364,7 +364,10 @@ class VerificationReport:
 
 
 def verify(spec: GrassmannSpec, verify_fan: bool = True) -> VerificationReport:
-    """Subdivide the zero chart and compare with the expected seven bounded cones."""
+    """Subdivide the zero chart and compare with the expected seven bounded
+    cones.  With `verify_fan`, `subdivide_chart` first certifies that the
+    lifted cone C is the dual of D (`subdivision._certify_lifted_cone`) and
+    then trusts the walk of C; without it, the walk runs unchecked."""
     chart = zero_chart(spec)
     result = subdivide_chart(chart, verify=verify_fan)
     bounded = set(result.projected_fan.bounded_cones())

@@ -12,6 +12,10 @@ read off the rays of C: C lies on the nonnegative side of every lifted item
 (w, 1), and on a face that avoids (0, 1) the items attaining the minimum
 are exactly those whose lifted vector is zero on every ray of the face.
 
+Verification certifies C, not its faces (`_certify_lifted_cone`): C is the
+dual of D, checked against the chart's generators and by a second double
+description from its facets; the walk of an exact C is then trusted.
+
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
 whose last slot is the delta (t-dual) coordinate; the lift appends one more
 coordinate.  The kappa weight contributes scale * kappa to the delta slot
@@ -22,12 +26,12 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cones import Cone, Face, cone_from_generators, dual_cone, walk_faces
+from .cones import (Cone, Face, _orthogonal_basis, _orthogonal_representative,
+                    cone_from_generators, cone_from_inequalities, dual_cone, walk_faces)
 from .exact import IntVec, Scalar, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
@@ -164,21 +168,20 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     """Run the full pipeline on one chart.
 
     The fan is the projection of the faces of the lifted cone C that avoid
-    the apex direction (0, 1).  With `verify` set, `_certify_lower_faces`
-    checks, from the rays, facets and face masks of C and the chart alone,
-    that this family is a fan, that it covers the chart support exactly
-    once, and that it is the subdivision of the chart; no face is derived
-    again.  A failed check is a pipeline bug and raises
-    SubdivisionInconsistency.  Input that has no lifted cone behind it, a
-    fan or result read from a file or the union of glued charts, is
-    checked by `fan_from_cones` instead.  A support that reaches t < 0 is
-    bad input and raises ChartError before the walk.
+    the apex direction (0, 1).  With `verify` set, `_certify_lifted_cone`
+    checks, from the chart and the rays, facets and span equalities of C,
+    that C is the dual of the lifted cone D; the lower faces of that cone
+    project to the subdivision of the chart by construction, so the walk is
+    trusted and no face is checked or derived again.  A failed check is a
+    pipeline bug and raises SubdivisionInconsistency.  Input that has no
+    lifted cone behind it, a fan or result read from a file or the union
+    of glued charts, is checked by `fan_from_cones` instead.  A support
+    that reaches t < 0 is bad input and raises ChartError before the walk.
 
     Every walked face and its projection take their dimension from one
     source, the grade `cones.walk_faces` gives the face's mask: a lower face
     lies on a facet hyperplane that (0, 1) is not in, so pi keeps its
-    dimension.  The certificate, whose soundness argument needs exact
-    ranks, computes them and fails where a grade differs.
+    dimension.  No rank is computed per face.
 
     The per-face work is done from data computed once per ray of C.  Each
     walked ray is projected and primitivised once; a face's projection is
@@ -213,9 +216,10 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     # hyperplane that (0, 1) is not in, so the primitive images of a face's
     # rays are distinct and nonzero: in one sorted order of the images they
     # are the canonical rays of its projection.  Each ray of C is projected
-    # once.  pi is also injective on the union of the lower faces (see
-    # `_certify_lower_faces`), so the images of all walked rays are checked
-    # for that once, not face by face.
+    # once.  pi is also injective on the union of the lower faces: were x
+    # and x + l(0, 1), l > 0, on lower facets A and B, x would not be in C,
+    # as <f_B, x> = -l <f_B, (0, 1)> < 0.  So the images of all walked rays
+    # are checked for that once, not face by face.
     walked = functools.reduce(operator.or_, (face.mask for face in faces), 0)
     images = {i: big.rays[i][:-1] for i in _bits(walked)}
     if any(is_zero_vec(v) for v in images.values()):
@@ -234,8 +238,7 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
             "subdivision inconsistency: projection identified two faces")
     item_masks, negative = _lifted_item_masks(chart, big.rays)
     if verify:
-        _certify_lower_faces(chart, big, facet_masks, faces, proj_cones,
-                             item_masks, negative)
+        _certify_lifted_cone(chart, big, facet_masks, item_masks, negative)
     fan = Fan._trusted(r, proj_cones, True)
     zero_on = [0] * len(big.rays)
     for k, it in enumerate(chart.items):
@@ -277,125 +280,53 @@ def _lifted_item_masks(chart: MockPolytopeChart, rays: Sequence[IntVec]
     return masks, negative
 
 
-def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Sequence[int],
-                         faces: Sequence[Face], proj_cones: Sequence[Cone],
-                         item_masks: Mapping[IntVec, int],
-                         negative: Sequence[IntVec]) -> None:
-    """Certify that the projected lower faces of C are the subdivision fan of S.
+def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, facet_masks: Sequence[int],
+                         item_masks: Mapping[IntVec, int], negative: Sequence[IntVec]) -> None:
+    """Certify that C = `big` is D^vee, for D spanned by the chart's own
+    generators G, the sigma duals (g, 0) and lifted items (w, 1).  With R,
+    F, E the rays, facets and span equalities of C, and d = dim S:
 
-    Notation: C = `big` has rays x and facet normals f = (a, c), where
-    c = <f, (0, 1)> is the apex pairing; S is the chart support, of
-    dimension d; pi(v, s) = v.  The cells are the facets with c > 0.
-    `faces` holds the ray mask and tight facets of each face of C inside a
-    cell, and `proj_cones` their images under pi.  The checks:
+    1. every g in G is >= 0 on R, so cone(R) lies in D^vee;
+    2. each f in F, none repeated, is the representative modulo span(E) of
+       a g in G with f's facet mask: f = lambda g + e, lambda > 0, Ee = 0;
+    3. rank(R) = d + 1 = dim D^vee, as D^vee = {(v, s) : v in S,
+       s >= -val(v)}; with 1, span(R) = span(D^vee);
+    4. a second DD gives {x : Fx >= 0, Ex = 0} the rays R, no lineality.
 
-    1. Validity: <f, x> >= 0 for every facet f and ray x of C.
-    2. Items: every lifted item (w, 1) pairs >= 0 with every ray of C, and
-       the rays of each cell are exactly the rays some item is tight on.
-    3. Faces: every walked face has a tight facet with c > 0, and its
-       dimension k, the rank of its projected rays, is the grade the walk
-       gave it.  A walked face F with k >= 1 has a walked facet, and every
-       walked face of dimension k - 2 in a walked facet of F lies in
-       exactly two of them.
-    4. Cells: every cell is walked and projects to a cone of dimension d.
-    5. Rays: every ray of a cell projects into S, with t >= 0.
-    6. Walls: a walked face of dimension d - 1 lies either in exactly two
-       cells A and B, strictly on opposite sides of the hyperplane of
-       n = c_B f_A - c_A f_B, or in exactly one cell and on a facet of S.
-    7. Degree one: the sum p of the projected rays of one cell A lies in no
-       other cell B: the lift of p onto the hyperplane of f_B is not in C.
-
-    Soundness.  Nothing is taken on trust from the double description that
-    produced C.  Let C' be the cone the rays of C span.
-
-    - By 1 each walked mask is the face of C' cut out by its tight facets,
-      and faces include each other as their masks do.  On the hyperplane
-      of a facet with c > 0 the lift is s = -<a, v>/c, so by 3 pi is
-      injective on the span of each walked face and keeps its dimension.
-    - The walk holds every face of a walked face F, by induction on
-      k = dim F.  For k <= 2 this is 3.  For k > 2 the walked facets of F
-      have all their faces walked, and by 3 each of their ridges lies in
-      exactly two of them: they form a closed pseudomanifold inside the
-      boundary sphere of F, so they are the whole boundary.
-    - pi is injective on the union of the cells: if x and x + l(0, 1),
-      l > 0, lay in cells A and B, then <f_B, x> = -l c_B < 0, against 1.
-      So the images of two walked faces meet in the image of their
-      intersection, a walked face of both: the projected family is a fan.
-    - By 4 and 5 the cells are d-dimensional cones in S.  The number of
-      cells over a point q of the relative interior of S stays the same
-      when q crosses a wall of two cells, where one cell ends and the
-      other begins (6), and one-cell walls lie on the boundary of S.  So
-      it is the same at every q off the faces of codimension two, and by
-      7 it is one: the cells cover S exactly once.
-    - By 2 and 5 the cells lie in the lifted cone of the chart, whose lower
-      boundary is the graph of -val, and over each cell the lift is
-      -<w, v> <= -val(v) for an item w.  So the cells lift onto the graph
-      of -val, each where one item attains the minimum: the fan is the
-      subdivision of the chart.
-
-    n has lift coordinate c_B c_A - c_A c_B = 0, so 6 tests the projected
-    cells.  A failed check raises SubdivisionInconsistency.
+    Soundness: by 4 and 3 D^vee lies in ker E, where f = lambda g >= 0 by
+    2, so D^vee lies in {x : Fx >= 0, Ex = 0} = cone(R); with 1, C = D^vee.
+    The lower faces of an exact C, which the walk finds, project to the
+    chart's regular subdivision (De Loera-Rambau-Santos, Triangulations,
+    ch. 2 and 5).  Trusted: d, from `support_cone`, and the second DD, which
+    runs on other input than the DD that made C and must reproduce its rays.
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
 
-    rays, facets = big.rays, big.facets
-    support = support_cone(chart)
-    d = support.dim()
-    cells = [j for j, f in enumerate(facets) if f[-1] > 0]
-    cone_of = {face.mask: cone for face, cone in zip(faces, proj_cones)}
-    if any(dot(x, f) < 0 for f in facets for x in rays):
-        fail("a facet of C is negative on a ray of C")
+    rays, facets, eqs = big.rays, big.facets, big.span_eqs
     if negative:
         fail(f"item exponent {negative[0][:-1]} is negative on a ray of C")
-    item_planes = set(item_masks.values())
-    if any(facet_masks[j] not in item_planes for j in cells):
-        fail("a cell of C lies on no item's hyperplane")
-    if any(not any(facets[j][-1] > 0 for j in face.tight_facets) for face in faces):
-        fail("a walked face lies in no cell")
-    dims = {}
-    for mask, cone in cone_of.items():
-        dims[mask] = matrix_rank(cone.rays) if cone.rays else 0
-        if dims[mask] != cone.dim():
-            fail(f"the graded dimension {cone.dim()} of {list(cone.rays)} is not its rank")
-    facets_of = {mask: {mask & fm for fm in facet_masks if dims.get(mask & fm) == k - 1}
-                 for mask, k in dims.items()}
-    for mask, k in dims.items():
-        ridges = Counter(e for g in facets_of[mask] for e in facets_of[g])
-        if (k >= 1 and not facets_of[mask]) or any(n != 2 for n in ridges.values()):
-            fail(f"the walked faces of {list(cone_of[mask].rays)} do not close up")
-    if not cells or any(dims.get(facet_masks[j]) != d for j in cells):
-        fail(f"a cell is not walked or does not have the dimension {d} of the support")
-    for j in cells:
-        for v in cone_of[facet_masks[j]].rays:
-            if v[-1] < 0 or not chart.in_support(v):
-                fail(f"projected ray {v} lies outside the support or has t < 0")
-    for face, cone in zip(faces, proj_cones):
-        if dims[face.mask] != d - 1:
-            continue
-        around = [j for j in face.tight_facets if facets[j][-1] > 0]
-        if len(around) == 2:
-            a, b = around
-            fa, fb = facets[a], facets[b]
-            normal = tuple(fb[-1] * u - fa[-1] * w for u, w in zip(fa, fb))
-            side_a = [dot(normal, x) for i, x in enumerate(rays) if facet_masks[a] >> i & 1]
-            side_b = [dot(normal, x) for i, x in enumerate(rays) if facet_masks[b] >> i & 1]
-            if not (max(side_a) <= 0 < max(side_b) and min(side_a) < 0 <= min(side_b)):
-                fail(f"cells {a} and {b} are not on opposite sides of their wall "
-                     f"{list(cone.rays)}")
-        elif len(around) == 1:
-            if not any(all(dot(v, g) == 0 for v in cone.rays) for g in support.facets):
-                fail(f"wall {list(cone.rays)} of cell {around[0]} is unpaired "
-                     "and not on the support boundary")
-        else:
-            fail(f"wall {list(cone.rays)} lies in {len(around)} cells")
-    a = cells[0]
-    p = cone_of[facet_masks[a]].relative_interior_point()
-    for b in cells[1:]:
-        fb = facets[b]
-        lift = tuple(fb[-1] * u for u in p) + (-dot(fb[:-1], p),)
-        if big.contains(lift):
-            fail(f"an interior point of cell {a} also lies in cell {b}")
+    generator_of = {m: w for w, m in item_masks.items()}
+    for g in chart.sigma_dual_generators:
+        pairing = [dot(g, x[:-1]) for x in rays]
+        if any(v < 0 for v in pairing):
+            fail(f"support dual {g} is negative on a ray of C")
+        generator_of.setdefault(sum(1 << i for i, v in enumerate(pairing) if v == 0), g + (0,))
+    ortho = _orthogonal_basis(eqs)
+    for j, (f, m) in enumerate(zip(facets, facet_masks)):
+        if f in facets[:j]:
+            fail(f"facet {f} of C repeats")
+        g = generator_of.get(m)
+        if g is None or _orthogonal_representative(g, ortho) != f:
+            fail(f"facet {f} of C is no generator of D")
+    d = support_cone(chart).dim()
+    if matrix_rank(rays) != d + 1:
+        fail(f"the rays of C have rank {matrix_rank(rays)}, not {d + 1}")
+    again = cone_from_inequalities(big.rank, facets, eqs)
+    odd = list(again.lineality) + sorted(x for x in set(rays + again.rays)
+                                         if rays.count(x) != again.rays.count(x))
+    if odd:
+        fail(f"C and the cone its facets cut out differ at the ray or line {odd[0]}")
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,20 @@ def test_label_tokens():
         formats.parse_label("hyp:5")
 
 
+@pytest.mark.parametrize("terms", ["terms 2\n+1 pt\n+1 pt\n", "terms 2\n+1 pt\n-1 pt\n",
+                                   "terms 1\n+0 pt\n", "terms 2\n-1 pt\n+0 hyp:5:3\n"])
+def test_expression_rejects_a_repeated_label_or_a_zero_coefficient(terms):
+    # the writer emits each label once and never a zero coefficient
+    with pytest.raises(formats.ParseError, match="repeated or has coefficient 0"):
+        formats.read_expression(f"schema mockfan.expression/1\n{terms}rendered free text\n")
+
+
+@pytest.mark.parametrize("token", ["hyp:-3:0", "hyp:0:2", "hyp:3:0", "hyp:3:-1"])
+def test_hypersurface_label_needs_dimension_and_degree_at_least_one(token):
+    with pytest.raises(formats.ParseError, match="dimension and degree"):
+        formats.parse_label(token)
+
+
 def test_annotations_roundtrip():
     fan = fan_from_cones(3, [cg(3, [(0, 0, 1), (1, 0, 1)])], has_t=True)
     two = cg(3, [(0, 0, 1), (1, 0, 1)])

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from typing import Mapping, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +13,8 @@ from genutil import (interior_lattice_point, lattice_points_in_support,
                      random_orthant_chart)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
-from mockfan.cones import cone_from_inequalities, dual_cone, intersect, is_subcone
-from mockfan.exact import dot, rank as matrix_rank
+from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
+from mockfan.exact import IntVec, dot, primitive, rank as matrix_rank
 from mockfan.fans import (FanError, fan_from_cones, is_refinement, refines_cone_faces,
                           rescale, rescale_cone)
 from mockfan.grassmann import GrassmannSpec, zero_chart
@@ -357,7 +360,7 @@ def test_certificate_rejects_dropped_cell(monkeypatch):
     ch = triangle_chart()
     d = build_D(ch)
     family = certificate_rejects(monkeypatch, ch, with_facets_of_C(d, d.rays[1:]),
-                                 "do not close up")
+                                 "differ at the ray")
     assert oracle_rejects(ch, family)
 
 
@@ -367,7 +370,7 @@ def test_certificate_rejects_duplicated_cell(monkeypatch):
     d = build_D(ch)
     family = certificate_rejects(monkeypatch, ch,
                                  with_facets_of_C(d, d.rays + d.rays[:1]),
-                                 "opposite sides")
+                                 "facet .* of C repeats")
     # The mask walk merges the two copies of the cell, so the projected
     # family is the genuine fan and the oracle, which sees only the family,
     # accepts it; the broken facet list of C is visible to the certificate.
@@ -375,16 +378,17 @@ def test_certificate_rejects_duplicated_cell(monkeypatch):
     assert not oracle_rejects(ch, family)
 
 
-@pytest.mark.parametrize("index, normal, match", [
+@pytest.mark.parametrize("index, normal, fault", [
     (2, (1, 0, 2, 1), "no item's hyperplane"),      # a cell: (0, 0, 2, 1)
     (3, (0, 1, -1, 0), "negative on a ray"),         # the support facet y >= 0
 ])
-def test_certificate_rejects_perturbed_facet_normal(monkeypatch, index, normal, match):
+def test_certificate_rejects_perturbed_facet_normal(monkeypatch, index, normal, fault):
     ch = triangle_chart()
     d = build_D(ch)
     facets = list(d.rays)
     facets[index] = normal
-    family = certificate_rejects(monkeypatch, ch, with_facets_of_C(d, facets), match)
+    family = certificate_rejects(monkeypatch, ch, with_facets_of_C(d, facets),
+                                 "no generator of D")
     assert oracle_rejects(ch, family)
 
 
@@ -393,10 +397,285 @@ def test_certificate_rejects_unpaired_wall(monkeypatch):
     # do not lie on the boundary of the support
     ch = triangle_chart()
     narrow = replace(ch, sigma_dual_generators=ch.sigma_dual_generators + ((1, -1, 0),))
-    family = certificate_rejects(monkeypatch, ch, build_D(narrow), "unpaired")
+    family = certificate_rejects(monkeypatch, ch, build_D(narrow), "no generator of D")
     fan = fan_from_cones(ch.ambient_dual_rank, family, has_t=True)
     assert len(fan) == len(family)   # a fan, but not one covering the support
     assert oracle_rejects(ch, family)
+
+
+# -- the per-face certificate, the oracle of the certificate of C ----------------
+
+def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Sequence[int],
+                         faces: Sequence[Face], proj_cones: Sequence[Cone],
+                         item_masks: Mapping[IntVec, int],
+                         negative: Sequence[IntVec]) -> None:
+    """Certify that the projected lower faces of C are the subdivision fan of S.
+
+    Notation: C = `big` has rays x and facet normals f = (a, c), where
+    c = <f, (0, 1)> is the apex pairing; S is the chart support, of
+    dimension d; pi(v, s) = v.  The cells are the facets with c > 0.
+    `faces` holds the ray mask and tight facets of each face of C inside a
+    cell, and `proj_cones` their images under pi.  The checks:
+
+    1. Validity: <f, x> >= 0 for every facet f and ray x of C.
+    2. Items: every lifted item (w, 1) pairs >= 0 with every ray of C, and
+       the rays of each cell are exactly the rays some item is tight on.
+    3. Faces: every walked face has a tight facet with c > 0, and its
+       dimension k, the rank of its projected rays, is the grade the walk
+       gave it.  A walked face F with k >= 1 has a walked facet, and every
+       walked face of dimension k - 2 in a walked facet of F lies in
+       exactly two of them.
+    4. Cells: every cell is walked and projects to a cone of dimension d.
+    5. Rays: every ray of a cell projects into S, with t >= 0.
+    6. Walls: a walked face of dimension d - 1 lies either in exactly two
+       cells A and B, strictly on opposite sides of the hyperplane of
+       n = c_B f_A - c_A f_B, or in exactly one cell and on a facet of S.
+    7. Degree one: the sum p of the projected rays of one cell A lies in no
+       other cell B: the lift of p onto the hyperplane of f_B is not in C.
+
+    Soundness.  Nothing is taken on trust from the double description that
+    produced C.  Let C' be the cone the rays of C span.
+
+    - By 1 each walked mask is the face of C' cut out by its tight facets,
+      and faces include each other as their masks do.  On the hyperplane
+      of a facet with c > 0 the lift is s = -<a, v>/c, so by 3 pi is
+      injective on the span of each walked face and keeps its dimension.
+    - The walk holds every face of a walked face F, by induction on
+      k = dim F.  For k <= 2 this is 3.  For k > 2 the walked facets of F
+      have all their faces walked, and by 3 each of their ridges lies in
+      exactly two of them: they form a closed pseudomanifold inside the
+      boundary sphere of F, so they are the whole boundary.
+    - pi is injective on the union of the cells: if x and x + l(0, 1),
+      l > 0, lay in cells A and B, then <f_B, x> = -l c_B < 0, against 1.
+      So the images of two walked faces meet in the image of their
+      intersection, a walked face of both: the projected family is a fan.
+    - By 4 and 5 the cells are d-dimensional cones in S.  The number of
+      cells over a point q of the relative interior of S stays the same
+      when q crosses a wall of two cells, where one cell ends and the
+      other begins (6), and one-cell walls lie on the boundary of S.  So
+      it is the same at every q off the faces of codimension two, and by
+      7 it is one: the cells cover S exactly once.
+    - By 2 and 5 the cells lie in the lifted cone of the chart, whose lower
+      boundary is the graph of -val, and over each cell the lift is
+      -<w, v> <= -val(v) for an item w.  So the cells lift onto the graph
+      of -val, each where one item attains the minimum: the fan is the
+      subdivision of the chart.
+
+    n has lift coordinate c_B c_A - c_A c_B = 0, so 6 tests the projected
+    cells.  A failed check raises SubdivisionInconsistency.
+    """
+    def fail(what: str):
+        raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
+
+    rays, facets = big.rays, big.facets
+    support = support_cone(chart)
+    d = support.dim()
+    cells = [j for j, f in enumerate(facets) if f[-1] > 0]
+    cone_of = {face.mask: cone for face, cone in zip(faces, proj_cones)}
+    if any(dot(x, f) < 0 for f in facets for x in rays):
+        fail("a facet of C is negative on a ray of C")
+    if negative:
+        fail(f"item exponent {negative[0][:-1]} is negative on a ray of C")
+    item_planes = set(item_masks.values())
+    if any(facet_masks[j] not in item_planes for j in cells):
+        fail("a cell of C lies on no item's hyperplane")
+    if any(not any(facets[j][-1] > 0 for j in face.tight_facets) for face in faces):
+        fail("a walked face lies in no cell")
+    dims = {}
+    for mask, cone in cone_of.items():
+        dims[mask] = matrix_rank(cone.rays) if cone.rays else 0
+        if dims[mask] != cone.dim():
+            fail(f"the graded dimension {cone.dim()} of {list(cone.rays)} is not its rank")
+    facets_of = {mask: {mask & fm for fm in facet_masks if dims.get(mask & fm) == k - 1}
+                 for mask, k in dims.items()}
+    for mask, k in dims.items():
+        ridges = Counter(e for g in facets_of[mask] for e in facets_of[g])
+        if (k >= 1 and not facets_of[mask]) or any(n != 2 for n in ridges.values()):
+            fail(f"the walked faces of {list(cone_of[mask].rays)} do not close up")
+    if not cells or any(dims.get(facet_masks[j]) != d for j in cells):
+        fail(f"a cell is not walked or does not have the dimension {d} of the support")
+    for j in cells:
+        for v in cone_of[facet_masks[j]].rays:
+            if v[-1] < 0 or not chart.in_support(v):
+                fail(f"projected ray {v} lies outside the support or has t < 0")
+    for face, cone in zip(faces, proj_cones):
+        if dims[face.mask] != d - 1:
+            continue
+        around = [j for j in face.tight_facets if facets[j][-1] > 0]
+        if len(around) == 2:
+            a, b = around
+            fa, fb = facets[a], facets[b]
+            normal = tuple(fb[-1] * u - fa[-1] * w for u, w in zip(fa, fb))
+            side_a = [dot(normal, x) for i, x in enumerate(rays) if facet_masks[a] >> i & 1]
+            side_b = [dot(normal, x) for i, x in enumerate(rays) if facet_masks[b] >> i & 1]
+            if not (max(side_a) <= 0 < max(side_b) and min(side_a) < 0 <= min(side_b)):
+                fail(f"cells {a} and {b} are not on opposite sides of their wall "
+                     f"{list(cone.rays)}")
+        elif len(around) == 1:
+            if not any(all(dot(v, g) == 0 for v in cone.rays) for g in support.facets):
+                fail(f"wall {list(cone.rays)} of cell {around[0]} is unpaired "
+                     "and not on the support boundary")
+        else:
+            fail(f"wall {list(cone.rays)} lies in {len(around)} cells")
+    a = cells[0]
+    p = cone_of[facet_masks[a]].relative_interior_point()
+    for b in cells[1:]:
+        fb = facets[b]
+        lift = tuple(fb[-1] * u for u in p) + (-dot(fb[:-1], p),)
+        if big.contains(lift):
+            fail(f"an interior point of cell {a} also lies in cell {b}")
+
+
+def certify_lower_faces_of(chart):
+    """The unchecked pipeline, then the per-face certificate on what it walked."""
+    res = subdivide_chart(chart, verify=False)
+    big = res.big_cone
+    fan_cone = {c.rays: c for c in res.projected_fan}
+    proj_cones = [fan_cone[tuple(sorted(primitive(x[:-1]) for x in f.cone.rays))]
+                  for f in res.faces_avoiding]
+    item_masks, negative = subdivision._lifted_item_masks(chart, big.rays)
+    _certify_lower_faces(chart, big, big.facet_masks(), res.faces_avoiding, proj_cones,
+                         item_masks, negative)
+
+
+def with_rays_of_C(d, rays):
+    """D with its facets, which are the rays of C = dual_cone(D), replaced."""
+    return cones.Cone(d.rank, d.rays, d.lineality, tuple(rays), d.span_eqs,
+                      _token=cones._CONE_TOKEN)
+
+
+@st.composite
+def faulted_lifted_cones(draw):
+    """A chart with a subdivision, and its D with one facet or one ray of C
+    dropped, duplicated, or moved by +-1 in one coordinate; or with the
+    facets or rays of C in reverse order, which is no fault."""
+    ch = draw(general_charts())
+    try:
+        subdivide_chart(ch)
+    except ChartError:
+        assume(False)
+    d = build_D(ch)
+    of_rays = draw(st.booleans())
+    vectors = list(d.facets if of_rays else d.rays)
+    k = draw(st.integers(0, len(vectors) - 1))
+    kind = draw(st.sampled_from(["drop", "duplicate", "perturb", "reverse"]))
+    if kind == "reverse":
+        vectors.reverse()
+    elif kind == "drop":
+        del vectors[k]
+    elif kind == "duplicate":
+        vectors.append(vectors[k])
+    else:
+        j = draw(st.integers(0, d.rank - 1))
+        step = draw(st.sampled_from([-1, 1]))
+        vectors[k] = tuple(x + step * (i == j) for i, x in enumerate(vectors[k]))
+    return ch, (with_rays_of_C if of_rays else with_facets_of_C)(d, vectors)
+
+
+@given(faulted_lifted_cones())
+@settings(max_examples=150, deadline=None)
+def test_certificate_of_C_rejects_what_the_per_face_oracle_rejects(fault):
+    ch, bad_d = fault
+    good = subdivide_chart(ch)
+    certify_lower_faces_of(ch)
+    with mock.patch.object(subdivision, "build_D", lambda chart: bad_d):
+        try:
+            res = subdivide_chart(ch)
+        except SubdivisionInconsistency:
+            return
+        certify_lower_faces_of(ch)   # where the C check accepts, so does the oracle
+    assert res.projected_fan == good.projected_fan
+    assert res.active_sets == good.active_sets
+
+
+def test_certificate_of_C_rejects_the_octahedron_with_a_facet_dropped():
+    # C over the octahedron, rays (+-e_i, 1), is the dual of the cone over
+    # the cube, (+-1, +-1, +-1, 1): one item per vertex, support all of Q^3.
+    # With (1, 1, 1, 1) dropped, every ray keeps three independent tight
+    # facets and every ridge found lies in two listed facets, but the listed
+    # facets cut out the extra ray (-1, -1, -1, 1).
+    signs = [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+    ch = MockPolytopeChart("octahedron", 3, (), tuple(
+        LiftedExponent(f"i{k}", w) for k, w in enumerate(signs)))
+    rays = tuple(sorted(tuple(s * (i == j) for j in range(3)) + (1,)
+                        for i in range(3) for s in (-1, 1)))
+    facets = tuple(w + (1,) for w in signs if w != (1, 1, 1))
+    bad_c = cones.Cone(4, rays, (), facets, (), _token=cones._CONE_TOKEN)
+    with pytest.raises(SubdivisionInconsistency,
+                       match=r"differ at the ray or line \(-1, -1, -1, 1\)"):
+        subdivision._certify_lifted_cone(ch, bad_c, bad_c.facet_masks(),
+                                         *subdivision._lifted_item_masks(ch, rays))
+
+
+@pytest.mark.parametrize("smaller, match", [
+    (lambda ch: replace(ch, items=ch.items[1:]),
+     r"item exponent \(0, 0, 2\) is negative"),
+    (lambda ch: replace(ch, sigma_dual_generators=ch.sigma_dual_generators[1:]),
+     r"support dual \(1, 0, 0\) is negative"),
+], ids=["item", "support dual"])
+def test_certificate_of_C_rejects_the_exact_dual_of_a_smaller_D(monkeypatch, smaller, match):
+    # C is consistent in itself, but D lacks a generator of the chart
+    ch = triangle_chart()
+    bad_d = build_D(smaller(ch))
+    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    with pytest.raises(SubdivisionInconsistency):
+        certify_lower_faces_of(ch)
+    with pytest.raises(SubdivisionInconsistency, match=match):
+        subdivide_chart(ch)
+
+
+def test_certificate_of_C_rejects_a_cone_of_too_low_a_rank(monkeypatch):
+    # C given as the ray (0, 0, 0, 1) alone, on the span equalities e_1, e_2,
+    # e_3 and cut out by (0, 0, 0, 1), the representative of every item:
+    # every generator is >= 0 on it and a second DD gives it back
+    apex = (0, 0, 0, 1)
+    bad_d = cones.Cone(4, (apex,), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), (apex,), (),
+                       _token=cones._CONE_TOKEN)
+    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    with pytest.raises(SubdivisionInconsistency, match="rank 1, not 4"):
+        subdivide_chart(triangle_chart())
+
+
+def test_certificate_of_C_rejects_a_repeated_ray_off_the_walk(monkeypatch):
+    # the apex ray (0, 0, 0, 1) of C lies on no lower face, so only the
+    # second DD sees it listed twice
+    ch = triangle_chart()
+    good = subdivide_chart(ch).projected_fan
+    d = build_D(ch)
+    apex = (0, 0, 0, 1)
+    assert apex in d.facets
+    monkeypatch.setattr(subdivision, "build_D",
+                        lambda ch: with_rays_of_C(d, d.facets + (apex,)))
+    assert subdivide_chart(ch, verify=False).projected_fan == good
+    with pytest.raises(SubdivisionInconsistency,
+                       match=r"differ at the ray or line \(0, 0, 0, 1\)"):
+        subdivide_chart(ch)
+
+
+def plane_chart():
+    # support x = 0, y >= 0, t >= 0, so that C has the span equality
+    # (1, 0, 0, 0); no generator of D but the support duals +-(1, 0, 0, 0)
+    # has an x entry, so each is its own representative modulo (1, 0, 0, 0)
+    return MockPolytopeChart("plane", 3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), (
+        LiftedExponent("a", (0, 0, 0), 2), LiftedExponent("b", (0, 1, 0), 0),
+        LiftedExponent("c", (0, -1, 0), 1)))
+
+
+@pytest.mark.parametrize("chart, equalities, match", [
+    (triangle_chart, ((1, 0, 0, 0),), "no generator of D"),          # gained one
+    (plane_chart, (), r"differ at the ray or line \(1, 0, 0, 0\)"),   # lost one
+], ids=["gained", "lost"])
+def test_certificate_of_C_rejects_a_changed_span_equality(monkeypatch, chart, equalities,
+                                                          match):
+    ch = chart()
+    d = build_D(ch)
+    assert len(d.lineality) == 1 - len(equalities)
+    bad_d = cones.Cone(d.rank, d.rays, equalities, d.facets, d.span_eqs,
+                       _token=cones._CONE_TOKEN)
+    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    certify_lower_faces_of(ch)   # the faces of C never look at E
+    with pytest.raises(SubdivisionInconsistency, match=match):
+        subdivide_chart(ch)
 
 
 # -- active sets from the ray masks of C against the val_min oracle --------------
@@ -541,7 +820,7 @@ def test_certificate_rejects_a_wrong_grade(monkeypatch, dim):
 
     monkeypatch.setattr(cones, "face_dims", wrong_face_dims)
     with pytest.raises(SubdivisionInconsistency, match="graded dimension"):
-        subdivide_chart(triangle_chart())
+        certify_lower_faces_of(triangle_chart())
 
 
 # -- a support that reaches t < 0 is bad input, not a pipeline bug ---------------
