@@ -31,7 +31,6 @@ from .exact import (
     dot,
     is_zero_vec,
     kernel_basis,
-    lattice_basis_extension_test,
     primitive,
     rank as matrix_rank,
     vec_neg,
@@ -284,16 +283,6 @@ class Cone:
     def is_strongly_convex(self) -> bool:
         return not self.lineality
 
-    def is_simplicial(self) -> bool:
-        return self.is_strongly_convex() and len(self.rays) == self.dim()
-
-    def is_unimodular(self) -> bool:
-        if not self.is_simplicial():
-            return False
-        if not self.rays:
-            return True
-        return lattice_basis_extension_test(self.rays)
-
     def is_zero(self) -> bool:
         return not self.rays and not self.lineality
 
@@ -302,20 +291,6 @@ class Cone:
             raise ConeError(f"rank mismatch: point has {len(v)}, cone has {self.rank}")
         return (all(dot(v, e) == 0 for e in self.span_eqs)
                 and all(dot(v, f) >= 0 for f in self.facets))
-
-    def relative_interior_contains(self, v: Sequence[Scalar]) -> bool:
-        if len(v) != self.rank:
-            raise ConeError(f"rank mismatch: point has {len(v)}, cone has {self.rank}")
-        return (all(dot(v, e) == 0 for e in self.span_eqs)
-                and all(dot(v, f) > 0 for f in self.facets))
-
-    def relative_interior_point(self) -> IntVec:
-        """Sum of the extreme rays; the zero vector for a linear subspace."""
-        point = [0] * self.rank
-        for r in self.rays:
-            for k in range(self.rank):
-                point[k] += r[k]
-        return tuple(point)
 
     # -- face enumeration ------------------------------------------------------
 

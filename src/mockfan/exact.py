@@ -18,7 +18,6 @@ from typing import Sequence, Union
 
 IntVec = tuple[int, ...]
 Scalar = Union[int, Fraction]
-Vec = tuple[Scalar, ...]
 
 
 class ExactError(ValueError):
@@ -174,17 +173,3 @@ def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
     kernel = [r[m:] for r in reduced if is_zero_vec(r[:m])]
     # rows of an HNF with zero left block are themselves in HNF: canonical
     return tuple(tuple(r) for r in kernel)
-
-
-def lattice_basis_extension_test(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff the (independent) rows extend to a basis of the ambient lattice.
-
-    They do iff their lattice is saturated, that is equal to span(rows) ∩ Z^n,
-    the kernel of their kernel; the Hermite forms of the two lattices are
-    canonical, so comparing them decides it.
-    """
-    rows = [tuple(r) for r in rows]
-    if rank(rows) != len(rows):
-        raise ExactError("lattice_basis_extension_test requires independent rows")
-    n = len(rows[0]) if rows else 0
-    return hnf(rows) == kernel_basis(kernel_basis(rows, n), n)

@@ -24,8 +24,12 @@ Grammar (one record per line, whitespace separated):
 
 Label tokens: `pt`, `hyp:<ambient_dim>:<degree>`, `sym:<name>`.
 
-Blank lines and lines starting with `#` are skipped anywhere.  Readers
-reject a negative rank or count and any other text after the last record.
+Blank lines and lines starting with `#` are skipped anywhere.  Readers reject
+a negative rank or count, a wrong `rendered` line, and text after the end.
+
+A fan is read through its maximal cones (`_read_fan_body`): a listed face of
+one needs no DD, as a set of extreme rays closed under the facet masks
+generates exactly that face, which `fan_from_cones` adds by face closure.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .cones import Cone, cone_from_generators
-from .fans import Fan, fan_from_cones
+from .fans import Fan, FanError, fan_from_cones
 from .subdivision import LiftedExponent, MockPolytopeChart
 from .volume import ClassLabel, FormalSum, StratumAnnotation
 
@@ -165,6 +169,14 @@ def write_fan(f: Fan) -> str:
 
 
 def _read_fan_body(lines: _Lines) -> Fan:
+    """The fan of the listed cones, with one DD per index-maximal cone.
+
+    Cones go largest ray-index set first; one whose index set lies in no
+    candidate's is a candidate.  One whose generators are rays of a
+    containing candidate, with a mask equal to the meet of its facet masks
+    over that mask, is that face and is not built; the rest are.  A listing
+    that is no fan is built again cone by cone, to name the same bad cone.
+    """
     rank = _nonnegative(lines, "rank")
     has_t = _one_int(lines.expect("has_t"), "has_t")
     if has_t not in (0, 1):
@@ -172,15 +184,40 @@ def _read_fan_body(lines: _Lines) -> Fan:
     nrays = _nonnegative(lines, "rays")
     rays = _read_vectors(lines, nrays, rank, "ray")
     ncones = _nonnegative(lines, "cones")
-    cones = []
+    listed = []
     for _ in range(ncones):
         idx = _ints(lines.expect("cone"), "cone ray indices")
         bad = [i for i in idx if not 0 <= i < nrays]
         if bad:
             raise ParseError(f"cone ray index {bad[0]} out of range for {nrays} rays")
-        gens = [rays[i] for i in idx]
+        listed.append((sum(1 << i for i in set(idx)), [rays[i] for i in idx]))
+    cones: list[Cone] = []
+    candidates: list[tuple[int, dict, list[int], int]] = []
+    for mask, gens in sorted(listed, key=lambda entry: -entry[0].bit_count()):
+        containing = [c for c in candidates if mask & ~c[0] == 0]
+        if any(_generates_a_face(c, gens) for c in containing):
+            continue
         cones.append(cone_from_generators(rank, gens))
-    return fan_from_cones(rank, cones, has_t=bool(has_t))
+        if not containing:
+            candidates.append((mask, {r: 1 << i for i, r in enumerate(cones[-1].rays)},
+                               cones[-1].facet_masks(), (1 << len(cones[-1].rays)) - 1))
+    try:
+        return fan_from_cones(rank, cones, has_t=bool(has_t))
+    except FanError:
+        cones = [cone_from_generators(rank, gens) for _, gens in listed]
+        return fan_from_cones(rank, cones, has_t=bool(has_t))
+
+
+def _generates_a_face(candidate: tuple, gens: Sequence[tuple[int, ...]]) -> bool:
+    """True iff `gens` are rays of the candidate whose mask is a face mask."""
+    _, bit_of, facet_masks, meet = candidate
+    if any(g not in bit_of for g in gens):
+        return False
+    m = sum({bit_of[g] for g in gens})
+    for fm in facet_masks:
+        if m & ~fm == 0:
+            meet &= fm
+    return meet == m
 
 
 def read_fan(text: str) -> Fan:
@@ -359,10 +396,11 @@ def read_expression(text: str) -> FormalSum:
         if coeff == 0 or label in terms:
             raise ParseError(f"term {parts[1]} is repeated or has coefficient 0")
         terms[label] = coeff
-    if not lines.done():
-        lines.expect("rendered")
+    total = FormalSum(terms)
+    if not lines.done() and lines.next() != f"rendered {total.render()}":
+        raise ParseError(f"the rendered line does not read 'rendered {total.render()}'")
     lines.end()
-    return FormalSum(terms)
+    return total
 
 
 # -- reports ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from mockfan.cones import Cone, cone_from_generators
+from mockfan.cones import Cone, ConeError, cone_from_generators
+from mockfan.exact import ExactError, dot, hnf, kernel_basis, rank
 from mockfan.subdivision import LiftedExponent, MockPolytopeChart
 
 
@@ -47,3 +48,47 @@ def lattice_points_in_support(rng: random.Random, chart: MockPolytopeChart,
     """Nonnegative lattice points (the support is the first orthant)."""
     return [tuple(rng.randint(0, hi) for _ in range(chart.ambient_dual_rank))
             for _ in range(count)]
+
+
+# Cone and lattice predicates that only the tests use.
+
+def lattice_basis_extension_test(rows) -> bool:
+    """True iff the (independent) rows extend to a basis of the ambient lattice.
+
+    They do iff their lattice is saturated, that is equal to span(rows) ∩ Z^n,
+    the kernel of their kernel; the Hermite forms of the two lattices are
+    canonical, so comparing them decides it.
+    """
+    rows = [tuple(r) for r in rows]
+    if rank(rows) != len(rows):
+        raise ExactError("lattice_basis_extension_test requires independent rows")
+    n = len(rows[0]) if rows else 0
+    return hnf(rows) == kernel_basis(kernel_basis(rows, n), n)
+
+
+def is_simplicial(c: Cone) -> bool:
+    return c.is_strongly_convex() and len(c.rays) == c.dim()
+
+
+def is_unimodular(c: Cone) -> bool:
+    if not is_simplicial(c):
+        return False
+    if not c.rays:
+        return True
+    return lattice_basis_extension_test(c.rays)
+
+
+def relative_interior_contains(c: Cone, v) -> bool:
+    if len(v) != c.rank:
+        raise ConeError(f"rank mismatch: point has {len(v)}, cone has {c.rank}")
+    return (all(dot(v, e) == 0 for e in c.span_eqs)
+            and all(dot(v, f) > 0 for f in c.facets))
+
+
+def relative_interior_point(c: Cone):
+    """Sum of the extreme rays; the zero vector for a linear subspace."""
+    point = [0] * c.rank
+    for r in c.rays:
+        for k in range(c.rank):
+            point[k] += r[k]
+    return tuple(point)

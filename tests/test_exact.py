@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mockfan.exact import (ExactError, dot, hnf, integerize, kernel_basis,
-                           lattice_basis_extension_test, primitive, rank)
+from genutil import lattice_basis_extension_test
+from mockfan.exact import (ExactError, dot, hnf, integerize, kernel_basis, primitive,
+                           rank)
 
 vec = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(tuple)
 nonzero_vec = vec.filter(lambda v: any(v))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import random_orthant_chart
+from genutil import (random_orthant_chart, relative_interior_contains,
+                     relative_interior_point)
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import intersect, is_face_of, is_subcone, zero_cone
 from mockfan.exact import rank as matrix_rank
@@ -27,8 +28,8 @@ def test_overlapping_interiors_rejected():
     c1 = cg(2, [(1, 0), (1, 2)])
     c2 = cg(2, [(1, 1), (0, 1)])
     # (2, 3) lies in both interiors, so this cannot be a fan
-    assert c1.relative_interior_contains((2, 3))
-    assert c2.relative_interior_contains((2, 3))
+    assert relative_interior_contains(c1, (2, 3))
+    assert relative_interior_contains(c2, (2, 3))
     with pytest.raises(FanError, match="not a fan"):
         fan_from_cones(2, [c1, c2])
 
@@ -205,7 +206,7 @@ def test_euler_additivity_over_refinements():
                 if tau.is_zero():
                     continue
                 if is_subcone(tau, sigma) and \
-                        sigma.relative_interior_contains(tau.relative_interior_point()):
+                        relative_interior_contains(sigma, relative_interior_point(tau)):
                     total += euler_char_height1(tau)
             assert total == euler_char_height1(sigma), (chart, sigma)
 
@@ -291,7 +292,7 @@ def cone_families(draw):
         family = draw(st.lists(st.sampled_from(list(fan)), unique=True))
     elif kind in ("overlap", "non_face"):
         cell = draw(st.sampled_from(cells))
-        p = cell.relative_interior_point()
+        p = relative_interior_point(cell)
         if kind == "non_face":
             other = draw(st.sampled_from(cell.rays))
         else:

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from genutil import random_cone, random_orthant_chart
 from mockfan import formats
 from mockfan.cli import main
+from mockfan.cones import ConeError, zero_cone
 from mockfan.cones import cone_from_generators as cg
-from mockfan.fans import fan_from_cones
+from mockfan.exact import ExactError
+from mockfan.fans import FanError, fan_from_cones
 from mockfan.grassmann import GrassmannSpec, vol_expression, zero_chart
 from mockfan.subdivision import (LiftedExponent, MockPolytopeChart, rescaled_chart,
                                  subdivide_chart)
@@ -179,7 +182,7 @@ CHART_TEXT = ("schema mockfan.chart/1\nlabel demo\nrank 2\nscale 1\nsigma_duals 
 RESULT_TEXT = ("schema mockfan.result/1\nrank 2\nhas_t 1\nrays 1\n0 1\ncones 2\ncone\n"
                "cone 0\nactive_sets 2\ncone 0 items a\ncone 1 items a\n")
 ANNOTATIONS_TEXT = "schema mockfan.annotations/1\nannotations 1\ncone 1 labels pt\n"
-EXPRESSION_TEXT = "schema mockfan.expression/1\nterms 1\n+1 pt\nrendered pt\n"
+EXPRESSION_TEXT = "schema mockfan.expression/1\nterms 1\n+1 pt\nrendered +1*pt\n"
 
 
 def read_annotations_on_result_fan(text):
@@ -312,3 +315,157 @@ def test_fan_write_read_write_is_byte_identical(rnd, scale):
     assert formats.write_fan(back) == text
     result_text = formats.write_result(fan, res.active_sets)
     assert formats.read_fan_or_result(text) == formats.read_fan_or_result(result_text) == fan
+
+
+def test_expression_rejects_a_wrong_rendered_line():
+    good = formats.write_expression(vol_expression(GrassmannSpec(4, 2, 1)))
+    assert formats.read_expression(good)
+    rendered = good.splitlines()[-1]
+    with pytest.raises(formats.ParseError, match="rendered"):
+        formats.read_expression(good.replace(rendered, "rendered +1*pt"))
+    with pytest.raises(formats.ParseError, match="rendered"):
+        formats.read_expression(EXPRESSION_TEXT.replace("+1*pt", "pt"))
+
+
+# -- the fan reader against the cone-by-cone reading ---------------------------
+
+def read_fan_oracle(lines):
+    """The fan reader that builds every listed cone by DD: the oracle of
+    `formats._read_fan_body`."""
+    rank = formats._nonnegative(lines, "rank")
+    has_t = formats._one_int(lines.expect("has_t"), "has_t")
+    if has_t not in (0, 1):
+        raise formats.ParseError(f"has_t must be 0 or 1, got {has_t}")
+    nrays = formats._nonnegative(lines, "rays")
+    rays = formats._read_vectors(lines, nrays, rank, "ray")
+    ncones = formats._nonnegative(lines, "cones")
+    cones = []
+    for _ in range(ncones):
+        idx = formats._ints(lines.expect("cone"), "cone ray indices")
+        bad = [i for i in idx if not 0 <= i < nrays]
+        if bad:
+            raise formats.ParseError(f"cone ray index {bad[0]} out of range for {nrays} rays")
+        gens = [rays[i] for i in idx]
+        cones.append(cg(rank, gens))
+    return fan_from_cones(rank, cones, has_t=bool(has_t))
+
+
+def read_outcome(text):
+    """What `read_result` or `read_fan` returns for text, or the type and
+    message of the input error it raises."""
+    try:
+        if text.startswith(f"schema {formats.RESULT_SCHEMA}"):
+            return formats.read_result(text)
+        return formats.read_fan(text)
+    except (formats.ParseError, FanError, ConeError, ExactError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_reads_as_the_oracle(text):
+    got = read_outcome(text)
+    with mock.patch.object(formats, "_read_fan_body", read_fan_oracle):
+        assert got == read_outcome(text)
+    return got
+
+
+@st.composite
+def written_fans(draw):
+    """A written fan or result file of a random chart, maybe with one line
+    or token of its fan part replaced, deleted or duplicated."""
+    chart = random_orthant_chart(draw(st.randoms(use_true_random=False)), max_rank=4,
+                                 max_items=6)
+    res = subdivide_chart(rescaled_chart(chart, draw(st.integers(1, 2))))
+    if draw(st.booleans()):
+        text = formats.write_result(res.projected_fan, res.active_sets)
+    else:
+        text = formats.write_fan(res.projected_fan)
+    if not draw(st.booleans()):
+        return text
+    lines = text.splitlines()
+    body = next((k for k, ln in enumerate(lines) if ln.startswith("active_sets")),
+                len(lines))
+    cone_lines = [k for k in range(body) if lines[k].startswith("cone")]
+    if cone_lines and draw(st.booleans()):
+        i = draw(st.sampled_from(cone_lines))
+    else:
+        i = draw(st.integers(1, body - 1))
+    action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    tokens = lines[i].split()
+    if draw(st.booleans()) or not tokens:
+        if action == "replace":
+            lines[i] = draw(st.sampled_from(lines[1:body]))
+        elif action == "delete":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    else:
+        j = draw(st.integers(0, len(tokens) - 1))
+        if action == "replace":
+            tokens[j] = draw(st.sampled_from(text.split()) | st.integers(-3, 6).map(str))
+        elif action == "delete":
+            del tokens[j]
+        else:
+            tokens.insert(j, tokens[j])
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(written_fans())
+@settings(max_examples=200, deadline=None)
+def test_fan_reader_agrees_with_the_cone_by_cone_oracle(text):
+    assert_reads_as_the_oracle(text)
+
+
+def fan_text(rays, cones, rank=2, has_t=0):
+    out = ["schema mockfan.fan/1", f"rank {rank}", f"has_t {has_t}", f"rays {len(rays)}"]
+    out += [" ".join(map(str, r)) for r in rays]
+    out.append(f"cones {len(cones)}")
+    out += [f"cone {' '.join(map(str, c))}".rstrip() for c in cones]
+    return "\n".join(out) + "\n"
+
+
+QUADRANT = fan_from_cones(2, [cg(2, [(1, 0), (0, 1)])])
+
+READER_CASES = {
+    # (1, 1) is no extreme ray of the listed cone 0 1 2
+    "extra non-extreme ray index": (
+        fan_text([(1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0,), (2,), ()]), QUADRANT),
+    # (2, 0) is no primitive ray, row 3 repeats row 1, index 0 is repeated
+    "non-primitive and duplicated rows, repeated index": (
+        fan_text([(1, 0), (0, 1), (2, 0), (0, 1)],
+                 [(0, 1, 2), (2,), (3,), (0, 0, 1), (1, 0), ()]), QUADRANT),
+    "the diagonal of a square cone": (
+        fan_text([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3), (0, 2)],
+                 rank=3), (FanError, "not a fan: cone is not a face of any maximal "
+                           "cone: [(-1, 0, 1), (1, 0, 1)]")),
+    "only the zero cone": (fan_text([], [()]), fan_from_cones(2, [zero_cone(2)])),
+    "only the zero cone, rays listed": (fan_text([(1, 0)], [()]),
+                                       fan_from_cones(2, [zero_cone(2)])),
+    "a candidate with lineality": (
+        fan_text([(1, 0), (-1, 0), (0, 1)], [(0, 1, 2), (0,), ()]),
+        (FanError, "not a fan: member cone is not strongly convex")),
+    # the smallest stray cone is the ray (1, 1), a face of the listed cone 0 2
+    "a listed face of a non-face": (
+        fan_text([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (2,)]),
+        (FanError, "not a fan: cone is not a face of any maximal cone: [(1, 1)]")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_fan_reader_cases(case):
+    text, expected = READER_CASES[case]
+    assert assert_reads_as_the_oracle(text) == expected
+
+
+def test_reading_a_result_runs_one_dd_per_maximal_cone(monkeypatch):
+    res = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)), verify=False)
+    text = formats.write_result(res.projected_fan, res.active_sets)
+    calls = []
+    real = formats.cone_from_generators
+    monkeypatch.setattr(formats, "cone_from_generators",
+                        lambda *args: calls.append(args) or real(*args))
+    fan, active = formats.read_result(text)
+    assert fan == res.projected_fan and active == dict(res.active_sets)
+    maximal = [c for c in fan.cones
+               if not any(set(c.rays) < set(d.rays) for d in fan.cones)]
+    assert len(calls) == len(maximal) < len(fan.cones)

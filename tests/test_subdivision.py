@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genutil import (interior_lattice_point, lattice_points_in_support,
-                     random_orthant_chart)
+                     random_orthant_chart, relative_interior_point)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
@@ -518,7 +518,7 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
         else:
             fail(f"wall {list(cone.rays)} lies in {len(around)} cells")
     a = cells[0]
-    p = cone_of[facet_masks[a]].relative_interior_point()
+    p = relative_interior_point(cone_of[facet_masks[a]])
     for b in cells[1:]:
         fb = facets[b]
         lift = tuple(fb[-1] * u for u in p) + (-dot(fb[:-1], p),)
@@ -682,7 +682,7 @@ def test_certificate_of_C_rejects_a_changed_span_equality(monkeypatch, chart, eq
 
 def active_set_oracle(chart, cone):
     """Items attaining val_min at a relative interior point of the cone."""
-    v = cone.relative_interior_point()
+    v = relative_interior_point(cone)
     val = val_min(chart, v)
     return frozenset(it.id for it in chart.items
                      if dot(v, chart.effective_exponent(it)) == val)
