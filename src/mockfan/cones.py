@@ -23,6 +23,7 @@ read off the generator x facet incidence (`cone_from_generators`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
@@ -56,46 +57,54 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
     dimension len(lin) + 2, cut out by their common tight set, so that set
     has at least dim - len(lin) - 2 members; a pair with fewer is skipped
     before the scan over all rays (Fukuda-Prodon 1996).
+
+    Each step pairs the new inequality once with every lineality vector and
+    every ray; the sign tests and the combinations reuse those pairings.  A
+    vector with pairing 0 is kept as it is: it is already primitive.
     """
-    constraints = [a for a in inequalities if not is_zero_vec(a)]
+    constraints = [a for a in inequalities if any(a)]
     lin: list[IntVec] = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays: list[tuple[IntVec, int]] = []
     for idx, a in enumerate(constraints):
-        hit = next((i for i, b in enumerate(lin) if dot(a, b) != 0), None)
+        bit = 1 << idx
+        on_lin = [sum(map(mul, a, u)) for u in lin]
+        hit = next((i for i, v in enumerate(on_lin) if v), None)
         if hit is not None:
             b = lin.pop(hit)
-            vb = dot(a, b)
+            vb = on_lin.pop(hit)
             if vb < 0:
                 b, vb = vec_neg(b), -vb
-            lin = [primitive(tuple(vb * u[k] - dot(a, u) * b[k] for k in range(dim)))
-                   for u in lin]
-            rays = [(primitive(tuple(vb * r[k] - dot(a, r) * b[k] for k in range(dim))),
-                     mask | (1 << idx)) for r, mask in rays]
-            rays.append((b, (1 << idx) - 1))
+            lin = [primitive(tuple(vb * x - v * y for x, y in zip(u, b))) if v else u
+                   for u, v in zip(lin, on_lin)]
+            rays = [(primitive(tuple(vb * x - v * y for x, y in zip(r, b))) if v else r,
+                     mask | bit)
+                    for (r, mask), v in zip(rays, [sum(map(mul, a, r)) for r, _ in rays])]
+            rays.append((b, bit - 1))
             continue
         pos, zero, neg = [], [], []
         for pos_in_list, (r, mask) in enumerate(rays):
-            v = dot(a, r)
+            v = sum(map(mul, a, r))
             if v > 0:
                 pos.append((r, mask, v, pos_in_list))
             elif v < 0:
                 neg.append((r, mask, v, pos_in_list))
             else:
-                zero.append((r, mask | (1 << idx)))
+                zero.append((r, mask | bit))
         if not neg:
             rays = [(r, m) for r, m, _, _ in pos] + zero
             continue
         new = [(r, m) for r, m, _, _ in pos] + zero
         need = dim - len(lin) - 2
+        masks = [m for _, m in rays]
         for rp, mp, vp, ip in pos:
             for rn, mn, vn, jn in neg:
                 common = mp & mn
                 if common.bit_count() < need or any(
-                        k != ip and k != jn and (common & ~m) == 0
-                        for k, (_, m) in enumerate(rays)):
+                        common & ~m == 0 and k != ip and k != jn
+                        for k, m in enumerate(masks)):
                     continue
-                combo = primitive(tuple(vp * rn[k] - vn * rp[k] for k in range(dim)))
-                new.append((combo, common | (1 << idx)))
+                combo = primitive(tuple(vp * x - vn * y for x, y in zip(rn, rp)))
+                new.append((combo, common | bit))
         rays = new
     return [r for r, _ in rays], lin
 
@@ -138,6 +147,15 @@ def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[I
     return primitive(v)
 
 
+def _representatives(vectors: Iterable[IntVec], lin: Sequence[IntVec]) -> tuple[IntVec, ...]:
+    """The distinct nonzero orthogonal representatives of `vectors` modulo
+    span(lin), sorted: canonical rays over the canonical lineality `lin`."""
+    ortho = _orthogonal_basis(lin)
+    reps = {_orthogonal_representative(v, ortho) for v in vectors}
+    reps.discard(None)
+    return tuple(sorted(reps))
+
+
 def _saturated_subspace_basis(vectors: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
     """Canonical (HNF) basis of span(vectors) ∩ Z^dim."""
     vectors = [v for v in vectors if not is_zero_vec(v)]
@@ -146,15 +164,10 @@ def _saturated_subspace_basis(vectors: Sequence[IntVec], dim: int) -> tuple[IntV
     return kernel_basis(kernel_basis(vectors, dim), dim)
 
 
-def _restrict_inequalities(ineqs: Sequence[IntVec], basis: Sequence[IntVec]) -> list[IntVec]:
-    return [tuple(dot(b, a) for b in basis) for a in ineqs]
-
-
-def _lift(vectors: Iterable[IntVec], basis: Sequence[IntVec], dim: int) -> list[IntVec]:
-    out = []
-    for c in vectors:
-        out.append(tuple(sum(ci * b[k] for ci, b in zip(c, basis)) for k in range(dim)))
-    return out
+def _lift(vectors: Iterable[IntVec], basis: Sequence[IntVec]) -> list[IntVec]:
+    """Each coordinate vector c over `basis` as the vector sum c_i basis_i."""
+    columns = list(zip(*basis))
+    return [tuple(sum(map(mul, c, column)) for column in columns) for c in vectors]
 
 
 def _vrep_from_constraints(dim: int, ineqs: Sequence[IntVec],
@@ -182,11 +195,9 @@ def _vrep_from_constraints(dim: int, ineqs: Sequence[IntVec],
         if not sub:
             return [], []
         # inequalities absorbed into equalities restrict to zero and drop out
-        restricted = _restrict_inequalities(uniq, sub)
-        rays_c, lin_c = _dd(len(sub), restricted)
-        return _lift(rays_c, sub, dim), _lift(lin_c, sub, dim)
-    rays, lin = _dd(dim, uniq)
-    return rays, lin
+        rays_c, lin_c = _dd(len(sub), [tuple(sum(map(mul, b, a)) for b in sub) for a in uniq])
+        return _lift(rays_c, sub), _lift(lin_c, sub)
+    return _dd(dim, uniq)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +211,8 @@ class Cone:
     `cone_from_inequalities`, or `dual_cone`.
     """
 
-    __slots__ = ("rank", "rays", "lineality", "_facets", "_span_eqs", "_dim", "_hash")
+    __slots__ = ("rank", "rays", "lineality", "_facets", "_span_eqs", "_dim", "_facet_masks",
+                 "_hash")
 
     def __init__(self, rank: int, rays: tuple[IntVec, ...], lineality: tuple[IntVec, ...],
                  facets: Optional[tuple[IntVec, ...]], span_eqs: Optional[tuple[IntVec, ...]],
@@ -213,6 +225,7 @@ class Cone:
         self._facets = facets
         self._span_eqs = span_eqs
         self._dim: Optional[int] = None
+        self._facet_masks: Optional[tuple[int, ...]] = None
         self._hash = hash((rank, rays, lineality))
 
     # -- construction helpers ------------------------------------------------
@@ -221,13 +234,7 @@ class Cone:
     def _canonicalize(rank: int, raw_rays: Sequence[IntVec],
                       raw_lin: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         lin = _saturated_subspace_basis(raw_lin, rank)
-        ortho = _orthogonal_basis(lin)
-        rays = set()
-        for r in raw_rays:
-            red = _orthogonal_representative(r, ortho)
-            if red is not None:
-                rays.add(red)
-        return tuple(sorted(rays)), lin
+        return _representatives(raw_rays, lin), lin
 
     @staticmethod
     def _make(rank: int, rays: Sequence[IntVec], lineality: Sequence[IntVec],
@@ -250,12 +257,7 @@ class Cone:
     def span_eqs(self) -> tuple[IntVec, ...]:
         """Basis of span(cone)^perp: the implicit equalities of the H-rep."""
         if self._span_eqs is None:
-            gens = list(self.rays) + list(self.lineality)
-            if gens:
-                self._span_eqs = kernel_basis(gens, self.rank)
-            else:
-                self._span_eqs = tuple(tuple(1 if j == i else 0 for j in range(self.rank))
-                                       for i in range(self.rank))
+            self._span_eqs = kernel_basis(list(self.rays) + list(self.lineality), self.rank)
         return self._span_eqs
 
     @property
@@ -294,16 +296,13 @@ class Cone:
 
     # -- face enumeration ------------------------------------------------------
 
-    def facet_masks(self) -> list[int]:
-        """Per facet, the bitmask of the extreme rays tight on it."""
-        masks = []
-        for f in self.facets:
-            mask = 0
-            for i, r in enumerate(self.rays):
-                if dot(r, f) == 0:
-                    mask |= 1 << i
-            masks.append(mask)
-        return masks
+    def facet_masks(self) -> tuple[int, ...]:
+        """Per facet, the bitmask of the extreme rays tight on it; kept once computed."""
+        if self._facet_masks is None:
+            self._facet_masks = tuple(
+                sum(1 << i for i, r in enumerate(self.rays) if not sum(map(mul, r, f)))
+                for f in self.facets)
+        return self._facet_masks
 
     def faces(self) -> list["Face"]:
         """All faces, each exactly once, including the cone and its minimal face.
@@ -417,19 +416,24 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
 
     One DD, on the generators as inequalities of the dual, gives the facets
     and span equalities; both representations are then known, and so is
-    the dimension, the rank minus the number of span equalities.  The rest
-    is read off the generator x facet incidence, with no second DD:
+    the dimension, the rank minus the number of span equalities.  The span
+    equalities are the integer kernel of the generators, one HNF
+    (`kernel_basis`).  The rest is read off the generator x facet
+    incidence, with no second DD:
 
     - the lineality space is the span of the lineality generators and of
       every generator tight on all facets (the minimal face of a cone is
-      generated by the generators in it);
+      generated by the generators in it); when there is any, it is the
+      integer kernel of the span equalities and the facets, again one HNF;
     - the tight set of a generator g cuts out the smallest face holding g,
       so g spans an extreme ray modulo the lineality iff no generator
       outside the lineality has a strictly larger tight set; every such
       tight set is one ray, whatever generator carries it.
 
-    Rays are reduced modulo the lineality by integer orthogonal projection
-    and primitivized, as in `Cone._canonicalize`.
+    Facets and rays are reduced modulo the span equalities and the
+    lineality by integer orthogonal projection and primitivized, as in
+    `Cone._canonicalize`.  Each kernel is the saturated lattice that
+    `_saturated_subspace_basis` would give by two HNFs.
     """
     gens = []
     for g in generators:
@@ -444,23 +448,21 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
         if not is_zero_vec(g):
             lins.append(primitive(g))
     facets_raw, span_raw = _vrep_from_constraints(rank, gens, lins)
-    facets, span_eqs = Cone._canonicalize(rank, facets_raw, span_raw)
+    span_eqs = kernel_basis(gens + lins, rank) if span_raw else ()
+    facets = _representatives(facets_raw, span_eqs)
     full = (1 << len(facets)) - 1
     ray_of_mask: dict[int, IntVec] = {}
     for g in gens:
-        mask = 0
-        for j, f in enumerate(facets):
-            if dot(g, f) == 0:
-                mask |= 1 << j
+        mask = sum(1 << j for j, f in enumerate(facets) if not sum(map(mul, g, f)))
         if mask == full:
             lins.append(g)
         else:
             ray_of_mask.setdefault(mask, g)
-    lin = _saturated_subspace_basis(lins, rank)
-    ortho = _orthogonal_basis(lin)
-    rays = sorted(_orthogonal_representative(g, ortho) for mask, g in ray_of_mask.items()
-                  if not any(mask & ~other == 0 for other in ray_of_mask if other != mask))
-    cone = Cone(rank, tuple(rays), lin, facets, span_eqs, _token=_CONE_TOKEN)
+    lin = kernel_basis(span_eqs + facets, rank) if lins else ()
+    rays = _representatives((g for mask, g in ray_of_mask.items()
+                             if not any(mask & ~other == 0
+                                        for other in ray_of_mask if other != mask)), lin)
+    cone = Cone(rank, rays, lin, facets, span_eqs, _token=_CONE_TOKEN)
     cone._dim = rank - len(span_eqs)
     return cone
 

@@ -6,7 +6,10 @@ exact arithmetic, so this module works with arbitrary-precision ints and
 
 Conventions: a lattice vector is a tuple of ints, a matrix is a sequence of
 row vectors of equal length.  Normal forms use fraction-free integer
-algorithms (Bareiss elimination, unimodular row operations).
+algorithms (Bareiss elimination, unimodular row operations).  `Fraction`
+appears only in `rank` and `integerize`.  The hot helpers are one builtin
+call per vector: `math.gcd(*v)` in `gcd_all` and `primitive`, `not any(v)`
+in `is_zero_vec`, and `zip` for the row operations of `hnf`.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ class ExactError(ValueError):
 
 
 def gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
+    return math.gcd(*values)
 
 
 def lcm_all(values) -> int:
@@ -66,12 +64,12 @@ def vec_neg(a: IntVec) -> IntVec:
 
 
 def is_zero_vec(a: Sequence[Scalar]) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def primitive(v: Sequence[int]) -> IntVec:
     """v divided by the gcd of its coordinates; errors on the zero vector."""
-    g = gcd_all(v)
+    g = math.gcd(*v)
     if g == 0:
         raise ExactError("zero vector has no primitive representative")
     if g == 1:
@@ -138,9 +136,8 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
             a, b = work[piv][col], work[i][col]
             g, x, y = xgcd(a, b)
             u, v = a // g, b // g
-            rp = [x * work[piv][k] + y * work[i][k] for k in range(n)]
-            ri = [u * work[i][k] - v * work[piv][k] for k in range(n)]
-            work[piv], work[i] = rp, ri
+            work[piv], work[i] = ([x * s + y * t for s, t in zip(work[piv], work[i])],
+                                  [u * t - v * s for s, t in zip(work[piv], work[i])])
         if piv is None:
             continue
         work[pr], work[piv] = work[piv], work[pr]
@@ -150,7 +147,7 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
         for i in range(pr):
             q = work[i][col] // p
             if q:
-                work[i] = [work[i][k] - q * work[pr][k] for k in range(n)]
+                work[i] = [s - q * t for s, t in zip(work[i], work[pr])]
         pr += 1
     return tuple(tuple(r) for r in work[:pr])
 
@@ -167,8 +164,8 @@ def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVec, ...]:
     if not rows:
         return tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
     m = len(rows)
-    aug = [[rows[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
-           for j in range(n)]
+    aug = [list(column) + [1 if k == j else 0 for k in range(n)]
+           for j, column in enumerate(zip(*rows))]
     reduced = hnf(aug)
     kernel = [r[m:] for r in reduced if is_zero_vec(r[:m])]
     # rows of an HNF with zero left block are themselves in HNF: canonical

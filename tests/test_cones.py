@@ -12,7 +12,8 @@ from mockfan import cones
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
                            is_face_of, is_subcone, zero_cone)
-from mockfan.exact import dot, integerize, primitive, rank as matrix_rank
+from mockfan.exact import (dot, integerize, is_zero_vec, kernel_basis, primitive,
+                           rank as matrix_rank, vec_neg)
 
 
 def orthant(rank=2):
@@ -265,6 +266,8 @@ def assert_matches_oracle(rank, gens, lins=()):
     c = cone_from_generators(rank, gens, lins)
     assert (c.rays, c.lineality, c.facets, c.span_eqs) == two_dd_oracle(rank, gens, lins)
     assert c.dim() == matrix_rank(list(c.rays) + list(c.lineality))
+    assert (c.rays, c.lineality, c.facets, c.span_eqs, c.dim()) == \
+        cone_from_generators_oracle(rank, gens, lins)
 
 
 @given(generator_sets())
@@ -281,6 +284,10 @@ def test_single_dd_construction_matches_two_dd_oracle(data):
     (3, [(1, 0, 0), (2, 0, 0), (1, 0, 0), (0, 1, 0)], []),    # duplicate, multiple
     (3, [(1, 2, 0), (0, 0, 1), (1, 2, 5)], [(1, 2, 3)]),       # generator in the lineality
     (4, [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 1)], []),
+    (3, [(0, 0, 0), (0, 0, 0)], [(0, 0, 0)]),                  # zero generators only
+    (2, [], [(1, 0), (0, 1)]),                                 # lineality only, full space
+    (3, [(2, 0, 0), (0, 0, 0)], [(0, 3, 0), (0, -3, 0)]),      # ray over a line
+    (4, [(1, 1, 0, 0), (0, 0, 1, 0)], [(1, -1, 0, 0), (2, -2, 0, 0)]),
 ])
 def test_single_dd_construction_edge_cases(rank, gens, lins):
     assert_matches_oracle(rank, gens, lins)
@@ -380,3 +387,156 @@ def test_dd_prefilter_keeps_rays_and_lineality(system):
     rays, lin = cones._dd(dim, inequalities)
     expected_rays, expected_lin = dd_without_prefilter(dim, inequalities)
     assert (set(rays), set(lin)) == (set(expected_rays), set(expected_lin))
+
+
+# -- the one-pairing-per-vector kernel against its per-coordinate version --------
+# `dd_oracle`, `vrep_oracle` and `cone_from_generators_oracle` are the DD,
+# the constraint conversion and the generator construction as they were
+# before each DD step paired a vector once and before the span equalities
+# and the lineality each took one HNF instead of two.
+
+def dd_oracle(dim, inequalities):
+    constraints = [a for a in inequalities if not is_zero_vec(a)]
+    lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    rays = []
+    for idx, a in enumerate(constraints):
+        hit = next((i for i, b in enumerate(lin) if dot(a, b) != 0), None)
+        if hit is not None:
+            b = lin.pop(hit)
+            vb = dot(a, b)
+            if vb < 0:
+                b, vb = vec_neg(b), -vb
+            lin = [primitive(tuple(vb * u[k] - dot(a, u) * b[k] for k in range(dim)))
+                   for u in lin]
+            rays = [(primitive(tuple(vb * r[k] - dot(a, r) * b[k] for k in range(dim))),
+                     mask | (1 << idx)) for r, mask in rays]
+            rays.append((b, (1 << idx) - 1))
+            continue
+        pos, zero, neg = [], [], []
+        for pos_in_list, (r, mask) in enumerate(rays):
+            v = dot(a, r)
+            if v > 0:
+                pos.append((r, mask, v, pos_in_list))
+            elif v < 0:
+                neg.append((r, mask, v, pos_in_list))
+            else:
+                zero.append((r, mask | (1 << idx)))
+        if not neg:
+            rays = [(r, m) for r, m, _, _ in pos] + zero
+            continue
+        new = [(r, m) for r, m, _, _ in pos] + zero
+        need = dim - len(lin) - 2
+        for rp, mp, vp, ip in pos:
+            for rn, mn, vn, jn in neg:
+                common = mp & mn
+                if common.bit_count() < need or any(
+                        k != ip and k != jn and (common & ~m) == 0
+                        for k, (_, m) in enumerate(rays)):
+                    continue
+                combo = primitive(tuple(vp * rn[k] - vn * rp[k] for k in range(dim)))
+                new.append((combo, common | (1 << idx)))
+        rays = new
+    return [r for r, _ in rays], lin
+
+
+def vrep_oracle(dim, ineqs, eqs):
+    ineqs = [primitive(a) for a in ineqs if not is_zero_vec(a)]
+    seen = set()
+    uniq = []
+    extra_eqs = []
+    for a in ineqs:
+        if a in seen:
+            continue
+        if vec_neg(a) in seen:
+            extra_eqs.append(a)
+            continue
+        seen.add(a)
+        uniq.append(a)
+    eqs = [e for e in eqs if not is_zero_vec(e)] + extra_eqs
+    if eqs:
+        sub = kernel_basis(eqs, dim)
+        if not sub:
+            return [], []
+        restricted = [tuple(dot(b, a) for b in sub) for a in uniq]
+        rays_c, lin_c = dd_oracle(len(sub), restricted)
+        return ([tuple(sum(ci * b[k] for ci, b in zip(c, sub)) for k in range(dim))
+                 for c in rays_c],
+                [tuple(sum(ci * b[k] for ci, b in zip(c, sub)) for k in range(dim))
+                 for c in lin_c])
+    return dd_oracle(dim, uniq)
+
+
+def canonicalize_oracle(rank, raw_rays, raw_lin):
+    lin = cones._saturated_subspace_basis(raw_lin, rank)
+    ortho = cones._orthogonal_basis(lin)
+    rays = set()
+    for r in raw_rays:
+        red = cones._orthogonal_representative(r, ortho)
+        if red is not None:
+            rays.add(red)
+    return tuple(sorted(rays)), lin
+
+
+def cone_from_generators_oracle(rank, generators, lineality_generators=()):
+    """(rays, lineality, facets, span_eqs, dim)."""
+    gens = [primitive(g) for g in generators if not is_zero_vec(g)]
+    lins = [primitive(g) for g in lineality_generators if not is_zero_vec(g)]
+    facets_raw, span_raw = vrep_oracle(rank, gens, lins)
+    facets, span_eqs = canonicalize_oracle(rank, facets_raw, span_raw)
+    full = (1 << len(facets)) - 1
+    ray_of_mask = {}
+    for g in gens:
+        mask = 0
+        for j, f in enumerate(facets):
+            if dot(g, f) == 0:
+                mask |= 1 << j
+        if mask == full:
+            lins.append(g)
+        else:
+            ray_of_mask.setdefault(mask, g)
+    lin = cones._saturated_subspace_basis(lins, rank)
+    ortho = cones._orthogonal_basis(lin)
+    rays = sorted(cones._orthogonal_representative(g, ortho)
+                  for mask, g in ray_of_mask.items()
+                  if not any(mask & ~other == 0 for other in ray_of_mask if other != mask))
+    return tuple(rays), lin, facets, span_eqs, rank - len(span_eqs)
+
+
+@st.composite
+def lineality_rich_systems(draw):
+    """Dim 1-6 and up to 8 rows, plus repeated rows, negated rows and integer
+    combinations of two rows, inserted at random places."""
+    dim = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    rows = draw(st.lists(vec, max_size=8))
+    for kind in draw(st.lists(st.sampled_from(["repeat", "negate", "combine"]),
+                              max_size=6)):
+        if not rows:
+            break
+        a = draw(st.sampled_from(rows))
+        if kind == "repeat":
+            extra = a
+        elif kind == "negate":
+            extra = tuple(-x for x in a)
+        else:
+            b = draw(st.sampled_from(rows))
+            c, d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            extra = tuple(c * x + d * y for x, y in zip(a, b))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return dim, rows
+
+
+@given(lineality_rich_systems())
+@settings(max_examples=250, deadline=None)
+def test_dd_equals_per_coordinate_oracle_in_order(system):
+    dim, rows = system
+    assert cones._dd(dim, rows) == dd_oracle(dim, rows)
+    assert cones._vrep_from_constraints(dim, rows, rows[:2]) == vrep_oracle(dim, rows, rows[:2])
+
+
+@given(lineality_rich_systems())
+@settings(max_examples=150, deadline=None)
+def test_cone_from_generators_equals_two_hnf_oracle_on_lineality_rich_input(system):
+    dim, rows = system
+    assert_matches_oracle(dim, rows)
+    assert_matches_oracle(dim, rows[2:], rows[:2])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutil import lattice_basis_extension_test
-from mockfan.exact import (ExactError, dot, hnf, integerize, kernel_basis, primitive,
-                           rank)
+from mockfan.exact import (ExactError, dot, gcd_all, hnf, integerize, is_zero_vec,
+                           kernel_basis, primitive, rank, xgcd)
 
 vec = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(tuple)
 nonzero_vec = vec.filter(lambda v: any(v))
@@ -210,3 +210,136 @@ def test_integerize():
     from fractions import Fraction
     assert integerize((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
     assert integerize((2, 4)) == (1, 2)
+
+
+# -- the builtin-call kernel against its per-coordinate loop versions ------------
+# The oracles below are the loop versions the kernel had before `gcd_all`,
+# `primitive` and `is_zero_vec` became single builtin calls and `hnf` and
+# `kernel_basis` took their row operations through `zip`.
+
+def gcd_all_oracle(values) -> int:
+    g = 0
+    for v in values:
+        g = math.gcd(g, v)
+        if g == 1:
+            return 1
+    return g
+
+
+def is_zero_vec_oracle(a) -> bool:
+    return all(x == 0 for x in a)
+
+
+def primitive_oracle(v):
+    g = gcd_all_oracle(v)
+    if g == 0:
+        raise ExactError("zero vector has no primitive representative")
+    if g == 1:
+        return tuple(v)
+    return tuple(x // g for x in v)
+
+
+def hnf_oracle(rows):
+    work = [list(r) for r in rows]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    pr = 0
+    for col in range(n):
+        piv = None
+        for i in range(pr, m):
+            if work[i][col] == 0:
+                continue
+            if piv is None:
+                piv = i
+                continue
+            a, b = work[piv][col], work[i][col]
+            g, x, y = xgcd(a, b)
+            u, v = a // g, b // g
+            rp = [x * work[piv][k] + y * work[i][k] for k in range(n)]
+            ri = [u * work[i][k] - v * work[piv][k] for k in range(n)]
+            work[piv], work[i] = rp, ri
+        if piv is None:
+            continue
+        work[pr], work[piv] = work[piv], work[pr]
+        if work[pr][col] < 0:
+            work[pr] = [-x for x in work[pr]]
+        p = work[pr][col]
+        for i in range(pr):
+            q = work[i][col] // p
+            if q:
+                work[i] = [work[i][k] - q * work[pr][k] for k in range(n)]
+        pr += 1
+    return tuple(tuple(r) for r in work[:pr])
+
+
+def kernel_basis_oracle(rows, n):
+    rows = [r for r in rows if not is_zero_vec_oracle(r)]
+    if not rows:
+        return tuple(tuple(1 if k == j else 0 for k in range(n)) for j in range(n))
+    m = len(rows)
+    aug = [[rows[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
+           for j in range(n)]
+    reduced = hnf_oracle(aug)
+    kernel = [r[m:] for r in reduced if is_zero_vec_oracle(r[:m])]
+    return tuple(tuple(r) for r in kernel)
+
+
+any_vec = st.lists(st.integers(-30, 30) | st.just(0), max_size=6).map(tuple)
+
+
+@given(any_vec)
+@settings(max_examples=200)
+def test_gcd_primitive_and_zero_test_match_loop_oracles(v):
+    assert gcd_all(v) == gcd_all_oracle(v)
+    assert gcd_all(iter(v)) == gcd_all_oracle(v)
+    assert is_zero_vec(v) == is_zero_vec_oracle(v)
+    if gcd_all_oracle(v) == 0:
+        with pytest.raises(ExactError, match="zero vector"):
+            primitive(v)
+        with pytest.raises(ExactError, match="zero vector"):
+            primitive_oracle(v)
+    else:
+        assert primitive(v) == primitive_oracle(v)
+        assert type(primitive(list(v))) is tuple
+
+
+def test_kernel_edge_vectors_match_loop_oracles():
+    for v in [(), (0,), (0, 0, 0), (-4,), (-6, -9), (0, -3, 0), (1,), (-1, 0, 1)]:
+        assert gcd_all(v) == gcd_all_oracle(v)
+        assert is_zero_vec(v) == is_zero_vec_oracle(v)
+    assert gcd_all(()) == 0 and gcd_all((-6, -9)) == 3
+    assert primitive((-6, -9)) == primitive_oracle((-6, -9)) == (-2, -3)
+    for zero in [(), (0,), (0, 0)]:
+        with pytest.raises(ExactError, match="zero vector"):
+            primitive(zero)
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                | st.just(Fraction(0)) | st.integers(-2, 2), max_size=5))
+@settings(max_examples=100)
+def test_is_zero_vec_matches_oracle_on_fractions(v):
+    assert is_zero_vec(v) == is_zero_vec_oracle(v)
+    assert is_zero_vec([Fraction(0)] * len(v)) is True
+
+
+@st.composite
+def matrices_with_zero_rows_and_columns(draw):
+    """An integer matrix, 0-6 rows by 1-6 columns, with whole zero rows and
+    zero columns put in at random places."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         max_size=6))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for r in rows:
+            r[j] = 0
+    for i in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
+        rows.insert(i, [0] * n)
+    return n, [tuple(r) for r in rows]
+
+
+@given(matrices_with_zero_rows_and_columns())
+@settings(max_examples=250)
+def test_hnf_and_kernel_basis_match_loop_oracles(data):
+    n, rows = data
+    assert hnf(rows) == hnf_oracle(rows)
+    assert kernel_basis(rows, n) == kernel_basis_oracle(rows, n)

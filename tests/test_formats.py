@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutil import random_cone, random_orthant_chart
-from mockfan import formats
+from mockfan import cones, formats
 from mockfan.cli import main
 from mockfan.cones import ConeError, zero_cone
 from mockfan.cones import cone_from_generators as cg
@@ -469,3 +469,26 @@ def test_reading_a_result_runs_one_dd_per_maximal_cone(monkeypatch):
     maximal = [c for c in fan.cones
                if not any(set(c.rays) < set(d.rays) for d in fan.cones)]
     assert len(calls) == len(maximal) < len(fan.cones)
+
+
+def test_facet_masks_are_computed_once_per_cone(monkeypatch):
+    asked = []
+    real = cones.Cone.facet_masks
+
+    def spy(cone):
+        asked.append((cone, cone._facet_masks is None))
+        return real(cone)
+
+    monkeypatch.setattr(cones.Cone, "facet_masks", spy)
+    res = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)), verify=True)
+    # the start masks and the certificate, then the walk
+    assert asked == [(res.big_cone, True), (res.big_cone, False)]
+    asked.clear()
+    fan, _ = formats.read_result(formats.write_result(res.projected_fan, res.active_sets))
+    maximal = [c for c in fan.cones
+               if not any(set(c.rays) < set(d.rays) for d in fan.cones)]
+    computed = [cone for cone, first in asked if first]
+    assert len({id(c) for c in computed}) == len(computed) == len(maximal)
+    # the reader's face test, then the walk in fan_from_cones
+    assert len(asked) == 2 * len(maximal)
+    assert {id(c) for c, _ in asked} == {id(c) for c in computed}
