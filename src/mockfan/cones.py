@@ -174,10 +174,11 @@ def _vrep_from_constraints(dim: int, ineqs: Sequence[IntVec],
                            eqs: Sequence[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
     """Rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, via DD.
 
-    Equalities are handled by restricting to their integer kernel first;
-    the kernel is saturated, so primitive vectors lift to primitive vectors.
+    The inequalities must be nonzero and primitive, so that a repeated or
+    negated one is found by comparing tuples.  Equalities are handled by
+    restricting to their integer kernel first; the kernel is saturated, so
+    primitive vectors lift to primitive vectors.
     """
-    ineqs = [primitive(a) for a in ineqs if not is_zero_vec(a)]
     seen: set[IntVec] = set()
     uniq: list[IntVec] = []
     extra_eqs: list[IntVec] = []
@@ -307,10 +308,9 @@ class Cone:
     def faces(self) -> list["Face"]:
         """All faces, each exactly once, including the cone and its minimal face.
 
-        The walk from the full ray mask (`walk_faces`), sorted by dimension
-        and rays.
+        The unpruned walk (`walk_faces`), sorted by dimension and rays.
         """
-        out = walk_faces(self, [(1 << len(self.rays)) - 1])
+        out = walk_faces(self)
         out.sort(key=lambda f: (f.cone.dim(), f.cone.rays))
         return out
 
@@ -338,71 +338,58 @@ class Cone:
 _CONE_TOKEN = object()
 
 
-def mask_closure(facet_masks: Sequence[int],
-                 start: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
-    """Ray masks reachable from `start` by intersecting with facet masks.
-
-    Returns each mask once, in breadth-first order, with the set of facets
-    tight on it.  When the start masks are faces, the result is every face
-    inside one of them.
-    """
-    seen: set[int] = set()
-    order: list[int] = []
-    for m in start:
-        if m not in seen:
-            seen.add(m)
-            order.append(m)
-    head = 0
-    while head < len(order):
-        cur = order[head]
-        head += 1
-        for fm in facet_masks:
-            child = cur & fm
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-    return [(mask, frozenset(j for j, fm in enumerate(facet_masks) if mask & ~fm == 0))
-            for mask in order]
-
-
-def face_dims(masks: Sequence[int], facet_masks: Sequence[int]) -> dict[int, int]:
-    """Grade of each face mask (closed under `& facet mask`): the face's
-    dimension minus the lineality's.  The minimal face (empty mask) has
-    grade 0; any other face F has one more than its largest proper face
-    F & f, because each facet of F is cut out by one facet f of the cone.
-    """
-    dims: dict[int, int] = {}
-    for mask in sorted(masks, key=int.bit_count):
-        dims[mask] = 1 + max((dims[mask & fm] for fm in facet_masks if mask & fm != mask),
-                             default=-1)
-    return dims
-
-
 @dataclass(frozen=True)
 class Face:
-    """A face of a cone: its extreme-ray mask, tight facet indices, and the face as a cone."""
+    """A face of a cone: its extreme-ray mask and the face as a cone."""
     mask: int
-    tight_facets: frozenset[int]
     cone: Cone
 
 
-def walk_faces(c: Cone, start: Iterable[int]) -> list[Face]:
-    """Every face of c inside one of the `start` faces (ray masks), in walk order.
+def walk_faces(c: Cone, lower: Optional[int] = None) -> list[Face]:
+    """Every face of c in walk order, graded as walked; with `lower`, a
+    bitset of facet indices, only the faces on one of those facets.
 
-    A face of a cone is determined by the set of extreme rays on it, so the
-    faces are the closure of the start masks under `mask_closure`.  Every
-    face holds the lineality space, so its dimension is the lineality's plus
-    the grade of its mask (`face_dims`).  A subset of c's sorted canonical
-    rays, reduced modulo the same lineality, is canonical as it stands.
+    A face is its mask of extreme rays, and its tight set, the facets that
+    hold it, determines it.  The walk goes up from the minimal face one
+    cover at a time (Kaibel-Pfetsch, Comput. Geom. 23, 2002): a face F with
+    tight set t and a ray r outside F span the smallest face G above both,
+    with tight set t & tight(r) and rays every ray whose tight set holds
+    it.  G covers F iff as many rays r give G as G has rays outside F.  So
+    the walk level is the grade, and each face's dimension is the
+    lineality's plus its level.  With `lower`, a candidate whose tight set
+    misses `lower` is dropped: the faces on those facets are downward
+    closed, so each is reached from one it covers.  The minimal face is
+    always returned.  A subset of c's sorted canonical rays, reduced modulo
+    the same lineality, is canonical as it stands.
     """
     facet_masks = c.facet_masks()
-    walk = mask_closure(facet_masks, start)
-    dims = face_dims([mask for mask, _ in walk], facet_masks)
-    out = []
-    for mask, tight in walk:
-        rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
-        out.append(Face(mask, tight, Cone._trusted(c.rank, rays, c.lineality,
-                                                   len(c.lineality) + dims[mask])))
+    ray_tight = [(1 << i, sum(1 << j for j, fm in enumerate(facet_masks) if fm >> i & 1))
+                 for i in range(len(c.rays))]
+    closure: dict[int, int] = {}
+    out: list[Face] = []
+    level = [(0, (1 << len(facet_masks)) - 1)]
+    seen = {0}
+    dim = len(c.lineality)
+    while level:
+        above = []
+        for mask, t in level:
+            rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
+            out.append(Face(mask, Cone._trusted(c.rank, rays, c.lineality, dim)))
+            counts: dict[int, int] = {}
+            for bit, tr in ray_tight:
+                if not mask & bit:
+                    counts[t & tr] = counts.get(t & tr, 0) + 1
+            for u, k in counts.items():
+                if lower is not None and not u & lower:
+                    continue
+                g = closure.get(u)
+                if g is None:
+                    g = closure[u] = sum(bit for bit, tr in ray_tight if tr & u == u)
+                if g not in seen and k == (g & ~mask).bit_count():
+                    seen.add(g)
+                    above.append((g, u))
+        level = above
+        dim += 1
     return out
 
 
@@ -471,7 +458,7 @@ def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],
                            equalities: Sequence[Sequence[int]] = ()) -> Cone:
     """Canonical cone {x : <a,x> >= 0, <e,x> = 0}; facet data computed lazily."""
     rays_raw, lin_raw = _vrep_from_constraints(
-        rank, [tuple(a) for a in inequalities], [tuple(e) for e in equalities])
+        rank, [primitive(a) for a in inequalities if any(a)], [tuple(e) for e in equalities])
     return Cone._make(rank, rays_raw, lin_raw)
 
 

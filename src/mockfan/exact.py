@@ -8,8 +8,8 @@ Conventions: a lattice vector is a tuple of ints, a matrix is a sequence of
 row vectors of equal length.  Normal forms use fraction-free integer
 algorithms (Bareiss elimination, unimodular row operations).  `Fraction`
 appears only in `rank` and `integerize`.  The hot helpers are one builtin
-call per vector: `math.gcd(*v)` in `gcd_all` and `primitive`, `not any(v)`
-in `is_zero_vec`, and `zip` for the row operations of `hnf`.
+call per vector: `math.gcd(*v)` in `primitive`, `not any(v)` in
+`is_zero_vec`, and `zip` for the row operations of `hnf`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ Scalar = Union[int, Fraction]
 
 class ExactError(ValueError):
     """Raised for arithmetic preconditions (zero vectors, dependent rows)."""
-
-
-def gcd_all(values) -> int:
-    return math.gcd(*values)
 
 
 def lcm_all(values) -> int:

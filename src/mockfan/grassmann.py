@@ -119,10 +119,11 @@ def index_data(n: int) -> IndexData:
     return IndexData(n, I, J, J0, J1, J2)
 
 
+@functools.lru_cache(maxsize=None)
 def varpi(n: int, pair: Pair) -> IntVec:
     """Exponent vector of one Pluecker coordinate, in the M + M-dagger blocks."""
     data = index_data(n)
-    if pair not in set(data.J):
+    if pair not in data.J:
         raise GrassmannError(f"{pair} is not in J")
     i, j = pair
     v = [0] * (data.ambient_rank - 1)

@@ -178,9 +178,12 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     of glued charts, is checked by `fan_from_cones` instead.  A support
     that reaches t < 0 is bad input and raises ChartError before the walk.
 
+    The lower faces are walked up from the minimal face of C by
+    `cones.walk_faces`, pruned to the facets that pair positively with
+    (0, 1); the minimal face is walked even when there is no such facet.
     Every walked face and its projection take their dimension from one
-    source, the grade `cones.walk_faces` gives the face's mask: a lower face
-    lies on a facet hyperplane that (0, 1) is not in, so pi keeps its
+    source, the walk level at which the face is reached: a lower face lies
+    on a facet hyperplane that (0, 1) is not in, so pi keeps its
     dimension.  No rank is computed per face.
 
     The per-face work is done from data computed once per ray of C.  Each
@@ -208,10 +211,8 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
             "chart support and items do not span the dual space: "
             "the subdivision would not be strongly convex")
     # a face avoids (0, 1) exactly when some facet tight on it pairs
-    # positively with (0, 1); these faces are downward closed, so the walk
-    # from the apex-positive facets reaches them all
-    facet_masks = big.facet_masks()
-    faces = walk_faces(big, [m for m, f in zip(facet_masks, big.facets) if f[-1] > 0] or [0])
+    # positively with (0, 1)
+    faces = walk_faces(big, sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0))
     # pi is injective on the span of a lower face, which lies on a facet
     # hyperplane that (0, 1) is not in, so the primitive images of a face's
     # rays are distinct and nonzero: in one sorted order of the images they
@@ -238,7 +239,7 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
             "subdivision inconsistency: projection identified two faces")
     item_masks, negative = _lifted_item_masks(chart, big.rays)
     if verify:
-        _certify_lifted_cone(chart, big, facet_masks, item_masks, negative)
+        _certify_lifted_cone(chart, big, item_masks, negative)
     fan = Fan._trusted(r, proj_cones, True)
     zero_on = [0] * len(big.rays)
     for k, it in enumerate(chart.items):
@@ -280,8 +281,8 @@ def _lifted_item_masks(chart: MockPolytopeChart, rays: Sequence[IntVec]
     return masks, negative
 
 
-def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, facet_masks: Sequence[int],
-                         item_masks: Mapping[IntVec, int], negative: Sequence[IntVec]) -> None:
+def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, item_masks: Mapping[IntVec, int],
+                         negative: Sequence[IntVec]) -> None:
     """Certify that C = `big` is D^vee, for D spanned by the chart's own
     generators G, the sigma duals (g, 0) and lifted items (w, 1).  With R,
     F, E the rays, facets and span equalities of C, and d = dim S:
@@ -313,7 +314,7 @@ def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
             fail(f"support dual {g} is negative on a ray of C")
         generator_of.setdefault(sum(1 << i for i, v in enumerate(pairing) if v == 0), g + (0,))
     ortho = _orthogonal_basis(eqs)
-    for j, (f, m) in enumerate(zip(facets, facet_masks)):
+    for j, (f, m) in enumerate(zip(facets, big.facet_masks())):
         if f in facets[:j]:
             fail(f"facet {f} of C repeats")
         g = generator_of.get(m)

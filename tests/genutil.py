@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from mockfan.cones import Cone, ConeError, cone_from_generators
+from typing import Iterable, Optional, Sequence
+
+from mockfan.cones import Cone, ConeError, cone_from_generators, walk_faces
 from mockfan.exact import ExactError, dot, hnf, kernel_basis, rank
 from mockfan.subdivision import LiftedExponent, MockPolytopeChart
 
@@ -92,3 +94,70 @@ def relative_interior_point(c: Cone):
         for k in range(c.rank):
             point[k] += r[k]
     return tuple(point)
+
+
+# -- the face walk before it went up by covers: the oracle of `walk_faces` -----
+
+def mask_closure(facet_masks: Sequence[int],
+                 start: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
+    """Ray masks reachable from `start` by intersecting with facet masks.
+
+    Returns each mask once, in breadth-first order, with the set of facets
+    tight on it.  When the start masks are faces, the result is every face
+    inside one of them.
+    """
+    seen: set[int] = set()
+    order: list[int] = []
+    for m in start:
+        if m not in seen:
+            seen.add(m)
+            order.append(m)
+    head = 0
+    while head < len(order):
+        cur = order[head]
+        head += 1
+        for fm in facet_masks:
+            child = cur & fm
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return [(mask, frozenset(j for j, fm in enumerate(facet_masks) if mask & ~fm == 0))
+            for mask in order]
+
+
+def face_dims(masks: Sequence[int], facet_masks: Sequence[int]) -> dict[int, int]:
+    """Grade of each face mask (closed under `& facet mask`): the face's
+    dimension minus the lineality's.  The minimal face (empty mask) has
+    grade 0; any other face F has one more than its largest proper face
+    F & f, because each facet of F is cut out by one facet f of the cone.
+    """
+    dims: dict[int, int] = {}
+    for mask in sorted(masks, key=int.bit_count):
+        dims[mask] = 1 + max((dims[mask & fm] for fm in facet_masks if mask & fm != mask),
+                             default=-1)
+    return dims
+
+
+def tight_facets(c: Cone, mask: int) -> frozenset[int]:
+    """The indices of the facets of c that hold every ray in the mask."""
+    return frozenset(j for j, fm in enumerate(c.facet_masks()) if mask & ~fm == 0)
+
+
+def assert_walk_matches_oracle(c: Cone, lower: Optional[int] = None):
+    """`walk_faces(c, lower)` gives each face once, with its rays, the
+    lineality of c and the dimension that `mask_closure` and `face_dims`
+    give: walked from the full mask, or with `lower` from the masks of the
+    `lower` facets, or from the minimal face when there are none."""
+    facet_masks = c.facet_masks()
+    if lower is None:
+        start = [(1 << len(c.rays)) - 1]
+    else:
+        start = [m for j, m in enumerate(facet_masks) if lower >> j & 1] or [0]
+    masks = [mask for mask, _ in mask_closure(facet_masks, start)]
+    dims = face_dims(masks, facet_masks)
+    walked = walk_faces(c, lower)
+    assert len(walked) == len({f.mask for f in walked})
+    assert [f.cone.dim() for f in walked] == sorted(f.cone.dim() for f in walked)
+    assert ({f.mask: (f.cone.rays, f.cone.lineality, f.cone.dim()) for f in walked}
+            == {mask: (tuple(r for i, r in enumerate(c.rays) if mask >> i & 1),
+                       c.lineality, len(c.lineality) + dims[mask]) for mask in masks})

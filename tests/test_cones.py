@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (is_unimodular, random_cone, random_generators,
-                     relative_interior_point)
+from genutil import (assert_walk_matches_oracle, is_unimodular, random_cone,
+                     random_generators, relative_interior_point, tight_facets)
 from mockfan import cones
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
@@ -111,7 +111,7 @@ def test_face_interior_point_recovers_tight_set():
             if not f.cone.rays and f.cone.lineality:
                 continue  # subspace face: the origin is tight on everything
             tight = frozenset(j for j, fac in enumerate(c.facets) if dot(p, fac) == 0)
-            assert tight == f.tight_facets
+            assert tight == tight_facets(c, f.mask)
 
 
 def test_relative_interior_point_examples():
@@ -321,19 +321,44 @@ def test_graded_face_dims_equal_rank(data):
     assert faces[-1].cone == c
 
 
-# -- a walk from some faces against the whole face lattice ------------------------
+# -- a walk pruned to some facets against the whole face lattice ----------------
 
 @given(generator_sets(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_walk_faces_equals_the_faces_inside_its_start(gens, data):
+    # the start is the set of `lower` facets: the walk gives the faces on
+    # one of them, and the minimal face
     c = cone_from_generators(*gens)
     faces = c.faces()
-    start = data.draw(st.lists(st.sampled_from([f.mask for f in faces]), max_size=4))
-    walked = cones.walk_faces(c, start)
-    expected = [f for f in faces if any(f.mask & ~s == 0 for s in start)]
+    lower = data.draw(st.integers(0, (1 << len(c.facets)) - 1))
+    walked = cones.walk_faces(c, lower)
+    expected = [f for f in faces
+                if f is faces[0] or any(lower >> j & 1 for j in tight_facets(c, f.mask))]
     assert len(walked) == len({f.mask for f in walked})
-    assert ({f.mask: (f.tight_facets, f.cone, f.cone.dim()) for f in walked}
-            == {f.mask: (f.tight_facets, f.cone, f.cone.dim()) for f in expected})
+    assert ({f.mask: (f.cone, f.cone.dim()) for f in walked}
+            == {f.mask: (f.cone, f.cone.dim()) for f in expected})
+
+
+# -- the walk up by covers against the closure-and-grade walk it replaced --------
+
+@given(generator_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_walk_faces_matches_the_closure_oracle(gens, data):
+    c = cone_from_generators(*gens)
+    assert_walk_matches_oracle(c)
+    assert_walk_matches_oracle(c, data.draw(st.integers(0, (1 << len(c.facets)) - 1)))
+
+
+@pytest.mark.parametrize("c", [
+    zero_cone(3),
+    cone_from_generators(3, [], [(1, 0, 0), (0, 1, 1)]),
+    orthant(3),
+    cone_from_generators(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0)], [(0, 0, 1, 1)]),
+], ids=["zero", "subspace", "orthant", "lineality"])
+def test_walk_faces_matches_the_closure_oracle_on_every_pruning(c):
+    assert_walk_matches_oracle(c)
+    for lower in range(1 << len(c.facets)):
+        assert_walk_matches_oracle(c, lower)
 
 
 # -- DD with the adjacency pre-filter against DD without it ----------------------
@@ -531,7 +556,11 @@ def lineality_rich_systems(draw):
 def test_dd_equals_per_coordinate_oracle_in_order(system):
     dim, rows = system
     assert cones._dd(dim, rows) == dd_oracle(dim, rows)
-    assert cones._vrep_from_constraints(dim, rows, rows[:2]) == vrep_oracle(dim, rows, rows[:2])
+    # the DD input is primitive: `cone_from_inequalities` makes it so
+    prim = [primitive(a) for a in rows if any(a)]
+    assert cones._vrep_from_constraints(dim, prim, rows[:2]) == vrep_oracle(dim, rows, rows[:2])
+    assert cone_from_inequalities(dim, rows, rows[:2]) == Cone._make(
+        dim, *vrep_oracle(dim, rows, rows[:2]))
 
 
 @given(lineality_rich_systems())

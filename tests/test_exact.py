@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutil import lattice_basis_extension_test
-from mockfan.exact import (ExactError, dot, gcd_all, hnf, integerize, is_zero_vec,
+from mockfan.exact import (ExactError, dot, hnf, integerize, is_zero_vec,
                            kernel_basis, primitive, rank, xgcd)
 
 vec = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(tuple)
@@ -213,9 +213,9 @@ def test_integerize():
 
 
 # -- the builtin-call kernel against its per-coordinate loop versions ------------
-# The oracles below are the loop versions the kernel had before `gcd_all`,
-# `primitive` and `is_zero_vec` became single builtin calls and `hnf` and
-# `kernel_basis` took their row operations through `zip`.
+# The oracles below are the loop versions the kernel had before `primitive`
+# and `is_zero_vec` became single builtin calls and `hnf` and `kernel_basis`
+# took their row operations through `zip`.
 
 def gcd_all_oracle(values) -> int:
     g = 0
@@ -290,8 +290,6 @@ any_vec = st.lists(st.integers(-30, 30) | st.just(0), max_size=6).map(tuple)
 @given(any_vec)
 @settings(max_examples=200)
 def test_gcd_primitive_and_zero_test_match_loop_oracles(v):
-    assert gcd_all(v) == gcd_all_oracle(v)
-    assert gcd_all(iter(v)) == gcd_all_oracle(v)
     assert is_zero_vec(v) == is_zero_vec_oracle(v)
     if gcd_all_oracle(v) == 0:
         with pytest.raises(ExactError, match="zero vector"):
@@ -305,9 +303,7 @@ def test_gcd_primitive_and_zero_test_match_loop_oracles(v):
 
 def test_kernel_edge_vectors_match_loop_oracles():
     for v in [(), (0,), (0, 0, 0), (-4,), (-6, -9), (0, -3, 0), (1,), (-1, 0, 1)]:
-        assert gcd_all(v) == gcd_all_oracle(v)
         assert is_zero_vec(v) == is_zero_vec_oracle(v)
-    assert gcd_all(()) == 0 and gcd_all((-6, -9)) == 3
     assert primitive((-6, -9)) == primitive_oracle((-6, -9)) == (-2, -3)
     for zero in [(), (0,), (0, 0)]:
         with pytest.raises(ExactError, match="zero vector"):

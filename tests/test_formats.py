@@ -27,6 +27,21 @@ def test_cone_roundtrip_byte_identical():
         assert formats.write_cone(formats.read_cone(text)) == text
 
 
+@pytest.mark.parametrize("cone, text", [
+    (cg(2, [(1, 0), (0, 1)]),
+     "schema mockfan.faces/1\nrank 2\nrays 2\n0 1\n1 0\nlineality 0\nfaces 4\n"
+     "face dim 0 rays\nface dim 1 rays 0\nface dim 1 rays 1\nface dim 2 rays 0 1\n"),
+    (cg(3, [(1, 0, 0), (1, 2, 0)], [(0, 1, 1)]),
+     "schema mockfan.faces/1\nrank 3\nrays 2\n1 0 0\n1 1 -1\nlineality 1\n0 1 1\nfaces 4\n"
+     "face dim 1 rays\nface dim 2 rays 0\nface dim 2 rays 1\nface dim 3 rays 0 1\n"),
+    (zero_cone(3),
+     "schema mockfan.faces/1\nrank 3\nrays 0\nlineality 0\nfaces 1\nface dim 0 rays\n"),
+], ids=["orthant", "lineality", "zero"])
+def test_faces_listing_is_unchanged(cone, text):
+    # the listings written before the face walk went up by covers
+    assert formats.write_faces(cone) == text
+
+
 def test_fan_roundtrip_byte_identical():
     f = fan_from_cones(2, [cg(2, [(1, 0), (0, 1)]), cg(2, [(0, 1), (-1, 0)])],
                        has_t=True)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genutil import (interior_lattice_point, lattice_points_in_support,
-                     random_orthant_chart, relative_interior_point)
+from genutil import (assert_walk_matches_oracle, interior_lattice_point,
+                     lattice_points_in_support, random_orthant_chart, relative_interior_point,
+                     tight_facets)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
@@ -479,7 +480,7 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
     item_planes = set(item_masks.values())
     if any(facet_masks[j] not in item_planes for j in cells):
         fail("a cell of C lies on no item's hyperplane")
-    if any(not any(facets[j][-1] > 0 for j in face.tight_facets) for face in faces):
+    if any(not any(facets[j][-1] > 0 for j in tight_facets(big, face.mask)) for face in faces):
         fail("a walked face lies in no cell")
     dims = {}
     for mask, cone in cone_of.items():
@@ -501,7 +502,7 @@ def _certify_lower_faces(chart: MockPolytopeChart, big: Cone, facet_masks: Seque
     for face, cone in zip(faces, proj_cones):
         if dims[face.mask] != d - 1:
             continue
-        around = [j for j in face.tight_facets if facets[j][-1] > 0]
+        around = [j for j in tight_facets(big, face.mask) if facets[j][-1] > 0]
         if len(around) == 2:
             a, b = around
             fa, fb = facets[a], facets[b]
@@ -603,8 +604,7 @@ def test_certificate_of_C_rejects_the_octahedron_with_a_facet_dropped():
     bad_c = cones.Cone(4, rays, (), facets, (), _token=cones._CONE_TOKEN)
     with pytest.raises(SubdivisionInconsistency,
                        match=r"differ at the ray or line \(-1, -1, -1, 1\)"):
-        subdivision._certify_lifted_cone(ch, bad_c, bad_c.facet_masks(),
-                                         *subdivision._lifted_item_masks(ch, rays))
+        subdivision._certify_lifted_cone(ch, bad_c, *subdivision._lifted_item_masks(ch, rays))
 
 
 @pytest.mark.parametrize("smaller, match", [
@@ -779,7 +779,7 @@ def faces_avoiding_apex_oracle(big):
     """The faces of C avoiding (0, 1), picked from its whole face lattice:
     those on some facet that pairs positively with (0, 1)."""
     return [f for f in big.faces()
-            if any(big.facets[j][-1] > 0 for j in f.tight_facets)]
+            if any(big.facets[j][-1] > 0 for j in tight_facets(big, f.mask))]
 
 
 def assert_graded_dims_equal_ranks(ch):
@@ -808,17 +808,37 @@ def test_graded_face_dims_equal_rank_on_the_zero_chart(n):
     assert_graded_dims_equal_ranks(zero_chart(GrassmannSpec(n, 2, 1)))
 
 
+def assert_walks_of_C_match_oracle(ch):
+    """Both walks of C against the closure oracle: the whole lattice, and
+    the lower faces, pruned to the facets positive on (0, 1)."""
+    big = dual_cone(build_D(ch))
+    assert_walk_matches_oracle(big)
+    assert_walk_matches_oracle(big, sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0))
+
+
+@given(general_charts())
+@settings(max_examples=60, deadline=None)
+def test_walks_of_C_match_the_closure_oracle_on_random_charts(ch):
+    assert_walks_of_C_match_oracle(ch)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_walks_of_C_match_the_closure_oracle_on_the_zero_chart(n):
+    assert_walks_of_C_match_oracle(zero_chart(GrassmannSpec(n, 2, 1)))
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 def test_certificate_rejects_a_wrong_grade(monkeypatch, dim):
     # one walked face of the given dimension is graded one too high
-    face_dims = cones.face_dims
+    def wrong_walk(c, lower):
+        faces = cones.walk_faces(c, lower)
+        k = min((i for i, f in enumerate(faces) if f.cone.dim() == dim),
+                key=lambda i: faces[i].mask)
+        f = faces[k]
+        faces[k] = Face(f.mask, Cone._trusted(c.rank, f.cone.rays, c.lineality, dim + 1))
+        return faces
 
-    def wrong_face_dims(masks, facet_masks):
-        dims = face_dims(masks, facet_masks)
-        dims[min(m for m in dims if dims[m] == dim)] += 1
-        return dims
-
-    monkeypatch.setattr(cones, "face_dims", wrong_face_dims)
+    monkeypatch.setattr(subdivision, "walk_faces", wrong_walk)
     with pytest.raises(SubdivisionInconsistency, match="graded dimension"):
         certify_lower_faces_of(triangle_chart())
 
@@ -876,8 +896,7 @@ def test_per_ray_projection_and_active_sets_on_the_zero_chart(n):
 
 def test_a_walked_ray_projecting_to_zero_is_an_inconsistency(monkeypatch):
     # as if the walk reached all of C, the apex ray (0, 0, 0, 1) included
-    monkeypatch.setattr(subdivision, "walk_faces", lambda c, start: cones.walk_faces(
-        c, [(1 << len(c.rays)) - 1]))
+    monkeypatch.setattr(subdivision, "walk_faces", lambda c, lower: cones.walk_faces(c))
     with pytest.raises(SubdivisionInconsistency, match="projects to zero"):
         subdivide_chart(triangle_chart(), verify=False)
 
