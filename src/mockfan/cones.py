@@ -11,13 +11,16 @@ an integer Gram-Schmidt basis of the lineality, each step scaled by o.o > 0
 so that no `Fraction` is needed: the primitive result is the rational
 projection cleared to integers.
 
-Representation conversion uses an incremental double description (DD) method
-over exact integers.  Both the V-representation (rays, lineality) and the
-H-representation (facet inequalities plus span equalities) are available on
-every cone; the H-side is computed lazily for cones created through trusted
-internal paths and eagerly for user-supplied generators.  A cone given by
-generators costs one DD (generators to facets); its rays and lineality are
-read off the generator x facet incidence (`cone_from_generators`).
+Representation conversion is one routine, `_canonical_vrep`: an incremental
+double description (DD) method over exact integers, then the canonical form,
+with one Hermite normal form (HNF) for the lineality when there is any.
+Both the V-representation (rays, lineality) and the H-representation (facet
+inequalities plus span equalities) are available on every cone; the H-side
+is computed lazily, by the same routine on the dual side, for cones created
+through trusted internal paths and eagerly for user-supplied generators.  A
+cone given by generators costs one DD (generators to facets); its rays and
+lineality are read off the generator x facet incidence
+(`cone_from_generators`).
 """
 
 from __future__ import annotations
@@ -156,14 +159,6 @@ def _representatives(vectors: Iterable[IntVec], lin: Sequence[IntVec]) -> tuple[
     return tuple(sorted(reps))
 
 
-def _saturated_subspace_basis(vectors: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
-    """Canonical (HNF) basis of span(vectors) ∩ Z^dim."""
-    vectors = [v for v in vectors if not is_zero_vec(v)]
-    if not vectors:
-        return ()
-    return kernel_basis(kernel_basis(vectors, dim), dim)
-
-
 def _lift(vectors: Iterable[IntVec], basis: Sequence[IntVec]) -> list[IntVec]:
     """Each coordinate vector c over `basis` as the vector sum c_i basis_i."""
     columns = list(zip(*basis))
@@ -201,6 +196,32 @@ def _vrep_from_constraints(dim: int, ineqs: Sequence[IntVec],
     return _dd(dim, uniq)
 
 
+def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
+                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Canonical rays and lineality of {x : <a,x> >= 0, <e,x> = 0}.
+
+    One DD (`_vrep_from_constraints`, so the inequalities must be nonzero
+    and primitive).  The lineality is {x : <a,x> = 0, <e,x> = 0}; when the
+    DD finds any, it is taken as the integer kernel of all the rows, one HNF
+    (`kernel_basis`), which is saturated and canonical.  The rays are the
+    orthogonal representatives modulo it (`_representatives`).
+    """
+    rays, lin = _vrep_from_constraints(rank, ineqs, eqs)
+    lin = kernel_basis(list(ineqs) + list(eqs), rank) if lin else ()
+    return _representatives(rays, lin), lin
+
+
+def _checked_rows(rank: int, rows: Iterable[Sequence[int]], what: str) -> list[IntVec]:
+    """The nonzero rows made primitive; ConeError if one is not of length `rank`."""
+    out = []
+    for v in rows:
+        if len(v) != rank:
+            raise ConeError(f"{what} rank {len(v)} does not match cone rank {rank}")
+        if any(v):
+            out.append(primitive(v))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the Cone type
 # ---------------------------------------------------------------------------
@@ -229,19 +250,7 @@ class Cone:
         self._facet_masks: Optional[tuple[int, ...]] = None
         self._hash = hash((rank, rays, lineality))
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _canonicalize(rank: int, raw_rays: Sequence[IntVec],
-                      raw_lin: Sequence[IntVec]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-        lin = _saturated_subspace_basis(raw_lin, rank)
-        return _representatives(raw_rays, lin), lin
-
-    @staticmethod
-    def _make(rank: int, rays: Sequence[IntVec], lineality: Sequence[IntVec],
-              facets=None, span_eqs=None) -> "Cone":
-        crays, clin = Cone._canonicalize(rank, rays, lineality)
-        return Cone(rank, crays, clin, facets, span_eqs, _token=_CONE_TOKEN)
+    # -- construction helper -------------------------------------------------
 
     @staticmethod
     def _trusted(rank: int, rays: tuple[IntVec, ...], lineality: tuple[IntVec, ...],
@@ -265,12 +274,10 @@ class Cone:
     def facets(self) -> tuple[IntVec, ...]:
         """Inner-normal facet inequality vectors (canonical, irredundant)."""
         if self._facets is None:
-            rays_d, lin_d = _vrep_from_constraints(
-                self.rank, list(self.rays), list(self.lineality))
-            facets, span_d = Cone._canonicalize(self.rank, rays_d, lin_d)
+            facets, span_eqs = _canonical_vrep(self.rank, self.rays, self.lineality)
             self._facets = facets
             if self._span_eqs is None:
-                self._span_eqs = span_d
+                self._span_eqs = span_eqs
         return self._facets
 
     # -- basic queries ---------------------------------------------------------
@@ -315,11 +322,14 @@ class Cone:
         return out
 
     def face_with_tight_set(self, tight: Iterable[int]) -> "Cone":
-        tight = set(tight)
-        facets = self.facets
-        rays = [r for r in self.rays if all(dot(r, facets[j]) == 0 for j in tight)]
-        return Cone(self.rank, tuple(rays), self.lineality, None, None,
-                    _token=_CONE_TOKEN)
+        """The face cut out by the facets indexed by `tight`: its rays are
+        the AND of their facet masks."""
+        facet_masks = self.facet_masks()
+        mask = (1 << len(self.rays)) - 1
+        for j in tight:
+            mask &= facet_masks[j]
+        rays = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
+        return Cone(self.rank, rays, self.lineality, None, None, _token=_CONE_TOKEN)
 
     # -- dunder ----------------------------------------------------------------
 
@@ -417,26 +427,14 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
       outside the lineality has a strictly larger tight set; every such
       tight set is one ray, whatever generator carries it.
 
-    Facets and rays are reduced modulo the span equalities and the
-    lineality by integer orthogonal projection and primitivized, as in
-    `Cone._canonicalize`.  Each kernel is the saturated lattice that
-    `_saturated_subspace_basis` would give by two HNFs.
+    The facets and span equalities come from `_canonical_vrep` on the dual
+    side, as for every conversion.  The rays are reduced modulo the
+    lineality by integer orthogonal projection and primitivized, as there.
+    Each kernel is a saturated lattice in Hermite form, so canonical.
     """
-    gens = []
-    for g in generators:
-        if len(g) != rank:
-            raise ConeError(f"generator rank {len(g)} does not match cone rank {rank}")
-        if not is_zero_vec(g):
-            gens.append(primitive(g))
-    lins = []
-    for g in lineality_generators:
-        if len(g) != rank:
-            raise ConeError(f"lineality rank {len(g)} does not match cone rank {rank}")
-        if not is_zero_vec(g):
-            lins.append(primitive(g))
-    facets_raw, span_raw = _vrep_from_constraints(rank, gens, lins)
-    span_eqs = kernel_basis(gens + lins, rank) if span_raw else ()
-    facets = _representatives(facets_raw, span_eqs)
+    gens = _checked_rows(rank, generators, "generator")
+    lins = _checked_rows(rank, lineality_generators, "lineality")
+    facets, span_eqs = _canonical_vrep(rank, gens, lins)
     full = (1 << len(facets)) - 1
     ray_of_mask: dict[int, IntVec] = {}
     for g in gens:
@@ -456,10 +454,13 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],
                            equalities: Sequence[Sequence[int]] = ()) -> Cone:
-    """Canonical cone {x : <a,x> >= 0, <e,x> = 0}; facet data computed lazily."""
-    rays_raw, lin_raw = _vrep_from_constraints(
-        rank, [primitive(a) for a in inequalities if any(a)], [tuple(e) for e in equalities])
-    return Cone._make(rank, rays_raw, lin_raw)
+    """Canonical cone {x : <a,x> >= 0, <e,x> = 0}; facet data computed lazily.
+
+    Every row must have length `rank` (ConeError otherwise).
+    """
+    rays, lin = _canonical_vrep(rank, _checked_rows(rank, inequalities, "inequality"),
+                                _checked_rows(rank, equalities, "equality"))
+    return Cone(rank, rays, lin, None, None, _token=_CONE_TOKEN)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -495,4 +496,4 @@ def is_face_of(face: Cone, c: Cone) -> bool:
 
 
 def zero_cone(rank: int) -> Cone:
-    return Cone._make(rank, (), ())
+    return Cone._trusted(rank, (), (), 0)

@@ -6,10 +6,10 @@ exact arithmetic, so this module works with arbitrary-precision ints and
 
 Conventions: a lattice vector is a tuple of ints, a matrix is a sequence of
 row vectors of equal length.  Normal forms use fraction-free integer
-algorithms (Bareiss elimination, unimodular row operations).  `Fraction`
-appears only in `rank` and `integerize`.  The hot helpers are one builtin
-call per vector: `math.gcd(*v)` in `primitive`, `not any(v)` in
-`is_zero_vec`, and `zip` for the row operations of `hnf`.
+algorithms (Bareiss elimination, unimodular row operations), on integer
+rows only; `Fraction` is accepted by `dot` and `is_zero_vec` alone.  The
+hot helpers are one builtin call per vector: `math.gcd(*v)` in `primitive`,
+`not any(v)` in `is_zero_vec`, and `zip` for the row operations of `hnf`.
 """
 
 from __future__ import annotations
@@ -73,22 +73,10 @@ def primitive(v: Sequence[int]) -> IntVec:
     return tuple(x // g for x in v)
 
 
-def integerize(v: Sequence[Scalar]) -> IntVec:
-    """Clear denominators and primitivize a nonzero rational vector."""
-    fracs = [Fraction(x) for x in v]
-    den = lcm_all(f.denominator for f in fracs) if fracs else 1
-    return primitive(tuple(int(f * den) for f in fracs))
-
-
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination.
-
-    Integer rows go to the elimination as they are; a row holding a
-    Fraction is scaled to a primitive integer row first, which does not
-    change the rank.
-    """
-    m = [list(r) if all(isinstance(x, int) for x in r) else list(integerize(r))
-         for r in rows if not is_zero_vec(r)]
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of integer rows via fraction-free (Bareiss)
+    elimination."""
+    m = [list(r) for r in rows if any(r)]
     if not m:
         return 0
     ncols = len(m[0])

@@ -20,7 +20,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .cones import Cone, intersect, is_subcone, zero_cone
-from .exact import dot, lcm_all
+from .exact import dot, lcm_all, primitive
 
 
 class FanError(ValueError):
@@ -51,10 +51,15 @@ def euler_char_height1(c: Cone) -> int:
 
 
 def rescale_cone(c: Cone, n: int) -> Cone:
-    """Image of a cone under (v, t) -> (n*v, t); t is the last coordinate."""
-    mapped_rays = [tuple(n * x for x in r[:-1]) + (r[-1],) for r in c.rays]
-    mapped_lin = [tuple(n * x for x in v[:-1]) + (v[-1],) for v in c.lineality]
-    return Cone._make(c.rank, mapped_rays, mapped_lin)
+    """Image of a strongly convex cone under (v, t) -> (n*v, t); t is the
+    last coordinate.  The map is invertible, so the primitive images of the
+    extreme rays are the extreme rays of the image, of the same dimension."""
+    if n < 1:
+        raise FanError("rescale factor must be a positive integer")
+    if c.lineality:
+        raise FanError("rescale_cone requires a strongly convex cone")
+    rays = sorted(primitive(tuple(n * x for x in r[:-1]) + (r[-1],)) for r in c.rays)
+    return Cone._trusted(c.rank, tuple(rays), (), c.dim())
 
 
 # ---------------------------------------------------------------------------

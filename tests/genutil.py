@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
-
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from mockfan import cones
 from mockfan.cones import Cone, ConeError, cone_from_generators, walk_faces
-from mockfan.exact import ExactError, dot, hnf, kernel_basis, rank
+from mockfan.exact import ExactError, dot, hnf, kernel_basis, lcm_all, primitive, rank
 from mockfan.subdivision import LiftedExponent, MockPolytopeChart
 
 
@@ -161,3 +162,28 @@ def assert_walk_matches_oracle(c: Cone, lower: Optional[int] = None):
     assert ({f.mask: (f.cone.rays, f.cone.lineality, f.cone.dim()) for f in walked}
             == {mask: (tuple(r for i, r in enumerate(c.rays) if mask >> i & 1),
                        c.lineality, len(c.lineality) + dims[mask]) for mask in masks})
+
+
+# -- the canonical form by two HNFs per lattice: the oracle of `_canonical_vrep` --
+
+def integerize(v) -> tuple[int, ...]:
+    """Clear denominators and primitivize a nonzero rational vector."""
+    fracs = [Fraction(x) for x in v]
+    den = lcm_all(f.denominator for f in fracs) if fracs else 1
+    return primitive(tuple(int(f * den) for f in fracs))
+
+
+def saturated_subspace_basis(vectors, dim: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical (HNF) basis of span(vectors) ∩ Z^dim: the kernel of the kernel."""
+    vectors = [v for v in vectors if any(v)]
+    if not vectors:
+        return ()
+    return kernel_basis(kernel_basis(vectors, dim), dim)
+
+
+def make_cone(rank: int, rays, lineality) -> Cone:
+    """The canonical cone of raw rays over a raw lineality spanning set: the
+    lineality as `saturated_subspace_basis`, the rays reduced modulo it."""
+    lin = saturated_subspace_basis(lineality, rank)
+    return Cone(rank, cones._representatives(rays, lin), lin, None, None,
+                _token=cones._CONE_TOKEN)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (assert_walk_matches_oracle, is_unimodular, random_cone,
-                     random_generators, relative_interior_point, tight_facets)
+from genutil import (assert_walk_matches_oracle, integerize, is_unimodular, make_cone,
+                     random_cone, random_generators, relative_interior_point,
+                     saturated_subspace_basis, tight_facets)
 from mockfan import cones
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
                            is_face_of, is_subcone, zero_cone)
-from mockfan.exact import (dot, integerize, is_zero_vec, kernel_basis, primitive,
+from mockfan.exact import (dot, is_zero_vec, kernel_basis, primitive,
                            rank as matrix_rank, vec_neg)
 
 
@@ -25,6 +26,16 @@ def test_from_generators_drops_redundant():
     c = cone_from_generators(2, [(1, 0), (0, 1), (1, 1)])
     assert c.rays == ((0, 1), (1, 0))
     assert c.lineality == ()
+
+
+@pytest.mark.parametrize("rank, ineqs, eqs", [
+    (2, [(1, 0, 0)], []),
+    (3, [(1, 0)], []),
+    (2, [(1, 0)], [(0, 1, 5)]),
+])
+def test_from_inequalities_rejects_rows_of_another_rank(rank, ineqs, eqs):
+    with pytest.raises(ConeError, match="does not match cone rank"):
+        cone_from_inequalities(rank, ineqs, eqs)
 
 
 def test_from_generators_extracts_lineality():
@@ -218,7 +229,7 @@ def fraction_reduction(v, basis):
 
 
 def oracle_canonicalize(rank, raw_rays, raw_lin):
-    lin = cones._saturated_subspace_basis(raw_lin, rank)
+    lin = saturated_subspace_basis(raw_lin, rank)
     rays = {fraction_reduction(r, lin) for r in raw_rays if any(r)}
     return tuple(sorted(rays - {None})), lin
 
@@ -300,7 +311,7 @@ def test_single_dd_construction_edge_cases(rank, gens, lins):
 @settings(max_examples=300, deadline=None)
 def test_integer_reduction_equals_fraction_reduction(data):
     v, vectors = data
-    lin = cones._saturated_subspace_basis(vectors, len(v))
+    lin = saturated_subspace_basis(vectors, len(v))
     ortho = cones._orthogonal_basis(lin)
     assert all(dot(a, b) == 0 for a, b in itertools.combinations(ortho, 2))
     expected = fraction_reduction(v, lin) if any(v) else None
@@ -492,7 +503,7 @@ def vrep_oracle(dim, ineqs, eqs):
 
 
 def canonicalize_oracle(rank, raw_rays, raw_lin):
-    lin = cones._saturated_subspace_basis(raw_lin, rank)
+    lin = saturated_subspace_basis(raw_lin, rank)
     ortho = cones._orthogonal_basis(lin)
     rays = set()
     for r in raw_rays:
@@ -519,7 +530,7 @@ def cone_from_generators_oracle(rank, generators, lineality_generators=()):
             lins.append(g)
         else:
             ray_of_mask.setdefault(mask, g)
-    lin = cones._saturated_subspace_basis(lins, rank)
+    lin = saturated_subspace_basis(lins, rank)
     ortho = cones._orthogonal_basis(lin)
     rays = sorted(cones._orthogonal_representative(g, ortho)
                   for mask, g in ray_of_mask.items()
@@ -559,8 +570,27 @@ def test_dd_equals_per_coordinate_oracle_in_order(system):
     # the DD input is primitive: `cone_from_inequalities` makes it so
     prim = [primitive(a) for a in rows if any(a)]
     assert cones._vrep_from_constraints(dim, prim, rows[:2]) == vrep_oracle(dim, rows, rows[:2])
-    assert cone_from_inequalities(dim, rows, rows[:2]) == Cone._make(
+    assert cone_from_inequalities(dim, rows, rows[:2]) == make_cone(
         dim, *vrep_oracle(dim, rows, rows[:2]))
+
+
+@given(generator_sets())
+@settings(max_examples=150, deadline=None)
+def test_lazy_facets_of_every_face_equal_the_two_hnf_oracle(data):
+    rank, gens, lins = data
+    for c in (cone_from_generators(rank, gens, lins), cone_from_inequalities(rank, gens, lins)):
+        for facets_first in (True, False):
+            for face in cones.walk_faces(c):
+                f = face.cone
+                assert f._facets is None and f._span_eqs is None
+                if facets_first:
+                    got = f.facets, f.span_eqs
+                else:
+                    span_eqs = f.span_eqs
+                    got = f.facets, span_eqs
+                expected = oracle_canonicalize(
+                    rank, *vrep_oracle(rank, list(f.rays), list(f.lineality)))
+                assert got == expected
 
 
 @given(lineality_rich_systems())

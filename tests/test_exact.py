@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import lattice_basis_extension_test
-from mockfan.exact import (ExactError, dot, hnf, integerize, is_zero_vec,
+from genutil import integerize, lattice_basis_extension_test
+from mockfan.exact import (ExactError, dot, hnf, is_zero_vec,
                            kernel_basis, primitive, rank, xgcd)
 
 vec = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(tuple)
@@ -114,31 +114,6 @@ def test_rank_invariant_under_row_ops(rows, rnd):
         modified[i] = tuple(a + 3 * b for a, b in zip(rows[i], rows[j]))
         if i != j:
             assert rank(modified) == r
-
-
-def test_rank_accepts_rational_rows():
-    from fractions import Fraction
-    assert rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1  # parallel rows
-    assert rank([(Fraction(1, 2), Fraction(1, 3)), (1, 0)]) == 2
-
-
-nonzero_rational = st.fractions(min_value=-50, max_value=50,
-                                max_denominator=30).filter(lambda q: q != 0)
-
-
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-           st.lists(st.integers(-12, 12), min_size=n, max_size=n).map(tuple),
-           min_size=1, max_size=7)),
-       st.data())
-@settings(max_examples=150)
-def test_integer_rank_matches_rank_of_scaled_fraction_rows(rows, data):
-    # integer rows skip integerize; the same rows as Fractions, each scaled
-    # by a nonzero rational, take the integerize path and must agree
-    scales = data.draw(st.lists(nonzero_rational, min_size=len(rows),
-                                max_size=len(rows)))
-    scaled = [tuple(Fraction(x) * q for x in r) for r, q in zip(rows, scales)]
-    assert rank(scaled) == rank(rows)
-    assert rank(rows + scaled) == rank(rows)
 
 
 def test_hnf_canonical_for_row_lattice():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from genutil import (random_orthant_chart, relative_interior_contains,
                      relative_interior_point)
 from mockfan.cones import cone_from_generators as cg
+from mockfan import cones
 from mockfan.cones import intersect, is_face_of, is_subcone, zero_cone
 from mockfan.exact import rank as matrix_rank
 from mockfan.fans import (Fan, FanError, euler_char_height1, fan_from_cones,
@@ -15,6 +16,7 @@ from mockfan.fans import (Fan, FanError, euler_char_height1, fan_from_cones,
                           is_refinement, is_special_cone,
                           is_specifically_reduced, rescale, rescale_cone,
                           specifically_reduced_scale)
+from mockfan.grassmann import GrassmannSpec, zero_chart
 from mockfan.subdivision import rescaled_chart, subdivide_chart
 
 
@@ -130,6 +132,41 @@ def test_rescale_composition_and_bounded_bijection():
             assert bounded_images == set(r.bounded_cones())
             specials = {rescale_cone(c, n) for c in fan.special_cones()}
             assert specials == set(r.special_cones())
+
+
+@given(st.integers(0, 10**6), st.integers(2, 6))
+@settings(max_examples=40, deadline=None)
+def test_rescale_cone_equals_the_generated_image(seed, n):
+    fan = subdivide_chart(random_orthant_chart(random.Random(seed))).projected_fan
+    for c in fan:
+        image = rescale_cone(c, n)
+        expected = cg(c.rank, [tuple(n * x for x in r[:-1]) + (r[-1],) for r in c.rays])
+        assert image == expected
+        assert image.dim() == expected.dim() == c.dim()
+        assert (image.facets, image.span_eqs) == (expected.facets, expected.span_eqs)
+
+
+def test_rescale_cone_rejects_lineality_and_non_positive_factors():
+    with pytest.raises(FanError, match="strongly convex"):
+        rescale_cone(cg(2, [(1, 1)], [(1, 0)]), 2)
+    for n in (0, -1):
+        with pytest.raises(FanError, match="positive integer"):
+            rescale_cone(cg(3, [(1, 0, 1), (0, 1, 1)]), n)
+
+
+def test_rescale_computes_no_rank(monkeypatch):
+    fan = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)), verify=False).projected_fan
+    ranks = []
+    real = cones.matrix_rank
+
+    def spy(rows):
+        ranks.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(cones, "matrix_rank", spy)
+    scaled = rescale(fan, 2)
+    assert ranks == []
+    assert len(scaled) == len(fan)
 
 
 def test_refinement_commutes_with_rescale():

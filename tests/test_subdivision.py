@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genutil import (assert_walk_matches_oracle, interior_lattice_point,
-                     lattice_points_in_support, random_orthant_chart, relative_interior_point,
-                     tight_facets)
+                     lattice_points_in_support, make_cone, random_orthant_chart,
+                     relative_interior_point, tight_facets)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
@@ -872,8 +872,7 @@ def assert_per_ray_data_equal_per_face_oracles(ch):
                        for it in ch.items]
         projections = []
         for face in res.faces_avoiding:
-            proj = cones.Cone._make(ch.ambient_dual_rank,
-                                    [x[:-1] for x in face.cone.rays], ())
+            proj = make_cone(ch.ambient_dual_rank, [x[:-1] for x in face.cone.rays], ())
             assert proj.rays == fan_cones[proj].rays
             assert proj.dim() == fan_cones[proj].dim() == face.cone.dim()
             assert res.active_sets[proj] == frozenset(
