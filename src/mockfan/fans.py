@@ -131,38 +131,40 @@ def _cone_sort_key(c: Cone):
 def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan:
     """Close the given cones under faces and verify the fan conditions.
 
-    Raises FanError("not a fan") when two cones meet outside a common face,
-    naming the cones, and rejects non-strongly-convex members.  For
-    t-flagged fans every ray must have nonnegative t-coordinate (height-one
-    semantics break otherwise).
+    Checks run in this order: each member's rank, in input order; then
+    "member cone is not strongly convex" if any member has lineality; then,
+    on t-flagged fans, "negative t" if any member has a ray with t < 0
+    (height-one semantics break otherwise).
 
-    Faces lie inside their cone, so the maximal cones of the face closure
-    are input cones, and only their faces are walked: every member must be
-    one of them, and two maximal cones must meet in a face of each, which
-    together with face closure is the full pairwise condition.  Canonical
-    form makes equal point sets equal structures, so membership in the
-    face set of m is exactly the test `is_face_of(meet, m)`.
+    One pass goes over the members, largest first, sorted by (-dim, rays).
+    A member already in the face closure is skipped.  A member inside an
+    earlier maximal cone is not a face of it, nor of any later one, so it is
+    the stray and is named.  Any other member is maximal, and its faces
+    join the closure.  Two maximal cones must then meet in a face of each,
+    which together with face closure is the full pairwise condition.
+    Canonical form makes equal point sets equal structures, so membership in
+    the face set of m is exactly the test `is_face_of(meet, m)`.
     """
     members: set[Cone] = set()
     for c in cones:
         if c.rank != rank:
             raise FanError(f"cone rank {c.rank} does not match fan rank {rank}")
-        if not c.is_strongly_convex():
-            raise FanError("not a fan: member cone is not strongly convex")
-        if has_t and any(r[-1] < 0 for r in c.rays):
-            raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
         members.add(c)
-    maximal: list[Cone] = []
+    if not all(c.is_strongly_convex() for c in members):
+        raise FanError("not a fan: member cone is not strongly convex")
+    if has_t and any(r[-1] < 0 for c in members for r in c.rays):
+        raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
+    faces_of: dict[Cone, set[Cone]] = {}
+    closed: set[Cone] = set()
     for c in sorted(members or [zero_cone(rank)], key=lambda c: (-c.dim(), c.rays)):
-        if not any(is_subcone(c, m) for m in maximal):
-            maximal.append(c)
-    faces_of = {m: {f.cone for f in m.faces()} for m in maximal}
-    closed = set().union(*faces_of.values())
-    if not members <= closed:
-        stray = min(members - closed, key=_cone_sort_key)
-        raise FanError("not a fan: cone is not a face of any maximal cone: "
-                       f"{list(stray.rays)}")
-    for m1, m2 in itertools.combinations(maximal, 2):
+        if c in closed:
+            continue
+        if any(is_subcone(c, m) for m in faces_of):
+            raise FanError("not a fan: cone is not a face of any maximal cone: "
+                           f"{list(c.rays)}")
+        faces_of[c] = {f.cone for f in c.faces()}
+        closed |= faces_of[c]
+    for m1, m2 in itertools.combinations(faces_of, 2):
         meet = intersect(m1, m2)
         if meet not in faces_of[m1] or meet not in faces_of[m2]:
             raise FanError("not a fan: intersection is not a common face: "

@@ -30,6 +30,8 @@ a negative rank or count, a wrong `rendered` line, and text after the end.
 A fan is read through its maximal cones (`_read_fan_body`): a listed face of
 one needs no DD, as a set of extreme rays closed under the facet masks
 generates exactly that face, which `fan_from_cones` adds by face closure.
+A listing that is no fan fails with the message of its cone-by-cone
+reading, from one `fan_from_cones` call.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .cones import Cone, cone_from_generators
-from .fans import Fan, FanError, fan_from_cones
+from .fans import Fan, fan_from_cones
 from .subdivision import LiftedExponent, MockPolytopeChart
 from .volume import ClassLabel, FormalSum, StratumAnnotation
 
@@ -145,7 +147,7 @@ def read_cone(text: str) -> Cone:
 
 # -- fans ----------------------------------------------------------------------
 
-def _fan_body(f: Fan) -> tuple[list[str], dict]:
+def _fan_body(f: Fan) -> list[str]:
     ray_index: dict = {}
     rays: list[tuple[int, ...]] = []
     for c in f.cones:
@@ -160,12 +162,11 @@ def _fan_body(f: Fan) -> tuple[list[str], dict]:
     for c in f.cones:
         idx = " ".join(str(ray_index[r]) for r in c.rays)
         out.append(f"cone {idx}".rstrip())
-    return out, ray_index
+    return out
 
 
 def write_fan(f: Fan) -> str:
-    body, _ = _fan_body(f)
-    return "\n".join([f"schema {FAN_SCHEMA}"] + body) + "\n"
+    return "\n".join([f"schema {FAN_SCHEMA}"] + _fan_body(f)) + "\n"
 
 
 def _read_fan_body(lines: _Lines) -> Fan:
@@ -174,8 +175,15 @@ def _read_fan_body(lines: _Lines) -> Fan:
     Cones go largest ray-index set first; one whose index set lies in no
     candidate's is a candidate.  One whose generators are rays of a
     containing candidate, with a mask equal to the meet of its facet masks
-    over that mask, is that face and is not built; the rest are.  A listing
-    that is no fan is built again cone by cone, to name the same bad cone.
+    over that mask, is that face and is not built; the rest are.
+
+    A listing that is no fan fails as its cone-by-cone reading would, with
+    the same message: a skipped cone is a face of a built candidate, so if
+    the candidate has lineality the convexity check fires in both readings;
+    otherwise the face has no ray the candidate lacks, so it comes after the
+    candidate in the one sorted pass of `fan_from_cones`.  When the pass gets
+    to it, it is in the face closure (a face of a face is a face), unless the
+    pass has already stopped at its candidate as the stray.
     """
     rank = _nonnegative(lines, "rank")
     has_t = _one_int(lines.expect("has_t"), "has_t")
@@ -201,11 +209,7 @@ def _read_fan_body(lines: _Lines) -> Fan:
         if not containing:
             candidates.append((mask, {r: 1 << i for i, r in enumerate(cones[-1].rays)},
                                cones[-1].facet_masks(), (1 << len(cones[-1].rays)) - 1))
-    try:
-        return fan_from_cones(rank, cones, has_t=bool(has_t))
-    except FanError:
-        cones = [cone_from_generators(rank, gens) for _, gens in listed]
-        return fan_from_cones(rank, cones, has_t=bool(has_t))
+    return fan_from_cones(rank, cones, has_t=bool(has_t))
 
 
 def _generates_a_face(candidate: tuple, gens: Sequence[tuple[int, ...]]) -> bool:
@@ -272,8 +276,7 @@ def read_chart(text: str) -> MockPolytopeChart:
 # -- results (fan + active sets) ------------------------------------------------
 
 def write_result(fan: Fan, active_sets: Mapping[Cone, frozenset[str]]) -> str:
-    body, _ = _fan_body(fan)
-    out = [f"schema {RESULT_SCHEMA}"] + body
+    out = [f"schema {RESULT_SCHEMA}"] + _fan_body(fan)
     out.append(f"active_sets {len(fan.cones)}")
     for idx, c in enumerate(fan.cones):
         ids = " ".join(sorted(active_sets.get(c, frozenset())))

@@ -28,8 +28,8 @@ P^(2n-5), four symbolic strata).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
 from .cones import Cone, cone_from_generators
@@ -165,17 +165,10 @@ def varpi_alpha(n: int, alpha: Alpha) -> IntVec:
 
 
 def weight_split(n: int, alpha: Alpha) -> tuple[int, int, int]:
-    """(c0, c1, c2): the weight of alpha on J0, J1, J2."""
-    data = index_data(n)
-    c0 = c1 = c2 = 0
-    for a, pair in zip(alpha, data.J):
-        if pair == (0, 1):
-            c0 += a
-        elif pair[0] < 2:
-            c1 += a
-        else:
-            c2 += a
-    return c0, c1, c2
+    """(c0, c1, c2): the weight of alpha on J0, J1, J2, which are the
+    contiguous slices J[:1], J[1:k] and J[k:] of J, with k = 1 + |J1|."""
+    k = 1 + len(index_data(n).J1)
+    return alpha[0], sum(alpha[1:k]), sum(alpha[k:])
 
 
 def kappa(spec: GrassmannSpec, alpha: Alpha) -> int:
@@ -190,21 +183,14 @@ def kappa(spec: GrassmannSpec, alpha: Alpha) -> int:
 
 def enumerate_S(spec: GrassmannSpec) -> list[Alpha]:
     """All degree-d multidegrees over J, in lexicographic order."""
-    data = index_data(spec.n)
-    m = len(data.J)
+    m = len(index_data(spec.n).J)
     out: list[Alpha] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == m - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + [a], remaining - a, pos + 1)
-
-    rec([], spec.d, 0)
-    out.sort()
-    assert len(out) == comb(m + spec.d - 1, spec.d)
-    return out
+    for slots in itertools.combinations_with_replacement(range(m), spec.d):
+        alpha = [0] * m
+        for k in slots:
+            alpha[k] += 1
+        out.append(tuple(alpha))
+    return sorted(out)
 
 
 def stratify_S(spec: GrassmannSpec, d0: int, d1: int, d2: int) -> list[Alpha]:

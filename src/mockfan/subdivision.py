@@ -121,7 +121,6 @@ class MockPolytopeChart:
         return all(dot(v, g) >= 0 for g in self.sigma_dual_generators)
 
 
-@functools.lru_cache(maxsize=128)
 def support_cone(chart: MockPolytopeChart) -> Cone:
     """The chart support: the dual of the cone its sigma-duals generate."""
     return dual_cone(cone_from_generators(
@@ -239,7 +238,7 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
             "subdivision inconsistency: projection identified two faces")
     item_masks, negative = _lifted_item_masks(chart, big.rays)
     if verify:
-        _certify_lifted_cone(chart, big, item_masks, negative)
+        _certify_lifted_cone(chart, big, support.dim(), item_masks, negative)
     fan = Fan._trusted(r, proj_cones, True)
     zero_on = [0] * len(big.rays)
     for k, it in enumerate(chart.items):
@@ -281,8 +280,8 @@ def _lifted_item_masks(chart: MockPolytopeChart, rays: Sequence[IntVec]
     return masks, negative
 
 
-def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, item_masks: Mapping[IntVec, int],
-                         negative: Sequence[IntVec]) -> None:
+def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, d: int,
+                         item_masks: Mapping[IntVec, int], negative: Sequence[IntVec]) -> None:
     """Certify that C = `big` is D^vee, for D spanned by the chart's own
     generators G, the sigma duals (g, 0) and lifted items (w, 1).  With R,
     F, E the rays, facets and span equalities of C, and d = dim S:
@@ -298,8 +297,9 @@ def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, item_masks: Mappin
     2, so D^vee lies in {x : Fx >= 0, Ex = 0} = cone(R); with 1, C = D^vee.
     The lower faces of an exact C, which the walk finds, project to the
     chart's regular subdivision (De Loera-Rambau-Santos, Triangulations,
-    ch. 2 and 5).  Trusted: d, from `support_cone`, and the second DD, which
-    runs on other input than the DD that made C and must reproduce its rays.
+    ch. 2 and 5).  Trusted: d, passed in by `subdivide_chart` from the S it
+    built, and the second DD, which runs on other input than the DD that
+    made C and must reproduce its rays.
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
@@ -320,7 +320,6 @@ def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, item_masks: Mappin
         g = generator_of.get(m)
         if g is None or _orthogonal_representative(g, ortho) != f:
             fail(f"facet {f} of C is no generator of D")
-    d = support_cone(chart).dim()
     if matrix_rank(rays) != d + 1:
         fail(f"the rays of C have rank {matrix_rank(rays)}, not {d + 1}")
     again = cone_from_inequalities(big.rank, facets, eqs)

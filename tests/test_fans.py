@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from genutil import (random_orthant_chart, relative_interior_contains,
                      relative_interior_point)
 from mockfan.cones import cone_from_generators as cg
-from mockfan import cones
+from mockfan import cones, fans
 from mockfan.cones import intersect, is_face_of, is_subcone, zero_cone
 from mockfan.exact import rank as matrix_rank
 from mockfan.fans import (Fan, FanError, euler_char_height1, fan_from_cones,
@@ -265,6 +265,23 @@ def test_member_inside_a_maximal_cone_but_not_a_face_rejected():
     with pytest.raises(FanError, match="not a face of any maximal cone") as info:
         fan_from_cones(2, [cg(2, [(1, 0), (0, 1)]), cg(2, [(1, 1)])])
     assert str([(1, 1)]) in str(info.value)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_convexity_is_checked_before_t_whatever_the_member_order(reverse):
+    family = [cg(2, [(1, -1)]), cg(2, [(0, 1)], [(1, 0)])]
+    with pytest.raises(FanError, match="not strongly convex"):
+        fan_from_cones(2, family[::-1] if reverse else family, has_t=True)
+
+
+def test_the_pass_tests_each_maximal_cone_against_earlier_ones_only(monkeypatch):
+    fan = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)), verify=False).projected_fan
+    calls = []
+    real = fans.is_subcone
+    monkeypatch.setattr(fans, "is_subcone", lambda *args: calls.append(args) or real(*args))
+    assert fan_from_cones(fan.rank, list(fan), has_t=True) == fan
+    k = sum(not any(set(c.rays) < set(d.rays) for d in fan) for c in fan)
+    assert len(calls) <= k * (k - 1) // 2
 
 
 def test_direct_fan_construction_forbidden():

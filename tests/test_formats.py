@@ -459,10 +459,11 @@ READER_CASES = {
     "a candidate with lineality": (
         fan_text([(1, 0), (-1, 0), (0, 1)], [(0, 1, 2), (0,), ()]),
         (FanError, "not a fan: member cone is not strongly convex")),
-    # the smallest stray cone is the ray (1, 1), a face of the listed cone 0 2
+    # the listed cone 0 2 lies in the quadrant 0 1 without being a face of
+    # it: the first stray of the pass; its face, the ray (1, 1), comes later
     "a listed face of a non-face": (
         fan_text([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (2,)]),
-        (FanError, "not a fan: cone is not a face of any maximal cone: [(1, 1)]")),
+        (FanError, "not a fan: cone is not a face of any maximal cone: [(1, 0), (1, 1)]")),
 }
 
 

@@ -93,6 +93,46 @@ def test_enumerate_and_stratify():
         stratify_S(spec, 1, 1, 1)
 
 
+def enumerate_S_oracle(spec):
+    """S by recursion over the slots of J, one prefix copy per step: the
+    enumeration `enumerate_S` replaced."""
+    m = len(index_data(spec.n).J)
+    out = []
+
+    def rec(prefix, remaining, pos):
+        if pos == m - 1:
+            out.append(tuple(prefix + [remaining]))
+            return
+        for a in range(remaining, -1, -1):
+            rec(prefix + [a], remaining - a, pos + 1)
+
+    rec([], spec.d, 0)
+    out.sort()
+    assert len(out) == comb(m + spec.d - 1, spec.d)
+    return out
+
+
+def weight_split_oracle(n, alpha):
+    """(c0, c1, c2) by the pair behind each slot of J."""
+    c0 = c1 = c2 = 0
+    for a, pair in zip(alpha, index_data(n).J):
+        if pair == (0, 1):
+            c0 += a
+        elif pair[0] < 2:
+            c1 += a
+        else:
+            c2 += a
+    return c0, c1, c2
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 3), (6, 4), (8, 2), (12, 2), (16, 2), (6, 5)])
+def test_S_and_weight_splits_match_the_slot_by_slot_oracles(n, d):
+    spec = GrassmannSpec(n, d)
+    S = enumerate_S(spec)
+    assert S == enumerate_S_oracle(spec)
+    assert [weight_split(n, a) for a in S] == [weight_split_oracle(n, a) for a in S]
+
+
 def expected_active_sets_oracle(spec):
     """Each cone's strata, one `stratify_S` call (a full scan of S) each."""
     d = spec.d

@@ -604,7 +604,8 @@ def test_certificate_of_C_rejects_the_octahedron_with_a_facet_dropped():
     bad_c = cones.Cone(4, rays, (), facets, (), _token=cones._CONE_TOKEN)
     with pytest.raises(SubdivisionInconsistency,
                        match=r"differ at the ray or line \(-1, -1, -1, 1\)"):
-        subdivision._certify_lifted_cone(ch, bad_c, *subdivision._lifted_item_masks(ch, rays))
+        subdivision._certify_lifted_cone(ch, bad_c, support_cone(ch).dim(),
+                                         *subdivision._lifted_item_masks(ch, rays))
 
 
 @pytest.mark.parametrize("smaller, match", [
