@@ -321,15 +321,21 @@ class Cone:
         out.sort(key=lambda f: (f.cone.dim(), f.cone.rays))
         return out
 
-    def face_with_tight_set(self, tight: Iterable[int]) -> "Cone":
-        """The face cut out by the facets indexed by `tight`: its rays are
-        the AND of their facet masks."""
-        facet_masks = self.facet_masks()
-        mask = (1 << len(self.rays)) - 1
-        for j in tight:
-            mask &= facet_masks[j]
-        rays = tuple(r for i, r in enumerate(self.rays) if mask >> i & 1)
-        return Cone(self.rank, rays, self.lineality, None, None, _token=_CONE_TOKEN)
+    def face_mask(self, rays: Iterable[IntVec]) -> Optional[int]:
+        """The ray mask of the face whose extreme rays are exactly `rays`, or
+        None when there is no such face: one of `rays` is not a canonical ray
+        of this cone, or their mask is not the meet of the facet masks that
+        hold it."""
+        bit_of = {r: 1 << i for i, r in enumerate(self.rays)}
+        bits = {bit_of.get(r) for r in rays}
+        if None in bits:
+            return None
+        mask = sum(bits)
+        meet = (1 << len(self.rays)) - 1
+        for fm in self.facet_masks():
+            if mask & ~fm == 0:
+                meet &= fm
+        return mask if meet == mask else None
 
     # -- dunder ----------------------------------------------------------------
 
@@ -487,12 +493,14 @@ def is_subcone(inner: Cone, outer: Cone) -> bool:
 
 
 def is_face_of(face: Cone, c: Cone) -> bool:
-    """True iff `face` equals c cut by the facets of c that are tight on it."""
-    if face.rank != c.rank or not is_subcone(face, c):
-        return False
-    gens = list(face.rays) + list(face.lineality)
-    tight = [j for j, f in enumerate(c.facets) if all(dot(g, f) == 0 for g in gens)]
-    return c.face_with_tight_set(tight) == face
+    """True iff `face` is a face of c.
+
+    Both cones are canonical, so a face of c has c's lineality (the same
+    Hermite basis) and a subset of c's rays, and it is a face iff that
+    subset is a face mask (`Cone.face_mask`).
+    """
+    return (face.rank == c.rank and face.lineality == c.lineality
+            and c.face_mask(face.rays) is not None)
 
 
 def zero_cone(rank: int) -> Cone:

@@ -27,13 +27,6 @@ class ExactError(ValueError):
     """Raised for arithmetic preconditions (zero vectors, dependent rows)."""
 
 
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) = a*x + b*y and g >= 0."""
     old_r, r = a, b

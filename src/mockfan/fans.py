@@ -17,10 +17,11 @@ refinements is what the signed volume skeleton rests on.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
-from .cones import Cone, intersect, is_subcone, zero_cone
-from .exact import dot, lcm_all, primitive
+from .cones import Cone, intersect, is_face_of, is_subcone, walk_faces, zero_cone
+from .exact import dot, primitive
 
 
 class FanError(ValueError):
@@ -141,9 +142,8 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     earlier maximal cone is not a face of it, nor of any later one, so it is
     the stray and is named.  Any other member is maximal, and its faces
     join the closure.  Two maximal cones must then meet in a face of each,
-    which together with face closure is the full pairwise condition.
-    Canonical form makes equal point sets equal structures, so membership in
-    the face set of m is exactly the test `is_face_of(meet, m)`.
+    which together with face closure is the full pairwise condition, tested
+    by `is_face_of`.
     """
     members: set[Cone] = set()
     for c in cones:
@@ -154,19 +154,19 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
         raise FanError("not a fan: member cone is not strongly convex")
     if has_t and any(r[-1] < 0 for c in members for r in c.rays):
         raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
-    faces_of: dict[Cone, set[Cone]] = {}
+    maximal: list[Cone] = []
     closed: set[Cone] = set()
     for c in sorted(members or [zero_cone(rank)], key=lambda c: (-c.dim(), c.rays)):
         if c in closed:
             continue
-        if any(is_subcone(c, m) for m in faces_of):
+        if any(is_subcone(c, m) for m in maximal):
             raise FanError("not a fan: cone is not a face of any maximal cone: "
                            f"{list(c.rays)}")
-        faces_of[c] = {f.cone for f in c.faces()}
-        closed |= faces_of[c]
-    for m1, m2 in itertools.combinations(faces_of, 2):
+        maximal.append(c)
+        closed.update(f.cone for f in walk_faces(c))
+    for m1, m2 in itertools.combinations(maximal, 2):
         meet = intersect(m1, m2)
-        if meet not in faces_of[m1] or meet not in faces_of[m2]:
+        if not (is_face_of(meet, m1) and is_face_of(meet, m2)):
             raise FanError("not a fan: intersection is not a common face: "
                            f"{list(m1.rays)} and {list(m2.rays)}")
     return Fan._trusted(rank, closed, has_t)
@@ -200,14 +200,13 @@ def _covers(fine: Fan, sigma: Cone) -> bool:
              if tau.dim() == d and is_subcone(tau, sigma)]
     if not cells:
         return False
-    wall_counts: dict[Cone, int] = {}
+    wall_counts: dict[tuple, int] = {}
     for tau in cells:
-        for j in range(len(tau.facets)):
-            wall = tau.face_with_tight_set([j])
+        for fm in tau.facet_masks():
+            wall = tuple(r for i, r in enumerate(tau.rays) if fm >> i & 1)
             wall_counts[wall] = wall_counts.get(wall, 0) + 1
     for wall, count in wall_counts.items():
-        gens = list(wall.rays) + list(wall.lineality)
-        on_boundary = any(all(dot(g, f) == 0 for g in gens) for f in sigma.facets)
+        on_boundary = any(all(dot(g, f) == 0 for g in wall) for f in sigma.facets)
         if on_boundary:
             continue
         if count != 2:
@@ -255,7 +254,7 @@ def specifically_reduced_scale(f: Fan) -> int:
     """
     f._require_t("specifically_reduced_scale")
     ts = [c.rays[0][-1] for c in f.cones if c.dim() == 1 and is_special_cone(c)]
-    return lcm_all(ts) if ts else 1
+    return math.lcm(*ts)
 
 
 def is_compactly_arranged(f: Fan) -> bool:
@@ -265,14 +264,13 @@ def is_compactly_arranged(f: Fan) -> bool:
     bounded cone.  This is the inferred operational form of the property:
     what the downstream bookkeeping consumes is that any collection of
     height-positive rays with a common coface admits a common bounded
-    coface.
+    coface.  A ray of c lies in b iff it is one of b's rays: in a fan it
+    spans a face of c, whose meet with b is a face of b.
     """
     f._require_t("is_compactly_arranged")
-    bounded = f.bounded_cones()
+    bounded = [set(b.rays) for b in f.bounded_cones()]
     for c in f.cones:
-        special_rays = [r for r in c.rays if r[-1] > 0]
-        if not special_rays:
-            continue
-        if not any(all(b.contains(r) for r in special_rays) for b in bounded):
+        special_rays = {r for r in c.rays if r[-1] > 0}
+        if special_rays and not any(special_rays <= b for b in bounded):
             return False
     return True

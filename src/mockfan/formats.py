@@ -27,9 +27,9 @@ Label tokens: `pt`, `hyp:<ambient_dim>:<degree>`, `sym:<name>`.
 Blank lines and lines starting with `#` are skipped anywhere.  Readers reject
 a negative rank or count, a wrong `rendered` line, and text after the end.
 
-A fan is read through its maximal cones (`_read_fan_body`): a listed face of
-one needs no DD, as a set of extreme rays closed under the facet masks
-generates exactly that face, which `fan_from_cones` adds by face closure.
+A fan is read through its maximal cones (`_read_fan_body`): a listed cone
+whose generators are the rays of a face of one (`Cone.face_mask`) needs no
+DD, as `fan_from_cones` adds that face by face closure.
 A listing that is no fan fails with the message of its cone-by-cone
 reading, from one `fan_from_cones` call.
 """
@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .cones import Cone, cone_from_generators
-from .fans import Fan, fan_from_cones
+from .fans import Fan, fan_from_cones, is_bounded_cone, is_special_cone
 from .subdivision import LiftedExponent, MockPolytopeChart
 from .volume import ClassLabel, FormalSum, StratumAnnotation
 
@@ -173,9 +173,9 @@ def _read_fan_body(lines: _Lines) -> Fan:
     """The fan of the listed cones, with one DD per index-maximal cone.
 
     Cones go largest ray-index set first; one whose index set lies in no
-    candidate's is a candidate.  One whose generators are rays of a
-    containing candidate, with a mask equal to the meet of its facet masks
-    over that mask, is that face and is not built; the rest are.
+    candidate's is a candidate.  One whose generators are the rays of a
+    face of a containing candidate (`Cone.face_mask`) is that face and is
+    not built; the rest are.
 
     A listing that is no fan fails as its cone-by-cone reading would, with
     the same message: a skipped cone is a face of a built candidate, so if
@@ -200,28 +200,15 @@ def _read_fan_body(lines: _Lines) -> Fan:
             raise ParseError(f"cone ray index {bad[0]} out of range for {nrays} rays")
         listed.append((sum(1 << i for i in set(idx)), [rays[i] for i in idx]))
     cones: list[Cone] = []
-    candidates: list[tuple[int, dict, list[int], int]] = []
+    candidates: list[tuple[int, Cone]] = []
     for mask, gens in sorted(listed, key=lambda entry: -entry[0].bit_count()):
-        containing = [c for c in candidates if mask & ~c[0] == 0]
-        if any(_generates_a_face(c, gens) for c in containing):
+        containing = [c for index_mask, c in candidates if mask & ~index_mask == 0]
+        if any(c.face_mask(gens) is not None for c in containing):
             continue
         cones.append(cone_from_generators(rank, gens))
         if not containing:
-            candidates.append((mask, {r: 1 << i for i, r in enumerate(cones[-1].rays)},
-                               cones[-1].facet_masks(), (1 << len(cones[-1].rays)) - 1))
+            candidates.append((mask, cones[-1]))
     return fan_from_cones(rank, cones, has_t=bool(has_t))
-
-
-def _generates_a_face(candidate: tuple, gens: Sequence[tuple[int, ...]]) -> bool:
-    """True iff `gens` are rays of the candidate whose mask is a face mask."""
-    _, bit_of, facet_masks, meet = candidate
-    if any(g not in bit_of for g in gens):
-        return False
-    m = sum({bit_of[g] for g in gens})
-    for fm in facet_masks:
-        if m & ~fm == 0:
-            meet &= fm
-    return meet == m
 
 
 def read_fan(text: str) -> Fan:
@@ -425,7 +412,6 @@ def write_faces(c: Cone) -> str:
 
 def write_classification(fan: Fan) -> str:
     """Per-cone special/bounded classification of a t-flagged fan."""
-    from .fans import is_bounded_cone, is_special_cone
     out = [f"schema {CLASSIFICATION_SCHEMA}", f"cones {len(fan.cones)}"]
     for idx, c in enumerate(fan.cones):
         flags = []

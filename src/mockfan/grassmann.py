@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .cones import Cone, cone_from_generators
+from .cones import Cone
 from .exact import IntVec
 from .subdivision import (LiftedExponent, MockPolytopeChart, SubdivisionResult,
                           subdivide_chart)
@@ -255,7 +255,12 @@ def _dagger_sum_ray(spec: GrassmannSpec, coeff: int) -> IntVec:
 
 
 def expected_bounded_cones(spec: GrassmannSpec) -> dict[str, Cone]:
-    """The seven bounded cones, with l-scaled dagger coefficients."""
+    """The seven bounded cones, with l-scaled dagger coefficients.
+
+    Built with no DD: each generator has t = 1, so it is primitive, and the
+    generators differ in their dagger coefficients, so each sigma is the
+    simplicial cone on its two sorted generators.
+    """
     r = index_data(spec.n).ambient_rank
     g = {
         "tau0": _dagger_sum_ray(spec, -2 * spec.l),
@@ -263,10 +268,10 @@ def expected_bounded_cones(spec: GrassmannSpec) -> dict[str, Cone]:
         "tau2": _dagger_sum_ray(spec, spec.l),
         "tau3": _dagger_sum_ray(spec, 2 * spec.l),
     }
-    cones = {name: cone_from_generators(r, [gen]) for name, gen in g.items()}
-    cones["sigma0"] = cone_from_generators(r, [g["tau0"], g["tau1"]])
-    cones["sigma1"] = cone_from_generators(r, [g["tau1"], g["tau2"]])
-    cones["sigma2"] = cone_from_generators(r, [g["tau2"], g["tau3"]])
+    cones = {name: Cone._trusted(r, (gen,), (), 1) for name, gen in g.items()}
+    for k in range(3):
+        pair = tuple(sorted((g[f"tau{k}"], g[f"tau{k + 1}"])))
+        cones[f"sigma{k}"] = Cone._trusted(r, pair, (), 2)
     return cones
 
 

@@ -61,7 +61,7 @@ class LiftedExponent:
 
 def _check_token(what: str, token: str):
     """Ids and labels are single tokens of the chart and result files."""
-    if not isinstance(token, str) or not token or any(ch.isspace() for ch in token):
+    if not isinstance(token, str) or token.split() != [token]:
         raise ChartError(f"{what} {token!r} must be a nonempty string without whitespace")
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from mockfan import cones
-from mockfan.cones import Cone, ConeError, cone_from_generators, walk_faces
-from mockfan.exact import ExactError, dot, hnf, kernel_basis, lcm_all, primitive, rank
+from mockfan.cones import Cone, ConeError, cone_from_generators, is_subcone, walk_faces
+from mockfan.exact import ExactError, dot, hnf, kernel_basis, primitive, rank
 from mockfan.subdivision import LiftedExponent, MockPolytopeChart
 
 
@@ -97,6 +98,22 @@ def relative_interior_point(c: Cone):
     return tuple(point)
 
 
+# -- the face test by containment and tightness: the oracle of `is_face_of` -----
+
+def is_face_of_oracle(face: Cone, c: Cone) -> bool:
+    """True iff `face` lies in c and equals c cut by the facets of c that
+    are tight on it (the AND of their facet masks)."""
+    if face.rank != c.rank or not is_subcone(face, c):
+        return False
+    gens = list(face.rays) + list(face.lineality)
+    mask = (1 << len(c.rays)) - 1
+    for f, fm in zip(c.facets, c.facet_masks()):
+        if all(dot(g, f) == 0 for g in gens):
+            mask &= fm
+    rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
+    return (rays, c.lineality) == (face.rays, face.lineality)
+
+
 # -- the face walk before it went up by covers: the oracle of `walk_faces` -----
 
 def mask_closure(facet_masks: Sequence[int],
@@ -169,7 +186,7 @@ def assert_walk_matches_oracle(c: Cone, lower: Optional[int] = None):
 def integerize(v) -> tuple[int, ...]:
     """Clear denominators and primitivize a nonzero rational vector."""
     fracs = [Fraction(x) for x in v]
-    den = lcm_all(f.denominator for f in fracs) if fracs else 1
+    den = math.lcm(*(f.denominator for f in fracs))
     return primitive(tuple(int(f * den) for f in fracs))
 
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (assert_walk_matches_oracle, integerize, is_unimodular, make_cone,
-                     random_cone, random_generators, relative_interior_point,
-                     saturated_subspace_basis, tight_facets)
+from genutil import (assert_walk_matches_oracle, integerize, is_face_of_oracle,
+                     is_unimodular, make_cone, random_cone, random_generators,
+                     relative_interior_point, saturated_subspace_basis, tight_facets)
 from mockfan import cones
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
-                           is_face_of, is_subcone, zero_cone)
+                           is_face_of, is_subcone, walk_faces, zero_cone)
 from mockfan.exact import (dot, is_zero_vec, kernel_basis, primitive,
                            rank as matrix_rank, vec_neg)
 
@@ -174,6 +174,37 @@ def test_is_face_of():
     assert not is_face_of(cone_from_generators(2, [(1, 1)]), c)
     sub = cone_from_generators(2, [(1, 0), (1, 1)])
     assert is_subcone(sub, c) and not is_face_of(sub, c)
+
+
+@pytest.mark.parametrize("with_lineality", [False, True])
+def test_face_mask_and_is_face_of_agree_with_the_oracle(with_lineality):
+    rng = random.Random(1414 + with_lineality)
+    for _ in range(40):
+        c = random_cone(rng, max_rank=4, max_gens=7, entry=3)
+        if with_lineality:
+            c = cone_from_generators(c.rank, list(c.rays),
+                                     list(c.lineality) + random_generators(rng, c.rank, 1, 2))
+        walked = walk_faces(c)
+        for f in walked:
+            assert c.face_mask(f.cone.rays) == f.mask
+            assert is_face_of(f.cone, c) and is_face_of_oracle(f.cone, c)
+        masks = {f.mask for f in walked}
+        for _ in range(8):
+            m = rng.getrandbits(len(c.rays)) if c.rays else 0
+            rays = [r for i, r in enumerate(c.rays) if m >> i & 1]
+            assert c.face_mask(rays) == (m if m in masks else None)
+        others = [zero_cone(c.rank), zero_cone(c.rank + 1), c,
+                  cone_from_generators(c.rank, c.rays),
+                  cone_from_generators(c.rank, c.rays, c.lineality
+                                       + tuple(random_generators(rng, c.rank, 1, 2)))]
+        for _ in range(6):
+            sub = [r for r in c.rays if rng.random() < 0.5]
+            if len(c.rays) > 1 and rng.random() < 0.5:
+                a, b = rng.sample(c.rays, 2)
+                sub.append(tuple(x + y for x, y in zip(a, b)))
+            others.append(cone_from_generators(c.rank, sub, c.lineality))
+        for d in others:
+            assert is_face_of(d, c) == is_face_of_oracle(d, c), (d, c)
 
 
 def test_direct_construction_forbidden():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (random_orthant_chart, relative_interior_contains,
+from genutil import (is_face_of_oracle, random_orthant_chart, relative_interior_contains,
                      relative_interior_point)
 from mockfan.cones import cone_from_generators as cg
 from mockfan import cones, fans
-from mockfan.cones import intersect, is_face_of, is_subcone, zero_cone
+from mockfan.cones import intersect, is_subcone, zero_cone
 from mockfan.exact import rank as matrix_rank
 from mockfan.fans import (Fan, FanError, euler_char_height1, fan_from_cones,
                           is_bounded_cone, is_compactly_arranged,
@@ -289,7 +289,7 @@ def test_direct_fan_construction_forbidden():
         Fan(2, (), False)
 
 
-# -- fan_from_cones against the pairwise, is_face_of-based check it replaced -----
+# -- fan_from_cones against the pairwise check by containment and tightness ----
 
 def verify_fan_condition_oracle(cones):
     """Every member is a face of a maximal member, and maximal members meet
@@ -303,12 +303,11 @@ def verify_fan_condition_oracle(cones):
         if not any(is_subcone(c, m) for m in maximal):
             maximal.append(c)
     for c in cones:
-        if c not in maximal and not any(is_subcone(c, m) and is_face_of(c, m)
-                                        for m in maximal):
+        if c not in maximal and not any(is_face_of_oracle(c, m) for m in maximal):
             raise FanError("not a fan: cone is not a face of any maximal cone")
     for m1, m2 in itertools.combinations(maximal, 2):
         meet = intersect(m1, m2)
-        if not (is_face_of(meet, m1) and is_face_of(meet, m2)):
+        if not (is_face_of_oracle(meet, m1) and is_face_of_oracle(meet, m2)):
             raise FanError("not a fan: intersection is not a common face")
 
 
@@ -372,6 +371,14 @@ def cone_families(draw):
     return kind, fan, draw(st.permutations(family))
 
 
+def is_compactly_arranged_by_containment(f):
+    """`is_compactly_arranged` with ray membership tested on the facets of
+    each bounded cone."""
+    bounded = f.bounded_cones()
+    return all(any(all(b.contains(r) for r in special) for b in bounded)
+               for c in f.cones if (special := [r for r in c.rays if r[-1] > 0]))
+
+
 def outcome(check, rank, family):
     """The fan, or the kind of failure: the message without the rays of the
     cones it names, which the two checks may pick differently."""
@@ -393,3 +400,17 @@ def test_fan_from_cones_agrees_with_the_pairwise_oracle(case):
         assert isinstance(got, Fan)
     elif kind in ("overlap", "non_face"):
         assert got.startswith("not a fan")
+    if isinstance(got, Fan):
+        assert is_compactly_arranged(got) == is_compactly_arranged_by_containment(got)
+
+
+@pytest.mark.parametrize("case", ["5,2,1", "6,2,1", "pentagon"])
+def test_compactly_arranged_agrees_with_containment(case):
+    if case == "pentagon":
+        pent = cg(3, [(1, 0, 0), (0, 1, 0), (0, 3, 1), (1, 1, 1), (3, 0, 1)])
+        fan = fan_from_cones(3, [pent], has_t=True)
+    else:
+        spec = GrassmannSpec(*map(int, case.split(",")))
+        fan = subdivide_chart(zero_chart(spec), verify=False).projected_fan
+    assert is_compactly_arranged(fan) == is_compactly_arranged_by_containment(fan)
+

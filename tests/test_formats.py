@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import random_cone, random_orthant_chart
-from mockfan import cones, formats
+from genutil import is_face_of_oracle, random_cone, random_orthant_chart
+from mockfan import cones, fans, formats
 from mockfan.cli import main
 from mockfan.cones import ConeError, zero_cone
 from mockfan.cones import cone_from_generators as cg
@@ -346,7 +346,8 @@ def test_expression_rejects_a_wrong_rendered_line():
 
 def read_fan_oracle(lines):
     """The fan reader that builds every listed cone by DD: the oracle of
-    `formats._read_fan_body`."""
+    `formats._read_fan_body`.  `assert_reads_as_the_oracle` runs it with
+    the face test of `fan_from_cones` replaced by `is_face_of_oracle`."""
     rank = formats._nonnegative(lines, "rank")
     has_t = formats._one_int(lines.expect("has_t"), "has_t")
     if has_t not in (0, 1):
@@ -378,7 +379,8 @@ def read_outcome(text):
 
 def assert_reads_as_the_oracle(text):
     got = read_outcome(text)
-    with mock.patch.object(formats, "_read_fan_body", read_fan_oracle):
+    with mock.patch.object(formats, "_read_fan_body", read_fan_oracle), \
+            mock.patch.object(fans, "is_face_of", is_face_of_oracle):
         assert got == read_outcome(text)
     return got
 
@@ -500,11 +502,20 @@ def test_facet_masks_are_computed_once_per_cone(monkeypatch):
     # the start masks and the certificate, then the walk
     assert asked == [(res.big_cone, True), (res.big_cone, False)]
     asked.clear()
+    face_tests = []
+    real_face_mask = cones.Cone.face_mask
+
+    def face_mask_spy(cone, rays):
+        face_tests.append(cone)
+        return real_face_mask(cone, rays)
+
+    monkeypatch.setattr(cones.Cone, "face_mask", face_mask_spy)
     fan, _ = formats.read_result(formats.write_result(res.projected_fan, res.active_sets))
     maximal = [c for c in fan.cones
                if not any(set(c.rays) < set(d.rays) for d in fan.cones)]
     computed = [cone for cone, first in asked if first]
     assert len({id(c) for c in computed}) == len(computed) == len(maximal)
-    # the reader's face test, then the walk in fan_from_cones
-    assert len(asked) == 2 * len(maximal)
+    # each face test (the reader's skip test and the pairwise test of
+    # fan_from_cones), then one walk per maximal cone in fan_from_cones
+    assert len(asked) == len(face_tests) + len(maximal)
     assert {id(c) for c, _ in asked} == {id(c) for c in computed}

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import dot, rank as matrix_rank
 from mockfan.fans import fan_from_cones, is_refinement, refines_cone_faces, rescale_cone
 from mockfan.grassmann import (CONE_NAMES, GrassmannError, GrassmannSpec,
-                               VerificationFailed, alpha_id, enumerate_S,
+                               VerificationFailed, _dagger_sum_ray, alpha_id, enumerate_S,
                                expected_bounded_cones, expected_active_sets,
                                expected_vol_expression, index_data, kappa,
                                stratify_S, varpi, varpi_alpha, verify,
@@ -194,6 +196,31 @@ def test_build_D_full_dimensional():
     raw = [tuple(g) + (0,) for g in chart.sigma_dual_generators]
     raw += chart.lifted_generators()
     assert matrix_rank(raw) == 11
+
+
+def sweep_default_cases():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_grassmann_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_grassmann_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.DEFAULT_CASES
+
+
+@pytest.mark.parametrize("case", sweep_default_cases())
+def test_expected_cones_equal_the_cones_built_by_dd(case):
+    n, d, l = map(int, case.split(","))
+    for scale in sorted({l, 2, 3}):
+        spec = GrassmannSpec(n, d, scale)
+        cones = expected_bounded_cones(spec)
+        r = cones["tau0"].rank
+        gens = {f"tau{i}": _dagger_sum_ray(spec, k * scale)
+                for i, k in enumerate((-2, -1, 1, 2))}
+        for name, members in (("tau0", ["tau0"]), ("tau1", ["tau1"]), ("tau2", ["tau2"]),
+                              ("tau3", ["tau3"]), ("sigma0", ["tau0", "tau1"]),
+                              ("sigma1", ["tau1", "tau2"]), ("sigma2", ["tau2", "tau3"])):
+            built = cg(r, [gens[m] for m in members])
+            assert cones[name] == built and cones[name].dim() == built.dim()
+            assert cones[name].facets == built.facets
 
 
 def test_expected_cones_are_primitive_height_one():

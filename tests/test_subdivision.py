@@ -49,6 +49,17 @@ def test_chart_validation():
         MockPolytopeChart("x", 2, ((0, 1),), (LiftedExponent("a", (0, 0)),), scale=0)
 
 
+def test_ids_with_any_whitespace_code_point_are_rejected():
+    # the oracle is the per-character test that the split test replaced
+    tokens = ["a" + chr(i) + "b" for i in range(0x110000)]
+    spaced = [t for t in tokens if any(ch.isspace() for ch in t)]
+    assert len(spaced) > 20
+    assert [t for t in tokens if t.split() != [t]] == spaced
+    for token in spaced:
+        with pytest.raises(ChartError, match="without whitespace"):
+            MockPolytopeChart("x", 2, ((0, 1),), (LiftedExponent(token, (0, 0)),))
+
+
 def test_build_D_single_exponent_class():
     # all items share one lifted exponent: D = cone(duals x {0}, (w, 1))
     ch = orthant_chart([LiftedExponent("a", (1, -1, 0), 0),
