@@ -13,7 +13,9 @@ projection cleared to integers.
 
 Representation conversion is one routine, `_canonical_vrep`: an incremental
 double description (DD) method over exact integers, then the canonical form,
-with one Hermite normal form (HNF) for the lineality when there is any.
+with one Hermite normal form (HNF) for the lineality when there is any.  Its
+inequalities must be nonzero and primitive: the public constructors check
+and make rows so; internal callers pass facets and span equalities.
 Both the V-representation (rays, lineality) and the H-representation (facet
 inequalities plus span equalities) are available on every cone; the H-side
 is computed lazily, by the same routine on the dual side, for cones created
@@ -115,24 +117,13 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
 def _orthogonal_basis(basis: Sequence[IntVec]) -> list[IntVec]:
     """Integer Gram-Schmidt: primitive pairwise orthogonal vectors, same span.
 
-    Each step w <- (o.o) w - (o.w) o scales by o.o > 0, so every vector is a
-    positive multiple of its rational Gram-Schmidt counterpart.
+    Each vector of the independent `basis` becomes its representative modulo
+    the ones before it, a positive multiple of its rational counterpart.
     """
     ortho: list[IntVec] = []
     for w in basis:
-        for o in ortho:
-            w = _project_off(w, o)
-        ortho.append(primitive(w))
+        ortho.append(_orthogonal_representative(w, ortho))
     return ortho
-
-
-def _project_off(v: IntVec, o: IntVec) -> IntVec:
-    """(o.o) v - (o.v) o: a positive multiple of v projected orthogonally to o."""
-    ov = dot(o, v)
-    if ov == 0:
-        return v
-    oo = dot(o, o)
-    return tuple(oo * x - ov * y for x, y in zip(v, o))
 
 
 def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[IntVec]:
@@ -144,7 +135,10 @@ def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[I
     so primitivizing makes it canonical.
     """
     for o in ortho:
-        v = _project_off(v, o)
+        ov = dot(o, v)
+        if ov:
+            oo = dot(o, o)
+            v = tuple(oo * x - ov * y for x, y in zip(v, o))
     if is_zero_vec(v):
         return None
     return primitive(v)
@@ -159,55 +153,40 @@ def _representatives(vectors: Iterable[IntVec], lin: Sequence[IntVec]) -> tuple[
     return tuple(sorted(reps))
 
 
-def _lift(vectors: Iterable[IntVec], basis: Sequence[IntVec]) -> list[IntVec]:
-    """Each coordinate vector c over `basis` as the vector sum c_i basis_i."""
-    columns = list(zip(*basis))
-    return [tuple(sum(map(mul, c, column)) for column in columns) for c in vectors]
+def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
+                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Canonical rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, by one DD.
 
-
-def _vrep_from_constraints(dim: int, ineqs: Sequence[IntVec],
-                           eqs: Sequence[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
-    """Rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, via DD.
-
-    The inequalities must be nonzero and primitive, so that a repeated or
-    negated one is found by comparing tuples.  Equalities are handled by
-    restricting to their integer kernel first; the kernel is saturated, so
-    primitive vectors lift to primitive vectors.
+    The inequalities must be nonzero and primitive, so that a repeated one
+    is dropped and a negated one made an equality by comparing tuples.  The
+    DD runs in the integer kernel of the equalities (`kernel_basis`), which
+    is saturated, so its primitive rays lift to primitive vectors.  The
+    lineality is {x : <a,x> = 0, <e,x> = 0}; when the DD finds any, it is
+    taken as the integer kernel of all the rows, one HNF, which is saturated
+    and canonical.  The rays are their representatives modulo it.
     """
     seen: set[IntVec] = set()
     uniq: list[IntVec] = []
-    extra_eqs: list[IntVec] = []
+    eqs = [e for e in eqs if any(e)]
     for a in ineqs:
         if a in seen:
             continue
         if vec_neg(a) in seen:
-            extra_eqs.append(a)
+            eqs.append(a)
             continue
         seen.add(a)
         uniq.append(a)
-    eqs = [e for e in eqs if not is_zero_vec(e)] + extra_eqs
     if eqs:
-        sub = kernel_basis(eqs, dim)
+        sub = kernel_basis(eqs, rank)
         if not sub:
-            return [], []
+            return (), ()
         # inequalities absorbed into equalities restrict to zero and drop out
-        rays_c, lin_c = _dd(len(sub), [tuple(sum(map(mul, b, a)) for b in sub) for a in uniq])
-        return _lift(rays_c, sub), _lift(lin_c, sub)
-    return _dd(dim, uniq)
-
-
-def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
-                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Canonical rays and lineality of {x : <a,x> >= 0, <e,x> = 0}.
-
-    One DD (`_vrep_from_constraints`, so the inequalities must be nonzero
-    and primitive).  The lineality is {x : <a,x> = 0, <e,x> = 0}; when the
-    DD finds any, it is taken as the integer kernel of all the rows, one HNF
-    (`kernel_basis`), which is saturated and canonical.  The rays are the
-    orthogonal representatives modulo it (`_representatives`).
-    """
-    rays, lin = _vrep_from_constraints(rank, ineqs, eqs)
-    lin = kernel_basis(list(ineqs) + list(eqs), rank) if lin else ()
+        rays, lin = _dd(len(sub), [tuple(sum(map(mul, b, a)) for b in sub) for a in uniq])
+        columns = list(zip(*sub))
+        rays = [tuple(sum(map(mul, c, column)) for column in columns) for c in rays]
+    else:
+        rays, lin = _dd(rank, uniq)
+    lin = kernel_basis(uniq + eqs, rank) if lin else ()
     return _representatives(rays, lin), lin
 
 
@@ -473,17 +452,20 @@ def dual_cone(c: Cone) -> Cone:
     """The dual cone {y : <x, y> >= 0 for all x in c} in the dual lattice.
 
     Swaps the two stored representations; duality is an involution on
-    canonical cones.
+    canonical cones.  The dual spans the complement of c's lineality.
     """
     facets = c.facets  # forces both H-side fields
-    return Cone(c.rank, facets, c.span_eqs, c.rays, c.lineality, _token=_CONE_TOKEN)
+    dual = Cone(c.rank, facets, c.span_eqs, c.rays, c.lineality, _token=_CONE_TOKEN)
+    dual._dim = c.rank - len(c.lineality)
+    return dual
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.rank != c2.rank:
         raise ConeError("cannot intersect cones of different rank")
-    return cone_from_inequalities(c1.rank, list(c1.facets) + list(c2.facets),
-                                  list(c1.span_eqs) + list(c2.span_eqs))
+    return Cone(c1.rank, *_canonical_vrep(c1.rank, c1.facets + c2.facets,
+                                          c1.span_eqs + c2.span_eqs),
+                None, None, _token=_CONE_TOKEN)
 
 
 def is_subcone(inner: Cone, outer: Cone) -> bool:

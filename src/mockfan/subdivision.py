@@ -27,11 +27,10 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cones import (Cone, Face, _orthogonal_basis, _orthogonal_representative,
-                    cone_from_generators, cone_from_inequalities, dual_cone, walk_faces)
+from .cones import (Cone, Face, _canonical_vrep, _orthogonal_basis, _orthogonal_representative,
+                    cone_from_generators, dual_cone, walk_faces)
 from .exact import IntVec, Scalar, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
@@ -127,11 +126,11 @@ def support_cone(chart: MockPolytopeChart) -> Cone:
         chart.ambient_dual_rank, chart.sigma_dual_generators))
 
 
-def val_min(chart: MockPolytopeChart, v: Sequence[Scalar]) -> Fraction:
+def val_min(chart: MockPolytopeChart, v: Sequence[Scalar]) -> Scalar:
     """Pointwise minimum of the item functionals at a support point."""
     if not chart.in_support(v):
         raise ChartError("outside chart support")
-    return Fraction(min(dot(v, chart.effective_exponent(it)) for it in chart.items))
+    return min(dot(v, chart.effective_exponent(it)) for it in chart.items)
 
 
 def build_D(chart: MockPolytopeChart) -> Cone:
@@ -219,7 +218,8 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     # once.  pi is also injective on the union of the lower faces: were x
     # and x + l(0, 1), l > 0, on lower facets A and B, x would not be in C,
     # as <f_B, x> = -l <f_B, (0, 1)> < 0.  So the images of all walked rays
-    # are checked for that once, not face by face.
+    # are checked for that once, not face by face; the walk's masks are
+    # distinct, so then are the projected cones.
     walked = functools.reduce(operator.or_, (face.mask for face in faces), 0)
     images = {i: big.rays[i][:-1] for i in _bits(walked)}
     if any(is_zero_vec(v) for v in images.values()):
@@ -233,9 +233,6 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     proj_cones = [Cone._trusted(r, tuple(v for bit, v in ordered if face.mask & bit), (),
                                 face.cone.dim())
                   for face in faces]
-    if len(set(proj_cones)) != len(proj_cones):
-        raise SubdivisionInconsistency(
-            "subdivision inconsistency: projection identified two faces")
     item_masks, negative = _lifted_item_masks(chart, big.rays)
     if verify:
         _certify_lifted_cone(chart, big, support.dim(), item_masks, negative)
@@ -322,9 +319,8 @@ def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, d: int,
             fail(f"facet {f} of C is no generator of D")
     if matrix_rank(rays) != d + 1:
         fail(f"the rays of C have rank {matrix_rank(rays)}, not {d + 1}")
-    again = cone_from_inequalities(big.rank, facets, eqs)
-    odd = list(again.lineality) + sorted(x for x in set(rays + again.rays)
-                                         if rays.count(x) != again.rays.count(x))
+    again, lin = _canonical_vrep(big.rank, facets, eqs)
+    odd = list(lin) + sorted(x for x in set(rays + again) if rays.count(x) != again.count(x))
     if odd:
         fail(f"C and the cone its facets cut out differ at the ray or line {odd[0]}")
 
@@ -350,12 +346,11 @@ def glue_charts(results: Sequence[SubdivisionResult]) -> GlueResult:
                 merged[cone] = res.active_sets[cone]
             elif have != res.active_sets[cone]:
                 raise GlueError("charts do not glue: active sets disagree on a shared cone")
+    # each chart's fan is face-closed, so their union is too
     try:
         fan = fan_from_cones(rank, list(merged), has_t=True)
     except FanError as exc:
         raise GlueError(f"charts do not glue: {exc}") from exc
-    if len(fan) != len(merged):
-        raise GlueError("charts do not glue: union is not face-closed")
     return GlueResult(fan, merged)
 
 

@@ -122,10 +122,6 @@ class StratumAnnotation:
         if not self.labels:
             raise ValueError("annotation needs at least one label")
 
-    @property
-    def component_count(self) -> int:
-        return len(self.labels)
-
 
 def default_annotation(cone_id: str) -> StratumAnnotation:
     return StratumAnnotation(cone_id, (ClassLabel.symbolic(f"E({cone_id})"),))

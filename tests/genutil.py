@@ -198,6 +198,37 @@ def saturated_subspace_basis(vectors, dim: int) -> tuple[tuple[int, ...], ...]:
     return kernel_basis(kernel_basis(vectors, dim), dim)
 
 
+def vrep_from_constraints(dim: int, ineqs, eqs) -> tuple[list, list]:
+    """Raw rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, by one DD.
+
+    The inequalities must be nonzero and primitive.  A repeated one is
+    dropped and a negated one becomes an equality; the equalities are
+    handled by restricting to their integer kernel, and the DD's rays and
+    lineality are lifted back through it.
+    """
+    seen: set = set()
+    uniq = []
+    extra_eqs = []
+    for a in ineqs:
+        if a in seen:
+            continue
+        if tuple(-x for x in a) in seen:
+            extra_eqs.append(a)
+            continue
+        seen.add(a)
+        uniq.append(a)
+    eqs = [e for e in eqs if any(e)] + extra_eqs
+    if not eqs:
+        return cones._dd(dim, uniq)
+    sub = kernel_basis(eqs, dim)
+    if not sub:
+        return [], []
+    rays_c, lin_c = cones._dd(len(sub), [tuple(dot(b, a) for b in sub) for a in uniq])
+    columns = list(zip(*sub))
+    return ([tuple(dot(c, column) for column in columns) for c in rays_c],
+            [tuple(dot(c, column) for column in columns) for c in lin_c])
+
+
 def make_cone(rank: int, rays, lineality) -> Cone:
     """The canonical cone of raw rays over a raw lineality spanning set: the
     lineality as `saturated_subspace_basis`, the rays reduced modulo it."""

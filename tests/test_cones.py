@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from genutil import (assert_walk_matches_oracle, integerize, is_face_of_oracle,
                      is_unimodular, make_cone, random_cone, random_generators,
-                     relative_interior_point, saturated_subspace_basis, tight_facets)
+                     relative_interior_point, saturated_subspace_basis, tight_facets,
+                     vrep_from_constraints)
 from mockfan import cones
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
@@ -83,6 +84,46 @@ def test_duality_involution_random():
         for g in c.rays:
             assert rebuilt.contains(g)
         assert c.dim() + len(d.lineality) == c.rank
+
+
+@pytest.mark.parametrize("with_lineality", [False, True])
+def test_dual_dimension_is_rank_minus_lineality(with_lineality):
+    rng = random.Random(2718 + with_lineality)
+    for _ in range(60):
+        c = random_cone(rng, max_rank=5, max_gens=8, entry=3)
+        if with_lineality:
+            c = cone_from_generators(c.rank, c.rays,
+                                     random_generators(rng, c.rank, rng.randint(1, 2), 2))
+        d = dual_cone(c)
+        assert d._dim == matrix_rank(list(d.rays) + list(d.lineality))
+        assert dual_cone(d).dim() == c.dim()
+
+
+@pytest.mark.parametrize("with_lineality", [False, True])
+def test_intersect_equals_the_cone_its_rows_cut_out(with_lineality):
+    """`intersect` passes canonical rows to the conversion unchecked; the
+    public constructor checks and primitivizes them.  Half the pairs share
+    a wall with opposite normals, which the conversion makes an equality."""
+    rng = random.Random(3141 + with_lineality)
+    opposite = 0
+    for k in range(80):
+        rank = rng.randint(1, 5)
+        lins = random_generators(rng, rank, with_lineality, 2)
+        a = cone_from_generators(rank, random_generators(rng, rank, rng.randint(0, 7), 3), lins)
+        if k % 2 and a.facets:
+            j = rng.randrange(len(a.facets))
+            b = cone_from_inequalities(rank, [vec_neg(a.facets[j])] + list(a.facets[:j]))
+            opposite += vec_neg(a.facets[j]) in b.facets
+        else:
+            b = cone_from_generators(rank, random_generators(rng, rank, rng.randint(0, 7), 3),
+                                     random_generators(rng, rank, with_lineality, 2))
+        meet = intersect(a, b)
+        assert meet == cone_from_inequalities(rank, a.facets + b.facets,
+                                              a.span_eqs + b.span_eqs)
+        for _ in range(10):
+            v = tuple(rng.randint(-3, 3) for _ in range(rank))
+            assert meet.contains(v) == (a.contains(v) and b.contains(v))
+    assert opposite >= 10
 
 
 def test_faces_counts():
@@ -270,10 +311,9 @@ def two_dd_oracle(rank, generators, lineality_generators=()):
     -> rays, each result canonicalized with the Fraction reduction."""
     gens = [primitive(g) for g in generators if any(g)]
     lins = [primitive(g) for g in lineality_generators if any(g)]
-    facets, span_eqs = oracle_canonicalize(
-        rank, *cones._vrep_from_constraints(rank, gens, lins))
+    facets, span_eqs = oracle_canonicalize(rank, *vrep_from_constraints(rank, gens, lins))
     rays, lin = oracle_canonicalize(
-        rank, *cones._vrep_from_constraints(rank, list(facets), list(span_eqs)))
+        rank, *vrep_from_constraints(rank, list(facets), list(span_eqs)))
     return rays, lin, facets, span_eqs
 
 
@@ -598,9 +638,6 @@ def lineality_rich_systems(draw):
 def test_dd_equals_per_coordinate_oracle_in_order(system):
     dim, rows = system
     assert cones._dd(dim, rows) == dd_oracle(dim, rows)
-    # the DD input is primitive: `cone_from_inequalities` makes it so
-    prim = [primitive(a) for a in rows if any(a)]
-    assert cones._vrep_from_constraints(dim, prim, rows[:2]) == vrep_oracle(dim, rows, rows[:2])
     assert cone_from_inequalities(dim, rows, rows[:2]) == make_cone(
         dim, *vrep_oracle(dim, rows, rows[:2]))
 

@@ -122,6 +122,6 @@ def test_multi_component_annotation():
     pt = ClassLabel.point()
     e = ClassLabel.symbolic("E(x)")
     ann = {two: StratumAnnotation("t", (pt, e))}
-    assert ann[two].component_count == 2
+    assert len(ann[two].labels) == 2
     v = vol_skeleton(fan, ann, active_filter=lambda c: c == two)
     assert v == -(FormalSum.of(pt) + FormalSum.of(e))
