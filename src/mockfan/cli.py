@@ -1,6 +1,6 @@
 """Batch command-line interface.
 
-Subcommands operate on the structured text formats of `mockfan.formats`
+Subcommands operate on the UTF-8 text formats of `mockfan.formats`
 and print to stdout unless `-o` is given.  Exit codes: 0 success,
 1 verification mismatch, 2 bad input, 3 internal inconsistency.
 """
@@ -27,18 +27,19 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 _INPUT_ERRORS = (formats.ParseError, ConeError, FanError, ChartError,
-                 GlueError, GrassmannError, ExactError, OSError)
+                 GlueError, GrassmannError, ExactError, OSError, UnicodeDecodeError)
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _cmd_dual(args) -> int:

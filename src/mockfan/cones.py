@@ -18,8 +18,8 @@ inequalities must be nonzero and primitive: the public constructors check
 and make rows so; internal callers pass facets and span equalities.
 Both the V-representation (rays, lineality) and the H-representation (facet
 inequalities plus span equalities) are available on every cone; the H-side
-is computed lazily, by the same routine on the dual side, for cones created
-through trusted internal paths and eagerly for user-supplied generators.  A
+is computed lazily, by one call of the same routine on the dual side, for
+cones created through trusted internal paths and eagerly for generators.  A
 cone given by generators costs one DD (generators to facets); its rays and
 lineality are read off the generator x facet incidence
 (`cone_from_generators`).
@@ -246,17 +246,14 @@ class Cone:
     def span_eqs(self) -> tuple[IntVec, ...]:
         """Basis of span(cone)^perp: the implicit equalities of the H-rep."""
         if self._span_eqs is None:
-            self._span_eqs = kernel_basis(list(self.rays) + list(self.lineality), self.rank)
+            self.facets  # the DD that finds the facets finds them too
         return self._span_eqs
 
     @property
     def facets(self) -> tuple[IntVec, ...]:
         """Inner-normal facet inequality vectors (canonical, irredundant)."""
         if self._facets is None:
-            facets, span_eqs = _canonical_vrep(self.rank, self.rays, self.lineality)
-            self._facets = facets
-            if self._span_eqs is None:
-                self._span_eqs = span_eqs
+            self._facets, self._span_eqs = _canonical_vrep(self.rank, self.rays, self.lineality)
         return self._facets
 
     # -- basic queries ---------------------------------------------------------

@@ -36,6 +36,7 @@ reading, from one `fan_from_cones` call.
 
 from __future__ import annotations
 
+import re
 from typing import Mapping, Sequence
 
 from .cones import Cone, cone_from_generators
@@ -87,11 +88,14 @@ class _Lines:
                              f"{self.lines[self.pos]!r}")
 
 
+_INT = re.compile(r"[+-]?[0-9]+").fullmatch
+
+
 def _ints(tokens: Sequence[str], what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError as exc:
-        raise ParseError(f"bad integer in {what}: {exc}") from exc
+    """An optional sign and ASCII digits (`int` also takes `1_0` and `５`)."""
+    if all(map(_INT, tokens)):
+        return tuple(map(int, tokens))
+    raise ParseError(f"bad integer in {what}: {next(t for t in tokens if not _INT(t))!r}")
 
 
 def _one_int(tokens: Sequence[str], what: str) -> int:

@@ -13,8 +13,8 @@ read off the rays of C: C lies on the nonnegative side of every lifted item
 are exactly those whose lifted vector is zero on every ray of the face.
 
 Verification certifies C, not its faces (`_certify_lifted_cone`): C is the
-dual of D, checked against the chart's generators and by a second double
-description from its facets; the walk of an exact C is then trusted.
+dual of D, checked against one pairing of D's generators with the rays of C
+and by a second double description from its facets; the walk is trusted.
 
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
 whose last slot is the delta (t-dual) coordinate; the lift appends one more
@@ -133,12 +133,15 @@ def val_min(chart: MockPolytopeChart, v: Sequence[Scalar]) -> Scalar:
     return min(dot(v, chart.effective_exponent(it)) for it in chart.items)
 
 
+def _generators_of_D(chart: MockPolytopeChart) -> list[IntVec]:
+    """The nonzero support duals at height 0, then the lifted items."""
+    return ([g + (0,) for g in chart.sigma_dual_generators if not is_zero_vec(g)]
+            + chart.lifted_generators())
+
+
 def build_D(chart: MockPolytopeChart) -> Cone:
     """Lifted cone D: support duals at height 0 plus items at height 1."""
-    r = chart.ambient_dual_rank
-    gens = [tuple(g) + (0,) for g in chart.sigma_dual_generators if not is_zero_vec(g)]
-    gens += chart.lifted_generators()
-    return cone_from_generators(r + 1, gens)
+    return cone_from_generators(chart.ambient_dual_rank + 1, _generators_of_D(chart))
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,10 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
 
     The fan is the projection of the faces of the lifted cone C that avoid
     the apex direction (0, 1).  With `verify` set, `_certify_lifted_cone`
-    checks, from the chart and the rays, facets and span equalities of C,
-    that C is the dual of the lifted cone D; the lower faces of that cone
-    project to the subdivision of the chart by construction, so the walk is
-    trusted and no face is checked or derived again.  A failed check is a
+    checks, from C, dim S and the pairing of D's generators with the rays
+    of C, that C is the dual of the lifted cone D; the lower faces of that
+    cone project to the subdivision of the chart by construction, so the
+    walk is trusted and no face is checked or derived again.  A failed check is a
     pipeline bug and raises SubdivisionInconsistency.  Input that has no
     lifted cone behind it, a fan or result read from a file or the union
     of glued charts, is checked by `fan_from_cones` instead.  A support
@@ -187,13 +190,12 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     The per-face work is done from data computed once per ray of C.  Each
     walked ray is projected and primitivised once; a face's projection is
     the images of its rays in one fixed sorted order, canonical as it
-    stands.  Active sets come from one pairing of each distinct lifted item
-    (w, 1) with the rays of C, kept per ray as the bitset of the items zero
-    on it.  The active set of a face is the AND of these bitsets over its
-    rays: every item zero on all of them.  This is exact: each (w, 1) is
-    >= 0 on C, so it is zero at a relative interior point (v, s) of the
-    face iff it is zero on all the face's rays, and then
-    <w, v> = -s <= <w', v> for every item w'.  A face on which no item is
+    stands.  Active sets read the lifted items (w, 1) in that pairing, kept
+    per ray as the bitset of the items zero on it.  The active set of a
+    face is the AND of these bitsets over its rays: every item zero on all
+    of them.  This is exact: each (w, 1) is >= 0 on C, so it is zero at a
+    relative interior point (v, s) of the face iff it is zero on all the
+    face's rays, and then <w, v> = -s <= <w', v> for every item w'.  A face on which no item is
     zero is not a lower face and raises SubdivisionInconsistency.
     """
     r = chart.ambient_dual_rank
@@ -233,13 +235,13 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     proj_cones = [Cone._trusted(r, tuple(v for bit, v in ordered if face.mask & bit), (),
                                 face.cone.dim())
                   for face in faces]
-    item_masks, negative = _lifted_item_masks(chart, big.rays)
+    masks, negative = _pair_with_D(chart, big.rays)
     if verify:
-        _certify_lifted_cone(chart, big, support.dim(), item_masks, negative)
+        _certify_lifted_cone(big, support.dim(), masks, negative)
     fan = Fan._trusted(r, proj_cones, True)
     zero_on = [0] * len(big.rays)
     for k, it in enumerate(chart.items):
-        for i in _bits(item_masks[chart.effective_exponent(it) + (1,)]):
+        for i in _bits(masks[chart.effective_exponent(it) + (1,)]):
             zero_on[i] |= 1 << k
     everything = (1 << len(chart.items)) - 1
     active = {}
@@ -261,29 +263,27 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _lifted_item_masks(chart: MockPolytopeChart, rays: Sequence[IntVec]
-                       ) -> tuple[dict[IntVec, int], list[IntVec]]:
-    """Pair each distinct lifted item (w, 1) with the rays of C once.
-
-    Returns the mask of the rays each lifted item is zero on, and the lifted
-    items that are negative on some ray (none, when C is the dual of D).
-    """
+def _pair_with_D(chart: MockPolytopeChart, rays: Sequence[IntVec]
+                 ) -> tuple[dict[IntVec, int], list[IntVec]]:
+    """Pair each generator of D with the rays of C once: the mask of the
+    rays it is zero on, and the generators negative on a ray, in D's order."""
     masks, negative = {}, []
-    for w in chart.lifted_generators():
-        pairing = [dot(w, x) for x in rays]
+    for g in _generators_of_D(chart):
+        pairing = [dot(g, x) for x in rays]
         if any(v < 0 for v in pairing):
-            negative.append(w)
-        masks[w] = sum(1 << i for i, v in enumerate(pairing) if v == 0)
+            negative.append(g)
+        masks[g] = sum(1 << i for i, v in enumerate(pairing) if v == 0)
     return masks, negative
 
 
-def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, d: int,
-                         item_masks: Mapping[IntVec, int], negative: Sequence[IntVec]) -> None:
-    """Certify that C = `big` is D^vee, for D spanned by the chart's own
-    generators G, the sigma duals (g, 0) and lifted items (w, 1).  With R,
-    F, E the rays, facets and span equalities of C, and d = dim S:
+def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
+                         negative: Sequence[IntVec]) -> None:
+    """Certify that C = `big` is D^vee, for D spanned by the generators G
+    of `_generators_of_D`, seen only through their pairing with the rays R
+    of C (`_pair_with_D`).  With F, E the facets and span equalities of C
+    and d = dim S:
 
-    1. every g in G is >= 0 on R, so cone(R) lies in D^vee;
+    1. no g in G is `negative`: each is >= 0 on R, so cone(R) lies in D^vee;
     2. each f in F, none repeated, is the representative modulo span(E) of
        a g in G with f's facet mask: f = lambda g + e, lambda > 0, Ee = 0;
     3. rank(R) = d + 1 = dim D^vee, as D^vee = {(v, s) : v in S,
@@ -294,22 +294,18 @@ def _certify_lifted_cone(chart: MockPolytopeChart, big: Cone, d: int,
     2, so D^vee lies in {x : Fx >= 0, Ex = 0} = cone(R); with 1, C = D^vee.
     The lower faces of an exact C, which the walk finds, project to the
     chart's regular subdivision (De Loera-Rambau-Santos, Triangulations,
-    ch. 2 and 5).  Trusted: d, passed in by `subdivide_chart` from the S it
-    built, and the second DD, which runs on other input than the DD that
-    made C and must reproduce its rays.
+    ch. 2 and 5).  Trusted: d and the pairing, which `subdivide_chart` makes
+    from the S and G it built, and the second DD, which runs on other input
+    than the DD that made C and must reproduce its rays.
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
 
     rays, facets, eqs = big.rays, big.facets, big.span_eqs
     if negative:
-        fail(f"item exponent {negative[0][:-1]} is negative on a ray of C")
-    generator_of = {m: w for w, m in item_masks.items()}
-    for g in chart.sigma_dual_generators:
-        pairing = [dot(g, x[:-1]) for x in rays]
-        if any(v < 0 for v in pairing):
-            fail(f"support dual {g} is negative on a ray of C")
-        generator_of.setdefault(sum(1 << i for i, v in enumerate(pairing) if v == 0), g + (0,))
+        g = max(negative, key=operator.itemgetter(-1))   # an item before a support dual
+        fail(f"{'item exponent' if g[-1] else 'support dual'} {g[:-1]} is negative on a ray of C")
+    generator_of = {m: g for g, m in masks.items()}   # the items, last, win a shared mask
     ortho = _orthogonal_basis(eqs)
     for j, (f, m) in enumerate(zip(facets, big.facet_masks())):
         if f in facets[:j]:

@@ -8,6 +8,7 @@ from mockfan.cli import main
 from mockfan.cones import cone_from_generators as cg
 from mockfan.fans import fan_from_cones
 from mockfan.grassmann import GrassmannSpec, expected_vol_expression
+from mockfan.subdivision import LiftedExponent, MockPolytopeChart, subdivide_chart
 
 
 @pytest.fixture
@@ -139,3 +140,69 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "status: PASS" in proc.stdout
+
+
+def _inputs(tmp_path):
+    """A valid input file per reading subcommand (and one annotations file)."""
+    chart = MockPolytopeChart("demo", 2, ((0, 1),), (LiftedExponent("a", (0, 0)),
+                                                     LiftedExponent("b", (1, 0))))
+    res = subdivide_chart(chart)
+    texts = {
+        "cone": formats.write_cone(cg(2, [(1, 0), (0, 1)])),
+        "chart": formats.write_chart(chart),
+        "fan": formats.write_fan(res.projected_fan),
+        "result": formats.write_result(res.projected_fan, res.active_sets),
+        "annotations": formats.write_annotations(res.projected_fan, {}),
+    }
+    paths = {}
+    for kind, text in texts.items():
+        paths[kind] = tmp_path / f"{kind}.txt"
+        paths[kind].write_text(text, encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("command, kind, annotations", [
+    (["dual"], "cone", False),
+    (["faces"], "cone", False),
+    (["subdivide"], "chart", False),
+    (["glue"], "chart", False),
+    (["bounded"], "fan", False),
+    (["rescale", "--scale", "2"], "fan", False),
+    (["vol"], "result", False),
+    (["vol"], "fan", True),
+], ids=["dual", "faces", "subdivide", "glue", "bounded", "rescale", "vol",
+        "vol-annotations"])
+def test_non_utf8_input_is_bad_input(tmp_path, capsys, command, kind, annotations):
+    paths = _inputs(tmp_path)
+    argv = command + ["-i", str(paths[kind])]
+    broken = paths[kind]
+    if annotations:
+        argv += ["--annotations", str(paths["annotations"])]
+        broken = paths["annotations"]
+    assert main(argv) == 0
+    # one byte 0xff, in a comment line that the reader would skip
+    broken.write_bytes(broken.read_bytes() + b"# \xff\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[input]: ") and "utf-8" in err and "Traceback" not in err
+
+
+def test_integers_outside_the_grammar_exit_2(tmp_path, capsys):
+    cone = tmp_path / "cone.txt"
+    cone.write_text("schema mockfan.cone/1\nrank 2\nrays 1\n1_0 ５\nlineality 0\n",
+                    encoding="utf-8")
+    assert main(["dual", "-i", str(cone)]) == 2
+    assert "error[input]: bad integer in ray: '1_0'" in capsys.readouterr().err
+
+
+def test_files_and_stdout_are_utf8(tmp_path, capsys):
+    chart = tmp_path / "chart.txt"
+    chart.write_text(formats.write_chart(MockPolytopeChart(
+        "démo", 2, ((0, 1),), (LiftedExponent("ä", (0, 0)), LiftedExponent("b", (1, 0))))),
+        encoding="utf-8")
+    out = tmp_path / "result.txt"
+    assert main(["subdivide", "-i", str(chart), "-o", str(out)]) == 0
+    assert main(["subdivide", "-i", str(chart)]) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
+    assert "items ä" in out.read_text(encoding="utf-8")

@@ -661,6 +661,20 @@ def test_lazy_facets_of_every_face_equal_the_two_hnf_oracle(data):
                 assert got == expected
 
 
+@given(generator_sets())
+@settings(max_examples=100, deadline=None)
+def test_span_equalities_of_walked_faces_are_the_kernel_of_their_generators(data):
+    # the separate kernel of the rays and lineality, kept as the oracle of
+    # the span equalities the facet DD gives
+    rank, gens, lins = data
+    for facets_first in (True, False):
+        for face in cones.walk_faces(cone_from_generators(rank, gens, lins)):
+            f = face.cone
+            if facets_first:
+                f.facets
+            assert f.span_eqs == kernel_basis(list(f.rays) + list(f.lineality), rank)
+
+
 @given(lineality_rich_systems())
 @settings(max_examples=150, deadline=None)
 def test_cone_from_generators_equals_two_hnf_oracle_on_lineality_rich_input(system):

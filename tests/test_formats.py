@@ -1,4 +1,5 @@
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -519,3 +520,54 @@ def test_facet_masks_are_computed_once_per_cone(monkeypatch):
     # fan_from_cones), then one walk per maximal cone in fan_from_cones
     assert len(asked) == len(face_tests) + len(maximal)
     assert {id(c) for c, _ in asked} == {id(c) for c in computed}
+
+
+# -- integers: an optional sign and ASCII digits, nothing else that int() takes --
+
+GRAMMAR_CHART = MockPolytopeChart("demo", 2, ((0, 1),), (LiftedExponent("a", (0, 0), 2),
+                                                         LiftedExponent("b", (1, 0))), scale=3)
+GRAMMAR_RESULT = subdivide_chart(GRAMMAR_CHART)
+GRAMMAR_TEXTS = {
+    formats.read_cone: formats.write_cone(cg(2, [(2, 1)])),
+    formats.read_fan: formats.write_fan(GRAMMAR_RESULT.projected_fan),
+    formats.read_chart: formats.write_chart(GRAMMAR_CHART),
+    formats.read_result: formats.write_result(GRAMMAR_RESULT.projected_fan,
+                                              GRAMMAR_RESULT.active_sets),
+    formats.read_expression: formats.write_expression(FormalSum({ClassLabel.point(): 3})),
+}
+
+
+@pytest.mark.parametrize("reader, line, bad_line, what", [
+    (formats.read_cone, "2 1", "2 0_1", "ray"),
+    (formats.read_cone, "2 1", "２ 1", "ray"),                       # fullwidth 2
+    (formats.read_fan, "cone 0 2", "cone 0 0_2", "cone ray indices"),
+    (formats.read_fan, "cone 0 2", "cone ０ 2", "cone ray indices"),
+    (formats.read_chart, "scale 3", "scale 0_3", "scale"),
+    (formats.read_chart, "scale 3", "scale ٣", "scale"),             # Arabic-Indic 3
+    (formats.read_chart, "item a kappa 2 exponent 0 0", "item a kappa 0_2 exponent 0 0",
+     "kappa"),
+    (formats.read_chart, "item a kappa 2 exponent 0 0", "item a kappa ٢ exponent 0 0",
+     "kappa"),
+    (formats.read_chart, "item b kappa 0 exponent 1 0", "item b kappa 0 exponent 1 0_0",
+     "exponent"),
+    (formats.read_chart, "item b kappa 0 exponent 1 0", "item b kappa 0 exponent １ 0",
+     "exponent"),
+    (formats.read_result, "cone 0 items a b", "cone 0_0 items a b", "cone index"),
+    (formats.read_result, "cone 0 items a b", "cone ０ items a b", "cone index"),
+    (formats.read_expression, "+3 pt", "+0_3 pt", "coefficient"),
+    (formats.read_expression, "+3 pt", "+３ pt", "coefficient"),
+])
+def test_integers_outside_the_grammar_are_rejected(reader, line, bad_line, what):
+    # each bad token is one that int() reads as the value it replaces
+    lines = GRAMMAR_TEXTS[reader].splitlines()
+    reader("\n".join(lines) + "\n")
+    lines[lines.index(line)] = bad_line
+    with pytest.raises(formats.ParseError, match=f"bad integer in {what}"):
+        reader("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "５", " 5", "5 ", "+-5", "0x5", "", "+"])
+def test_ints_takes_only_a_sign_and_ascii_digits(token):
+    assert formats._ints(["+5", "-0", "07"], "x") == (5, 0, 7)
+    with pytest.raises(formats.ParseError, match=re.escape(f"bad integer in x: {token!r}")):
+        formats._ints(["1", token], "x")

@@ -35,7 +35,8 @@ VALID = [
     (["rescale", "--scale", "2"], formats.write_fan(RESULT.projected_fan)),
     (["vol"], formats.write_result(RESULT.projected_fan, RESULT.active_sets)),
 ]
-VOCABULARY = sorted({token for _, text in VALID for token in text.split()})
+VOCABULARY = sorted({token for _, text in VALID for token in text.split()}
+                    | {"1_0", "５"})   # integers that int() reads but the grammar does not
 
 
 @st.composite

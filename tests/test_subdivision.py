@@ -15,7 +15,7 @@ from genutil import (assert_walk_matches_oracle, interior_lattice_point,
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
-from mockfan.exact import IntVec, dot, primitive, rank as matrix_rank
+from mockfan.exact import IntVec, dot, kernel_basis, primitive, rank as matrix_rank
 from mockfan.fans import (FanError, fan_from_cones, is_refinement, refines_cone_faces,
                           rescale, rescale_cone)
 from mockfan.grassmann import GrassmannSpec, zero_chart
@@ -545,9 +545,10 @@ def certify_lower_faces_of(chart):
     fan_cone = {c.rays: c for c in res.projected_fan}
     proj_cones = [fan_cone[tuple(sorted(primitive(x[:-1]) for x in f.cone.rays))]
                   for f in res.faces_avoiding]
-    item_masks, negative = subdivision._lifted_item_masks(chart, big.rays)
+    masks, negative = subdivision._pair_with_D(chart, big.rays)
     _certify_lower_faces(chart, big, big.facet_masks(), res.faces_avoiding, proj_cones,
-                         item_masks, negative)
+                         {g: m for g, m in masks.items() if g[-1]},
+                         [g for g in negative if g[-1]])
 
 
 def with_rays_of_C(d, rays):
@@ -615,8 +616,8 @@ def test_certificate_of_C_rejects_the_octahedron_with_a_facet_dropped():
     bad_c = cones.Cone(4, rays, (), facets, (), _token=cones._CONE_TOKEN)
     with pytest.raises(SubdivisionInconsistency,
                        match=r"differ at the ray or line \(-1, -1, -1, 1\)"):
-        subdivision._certify_lifted_cone(ch, bad_c, support_cone(ch).dim(),
-                                         *subdivision._lifted_item_masks(ch, rays))
+        subdivision._certify_lifted_cone(bad_c, support_cone(ch).dim(),
+                                         *subdivision._pair_with_D(ch, rays))
 
 
 @pytest.mark.parametrize("smaller, match", [
@@ -634,6 +635,34 @@ def test_certificate_of_C_rejects_the_exact_dual_of_a_smaller_D(monkeypatch, sma
         certify_lower_faces_of(ch)
     with pytest.raises(SubdivisionInconsistency, match=match):
         subdivide_chart(ch)
+
+
+def test_certificate_of_C_names_an_item_before_a_support_dual(monkeypatch):
+    # D lacks the item (0, 0, 2) and the support dual (1, 0, 0): both are
+    # negative on a ray of its dual, and step 1 names the item
+    ch = triangle_chart()
+    bad_d = build_D(replace(ch, items=ch.items[1:],
+                            sigma_dual_generators=ch.sigma_dual_generators[1:]))
+    rays = dual_cone(bad_d).rays
+    for g in ((0, 0, 2, 1), (1, 0, 0, 0)):
+        assert any(dot(g, x) < 0 for x in rays)
+    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    with pytest.raises(SubdivisionInconsistency,
+                       match=r"item exponent \(0, 0, 2\) is negative on a ray of C"):
+        subdivide_chart(ch)
+
+
+def test_span_equalities_of_projected_cones_are_the_kernel_of_their_rays():
+    # the separate kernel of the rays and lineality, kept as the oracle of
+    # the span equalities the facet DD gives
+    for ch in (triangle_chart(), plane_chart(), zero_chart(GrassmannSpec(5, 2, 1))):
+        res = subdivide_chart(ch, verify=False)
+        for k, cone in enumerate(res.projected_fan):
+            assert cone._facets is None and cone._span_eqs is None
+            if k % 2:
+                cone.facets
+            assert cone.span_eqs == kernel_basis(list(cone.rays) + list(cone.lineality),
+                                                 cone.rank)
 
 
 def test_certificate_of_C_rejects_a_cone_of_too_low_a_rank(monkeypatch):
@@ -769,8 +798,8 @@ def test_mask_active_sets_on_every_cone_of_the_zero_chart(n):
 
 def test_empty_active_set_is_an_inconsistency(monkeypatch):
     # as if no lifted item were zero on any ray of C
-    monkeypatch.setattr(subdivision, "_lifted_item_masks", lambda chart, rays: (
-        {w: 0 for w in chart.lifted_generators()}, []))
+    monkeypatch.setattr(subdivision, "_pair_with_D", lambda chart, rays: (
+        {g: 0 for g in subdivision._generators_of_D(chart)}, []))
     with pytest.raises(SubdivisionInconsistency, match="no item is active"):
         subdivide_chart(triangle_chart(), verify=False)
 
@@ -879,7 +908,7 @@ def assert_per_ray_data_equal_per_face_oracles(ch):
     for verify in (False, True):
         res = subdivide_chart(ch, verify=verify)
         fan_cones = {c: c for c in res.projected_fan}
-        item_masks, _ = subdivision._lifted_item_masks(ch, res.big_cone.rays)
+        item_masks, _ = subdivision._pair_with_D(ch, res.big_cone.rays)
         ids_by_mask = [(item_masks[ch.effective_exponent(it) + (1,)], it.id)
                        for it in ch.items]
         projections = []
