@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the Gr(2,n) verification over a parameter grid and print a summary.
 
-Each case subdivides the zero chart, checks the seven bounded cones and
-their active sets, and reports fan size and wall-clock time.  Cases are
-`n,d,l` triples; the default grid covers the reference set, the n = 4
-corner, 7,2,1, 8,2,1 (the largest chart, 406 items and 4364 cones), 6,4,1
-and 7,3,1.
+Each case builds the lifted cone C of the zero chart, walks only its faces
+that project to bounded cells, checks the seven bounded cones and their
+active sets, and reports the chart's items, the rays and facets of C, the
+bounded cones found and the wall-clock time.  The full subdivision is never
+built.  Cases are `n,d,l` triples; the default grid covers the reference
+set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1 and 12,2,1 (2211
+items; C has 28 rays and 267 facets).
 
 Example:
     python3 scripts/run_grassmann_sweep.py
@@ -19,7 +21,7 @@ import time
 from mockfan.grassmann import GrassmannSpec, verify, vol_expression
 
 DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1", "7,2,1",
-                 "8,2,1", "6,4,1", "7,3,1"]
+                 "8,2,1", "6,4,1", "7,3,1", "10,2,1", "12,2,1"]
 
 
 def parse_case(text: str) -> GrassmannSpec:
@@ -38,16 +40,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     all_ok = True
-    print(f"{'case':>10}  {'cones':>6}  {'bounded':>7}  {'time':>7}  status")
+    print(f"{'case':>10}  {'items':>6}  {'C rays':>6}  {'facets':>6}  {'bounded':>7}  "
+          f"{'time':>7}  status")
     for text in args.cases:
         spec = parse_case(text)
         start = time.monotonic()
         report = verify(spec)
         elapsed = time.monotonic() - start
-        fan = report.result.projected_fan
+        big = report.lift.big_cone
         status = "PASS" if report.passed else "FAIL"
         all_ok &= report.passed
-        print(f"{text:>10}  {len(fan):>6}  {len(fan.bounded_cones()):>7}  "
+        print(f"{text:>10}  {len(report.lift.chart.items):>6}  {len(big.rays):>6}  "
+              f"{len(big.facets):>6}  {len(report.bounded.projected_fan.bounded_cones()):>7}  "
               f"{elapsed:>6.1f}s  {status}")
         if not report.passed:
             print(report.render())

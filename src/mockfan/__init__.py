@@ -7,8 +7,8 @@ from .fans import (Fan, euler_char_height1, fan_from_cones, is_bounded_cone,
                    is_specifically_reduced, refines_cone_faces, rescale,
                    specifically_reduced_scale)
 from .grassmann import GrassmannSpec, verify, vol_expression
-from .subdivision import (LiftedExponent, MockPolytopeChart, SubdivisionResult,
-                          build_D, glue_charts, subdivide_chart, val_min)
+from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart, SubdivisionResult,
+                          build_D, glue_charts, lift_chart, subdivide_chart, val_min)
 from .volume import ClassLabel, FormalSum, StratumAnnotation, vol_skeleton
 
 __all__ = [
@@ -16,8 +16,8 @@ __all__ = [
     "Fan", "fan_from_cones", "is_refinement", "rescale", "euler_char_height1",
     "is_special_cone", "is_bounded_cone", "is_specifically_reduced",
     "specifically_reduced_scale", "is_compactly_arranged",
-    "LiftedExponent", "MockPolytopeChart", "SubdivisionResult",
-    "build_D", "subdivide_chart", "val_min", "glue_charts",
+    "LiftedExponent", "MockPolytopeChart", "SubdivisionResult", "LiftedChart",
+    "build_D", "lift_chart", "subdivide_chart", "val_min", "glue_charts",
     "ClassLabel", "FormalSum", "StratumAnnotation", "vol_skeleton",
     "GrassmannSpec", "verify", "vol_expression",
 ]

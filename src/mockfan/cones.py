@@ -337,9 +337,11 @@ class Face:
     cone: Cone
 
 
-def walk_faces(c: Cone, lower: Optional[int] = None) -> list[Face]:
+def walk_faces(c: Cone, lower: Optional[int] = None,
+               within: Optional[int] = None) -> list[Face]:
     """Every face of c in walk order, graded as walked; with `lower`, a
-    bitset of facet indices, only the faces on one of those facets.
+    bitset of facet indices, only the faces on one of those facets; with
+    `within`, a bitset of ray indices, only the faces whose rays are all in it.
 
     A face is its mask of extreme rays, and its tight set, the facets that
     hold it, determines it.  The walk goes up from the minimal face one
@@ -349,14 +351,18 @@ def walk_faces(c: Cone, lower: Optional[int] = None) -> list[Face]:
     it.  G covers F iff as many rays r give G as G has rays outside F.  So
     the walk level is the grade, and each face's dimension is the
     lineality's plus its level.  With `lower`, a candidate whose tight set
-    misses `lower` is dropped: the faces on those facets are downward
-    closed, so each is reached from one it covers.  The minimal face is
-    always returned.  A subset of c's sorted canonical rays, reduced modulo
-    the same lineality, is canonical as it stands.
+    misses `lower` is dropped.  With `within`, only the rays in it are
+    tried, so a candidate with a ray outside `within` has fewer rays giving
+    it than rays outside F and is no cover.  The faces on those facets,
+    and the faces inside those rays, are downward closed, so each is
+    reached from one it covers.  The minimal face is always returned.  A
+    subset of c's sorted canonical rays, reduced modulo the same lineality,
+    is canonical as it stands.
     """
     facet_masks = c.facet_masks()
     ray_tight = [(1 << i, sum(1 << j for j, fm in enumerate(facet_masks) if fm >> i & 1))
                  for i in range(len(c.rays))]
+    tried = ray_tight if within is None else [(bit, tr) for bit, tr in ray_tight if bit & within]
     closure: dict[int, int] = {}
     out: list[Face] = []
     level = [(0, (1 << len(facet_masks)) - 1)]
@@ -368,7 +374,7 @@ def walk_faces(c: Cone, lower: Optional[int] = None) -> list[Face]:
             rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
             out.append(Face(mask, Cone._trusted(c.rank, rays, c.lineality, dim)))
             counts: dict[int, int] = {}
-            for bit, tr in ray_tight:
+            for bit, tr in tried:
                 if not mask & bit:
                     counts[t & tr] = counts.get(t & tr, 0) + 1
             for u, k in counts.items():

@@ -18,11 +18,12 @@ Ambient coordinate order for charts: (M block | M-dagger block indexed
 -1..n-3 | delta), with the torus-fiber dual block of rank n-1 and one
 t-dual slot; the primal side reads (N block | N-dagger block | t).
 
-The zero chart runs the subdivision pipeline and `verify` compares its
-bounded cones and active sets against the seven expected ones; `vol_expression`
-then assembles the signed stratum-class sum with the known annotations
-(two point strata, one very general degree-d hypersurface stratum in
-P^(2n-5), four symbolic strata).
+`verify` lifts the zero chart once, projects only the faces of its lifted
+cone that give bounded cells, and compares those bounded cones and active
+sets against the seven expected ones; `vol_expression` then assembles the
+signed stratum-class sum over them with the known annotations (two point
+strata, one very general degree-d hypersurface stratum in P^(2n-5), four
+symbolic strata).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Optional
 
 from .cones import Cone
 from .exact import IntVec
-from .subdivision import (LiftedExponent, MockPolytopeChart, SubdivisionResult,
-                          subdivide_chart)
+from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart, SubdivisionResult,
+                          lift_chart)
 from .volume import ClassLabel, FormalSum, StratumAnnotation, vol_skeleton
 
 
@@ -314,10 +315,20 @@ class ConeCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The seven checks of `verify` and any unexpected bounded cone, read
+    off `bounded`: the bounded cells of the zero chart, that is its bounded
+    cones and the zero cone with their active sets.  `result`, the full
+    subdivision, is walked from the same lifted cone `lift` when it is
+    first read, and kept; no second DD runs."""
     spec: GrassmannSpec
     checks: tuple[ConeCheck, ...]
     extra_bounded: tuple[Cone, ...]
-    result: SubdivisionResult
+    bounded: SubdivisionResult
+    lift: LiftedChart
+
+    @functools.cached_property
+    def result(self) -> SubdivisionResult:
+        return self.lift.subdivide()
 
     @property
     def cones_matched(self) -> int:
@@ -356,24 +367,32 @@ class VerificationReport:
 
 
 def verify(spec: GrassmannSpec, verify_fan: bool = True) -> VerificationReport:
-    """Subdivide the zero chart and compare with the expected seven bounded
-    cones.  With `verify_fan`, `subdivide_chart` first certifies that the
-    lifted cone C is the dual of D (`subdivision._certify_lifted_cone`) and
-    then trusts the walk of C; without it, the walk runs unchecked."""
-    chart = zero_chart(spec)
-    result = subdivide_chart(chart, verify=verify_fan)
-    bounded = set(result.projected_fan.bounded_cones())
+    """Compare the bounded cells of the zero chart with the expected seven
+    bounded cones and their active sets.
+
+    The lifted cone C is built once (`subdivision.lift_chart`); with
+    `verify_fan` it is first certified to be the dual of D
+    (`subdivision._certify_lifted_cone`), without it it is trusted.  Only
+    the lower faces of C whose rays all have t > 0 are walked and projected
+    (`LiftedChart.subdivide(bounded=True)`), with every per-face check of
+    the full walk; at every case measured C has four such rays, so the walk
+    visits at most 16 faces.  The full subdivision is built only when
+    `report.result` is read.
+    """
+    lift = lift_chart(zero_chart(spec), verify=verify_fan)
+    cells = lift.subdivide(bounded=True)
+    bounded = set(cells.projected_fan.bounded_cones())
     expected = expected_bounded_cones(spec)
     expected_active = expected_active_sets(spec)
     checks = []
     for name in CONE_NAMES:
         cone = expected[name]
         found = cone in bounded
-        computed = result.active_sets.get(cone) if found else None
+        computed = cells.active_sets.get(cone) if found else None
         checks.append(ConeCheck(name, cone, found, expected_active[name], computed))
     extras = tuple(sorted(bounded - set(expected.values()),
                           key=lambda c: (c.dim(), c.rays)))
-    return VerificationReport(spec, tuple(checks), extras, result)
+    return VerificationReport(spec, tuple(checks), extras, cells, lift)
 
 
 def hypersurface_label(spec: GrassmannSpec) -> ClassLabel:
@@ -395,17 +414,19 @@ def grassmann_annotations(spec: GrassmannSpec) -> dict[Cone, StratumAnnotation]:
 def vol_expression(spec: GrassmannSpec, report: Optional[VerificationReport] = None) -> FormalSum:
     """The signed stratum-class sum over the verified bounded cones.
 
-    Runs (or reuses) the verification first; cones with fewer than two
-    distinct active exponents are filtered out, which keeps all seven here.
+    Runs (or reuses) the verification first and sums over its bounded
+    subfan (`report.bounded`), so the full subdivision is never built; cones
+    with fewer than two distinct active exponents are filtered out, which
+    keeps all seven here.
     """
     if report is None:
         report = verify(spec)
     if not report.passed:
         raise VerificationFailed(
             f"verification failed for n={spec.n} d={spec.d} l={spec.l}")
-    result = report.result
-    return vol_skeleton(result.projected_fan, grassmann_annotations(spec),
-                        active_filter=lambda c: result.effective_dimension(c) >= 2)
+    cells = report.bounded
+    return vol_skeleton(cells.projected_fan, grassmann_annotations(spec),
+                        active_filter=lambda c: cells.effective_dimension(c) >= 2)
 
 
 def expected_vol_expression(spec: GrassmannSpec) -> FormalSum:

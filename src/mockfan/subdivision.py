@@ -12,9 +12,14 @@ read off the rays of C: C lies on the nonnegative side of every lifted item
 (w, 1), and on a face that avoids (0, 1) the items attaining the minimum
 are exactly those whose lifted vector is zero on every ray of the face.
 
-Verification certifies C, not its faces (`_certify_lifted_cone`): C is the
-dual of D, checked against one pairing of D's generators with the rays of C
-and by a second double description from its facets; the walk is trusted.
+The pipeline has two steps.  `lift_chart` builds C once, with its checks,
+and reads off each ray of C the items zero on it; `LiftedChart.subdivide`
+projects a walk of C's lower faces, all of them or only those whose rays
+all have t > 0, which project to the bounded cells.  `subdivide_chart` runs
+both with the full walk.  Verification certifies C, not its faces
+(`_certify_lifted_cone`): C is the dual of D, checked against one pairing
+of D's generators with the rays of C and by a second double description
+from its facets; every walk is trusted.
 
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
 whose last slot is the delta (t-dual) coordinate; the lift appends one more
@@ -165,38 +170,102 @@ class SubdivisionResult:
                     for it in self.chart.items if it.id in active})
 
 
-def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
-    """Run the full pipeline on one chart.
+@dataclass(frozen=True)
+class LiftedChart:
+    """A chart's lifted cone C, built and checked once by `lift_chart`, and
+    per ray of C the bitset of the items whose lifted vector is zero on it.
+    `subdivide` projects a walk of C's lower faces, whole or pruned to the
+    bounded cells; each walk reads this one C, so no DD runs again."""
+    chart: MockPolytopeChart
+    big_cone: Cone
+    zero_on: tuple[int, ...]
 
-    The fan is the projection of the faces of the lifted cone C that avoid
-    the apex direction (0, 1).  With `verify` set, `_certify_lifted_cone`
+    def subdivide(self, bounded: bool = False) -> SubdivisionResult:
+        """Project the lower faces of C, the faces that avoid the apex
+        direction (0, 1), to the chart's subdivision.  With `bounded`, only
+        its bounded cells: the walk is also pruned to the rays of C with
+        t > 0 (`x[-2] > 0`), whose faces project to the bounded cones, and
+        the fan is the bounded subfan, those cones and the zero cone.
+
+        The faces are walked up from the minimal face of C by
+        `cones.walk_faces`, pruned to the facets that pair positively with
+        (0, 1), and with `bounded` to the rays with t > 0; both sets of
+        faces are downward closed, and the minimal face is walked even when
+        there is no such facet.  A face whose rays all have t > 0 cannot
+        hold (0, 1), whose t is 0, so it is a lower face.  Every walked face
+        and its projection take their dimension from one source, the walk
+        level at which the face is reached: a lower face lies on a facet
+        hyperplane that (0, 1) is not in, so pi keeps its dimension.  No
+        rank is computed per face.
+
+        The per-face work is done from data computed once per ray of C.
+        Each walked ray is projected and primitivised once; a face's
+        projection is the images of its rays in one fixed sorted order,
+        canonical as it stands.  The active set of a face is the AND of the
+        `zero_on` bitsets over its rays: every item zero on all of them.
+        This is exact: each lifted item (w, 1) is >= 0 on C, so it is zero
+        at a relative interior point (v, s) of the face iff it is zero on
+        all the face's rays, and then <w, v> = -s <= <w', v> for every item
+        w'.  A face on which no item is zero is not a lower face and raises
+        SubdivisionInconsistency, as do the projection checks below.
+        """
+        big = self.big_cone
+        r = big.rank - 1
+        within = sum(1 << i for i, x in enumerate(big.rays) if x[-2] > 0) if bounded else None
+        # a face avoids (0, 1) exactly when some facet tight on it pairs
+        # positively with (0, 1)
+        faces = walk_faces(big, sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0),
+                           within)
+        # pi is injective on the span of a lower face, which lies on a facet
+        # hyperplane that (0, 1) is not in, so the primitive images of a face's
+        # rays are distinct and nonzero: in one sorted order of the images they
+        # are the canonical rays of its projection.  Each ray of C is projected
+        # once.  pi is also injective on the union of the lower faces: were x
+        # and x + l(0, 1), l > 0, on lower facets A and B, x would not be in C,
+        # as <f_B, x> = -l <f_B, (0, 1)> < 0.  So the images of all walked rays
+        # are checked for that once, not face by face; the walk's masks are
+        # distinct, so then are the projected cones.
+        walked = functools.reduce(operator.or_, (face.mask for face in faces), 0)
+        images = {i: big.rays[i][:-1] for i in _bits(walked)}
+        if any(is_zero_vec(v) for v in images.values()):
+            raise SubdivisionInconsistency(
+                "subdivision inconsistency: a walked ray of C projects to zero")
+        images = {i: primitive(v) for i, v in images.items()}
+        if len(set(images.values())) != len(images):
+            raise SubdivisionInconsistency(
+                "subdivision inconsistency: two walked rays of C have one projection")
+        ordered = [(1 << i, images[i]) for i in sorted(images, key=images.__getitem__)]
+        proj_cones = [Cone._trusted(r, tuple(v for bit, v in ordered if face.mask & bit), (),
+                                    face.cone.dim())
+                      for face in faces]
+        items = self.chart.items
+        everything = (1 << len(items)) - 1
+        active = {}
+        for face, cone in zip(faces, proj_cones):
+            on_face = functools.reduce(operator.and_, (self.zero_on[i] for i in _bits(face.mask)),
+                                       everything)
+            if not on_face:
+                raise SubdivisionInconsistency(
+                    f"subdivision inconsistency: no item is active on {list(cone.rays)}")
+            active[cone] = frozenset(items[k].id for k in _bits(on_face))
+        return SubdivisionResult(self.chart, big, tuple(faces), Fan._trusted(r, proj_cones, True),
+                                 active)
+
+
+def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
+    """Build the lifted cone C = `dual_cone(build_D(chart))` and check it.
+
+    A support that reaches t < 0 is bad input and raises ChartError, as
+    does a C with lineality.  With `verify` set, `_certify_lifted_cone`
     checks, from C, dim S and the pairing of D's generators with the rays
     of C, that C is the dual of the lifted cone D; the lower faces of that
-    cone project to the subdivision of the chart by construction, so the
-    walk is trusted and no face is checked or derived again.  A failed check is a
-    pipeline bug and raises SubdivisionInconsistency.  Input that has no
-    lifted cone behind it, a fan or result read from a file or the union
-    of glued charts, is checked by `fan_from_cones` instead.  A support
-    that reaches t < 0 is bad input and raises ChartError before the walk.
-
-    The lower faces are walked up from the minimal face of C by
-    `cones.walk_faces`, pruned to the facets that pair positively with
-    (0, 1); the minimal face is walked even when there is no such facet.
-    Every walked face and its projection take their dimension from one
-    source, the walk level at which the face is reached: a lower face lies
-    on a facet hyperplane that (0, 1) is not in, so pi keeps its
-    dimension.  No rank is computed per face.
-
-    The per-face work is done from data computed once per ray of C.  Each
-    walked ray is projected and primitivised once; a face's projection is
-    the images of its rays in one fixed sorted order, canonical as it
-    stands.  Active sets read the lifted items (w, 1) in that pairing, kept
-    per ray as the bitset of the items zero on it.  The active set of a
-    face is the AND of these bitsets over its rays: every item zero on all
-    of them.  This is exact: each (w, 1) is >= 0 on C, so it is zero at a
-    relative interior point (v, s) of the face iff it is zero on all the
-    face's rays, and then <w, v> = -s <= <w', v> for every item w'.  A face on which no item is
-    zero is not a lower face and raises SubdivisionInconsistency.
+    cone project to the subdivision of the chart by construction, so every
+    walk of it is trusted and no face is checked or derived again.  A
+    failed check is a pipeline bug and raises SubdivisionInconsistency.
+    Input that has no lifted cone behind it, a fan or result read from a
+    file or the union of glued charts, is checked by `fan_from_cones`
+    instead.  The same pairing gives, per ray of C, the bitset of the items
+    zero on it, which the active sets of `LiftedChart.subdivide` read.
     """
     r = chart.ambient_dual_rank
     support = support_cone(chart)
@@ -210,49 +279,21 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
         raise ChartError(
             "chart support and items do not span the dual space: "
             "the subdivision would not be strongly convex")
-    # a face avoids (0, 1) exactly when some facet tight on it pairs
-    # positively with (0, 1)
-    faces = walk_faces(big, sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0))
-    # pi is injective on the span of a lower face, which lies on a facet
-    # hyperplane that (0, 1) is not in, so the primitive images of a face's
-    # rays are distinct and nonzero: in one sorted order of the images they
-    # are the canonical rays of its projection.  Each ray of C is projected
-    # once.  pi is also injective on the union of the lower faces: were x
-    # and x + l(0, 1), l > 0, on lower facets A and B, x would not be in C,
-    # as <f_B, x> = -l <f_B, (0, 1)> < 0.  So the images of all walked rays
-    # are checked for that once, not face by face; the walk's masks are
-    # distinct, so then are the projected cones.
-    walked = functools.reduce(operator.or_, (face.mask for face in faces), 0)
-    images = {i: big.rays[i][:-1] for i in _bits(walked)}
-    if any(is_zero_vec(v) for v in images.values()):
-        raise SubdivisionInconsistency(
-            "subdivision inconsistency: a walked ray of C projects to zero")
-    images = {i: primitive(v) for i, v in images.items()}
-    if len(set(images.values())) != len(images):
-        raise SubdivisionInconsistency(
-            "subdivision inconsistency: two walked rays of C have one projection")
-    ordered = [(1 << i, images[i]) for i in sorted(images, key=images.__getitem__)]
-    proj_cones = [Cone._trusted(r, tuple(v for bit, v in ordered if face.mask & bit), (),
-                                face.cone.dim())
-                  for face in faces]
     masks, negative = _pair_with_D(chart, big.rays)
     if verify:
         _certify_lifted_cone(big, support.dim(), masks, negative)
-    fan = Fan._trusted(r, proj_cones, True)
     zero_on = [0] * len(big.rays)
     for k, it in enumerate(chart.items):
         for i in _bits(masks[chart.effective_exponent(it) + (1,)]):
             zero_on[i] |= 1 << k
-    everything = (1 << len(chart.items)) - 1
-    active = {}
-    for face, cone in zip(faces, proj_cones):
-        on_face = functools.reduce(operator.and_, (zero_on[i] for i in _bits(face.mask)),
-                                   everything)
-        if not on_face:
-            raise SubdivisionInconsistency(
-                f"subdivision inconsistency: no item is active on {list(cone.rays)}")
-        active[cone] = frozenset(chart.items[k].id for k in _bits(on_face))
-    return SubdivisionResult(chart, big, tuple(faces), fan, active)
+    return LiftedChart(chart, big, tuple(zero_on))
+
+
+def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
+    """Run the full pipeline on one chart: the lifted cone C, checked by
+    `lift_chart`, and the projection of all its lower faces, by
+    `LiftedChart.subdivide`."""
+    return lift_chart(chart, verify).subdivide()
 
 
 def _bits(mask: int):
@@ -269,7 +310,7 @@ def _pair_with_D(chart: MockPolytopeChart, rays: Sequence[IntVec]
     rays it is zero on, and the generators negative on a ray, in D's order."""
     masks, negative = {}, []
     for g in _generators_of_D(chart):
-        pairing = [dot(g, x) for x in rays]
+        pairing = [sum(map(operator.mul, g, x)) for x in rays]
         if any(v < 0 for v in pairing):
             negative.append(g)
         masks[g] = sum(1 << i for i, v in enumerate(pairing) if v == 0)

@@ -8,9 +8,10 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from mockfan import cones
-from mockfan.cones import Cone, ConeError, cone_from_generators, is_subcone, walk_faces
+from mockfan.cones import (Cone, ConeError, cone_from_generators, is_subcone, walk_faces,
+                           zero_cone)
 from mockfan.exact import ExactError, dot, hnf, kernel_basis, primitive, rank
-from mockfan.subdivision import LiftedExponent, MockPolytopeChart
+from mockfan.subdivision import LiftedExponent, MockPolytopeChart, lift_chart
 
 
 def random_generators(rng: random.Random, rank: int, count: int, entry: int = 5):
@@ -161,11 +162,13 @@ def tight_facets(c: Cone, mask: int) -> frozenset[int]:
     return frozenset(j for j, fm in enumerate(c.facet_masks()) if mask & ~fm == 0)
 
 
-def assert_walk_matches_oracle(c: Cone, lower: Optional[int] = None):
-    """`walk_faces(c, lower)` gives each face once, with its rays, the
-    lineality of c and the dimension that `mask_closure` and `face_dims`
-    give: walked from the full mask, or with `lower` from the masks of the
-    `lower` facets, or from the minimal face when there are none."""
+def assert_walk_matches_oracle(c: Cone, lower: Optional[int] = None,
+                               within: Optional[int] = None):
+    """`walk_faces(c, lower, within)` gives each face once, with its rays,
+    the lineality of c and the dimension that `mask_closure` and
+    `face_dims` give: walked from the full mask, or with `lower` from the
+    masks of the `lower` facets, or from the minimal face when there are
+    none; with `within`, only the faces whose ray mask lies in it."""
     facet_masks = c.facet_masks()
     if lower is None:
         start = [(1 << len(c.rays)) - 1]
@@ -173,12 +176,37 @@ def assert_walk_matches_oracle(c: Cone, lower: Optional[int] = None):
         start = [m for j, m in enumerate(facet_masks) if lower >> j & 1] or [0]
     masks = [mask for mask, _ in mask_closure(facet_masks, start)]
     dims = face_dims(masks, facet_masks)
-    walked = walk_faces(c, lower)
+    if within is not None:
+        masks = [mask for mask in masks if mask & ~within == 0]
+    walked = walk_faces(c, lower, within)
     assert len(walked) == len({f.mask for f in walked})
     assert [f.cone.dim() for f in walked] == sorted(f.cone.dim() for f in walked)
     assert ({f.mask: (f.cone.rays, f.cone.lineality, f.cone.dim()) for f in walked}
             == {mask: (tuple(r for i, r in enumerate(c.rays) if mask >> i & 1),
                        c.lineality, len(c.lineality) + dims[mask]) for mask in masks})
+
+
+# -- the bounded cells against the full walk: the oracle of the pruned walk -------
+
+def assert_bounded_cells_equal_the_full_walk(chart: MockPolytopeChart, verify: bool = False):
+    """`LiftedChart.subdivide(bounded=True)` gives the bounded cones of the
+    full walk's fan, in its order, with the same active sets, and the zero
+    cone: each the projection of the same face of C, with the same grade,
+    the full walk's faces whose rays all have t > 0."""
+    lift = lift_chart(chart, verify)
+    full = lift.subdivide()
+    cells = lift.subdivide(bounded=True)
+    bounded = full.projected_fan.bounded_cones()
+    assert cells.projected_fan.bounded_cones() == bounded
+    assert [c for c in cells.projected_fan if c not in bounded] == [
+        zero_cone(chart.ambient_dual_rank)]
+    assert {c: cells.active_sets[c] for c in cells.projected_fan} == {
+        c: full.active_sets[c] for c in cells.projected_fan}
+    t_positive = sum(1 << i for i, x in enumerate(lift.big_cone.rays) if x[-2] > 0)
+    assert {f.mask: (f.cone, f.cone.dim()) for f in cells.faces_avoiding} == {
+        f.mask: (f.cone, f.cone.dim()) for f in full.faces_avoiding
+        if f.mask & ~t_positive == 0}
+    assert len(cells.faces_avoiding) == len(cells.projected_fan)
 
 
 # -- the canonical form by two HNFs per lattice: the oracle of `_canonical_vrep` --

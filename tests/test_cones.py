@@ -429,6 +429,25 @@ def test_walk_faces_matches_the_closure_oracle(gens, data):
     c = cone_from_generators(*gens)
     assert_walk_matches_oracle(c)
     assert_walk_matches_oracle(c, data.draw(st.integers(0, (1 << len(c.facets)) - 1)))
+    assert_walk_matches_oracle(c, data.draw(st.none() | st.integers(0, (1 << len(c.facets)) - 1)),
+                               data.draw(st.integers(0, (1 << len(c.rays)) - 1)))
+
+
+# -- a walk pruned to some rays against the unpruned walk ------------------------
+
+@given(generator_sets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_walk_faces_within_equals_the_unpruned_walk_filtered(gens, data):
+    # the walk with `within` gives the faces of the walk without it whose
+    # rays all lie in `within`, with the same grades
+    c = cone_from_generators(*gens)
+    lower = data.draw(st.none() | st.integers(0, (1 << len(c.facets)) - 1))
+    within = data.draw(st.integers(0, (1 << len(c.rays)) - 1))
+    walked = cones.walk_faces(c, lower, within)
+    expected = [f for f in cones.walk_faces(c, lower) if f.mask & ~within == 0]
+    assert len(walked) == len(expected)
+    assert ({f.mask: (f.cone, f.cone.dim()) for f in walked}
+            == {f.mask: (f.cone, f.cone.dim()) for f in expected})
 
 
 @pytest.mark.parametrize("c", [
@@ -438,9 +457,10 @@ def test_walk_faces_matches_the_closure_oracle(gens, data):
     cone_from_generators(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0)], [(0, 0, 1, 1)]),
 ], ids=["zero", "subspace", "orthant", "lineality"])
 def test_walk_faces_matches_the_closure_oracle_on_every_pruning(c):
-    assert_walk_matches_oracle(c)
-    for lower in range(1 << len(c.facets)):
+    for lower in [None, *range(1 << len(c.facets))]:
         assert_walk_matches_oracle(c, lower)
+        for within in range(1 << len(c.rays)):
+            assert_walk_matches_oracle(c, lower, within)
 
 
 # -- DD with the adjacency pre-filter against DD without it ----------------------

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from genutil import assert_bounded_cells_equal_the_full_walk
+from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import dot, rank as matrix_rank
 from mockfan.fans import fan_from_cones, is_refinement, refines_cone_faces, rescale_cone
@@ -221,6 +223,43 @@ def test_expected_cones_equal_the_cones_built_by_dd(case):
             built = cg(r, [gens[m] for m in members])
             assert cones[name] == built and cones[name].dim() == built.dim()
             assert cones[name].facets == built.facets
+
+
+@pytest.mark.parametrize("case", [c for c in sweep_default_cases() if int(c.split(",")[0]) <= 8])
+def test_bounded_cells_equal_the_full_walk_on_the_sweep(case):
+    assert_bounded_cells_equal_the_full_walk(zero_chart(GrassmannSpec(*map(int, case.split(",")))))
+
+
+@pytest.mark.parametrize("verify_fan", [True, False])
+def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify_fan):
+    # verify and vol_expression: one DD for C, one walk of at most 2^|T|
+    # faces; the full walk runs once, from the same C, when `result` is read
+    calls = {"build_D": 0}
+    walks = []
+
+    def counted_build_D(chart):
+        calls["build_D"] += 1
+        return build_D(chart)
+
+    def counted_walk(c, lower, within):
+        faces = cones.walk_faces(c, lower, within)
+        walks.append(len(faces))
+        return faces
+
+    monkeypatch.setattr(subdivision, "build_D", counted_build_D)
+    monkeypatch.setattr(subdivision, "walk_faces", counted_walk)
+    spec = GrassmannSpec(6, 2, 1)
+    report = verify(spec, verify_fan)
+    assert vol_expression(spec, report) == expected_vol_expression(spec)
+    t_positive = sum(1 for x in report.lift.big_cone.rays if x[-2] > 0)
+    assert calls["build_D"] == 1 and len(walks) == 1 and walks[0] <= 2 ** t_positive
+    result = report.result
+    assert report.result is result
+    assert calls["build_D"] == 1 and len(walks) == 2
+    assert (result.projected_fan.bounded_cones()
+            == report.bounded.projected_fan.bounded_cones())
+    monkeypatch.undo()
+    assert result == subdivide_chart(zero_chart(spec), verify=verify_fan)
 
 
 def test_expected_cones_are_primitive_height_one():

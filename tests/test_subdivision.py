@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genutil import (assert_walk_matches_oracle, interior_lattice_point,
-                     lattice_points_in_support, make_cone, random_orthant_chart,
-                     relative_interior_point, tight_facets)
+from genutil import (assert_bounded_cells_equal_the_full_walk, assert_walk_matches_oracle,
+                     interior_lattice_point, lattice_points_in_support, make_cone,
+                     random_orthant_chart, relative_interior_point, tight_facets)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
@@ -868,11 +868,29 @@ def test_walks_of_C_match_the_closure_oracle_on_the_zero_chart(n):
     assert_walks_of_C_match_oracle(zero_chart(GrassmannSpec(n, 2, 1)))
 
 
+# -- the bounded cells: the walk pruned to t > 0 against the full walk ------------
+
+@given(general_charts())
+@settings(max_examples=60, deadline=None)
+def test_bounded_cells_equal_the_full_walk_on_random_charts(ch):
+    try:
+        subdivision.lift_chart(ch, verify=False)
+    except ChartError:
+        assume(False)
+    assert_bounded_cells_equal_the_full_walk(ch)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bounded_cells_equal_the_full_walk_on_seeded_charts(seed):
+    assert_bounded_cells_equal_the_full_walk(random_orthant_chart(random.Random(seed)),
+                                             verify=True)
+
+
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 def test_certificate_rejects_a_wrong_grade(monkeypatch, dim):
     # one walked face of the given dimension is graded one too high
-    def wrong_walk(c, lower):
-        faces = cones.walk_faces(c, lower)
+    def wrong_walk(c, lower, within):
+        faces = cones.walk_faces(c, lower, within)
         k = min((i for i, f in enumerate(faces) if f.cone.dim() == dim),
                 key=lambda i: faces[i].mask)
         f = faces[k]
@@ -936,7 +954,8 @@ def test_per_ray_projection_and_active_sets_on_the_zero_chart(n):
 
 def test_a_walked_ray_projecting_to_zero_is_an_inconsistency(monkeypatch):
     # as if the walk reached all of C, the apex ray (0, 0, 0, 1) included
-    monkeypatch.setattr(subdivision, "walk_faces", lambda c, lower: cones.walk_faces(c))
+    monkeypatch.setattr(subdivision, "walk_faces",
+                        lambda c, lower, within: cones.walk_faces(c, within=within))
     with pytest.raises(SubdivisionInconsistency, match="projects to zero"):
         subdivide_chart(triangle_chart(), verify=False)
 
