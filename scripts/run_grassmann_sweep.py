@@ -6,8 +6,8 @@ that project to bounded cells, checks the seven bounded cones and their
 active sets, and reports the chart's items, the rays and facets of C, the
 bounded cones found and the wall-clock time.  The full subdivision is never
 built.  Cases are `n,d,l` triples; the default grid covers the reference
-set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1 and 12,2,1 (2211
-items; C has 28 rays and 267 facets).
+set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1, 12,2,1 (2211
+items; C has 28 rays and 267 facets) and 6,5,1 (the highest degree).
 
 Example:
     python3 scripts/run_grassmann_sweep.py
@@ -21,7 +21,7 @@ import time
 from mockfan.grassmann import GrassmannSpec, verify, vol_expression
 
 DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1", "7,2,1",
-                 "8,2,1", "6,4,1", "7,3,1", "10,2,1", "12,2,1"]
+                 "8,2,1", "6,4,1", "7,3,1", "10,2,1", "12,2,1", "6,5,1"]
 
 
 def parse_case(text: str) -> GrassmannSpec:

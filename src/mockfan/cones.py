@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exact import (
     IntVec,
@@ -233,10 +233,11 @@ class Cone:
 
     @staticmethod
     def _trusted(rank: int, rays: tuple[IntVec, ...], lineality: tuple[IntVec, ...],
-                 dim: int) -> "Cone":
+                 dim: int, facets: Optional[tuple[IntVec, ...]] = None,
+                 span_eqs: Optional[tuple[IntVec, ...]] = None) -> "Cone":
         """Internal constructor for rays and lineality already in canonical
-        form, of a cone whose dimension is known."""
-        cone = Cone(rank, rays, lineality, None, None, _token=_CONE_TOKEN)
+        form, of a cone whose dimension, and maybe H-side, is known."""
+        cone = Cone(rank, rays, lineality, facets, span_eqs, _token=_CONE_TOKEN)
         cone._dim = dim
         return cone
 
@@ -412,8 +413,8 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
       integer kernel of the span equalities and the facets, again one HNF;
     - the tight set of a generator g cuts out the smallest face holding g,
       so g spans an extreme ray modulo the lineality iff no generator
-      outside the lineality has a strictly larger tight set; every such
-      tight set is one ray, whatever generator carries it.
+      outside the lineality has a strictly larger tight set (`_extreme`);
+      every such tight set is one ray, whatever generator carries it.
 
     The facets and span equalities come from `_canonical_vrep` on the dual
     side, as for every conversion.  The rays are reduced modulo the
@@ -424,20 +425,29 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
     lins = _checked_rows(rank, lineality_generators, "lineality")
     facets, span_eqs = _canonical_vrep(rank, gens, lins)
     full = (1 << len(facets)) - 1
-    ray_of_mask: dict[int, IntVec] = {}
+    by_mask: dict[int, IntVec] = {}
     for g in gens:
         mask = sum(1 << j for j, f in enumerate(facets) if not sum(map(mul, g, f)))
         if mask == full:
             lins.append(g)
         else:
-            ray_of_mask.setdefault(mask, g)
+            by_mask.setdefault(mask, g)
     lin = kernel_basis(span_eqs + facets, rank) if lins else ()
-    rays = _representatives((g for mask, g in ray_of_mask.items()
-                             if not any(mask & ~other == 0
-                                        for other in ray_of_mask if other != mask)), lin)
-    cone = Cone(rank, rays, lin, facets, span_eqs, _token=_CONE_TOKEN)
-    cone._dim = rank - len(span_eqs)
-    return cone
+    return Cone._trusted(rank, _representatives(_extreme(by_mask).values(), lin), lin,
+                         rank - len(span_eqs), facets, span_eqs)
+
+
+def _extreme(by_mask: Mapping[int, IntVec]) -> dict[int, IntVec]:
+    """The maximal masks of `by_mask`, which maps the tight mask of each
+    generator outside the lineality to one generator with it.  A mask lies
+    strictly inside only masks with more bits, and then inside a maximal
+    one; so, by falling popcount, a mask is maximal iff it lies in none
+    kept so far."""
+    kept: dict[int, IntVec] = {}
+    for mask in sorted(by_mask, key=int.bit_count, reverse=True):
+        if all(mask & ~k for k in kept):
+            kept[mask] = by_mask[mask]
+    return kept
 
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],
@@ -457,10 +467,8 @@ def dual_cone(c: Cone) -> Cone:
     Swaps the two stored representations; duality is an involution on
     canonical cones.  The dual spans the complement of c's lineality.
     """
-    facets = c.facets  # forces both H-side fields
-    dual = Cone(c.rank, facets, c.span_eqs, c.rays, c.lineality, _token=_CONE_TOKEN)
-    dual._dim = c.rank - len(c.lineality)
-    return dual
+    return Cone._trusted(c.rank, c.facets, c.span_eqs, c.rank - len(c.lineality), c.rays,
+                         c.lineality)
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:

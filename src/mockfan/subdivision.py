@@ -16,10 +16,11 @@ The pipeline has two steps.  `lift_chart` builds C once, with its checks,
 and reads off each ray of C the items zero on it; `LiftedChart.subdivide`
 projects a walk of C's lower faces, all of them or only those whose rays
 all have t > 0, which project to the bounded cells.  `subdivide_chart` runs
-both with the full walk.  Verification certifies C, not its faces
-(`_certify_lifted_cone`): C is the dual of D, checked against one pairing
-of D's generators with the rays of C and by a second double description
-from its facets; every walk is trusted.
+both with the full walk.  C is built, not D, by one double description
+(DD) and one pairing with D's generators, in the coordinates of its span
+(`_lifted_cone`).  Verification certifies C, not its faces
+(`_certify_lifted_cone`): C is the dual of D, checked against that pairing
+and by a second DD from its facets; every walk is trusted.
 
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
 whose last slot is the delta (t-dual) coordinate; the lift appends one more
@@ -34,9 +35,9 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .cones import (Cone, Face, _canonical_vrep, _orthogonal_basis, _orthogonal_representative,
-                    cone_from_generators, dual_cone, walk_faces)
-from .exact import IntVec, Scalar, dot, is_zero_vec, primitive, rank as matrix_rank
+from .cones import (Cone, Face, _canonical_vrep, _dd, _extreme, _orthogonal_basis,
+                    _orthogonal_representative, cone_from_generators, dual_cone, walk_faces)
+from .exact import IntVec, Scalar, dot, is_zero_vec, kernel_basis, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
 
@@ -253,15 +254,16 @@ class LiftedChart:
 
 
 def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
-    """Build the lifted cone C = `dual_cone(build_D(chart))` and check it.
+    """Build the lifted cone C, the dual of the lifted cone D, and check it.
 
     A support that reaches t < 0 is bad input and raises ChartError, as
-    does a C with lineality.  With `verify` set, `_certify_lifted_cone`
-    checks, from C, dim S and the pairing of D's generators with the rays
-    of C, that C is the dual of the lifted cone D; the lower faces of that
-    cone project to the subdivision of the chart by construction, so every
-    walk of it is trusted and no face is checked or derived again.  A
-    failed check is a pipeline bug and raises SubdivisionInconsistency.
+    does a C with lineality.  `_lifted_cone` builds C and pairs D's
+    generators with its rays once.  With `verify` set,
+    `_certify_lifted_cone` checks, from C, dim S and that pairing, that C
+    is the dual of D; the lower faces of that cone project to the
+    subdivision of the chart by construction, so every walk of it is
+    trusted and no face is checked or derived again.  A failed check is a
+    pipeline bug and raises SubdivisionInconsistency.
     Input that has no lifted cone behind it, a fan or result read from a
     file or the union of glued charts, is checked by `fan_from_cones`
     instead.  The same pairing gives, per ray of C, the bitset of the items
@@ -271,15 +273,10 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
     support = support_cone(chart)
     if any(x[-1] < 0 for x in support.rays) or any(v[-1] != 0 for v in support.lineality):
         raise ChartError("chart support reaches t < 0: its sigma duals must imply t >= 0")
-    big = dual_cone(build_D(chart))
+    big, masks, negative = _lifted_cone(chart, support.span_eqs)
     apex = (0,) * r + (1,)
     if not big.contains(apex):
         raise SubdivisionInconsistency("subdivision inconsistency: (0,1) not in C")
-    if not big.is_strongly_convex():
-        raise ChartError(
-            "chart support and items do not span the dual space: "
-            "the subdivision would not be strongly convex")
-    masks, negative = _pair_with_D(chart, big.rays)
     if verify:
         _certify_lifted_cone(big, support.dim(), masks, negative)
     zero_on = [0] * len(big.rays)
@@ -287,6 +284,47 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
         for i in _bits(masks[chart.effective_exponent(it) + (1,)]):
             zero_on[i] |= 1 << k
     return LiftedChart(chart, big, tuple(zero_on))
+
+
+def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec]
+                 ) -> tuple[Cone, dict[IntVec, int], list[IntVec]]:
+    """C = D^vee by one DD, and the table of the one pairing of D's
+    generators G with its rays: each one's zero mask, and those negative on
+    a ray, in D's order.  C spans span(S) x Q, cut out by E = (e, 0) for e
+    in `span_eqs`; with B the saturated basis of that lattice (the identity,
+    skipped, when S is full-dimensional), C = {yB : (Bg).y >= 0, g in G},
+    as g.(yB) = (Bg).y.  The DD runs on the distinct rows Bg, in D's order;
+    its primitive rays y lift to the primitive rays yB of C, and each row is
+    paired with them once.  The facets of C, the rays of D, are read off
+    that incidence as `cone_from_generators` reads them off its own: the
+    generators of maximal mask (`cones._extreme`) modulo span(E), with those
+    masks.  A generator in span(E) = lin D has the zero row, zero on every
+    ray.  The span equalities of C are E, the Hermite basis of C^perp."""
+    rank = chart.ambient_dual_rank + 1
+    eqs = tuple(e + (0,) for e in span_eqs)
+    basis = kernel_basis(eqs, rank) if eqs else None
+    gens = _generators_of_D(chart)
+    row_of = {g: tuple(sum(map(operator.mul, b, g)) for b in basis) if basis else g
+              for g in gens}
+    rows = list(dict.fromkeys(row_of.values()))
+    ys, lin = _dd(len(rows[0]), rows)
+    if lin:
+        raise ChartError("chart support and items do not span the dual space: "
+                         "the subdivision would not be strongly convex")
+    lifted = sorted((tuple(sum(map(operator.mul, y, c)) for c in zip(*basis)) if basis else y, y)
+                    for y in ys)
+    table = {}
+    for w in rows:
+        pairing = [sum(map(operator.mul, w, y)) for _, y in lifted]
+        table[w] = (sum(1 << i for i, v in enumerate(pairing) if not v), min(pairing) < 0)
+    masks = {g: table[w][0] for g, w in row_of.items()}
+    extreme = _extreme({m: g for g, m in masks.items() if m != (1 << len(ys)) - 1})
+    ortho = _orthogonal_basis(eqs)
+    mask_of_facet = {_orthogonal_representative(g, ortho): m for m, g in extreme.items()}
+    facets = tuple(sorted(mask_of_facet))
+    big = Cone._trusted(rank, tuple(x for x, _ in lifted), (), rank - len(eqs), facets, eqs)
+    big._facet_masks = tuple(map(mask_of_facet.__getitem__, facets))   # not paired again
+    return big, masks, [g for g in gens if table[row_of[g]][1]]
 
 
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
@@ -304,25 +342,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _pair_with_D(chart: MockPolytopeChart, rays: Sequence[IntVec]
-                 ) -> tuple[dict[IntVec, int], list[IntVec]]:
-    """Pair each generator of D with the rays of C once: the mask of the
-    rays it is zero on, and the generators negative on a ray, in D's order."""
-    masks, negative = {}, []
-    for g in _generators_of_D(chart):
-        pairing = [sum(map(operator.mul, g, x)) for x in rays]
-        if any(v < 0 for v in pairing):
-            negative.append(g)
-        masks[g] = sum(1 << i for i, v in enumerate(pairing) if v == 0)
-    return masks, negative
-
-
 def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
                          negative: Sequence[IntVec]) -> None:
     """Certify that C = `big` is D^vee, for D spanned by the generators G
     of `_generators_of_D`, seen only through their pairing with the rays R
-    of C (`_pair_with_D`).  With F, E the facets and span equalities of C
-    and d = dim S:
+    of C, the table of `_lifted_cone`.  With F, E the facets and span
+    equalities of C and d = dim S:
 
     1. no g in G is `negative`: each is >= 0 on R, so cone(R) lies in D^vee;
     2. each f in F, none repeated, is the representative modulo span(E) of
@@ -333,11 +358,13 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
 
     Soundness: by 4 and 3 D^vee lies in ker E, where f = lambda g >= 0 by
     2, so D^vee lies in {x : Fx >= 0, Ex = 0} = cone(R); with 1, C = D^vee.
-    The lower faces of an exact C, which the walk finds, project to the
-    chart's regular subdivision (De Loera-Rambau-Santos, Triangulations,
-    ch. 2 and 5).  Trusted: d and the pairing, which `subdivide_chart` makes
-    from the S and G it built, and the second DD, which runs on other input
-    than the DD that made C and must reproduce its rays.
+    The facet masks, taken from the table, are then right: R lies in ker E
+    by 4, so f.x = lambda g.x on R.  The lower faces of an exact C, which
+    the walk finds, project to the chart's regular subdivision (De
+    Loera-Rambau-Santos, Triangulations, ch. 2 and 5).  Trusted: d; the
+    pairing, made from G in the coordinates y of a basis B of span(C), with
+    R = yB, by g.(yB) = (Bg).y; and the second DD, which runs on other
+    input than the DD that made C and must reproduce its rays.
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")

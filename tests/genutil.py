@@ -7,11 +7,12 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from mockfan import cones
-from mockfan.cones import (Cone, ConeError, cone_from_generators, is_subcone, walk_faces,
-                           zero_cone)
-from mockfan.exact import ExactError, dot, hnf, kernel_basis, primitive, rank
-from mockfan.subdivision import LiftedExponent, MockPolytopeChart, lift_chart
+from mockfan import cones, subdivision
+from mockfan.cones import (Cone, ConeError, cone_from_generators, dual_cone, is_subcone,
+                           walk_faces, zero_cone)
+from mockfan.exact import ExactError, IntVec, dot, hnf, kernel_basis, primitive, rank
+from mockfan.subdivision import (ChartError, LiftedExponent, MockPolytopeChart, build_D,
+                                 lift_chart, support_cone)
 
 
 def random_generators(rng: random.Random, rank: int, count: int, entry: int = 5):
@@ -207,6 +208,58 @@ def assert_bounded_cells_equal_the_full_walk(chart: MockPolytopeChart, verify: b
         f.mask: (f.cone, f.cone.dim()) for f in full.faces_avoiding
         if f.mask & ~t_positive == 0}
     assert len(cells.faces_avoiding) == len(cells.projected_fan)
+
+
+# -- the lifted cone C by the dual of D: the oracle of `subdivision._lifted_cone` --
+
+def pair_with_D(chart: MockPolytopeChart, rays: Sequence[IntVec]
+                ) -> tuple[dict[IntVec, int], list[IntVec]]:
+    """Pair each generator of D with the rays of C once, in all coordinates:
+    the mask of the rays it is zero on, and the generators negative on a ray,
+    in D's order.  The oracle of the pairing in span coordinates."""
+    masks, negative = {}, []
+    for g in subdivision._generators_of_D(chart):
+        pairing = [dot(g, x) for x in rays]
+        if any(v < 0 for v in pairing):
+            negative.append(g)
+        masks[g] = sum(1 << i for i, v in enumerate(pairing) if v == 0)
+    return masks, negative
+
+
+def lifted_from(d: Cone):
+    """A stand-in for `subdivision._lifted_cone` that gives C = dual_cone(d),
+    for a D that may be wrong, with its pairing with the chart's generators."""
+    c = dual_cone(d)
+    return lambda chart, span_eqs: (c, *pair_with_D(chart, c.rays))
+
+
+def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
+    """The C that `subdivision._lifted_cone` builds is `dual_cone(build_D(chart))`,
+    with the same rays, facets, span equalities, dimension and facet masks;
+    its mask and negative table is `pair_with_D`'s, and so is `zero_on`.
+    Where C has lineality, or the support reaches t < 0, `lift_chart` raises
+    ChartError instead."""
+    support = support_cone(chart)
+    big = dual_cone(build_D(chart))
+    if big.lineality or any(x[-1] < 0 for x in support.rays) or any(
+            v[-1] for v in support.lineality):
+        try:
+            lift_chart(chart)
+        except ChartError:
+            return
+        raise AssertionError("a lifted cone with lineality or t < 0 was not rejected")
+    c, *table = subdivision._lifted_cone(chart, support.span_eqs)
+    assert (c.rays, c.lineality, c.facets, c.span_eqs, c.dim()) == (
+        big.rays, (), big.facets, big.span_eqs, big.dim())
+    assert c.facet_masks() == big.facet_masks()
+    masks, negative = pair_with_D(chart, big.rays)
+    assert table == [masks, negative] and not negative
+    zero_on = tuple(sum(1 << k for k, it in enumerate(chart.items)
+                        if masks[chart.effective_exponent(it) + (1,)] >> i & 1)
+                    for i in range(len(big.rays)))
+    for verify in (False, True):
+        lift = lift_chart(chart, verify)
+        assert lift.big_cone == big and lift.zero_on == zero_on
 
 
 # -- the canonical form by two HNFs per lattice: the oracle of `_canonical_vrep` --

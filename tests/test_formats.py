@@ -500,8 +500,9 @@ def test_facet_masks_are_computed_once_per_cone(monkeypatch):
 
     monkeypatch.setattr(cones.Cone, "facet_masks", spy)
     res = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)), verify=True)
-    # the start masks and the certificate, then the walk
-    assert asked == [(res.big_cone, True), (res.big_cone, False)]
+    # the certificate, then the walk; the lift took the masks of C from the
+    # table of its one pairing, so neither computes them
+    assert asked == [(res.big_cone, False), (res.big_cone, False)]
     asked.clear()
     face_tests = []
     real_face_mask = cones.Cone.face_mask

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from genutil import assert_bounded_cells_equal_the_full_walk
+from genutil import (assert_bounded_cells_equal_the_full_walk,
+                     assert_lift_equals_the_dual_of_build_D)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import dot, rank as matrix_rank
@@ -230,32 +231,43 @@ def test_bounded_cells_equal_the_full_walk_on_the_sweep(case):
     assert_bounded_cells_equal_the_full_walk(zero_chart(GrassmannSpec(*map(int, case.split(",")))))
 
 
+@pytest.mark.parametrize("case", [c for c in sweep_default_cases() if int(c.split(",")[0]) <= 8])
+def test_lift_equals_the_dual_of_build_D_on_the_sweep(case):
+    assert_lift_equals_the_dual_of_build_D(zero_chart(GrassmannSpec(*map(int, case.split(",")))))
+
+
 @pytest.mark.parametrize("verify_fan", [True, False])
 def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify_fan):
-    # verify and vol_expression: one DD for C, one walk of at most 2^|T|
-    # faces; the full walk runs once, from the same C, when `result` is read
-    calls = {"build_D": 0}
+    # verify and vol_expression: one DD, the lift's, builds C, and one walk
+    # of at most 2^|T| faces runs; the full walk runs once, from the same C
+    # and with no DD at all, when `result` is read
+    calls = {"lift": 0, "all": 0}
     walks = []
 
-    def counted_build_D(chart):
-        calls["build_D"] += 1
-        return build_D(chart)
+    def counted_dd(name, dd):
+        def counted(dim, rows):
+            calls[name] += 1
+            return dd(dim, rows)
+        return counted
 
     def counted_walk(c, lower, within):
         faces = cones.walk_faces(c, lower, within)
         walks.append(len(faces))
         return faces
 
-    monkeypatch.setattr(subdivision, "build_D", counted_build_D)
+    monkeypatch.setattr(subdivision, "_dd", counted_dd("lift", cones._dd))
+    monkeypatch.setattr(cones, "_dd", counted_dd("all", cones._dd))
     monkeypatch.setattr(subdivision, "walk_faces", counted_walk)
     spec = GrassmannSpec(6, 2, 1)
     report = verify(spec, verify_fan)
     assert vol_expression(spec, report) == expected_vol_expression(spec)
     t_positive = sum(1 for x in report.lift.big_cone.rays if x[-2] > 0)
-    assert calls["build_D"] == 1 and len(walks) == 1 and walks[0] <= 2 ** t_positive
+    assert calls["lift"] == 1 and len(walks) == 1 and walks[0] <= 2 ** t_positive
+    dds = calls["all"]
+    assert dds == 1 + verify_fan   # the support's, and the certificate's
     result = report.result
     assert report.result is result
-    assert calls["build_D"] == 1 and len(walks) == 2
+    assert calls == {"lift": 1, "all": dds} and len(walks) == 2
     assert (result.projected_fan.bounded_cones()
             == report.bounded.projected_fan.bounded_cones())
     monkeypatch.undo()

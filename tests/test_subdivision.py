@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genutil import (assert_bounded_cells_equal_the_full_walk, assert_walk_matches_oracle,
-                     interior_lattice_point, lattice_points_in_support, make_cone,
-                     random_orthant_chart, relative_interior_point, tight_facets)
+from genutil import (assert_bounded_cells_equal_the_full_walk,
+                     assert_lift_equals_the_dual_of_build_D, assert_walk_matches_oracle,
+                     interior_lattice_point, lattice_points_in_support, lifted_from, make_cone,
+                     pair_with_D, random_orthant_chart, relative_interior_point, tight_facets)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
@@ -353,7 +354,7 @@ def with_facets_of_C(d, facets):
 def certificate_rejects(monkeypatch, chart, bad_d, match):
     """Run the pipeline on a corrupted lifted cone; the certificate must fail.
     Returns the family the unchecked pipeline projects from the same cone."""
-    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    monkeypatch.setattr(subdivision, "_lifted_cone", lifted_from(bad_d))
     with pytest.raises(SubdivisionInconsistency, match=match):
         subdivide_chart(chart)
     return list(subdivide_chart(chart, verify=False).projected_fan)
@@ -545,7 +546,7 @@ def certify_lower_faces_of(chart):
     fan_cone = {c.rays: c for c in res.projected_fan}
     proj_cones = [fan_cone[tuple(sorted(primitive(x[:-1]) for x in f.cone.rays))]
                   for f in res.faces_avoiding]
-    masks, negative = subdivision._pair_with_D(chart, big.rays)
+    masks, negative = pair_with_D(chart, big.rays)
     _certify_lower_faces(chart, big, big.facet_masks(), res.faces_avoiding, proj_cones,
                          {g: m for g, m in masks.items() if g[-1]},
                          [g for g in negative if g[-1]])
@@ -591,7 +592,7 @@ def test_certificate_of_C_rejects_what_the_per_face_oracle_rejects(fault):
     ch, bad_d = fault
     good = subdivide_chart(ch)
     certify_lower_faces_of(ch)
-    with mock.patch.object(subdivision, "build_D", lambda chart: bad_d):
+    with mock.patch.object(subdivision, "_lifted_cone", lifted_from(bad_d)):
         try:
             res = subdivide_chart(ch)
         except SubdivisionInconsistency:
@@ -617,7 +618,7 @@ def test_certificate_of_C_rejects_the_octahedron_with_a_facet_dropped():
     with pytest.raises(SubdivisionInconsistency,
                        match=r"differ at the ray or line \(-1, -1, -1, 1\)"):
         subdivision._certify_lifted_cone(bad_c, support_cone(ch).dim(),
-                                         *subdivision._pair_with_D(ch, rays))
+                                         *pair_with_D(ch, rays))
 
 
 @pytest.mark.parametrize("smaller, match", [
@@ -630,7 +631,7 @@ def test_certificate_of_C_rejects_the_exact_dual_of_a_smaller_D(monkeypatch, sma
     # C is consistent in itself, but D lacks a generator of the chart
     ch = triangle_chart()
     bad_d = build_D(smaller(ch))
-    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    monkeypatch.setattr(subdivision, "_lifted_cone", lifted_from(bad_d))
     with pytest.raises(SubdivisionInconsistency):
         certify_lower_faces_of(ch)
     with pytest.raises(SubdivisionInconsistency, match=match):
@@ -646,7 +647,7 @@ def test_certificate_of_C_names_an_item_before_a_support_dual(monkeypatch):
     rays = dual_cone(bad_d).rays
     for g in ((0, 0, 2, 1), (1, 0, 0, 0)):
         assert any(dot(g, x) < 0 for x in rays)
-    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    monkeypatch.setattr(subdivision, "_lifted_cone", lifted_from(bad_d))
     with pytest.raises(SubdivisionInconsistency,
                        match=r"item exponent \(0, 0, 2\) is negative on a ray of C"):
         subdivide_chart(ch)
@@ -672,7 +673,7 @@ def test_certificate_of_C_rejects_a_cone_of_too_low_a_rank(monkeypatch):
     apex = (0, 0, 0, 1)
     bad_d = cones.Cone(4, (apex,), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), (apex,), (),
                        _token=cones._CONE_TOKEN)
-    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    monkeypatch.setattr(subdivision, "_lifted_cone", lifted_from(bad_d))
     with pytest.raises(SubdivisionInconsistency, match="rank 1, not 4"):
         subdivide_chart(triangle_chart())
 
@@ -685,8 +686,8 @@ def test_certificate_of_C_rejects_a_repeated_ray_off_the_walk(monkeypatch):
     d = build_D(ch)
     apex = (0, 0, 0, 1)
     assert apex in d.facets
-    monkeypatch.setattr(subdivision, "build_D",
-                        lambda ch: with_rays_of_C(d, d.facets + (apex,)))
+    monkeypatch.setattr(subdivision, "_lifted_cone",
+                        lifted_from(with_rays_of_C(d, d.facets + (apex,))))
     assert subdivide_chart(ch, verify=False).projected_fan == good
     with pytest.raises(SubdivisionInconsistency,
                        match=r"differ at the ray or line \(0, 0, 0, 1\)"):
@@ -713,7 +714,7 @@ def test_certificate_of_C_rejects_a_changed_span_equality(monkeypatch, chart, eq
     assert len(d.lineality) == 1 - len(equalities)
     bad_d = cones.Cone(d.rank, d.rays, equalities, d.facets, d.span_eqs,
                        _token=cones._CONE_TOKEN)
-    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    monkeypatch.setattr(subdivision, "_lifted_cone", lifted_from(bad_d))
     certify_lower_faces_of(ch)   # the faces of C never look at E
     with pytest.raises(SubdivisionInconsistency, match=match):
         subdivide_chart(ch)
@@ -798,8 +799,10 @@ def test_mask_active_sets_on_every_cone_of_the_zero_chart(n):
 
 def test_empty_active_set_is_an_inconsistency(monkeypatch):
     # as if no lifted item were zero on any ray of C
-    monkeypatch.setattr(subdivision, "_pair_with_D", lambda chart, rays: (
-        {g: 0 for g in subdivision._generators_of_D(chart)}, []))
+    lifted_cone = subdivision._lifted_cone
+    monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs: (
+        lifted_cone(chart, span_eqs)[0], {g: 0 for g in subdivision._generators_of_D(chart)},
+        []))
     with pytest.raises(SubdivisionInconsistency, match="no item is active"):
         subdivide_chart(triangle_chart(), verify=False)
 
@@ -812,6 +815,71 @@ def test_chart_ids_must_be_single_tokens():
     for item_id in ("", "x y", "x\u00a0y", "x\u2028y", 7):
         with pytest.raises(ChartError, match="item id"):
             MockPolytopeChart("ok", 2, ((0, 1),), (LiftedExponent(item_id, (0, 0)),))
+
+
+# -- C built in span coordinates against the dual of build_D ----------------------
+
+def skew_chart():
+    # support x = y, y >= 0, t >= 0: the support duals hold (-1, 1, 0) and
+    # twice its negative, and C spans the kernel of (1, -1, 0, 0), whose
+    # Hermite basis is not a coordinate projection; the items b and c are
+    # one row in its coordinates
+    return MockPolytopeChart("skew", 3, ((2, -2, 0), (-1, 1, 0), (0, 1, 0), (0, 0, 1)), (
+        LiftedExponent("a", (0, 0, 0), 2), LiftedExponent("b", (1, 0, 0), 0),
+        LiftedExponent("c", (0, 1, 0), 0), LiftedExponent("d", (-1, -1, 0), 1),
+        LiftedExponent("e", (3, -1, 1), 0)))
+
+
+def slab_chart():
+    # support x = 0, y = z >= 0, t >= 0 in rank 4: two span equalities
+    return MockPolytopeChart(
+        "slab", 4, ((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, -1, 0), (0, -1, 1, 0), (0, 1, 1, 0),
+                    (0, 0, 0, 1)),
+        tuple(LiftedExponent(f"i{k}", w, kappa) for k, (w, kappa) in enumerate([
+            ((0, 0, 0, 0), 3), ((5, 1, 0, 0), 0), ((0, 0, 1, 0), 0), ((1, -1, -1, 1), 2),
+            ((0, 2, 0, -1), 2)])))
+
+
+@pytest.mark.parametrize("chart", [halfline_chart, triangle_chart, plane_chart, skew_chart,
+                                   slab_chart])
+def test_lift_equals_the_dual_of_build_D_on_small_charts(chart):
+    ch = chart()
+    assert_lift_equals_the_dual_of_build_D(ch)
+    span_eqs = support_cone(ch).span_eqs
+    assert len(span_eqs) == {"plane": 1, "skew": 1, "slab": 2}.get(ch.label, 0)
+
+
+@given(general_charts())
+@settings(max_examples=100, deadline=None)
+def test_lift_equals_the_dual_of_build_D_on_random_charts(ch):
+    assert_lift_equals_the_dual_of_build_D(ch)
+
+
+def test_lift_of_a_chart_with_lineality_is_a_chart_error():
+    # the thin chart of test_degenerate_chart_rejected: C is the half-space
+    # s >= 0, t >= 0 times the x axis
+    ch = MockPolytopeChart("thin", 2, ((0, 1),), (LiftedExponent("a", (0, 0)),))
+    assert dual_cone(build_D(ch)).lineality == ((1, 0, 0),)
+    with pytest.raises(ChartError, match="strongly convex"):
+        subdivision._lifted_cone(ch, support_cone(ch).span_eqs)
+
+
+@pytest.mark.parametrize("chart", [triangle_chart, skew_chart])
+def test_certificate_rejects_each_ray_of_C_perturbed_through_the_lift(monkeypatch, chart):
+    # every ray of C moved by +-1 in every coordinate, fed in through the
+    # lift with its own pairing; unchecked, some of them still subdivide
+    ch = chart()
+    c, _, _ = subdivision._lifted_cone(ch, support_cone(ch).span_eqs)
+    for k, x in enumerate(c.rays):
+        for j in range(c.rank):
+            for step in (-1, 1):
+                rays = c.rays[:k] + (tuple(v + step * (i == j) for i, v in enumerate(x)),) \
+                    + c.rays[k + 1:]
+                bad = Cone._trusted(c.rank, rays, (), c.dim(), c.facets, c.span_eqs)
+                monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs: (
+                    bad, *pair_with_D(chart, bad.rays)))
+                with pytest.raises(SubdivisionInconsistency):
+                    subdivide_chart(ch)
 
 
 # -- face dimensions graded from the walk against exact.rank ---------------------
@@ -926,7 +994,7 @@ def assert_per_ray_data_equal_per_face_oracles(ch):
     for verify in (False, True):
         res = subdivide_chart(ch, verify=verify)
         fan_cones = {c: c for c in res.projected_fan}
-        item_masks, _ = subdivision._pair_with_D(ch, res.big_cone.rays)
+        item_masks, _ = pair_with_D(ch, res.big_cone.rays)
         ids_by_mask = [(item_masks[ch.effective_exponent(it) + (1,)], it.id)
                        for it in ch.items]
         projections = []
@@ -966,6 +1034,6 @@ def test_two_walked_rays_with_one_projection_are_an_inconsistency(monkeypatch):
     rays_of_C = ((-1, 0, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 0, 1))
     bad_d = cones.Cone(3, ((-1, 0, 2), (0, 0, 1)), (), rays_of_C, (),
                        _token=cones._CONE_TOKEN)
-    monkeypatch.setattr(subdivision, "build_D", lambda ch: bad_d)
+    monkeypatch.setattr(subdivision, "_lifted_cone", lifted_from(bad_d))
     with pytest.raises(SubdivisionInconsistency, match="one projection"):
         subdivide_chart(halfline_chart(), verify=False)
