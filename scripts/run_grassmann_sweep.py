@@ -4,7 +4,8 @@
 Each case builds the lifted cone C of the zero chart, walks only its faces
 that project to bounded cells, checks the seven bounded cones and their
 active sets, and reports the chart's items, the rays and facets of C, the
-bounded cones found and the wall-clock time.  The full subdivision is never
+bounded cones found and the wall-clock time in milliseconds; a last line
+gives the total time of all cases.  The full subdivision is never
 built.  Cases are `n,d,l` triples; the default grid covers the reference
 set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1, 12,2,1 (2211
 items; C has 28 rays and 267 facets) and 6,5,1 (the highest degree).
@@ -41,22 +42,26 @@ def main(argv=None) -> int:
 
     all_ok = True
     print(f"{'case':>10}  {'items':>6}  {'C rays':>6}  {'facets':>6}  {'bounded':>7}  "
-          f"{'time':>7}  status")
+          f"{'time':>9}  status")
+    total = 0.0
     for text in args.cases:
         spec = parse_case(text)
         start = time.monotonic()
         report = verify(spec)
         elapsed = time.monotonic() - start
+        total += elapsed
         big = report.lift.big_cone
         status = "PASS" if report.passed else "FAIL"
         all_ok &= report.passed
         print(f"{text:>10}  {len(report.lift.chart.items):>6}  {len(big.rays):>6}  "
               f"{len(big.facets):>6}  {len(report.bounded.projected_fan.bounded_cones()):>7}  "
-              f"{elapsed:>6.1f}s  {status}")
+              f"{elapsed * 1000:>7.0f}ms  {status}")
         if not report.passed:
             print(report.render())
         elif args.vol:
             print(f"           vol = {vol_expression(spec, report).render()}")
+    print(f"{'total':>10}  {'':>6}  {'':>6}  {'':>6}  {'':>7}  {total * 1000:>7.0f}ms  "
+          f"{'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
 
 

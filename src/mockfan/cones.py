@@ -11,25 +11,28 @@ an integer Gram-Schmidt basis of the lineality, each step scaled by o.o > 0
 so that no `Fraction` is needed: the primitive result is the rational
 projection cleared to integers.
 
-Representation conversion is one routine, `_canonical_vrep`: an incremental
-double description (DD) method over exact integers, then the canonical form,
-with one Hermite normal form (HNF) for the lineality when there is any.  Its
-inequalities must be nonzero and primitive: the public constructors check
-and make rows so; internal callers pass facets and span equalities.
-Both the V-representation (rays, lineality) and the H-representation (facet
-inequalities plus span equalities) are available on every cone; the H-side
-is computed lazily, by one call of the same routine on the dual side, for
-cones created through trusted internal paths and eagerly for generators.  A
-cone given by generators costs one DD (generators to facets); its rays and
-lineality are read off the generator x facet incidence
-(`cone_from_generators`).
+Representation conversion is one routine, `_canonical_vrep`, the only
+caller of `_dd`: an incremental double description (DD) method over exact
+integers, run in the integer kernel of the equalities on the distinct
+projected rows, then the canonical form, with one Hermite normal form (HNF)
+for the lineality when there is any, and one pairing of the rows with the
+rays in the DD's coordinates.  Internal callers pass facets and span
+equalities.  Both the V-representation (rays, lineality) and the
+H-representation (facet inequalities plus span equalities) are available on
+every cone; the H-side is computed lazily, by one call of the same routine
+on the dual side, for cones created through trusted internal paths and
+eagerly for generators.  A cone given by generators costs one DD
+(generators to facets); its rays, lineality and ray masks are read off that
+pairing, the generator x facet incidence (`_generated`, which builds
+`cone_from_generators` and the lifted cone of a chart in `subdivision`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from operator import mul, not_
+from typing import Iterable, Optional, Sequence
 
 from .exact import (
     IntVec,
@@ -144,50 +147,54 @@ def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[I
     return primitive(v)
 
 
-def _representatives(vectors: Iterable[IntVec], lin: Sequence[IntVec]) -> tuple[IntVec, ...]:
-    """The distinct nonzero orthogonal representatives of `vectors` modulo
-    span(lin), sorted: canonical rays over the canonical lineality `lin`."""
-    ortho = _orthogonal_basis(lin)
-    reps = {_orthogonal_representative(v, ortho) for v in vectors}
-    reps.discard(None)
-    return tuple(sorted(reps))
-
-
 def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
-                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Canonical rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, by one DD.
+                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], dict[IntVec, int],
+                               list[IntVec]]:
+    """Canonical rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, by one DD,
+    and its table: each inequality's mask of the rays it is zero on, and the
+    inequalities negative on one, in input order.
 
-    The inequalities must be nonzero and primitive, so that a repeated one
-    is dropped and a negated one made an equality by comparing tuples.  The
-    DD runs in the integer kernel of the equalities (`kernel_basis`), which
-    is saturated, so its primitive rays lift to primitive vectors.  The
-    lineality is {x : <a,x> = 0, <e,x> = 0}; when the DD finds any, it is
-    taken as the integer kernel of all the rows, one HNF, which is saturated
-    and canonical.  The rays are their representatives modulo it.
+    Of an inequality and its negation, the one lexicographically below zero
+    joins the equalities; rows made primitive, as the public constructors
+    make them, let every such pair be found.  The DD runs in the integer
+    kernel of the equalities, basis B, on the distinct rows Ba; those
+    absorbed into equalities restrict to zero and drop out.  B is saturated, so the DD's
+    primitive rays y lift to primitive yB, and a.(yB) = (Ba).y: each
+    distinct row is paired with the rays once, in the DD's coordinates.
+    The lineality, when the DD finds any, is the integer kernel of all the
+    rows, one HNF, saturated and canonical.  The rays are their
+    representatives modulo it, positive multiples plus lineality vectors,
+    on which every inequality is zero: the pairing's signs hold for them.
     """
-    seen: set[IntVec] = set()
-    uniq: list[IntVec] = []
-    eqs = [e for e in eqs if any(e)]
-    for a in ineqs:
-        if a in seen:
-            continue
-        if vec_neg(a) in seen:
-            eqs.append(a)
-            continue
-        seen.add(a)
-        uniq.append(a)
+    ineqs = dict.fromkeys(ineqs)
+    origin = (0,) * rank   # a row is below it iff its first nonzero entry is negative
+    eqs = [e for e in eqs if any(e)] + [a for a in ineqs if a < origin and vec_neg(a) in ineqs]
     if eqs:
-        sub = kernel_basis(eqs, rank)
-        if not sub:
-            return (), ()
-        # inequalities absorbed into equalities restrict to zero and drop out
-        rays, lin = _dd(len(sub), [tuple(sum(map(mul, b, a)) for b in sub) for a in uniq])
-        columns = list(zip(*sub))
-        rays = [tuple(sum(map(mul, c, column)) for column in columns) for c in rays]
+        basis = kernel_basis(eqs, rank)
+        if not basis:   # the cone is {0}: no rays, every mask empty
+            return (), (), dict.fromkeys(ineqs, 0), []
+        row_of = {a: tuple(sum(map(mul, b, a)) for b in basis) for a in ineqs}
+        rows, dim = list(dict.fromkeys(row_of.values())), len(basis)
     else:
-        rays, lin = _dd(rank, uniq)
-    lin = kernel_basis(uniq + eqs, rank) if lin else ()
-    return _representatives(rays, lin), lin
+        basis, rows, dim = (), list(ineqs), rank
+    ys, lin = _dd(dim, rows)
+    columns = list(zip(*basis))
+    xs = [tuple(sum(map(mul, y, column)) for column in columns) for y in ys] if eqs else ys
+    lin = kernel_basis(list(ineqs) + eqs, rank) if lin else ()
+    ortho = _orthogonal_basis(lin)
+    order = sorted((_orthogonal_representative(x, ortho), y) for x, y in zip(xs, ys))
+    ys = [y for _, y in order]
+    bits = [1 << i for i in range(len(ys))]
+    zero, negative = {}, []
+    for w in rows:
+        pairing = [sum(map(mul, w, y)) for y in ys]
+        zero[w] = sum(compress(bits, map(not_, pairing)))
+        if pairing and min(pairing) < 0:
+            negative.append(w)
+    if eqs:
+        zero = {a: zero[w] for a, w in row_of.items()}
+        negative = [a for a, w in row_of.items() if w in negative]
+    return tuple(r for r, _ in order), lin, zero, negative
 
 
 def _checked_rows(rank: int, rows: Iterable[Sequence[int]], what: str) -> list[IntVec]:
@@ -234,11 +241,14 @@ class Cone:
     @staticmethod
     def _trusted(rank: int, rays: tuple[IntVec, ...], lineality: tuple[IntVec, ...],
                  dim: int, facets: Optional[tuple[IntVec, ...]] = None,
-                 span_eqs: Optional[tuple[IntVec, ...]] = None) -> "Cone":
+                 span_eqs: Optional[tuple[IntVec, ...]] = None,
+                 facet_masks: Optional[tuple[int, ...]] = None) -> "Cone":
         """Internal constructor for rays and lineality already in canonical
-        form, of a cone whose dimension, and maybe H-side, is known."""
+        form, of a cone whose dimension, and maybe H-side and facet masks,
+        are known."""
         cone = Cone(rank, rays, lineality, facets, span_eqs, _token=_CONE_TOKEN)
         cone._dim = dim
+        cone._facet_masks = facet_masks
         return cone
 
     # -- H-representation ----------------------------------------------------
@@ -254,7 +264,8 @@ class Cone:
     def facets(self) -> tuple[IntVec, ...]:
         """Inner-normal facet inequality vectors (canonical, irredundant)."""
         if self._facets is None:
-            self._facets, self._span_eqs = _canonical_vrep(self.rank, self.rays, self.lineality)
+            self._facets, self._span_eqs, _, _ = _canonical_vrep(self.rank, self.rays,
+                                                                 self.lineality)
         return self._facets
 
     # -- basic queries ---------------------------------------------------------
@@ -400,54 +411,52 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
                          lineality_generators: Sequence[Sequence[int]] = ()) -> Cone:
     """Canonical cone spanned by `generators` plus the span of `lineality_generators`.
 
+    Every row must have length `rank` (ConeError otherwise); the cone is
+    built by `_generated`.
+    """
+    return _generated(rank, _checked_rows(rank, generators, "generator"),
+                      _checked_rows(rank, lineality_generators, "lineality"))[0]
+
+
+def _generated(rank: int, gens: Sequence[IntVec], lins: Sequence[IntVec]
+               ) -> tuple[Cone, dict[IntVec, int], list[IntVec], tuple[int, ...]]:
+    """The cone spanned by `gens` plus the span of `lins`, the table of
+    `_canonical_vrep` that built it, and each of its rays' facet mask.
+
     One DD, on the generators as inequalities of the dual, gives the facets
-    and span equalities; both representations are then known, and so is
-    the dimension, the rank minus the number of span equalities.  The span
-    equalities are the integer kernel of the generators, one HNF
-    (`kernel_basis`).  The rest is read off the generator x facet
-    incidence, with no second DD:
+    and span equalities, the integer kernel of the generators, and so the
+    dimension, the rank minus their number; its pairing gives each
+    generator's mask of the facets it is zero on.  The rest is read off
+    that table, with no second DD or pairing:
 
     - the lineality space is the span of the lineality generators and of
       every generator tight on all facets (the minimal face of a cone is
       generated by the generators in it); when there is any, it is the
-      integer kernel of the span equalities and the facets, again one HNF;
+      integer kernel of the span equalities and the facets, one HNF;
     - the tight set of a generator g cuts out the smallest face holding g,
       so g spans an extreme ray modulo the lineality iff no generator
-      outside the lineality has a strictly larger tight set (`_extreme`);
-      every such tight set is one ray, whatever generator carries it.
+      outside the lineality has a strictly larger tight set; every such
+      tight set is one ray, whatever generator carries it, and is that
+      ray's facet mask.  A mask lies strictly inside only masks with more
+      bits, and then inside a maximal one; so, by falling popcount, a mask
+      is maximal iff it lies in none kept so far.
 
-    The facets and span equalities come from `_canonical_vrep` on the dual
-    side, as for every conversion.  The rays are reduced modulo the
-    lineality by integer orthogonal projection and primitivized, as there.
+    The rays are reduced modulo the lineality as in `_canonical_vrep`.
     Each kernel is a saturated lattice in Hermite form, so canonical.
     """
-    gens = _checked_rows(rank, generators, "generator")
-    lins = _checked_rows(rank, lineality_generators, "lineality")
-    facets, span_eqs = _canonical_vrep(rank, gens, lins)
+    facets, span_eqs, zero, negative = _canonical_vrep(rank, gens, lins)
+    by_mask = dict(zip(zero.values(), zero))   # one generator per mask, the last
     full = (1 << len(facets)) - 1
-    by_mask: dict[int, IntVec] = {}
-    for g in gens:
-        mask = sum(1 << j for j, f in enumerate(facets) if not sum(map(mul, g, f)))
-        if mask == full:
-            lins.append(g)
-        else:
-            by_mask.setdefault(mask, g)
-    lin = kernel_basis(span_eqs + facets, rank) if lins else ()
-    return Cone._trusted(rank, _representatives(_extreme(by_mask).values(), lin), lin,
-                         rank - len(span_eqs), facets, span_eqs)
-
-
-def _extreme(by_mask: Mapping[int, IntVec]) -> dict[int, IntVec]:
-    """The maximal masks of `by_mask`, which maps the tight mask of each
-    generator outside the lineality to one generator with it.  A mask lies
-    strictly inside only masks with more bits, and then inside a maximal
-    one; so, by falling popcount, a mask is maximal iff it lies in none
-    kept so far."""
-    kept: dict[int, IntVec] = {}
+    lin = kernel_basis(span_eqs + facets, rank) if by_mask.pop(full, None) or lins else ()
+    ortho = _orthogonal_basis(lin)
+    kept: list[int] = []
     for mask in sorted(by_mask, key=int.bit_count, reverse=True):
         if all(mask & ~k for k in kept):
-            kept[mask] = by_mask[mask]
-    return kept
+            kept.append(mask)
+    rays = sorted((_orthogonal_representative(by_mask[mask], ortho), mask) for mask in kept)
+    cone = Cone._trusted(rank, tuple(r for r, _ in rays), lin, rank - len(span_eqs),
+                         facets, span_eqs)
+    return cone, zero, negative, tuple(mask for _, mask in rays)
 
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],
@@ -456,8 +465,8 @@ def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],
 
     Every row must have length `rank` (ConeError otherwise).
     """
-    rays, lin = _canonical_vrep(rank, _checked_rows(rank, inequalities, "inequality"),
-                                _checked_rows(rank, equalities, "equality"))
+    rays, lin, _, _ = _canonical_vrep(rank, _checked_rows(rank, inequalities, "inequality"),
+                                      _checked_rows(rank, equalities, "equality"))
     return Cone(rank, rays, lin, None, None, _token=_CONE_TOKEN)
 
 
@@ -474,9 +483,8 @@ def dual_cone(c: Cone) -> Cone:
 def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.rank != c2.rank:
         raise ConeError("cannot intersect cones of different rank")
-    return Cone(c1.rank, *_canonical_vrep(c1.rank, c1.facets + c2.facets,
-                                          c1.span_eqs + c2.span_eqs),
-                None, None, _token=_CONE_TOKEN)
+    rays, lin, _, _ = _canonical_vrep(c1.rank, c1.facets + c2.facets, c1.span_eqs + c2.span_eqs)
+    return Cone(c1.rank, rays, lin, None, None, _token=_CONE_TOKEN)
 
 
 def is_subcone(inner: Cone, outer: Cone) -> bool:

@@ -416,6 +416,7 @@ def write_faces(c: Cone) -> str:
 
 def write_classification(fan: Fan) -> str:
     """Per-cone special/bounded classification of a t-flagged fan."""
+    fan._require_t("classification")
     out = [f"schema {CLASSIFICATION_SCHEMA}", f"cones {len(fan.cones)}"]
     for idx, c in enumerate(fan.cones):
         flags = []

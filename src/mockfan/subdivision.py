@@ -16,9 +16,10 @@ The pipeline has two steps.  `lift_chart` builds C once, with its checks,
 and reads off each ray of C the items zero on it; `LiftedChart.subdivide`
 projects a walk of C's lower faces, all of them or only those whose rays
 all have t > 0, which project to the bounded cells.  `subdivide_chart` runs
-both with the full walk.  C is built, not D, by one double description
-(DD) and one pairing with D's generators, in the coordinates of its span
-(`_lifted_cone`).  Verification certifies C, not its faces
+both with the full walk.  C is built as the dual of D, by the one
+generator-side double description (DD) of `cones`, which pairs D's
+generators with C's rays in the coordinates of C's span (`_lifted_cone`).
+Verification certifies C, not its faces
 (`_certify_lifted_cone`): C is the dual of D, checked against that pairing
 and by a second DD from its facets; every walk is trusted.
 
@@ -35,9 +36,9 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .cones import (Cone, Face, _canonical_vrep, _dd, _extreme, _orthogonal_basis,
+from .cones import (Cone, Face, _canonical_vrep, _generated, _orthogonal_basis,
                     _orthogonal_representative, cone_from_generators, dual_cone, walk_faces)
-from .exact import IntVec, Scalar, dot, is_zero_vec, kernel_basis, primitive, rank as matrix_rank
+from .exact import IntVec, Scalar, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
 
@@ -288,43 +289,17 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
 
 def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec]
                  ) -> tuple[Cone, dict[IntVec, int], list[IntVec]]:
-    """C = D^vee by one DD, and the table of the one pairing of D's
-    generators G with its rays: each one's zero mask, and those negative on
-    a ray, in D's order.  C spans span(S) x Q, cut out by E = (e, 0) for e
-    in `span_eqs`; with B the saturated basis of that lattice (the identity,
-    skipped, when S is full-dimensional), C = {yB : (Bg).y >= 0, g in G},
-    as g.(yB) = (Bg).y.  The DD runs on the distinct rows Bg, in D's order;
-    its primitive rays y lift to the primitive rays yB of C, and each row is
-    paired with them once.  The facets of C, the rays of D, are read off
-    that incidence as `cone_from_generators` reads them off its own: the
-    generators of maximal mask (`cones._extreme`) modulo span(E), with those
-    masks.  A generator in span(E) = lin D has the zero row, zero on every
-    ray.  The span equalities of C are E, the Hermite basis of C^perp."""
+    """C = D^vee and its table: the zero mask on C's rays of each generator of D, and those
+    negative on one.  `cones._generated` builds D over lin D = span{(e, 0) : e in `span_eqs`}."""
     rank = chart.ambient_dual_rank + 1
-    eqs = tuple(e + (0,) for e in span_eqs)
-    basis = kernel_basis(eqs, rank) if eqs else None
-    gens = _generators_of_D(chart)
-    row_of = {g: tuple(sum(map(operator.mul, b, g)) for b in basis) if basis else g
-              for g in gens}
-    rows = list(dict.fromkeys(row_of.values()))
-    ys, lin = _dd(len(rows[0]), rows)
-    if lin:
+    d, masks, negative, ray_masks = _generated(rank, _generators_of_D(chart),
+                                               [e + (0,) for e in span_eqs])
+    if d.span_eqs:
         raise ChartError("chart support and items do not span the dual space: "
                          "the subdivision would not be strongly convex")
-    lifted = sorted((tuple(sum(map(operator.mul, y, c)) for c in zip(*basis)) if basis else y, y)
-                    for y in ys)
-    table = {}
-    for w in rows:
-        pairing = [sum(map(operator.mul, w, y)) for _, y in lifted]
-        table[w] = (sum(1 << i for i, v in enumerate(pairing) if not v), min(pairing) < 0)
-    masks = {g: table[w][0] for g, w in row_of.items()}
-    extreme = _extreme({m: g for g, m in masks.items() if m != (1 << len(ys)) - 1})
-    ortho = _orthogonal_basis(eqs)
-    mask_of_facet = {_orthogonal_representative(g, ortho): m for m, g in extreme.items()}
-    facets = tuple(sorted(mask_of_facet))
-    big = Cone._trusted(rank, tuple(x for x, _ in lifted), (), rank - len(eqs), facets, eqs)
-    big._facet_masks = tuple(map(mask_of_facet.__getitem__, facets))   # not paired again
-    return big, masks, [g for g in gens if table[row_of[g]][1]]
+    big = Cone._trusted(rank, d.facets, (), rank - len(d.lineality), d.rays, d.lineality,
+                        ray_masks)
+    return big, masks, negative
 
 
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
@@ -362,9 +337,10 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
     by 4, so f.x = lambda g.x on R.  The lower faces of an exact C, which
     the walk finds, project to the chart's regular subdivision (De
     Loera-Rambau-Santos, Triangulations, ch. 2 and 5).  Trusted: d; the
-    pairing, made from G in the coordinates y of a basis B of span(C), with
-    R = yB, by g.(yB) = (Bg).y; and the second DD, which runs on other
-    input than the DD that made C and must reproduce its rays.
+    pairing, made by `cones._canonical_vrep` from G in the coordinates y of
+    its DD, a basis B of span(C), with R = yB, by g.(yB) = (Bg).y; and the
+    second DD, which runs on other input than the DD that made C and must
+    reproduce its rays.
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
@@ -383,7 +359,7 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
             fail(f"facet {f} of C is no generator of D")
     if matrix_rank(rays) != d + 1:
         fail(f"the rays of C have rank {matrix_rank(rays)}, not {d + 1}")
-    again, lin = _canonical_vrep(big.rank, facets, eqs)
+    again, lin, _, _ = _canonical_vrep(big.rank, facets, eqs)
     odd = list(lin) + sorted(x for x in set(rays + again) if rays.count(x) != again.count(x))
     if odd:
         fail(f"C and the cone its facets cut out differ at the ray or line {odd[0]}")

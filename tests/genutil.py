@@ -314,5 +314,6 @@ def make_cone(rank: int, rays, lineality) -> Cone:
     """The canonical cone of raw rays over a raw lineality spanning set: the
     lineality as `saturated_subspace_basis`, the rays reduced modulo it."""
     lin = saturated_subspace_basis(lineality, rank)
-    return Cone(rank, cones._representatives(rays, lin), lin, None, None,
-                _token=cones._CONE_TOKEN)
+    ortho = cones._orthogonal_basis(lin)
+    reps = {cones._orthogonal_representative(r, ortho) for r in rays} - {None}
+    return Cone(rank, tuple(sorted(reps)), lin, None, None, _token=cones._CONE_TOKEN)

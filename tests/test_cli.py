@@ -67,6 +67,18 @@ def test_bounded_classification(tmp_path, capsys):
     assert "special bounded" in out
 
 
+def test_commands_that_read_t_reject_a_fan_without_it(tmp_path, capsys):
+    # bounded, rescale and vol each classify by the t coordinate
+    fan_file = tmp_path / "fan.txt"
+    fan_file.write_text("schema mockfan.fan/1\nrank 2\nhas_t 0\nrays 2\n1 1\n0 1\n"
+                        "cones 1\ncone 0 1\n")
+    for argv in (["bounded"], ["rescale", "--scale", "2"], ["vol"]):
+        assert main(argv + ["-i", str(fan_file)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "requires a fan with a t coordinate" in captured.err
+
+
 def test_vol_with_annotations(tmp_path, capsys):
     fan = fan_from_cones(3, [cg(3, [(0, 0, 1), (1, 0, 1)])], has_t=True)
     fan_file = tmp_path / "fan.txt"

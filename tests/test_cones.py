@@ -701,3 +701,37 @@ def test_cone_from_generators_equals_two_hnf_oracle_on_lineality_rich_input(syst
     dim, rows = system
     assert_matches_oracle(dim, rows)
     assert_matches_oracle(dim, rows[2:], rows[:2])
+
+
+# -- the table of `_generated` against an explicit pairing ------------------------
+
+def assert_table_is_the_full_coordinate_pairing(rank, gens, lins):
+    """`_generated` on raw rows, with each generator also shifted by a
+    lineality generator so that projections coincide, builds the cone of
+    `cone_from_generators`; its masks and negatives are `pair_with_D`'s
+    rule, each generator paired with the canonical facets in all
+    coordinates, and its ray masks are the rays' facet masks."""
+    gens = list(gens) + [tuple(x + y for x, y in zip(g, l)) for g, l in zip(gens, lins)]
+    c, masks, negative, ray_masks = cones._generated(rank, gens, list(lins))
+    expected = cone_from_generators(rank, gens, lins)
+    assert (c.rays, c.lineality, c.facets, c.span_eqs, c.dim()) == (
+        expected.rays, expected.lineality, expected.facets, expected.span_eqs, expected.dim())
+    paired = {g: [dot(g, f) for f in c.facets] for g in gens}
+    assert masks == {g: sum(1 << j for j, v in enumerate(p) if v == 0) for g, p in paired.items()}
+    assert negative == [g for g, p in paired.items() if any(v < 0 for v in p)] == []
+    assert ray_masks == tuple(sum(1 << j for j, f in enumerate(c.facets) if dot(r, f) == 0)
+                              for r in c.rays)
+
+
+@given(generator_sets())
+@settings(max_examples=200, deadline=None)
+def test_generated_table_equals_the_full_coordinate_pairing(data):
+    assert_table_is_the_full_coordinate_pairing(*data)
+
+
+@given(lineality_rich_systems())
+@settings(max_examples=150, deadline=None)
+def test_generated_table_equals_the_full_coordinate_pairing_on_lineality_rich_input(system):
+    dim, rows = system
+    assert_table_is_the_full_coordinate_pairing(dim, rows, [])
+    assert_table_is_the_full_coordinate_pairing(dim, rows[2:], rows[:2])

@@ -241,22 +241,31 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
     # verify and vol_expression: one DD, the lift's, builds C, and one walk
     # of at most 2^|T| faces runs; the full walk runs once, from the same C
     # and with no DD at all, when `result` is read
+    # every DD goes through `cones._dd`; the calls made inside
+    # `subdivision._lifted_cone` are credited to the lift, the rest to "all"
     calls = {"lift": 0, "all": 0}
+    crediting = ["all"]
     walks = []
+    dd, lifted_cone = cones._dd, subdivision._lifted_cone
 
-    def counted_dd(name, dd):
-        def counted(dim, rows):
-            calls[name] += 1
-            return dd(dim, rows)
-        return counted
+    def counted_dd(dim, rows):
+        calls[crediting[0]] += 1
+        return dd(dim, rows)
+
+    def counted_lift(chart, span_eqs):
+        crediting[0] = "lift"
+        try:
+            return lifted_cone(chart, span_eqs)
+        finally:
+            crediting[0] = "all"
 
     def counted_walk(c, lower, within):
         faces = cones.walk_faces(c, lower, within)
         walks.append(len(faces))
         return faces
 
-    monkeypatch.setattr(subdivision, "_dd", counted_dd("lift", cones._dd))
-    monkeypatch.setattr(cones, "_dd", counted_dd("all", cones._dd))
+    monkeypatch.setattr(cones, "_dd", counted_dd)
+    monkeypatch.setattr(subdivision, "_lifted_cone", counted_lift)
     monkeypatch.setattr(subdivision, "walk_faces", counted_walk)
     spec = GrassmannSpec(6, 2, 1)
     report = verify(spec, verify_fan)
