@@ -9,10 +9,16 @@ gives the total time of all cases.  The full subdivision is never
 built.  Cases are `n,d,l` triples; the default grid covers the reference
 set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1, 12,2,1 (2211
 items; C has 28 rays and 267 facets) and 6,5,1 (the highest degree).
+C is taken from its closed form and certified, with no DD of its own.
 
 Example:
     python3 scripts/run_grassmann_sweep.py
     python3 scripts/run_grassmann_sweep.py --cases 6,2,1 --vol
+
+The large cases, outside the default grid:
+    python3 scripts/run_grassmann_sweep.py --cases 14,2,1 16,2,1 8,4,1 7,5,1 9,4,1
+took 0.5, 1.2, 1.9, 2.9 and 6.2 s (82,251 items at 9,4,1), 12.7 s in all,
+on 2 vCPUs with CPython 3.11.7 (a shared host; single runs).
 """
 
 import argparse

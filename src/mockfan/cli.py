@@ -107,51 +107,57 @@ def _cmd_grassmann_vol(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INPUT = (("-i", "--input"), {"required": True})
+_NDL = [(("--n",), {"type": int, "required": True}), (("--d",), {"type": int, "required": True}),
+        (("--l",), {"type": int, "default": 1})]
+
+# each subcommand: its handler, its help and its arguments besides -o, as
+# (flags, keyword arguments) of `add_argument`
+COMMANDS = {
+    "dual": (_cmd_dual, "dual cone of a cone file", [_INPUT]),
+    "faces": (_cmd_faces, "all faces of a cone file", [_INPUT]),
+    "subdivide": (_cmd_subdivide, "subdivision fan and active sets of a chart", [_INPUT]),
+    "glue": (_cmd_glue, "subdivide several charts and merge the fans",
+             [(("-i", "--inputs"), {"required": True, "nargs": "+"})]),
+    "bounded": (_cmd_bounded, "special/bounded classification of a fan", [_INPUT]),
+    "rescale": (_cmd_rescale, "image of a t-flagged fan under (v,t) -> (n v,t)",
+                [_INPUT, (("--scale",), {"type": int, "required": True})]),
+    "vol": (_cmd_vol, "signed class sum over bounded cones of a fan",
+            [(("-i", "--input"), {"required": True,
+                                  "help": "fan file or subdivision result file"}),
+             (("--annotations",), {"help": "optional annotations file"})]),
+    "grassmann-verify": (_cmd_grassmann_verify,
+                         "verify the Gr(2,n) degree-d bounded cones and active sets", _NDL),
+    "grassmann-vol": (_cmd_grassmann_vol,
+                      "verified signed class sum for the Gr(2,n) instance", _NDL),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `command`, one of `COMMANDS`,
+    of that one alone, which parses its command lines alike: its usage
+    names every subcommand, so its errors and help read the same."""
     parser = argparse.ArgumentParser(
         prog="mockfan",
         description="Exact polyhedral subdivision fans and signed stratum volumes.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("-o", "--output", help="output file (default: stdout)")
-        return p
-
-    p = add("dual", _cmd_dual, "dual cone of a cone file")
-    p.add_argument("-i", "--input", required=True)
-    p = add("faces", _cmd_faces, "all faces of a cone file")
-    p.add_argument("-i", "--input", required=True)
-    p = add("subdivide", _cmd_subdivide, "subdivision fan and active sets of a chart")
-    p.add_argument("-i", "--input", required=True)
-    p = add("glue", _cmd_glue, "subdivide several charts and merge the fans")
-    p.add_argument("-i", "--inputs", required=True, nargs="+")
-    p = add("bounded", _cmd_bounded, "special/bounded classification of a fan")
-    p.add_argument("-i", "--input", required=True)
-    p = add("rescale", _cmd_rescale, "image of a t-flagged fan under (v,t) -> (n v,t)")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--scale", type=int, required=True)
-    p = add("vol", _cmd_vol, "signed class sum over bounded cones of a fan")
-    p.add_argument("-i", "--input", required=True,
-                   help="fan file or subdivision result file")
-    p.add_argument("--annotations", help="optional annotations file")
-    p = add("grassmann-verify", _cmd_grassmann_verify,
-            "verify the Gr(2,n) degree-d bounded cones and active sets")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--l", type=int, default=1)
-    p = add("grassmann-vol", _cmd_grassmann_vol,
-            "verified signed class sum for the Gr(2,n) instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--l", type=int, default=1)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func)
+            p.add_argument("-o", "--output", help="output file (default: stdout)")
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; only the parser of its subcommand is built."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except SubdivisionInconsistency as exc:

@@ -9,22 +9,25 @@ what fans and the subdivision pipeline rely on.
 Everything is integer arithmetic.  The orthogonal representative comes from
 an integer Gram-Schmidt basis of the lineality, each step scaled by o.o > 0
 so that no `Fraction` is needed: the primitive result is the rational
-projection cleared to integers.
+projection cleared to integers.  Unit vectors of the lineality, common in
+Hermite bases, are projected off by zeroing their coordinates.
 
 Representation conversion is one routine, `_canonical_vrep`, the only
 caller of `_dd`: an incremental double description (DD) method over exact
 integers, run in the integer kernel of the equalities on the distinct
 projected rows, then the canonical form, with one Hermite normal form (HNF)
-for the lineality when there is any, and one pairing of the rows with the
-rays in the DD's coordinates.  Internal callers pass facets and span
+for the lineality when there is any.  Internal callers pass facets and span
 equalities.  Both the V-representation (rays, lineality) and the
 H-representation (facet inequalities plus span equalities) are available on
 every cone; the H-side is computed lazily, by one call of the same routine
 on the dual side, for cones created through trusted internal paths and
 eagerly for generators.  A cone given by generators costs one DD
-(generators to facets); its rays, lineality and ray masks are read off that
-pairing, the generator x facet incidence (`_generated`, which builds
-`cone_from_generators` and the lifted cone of a chart in `subdivision`).
+(generators to facets) and one pairing of the distinct rows with its rays
+in the DD's coordinates (`_table`), made only there; its rays, lineality
+and ray masks are read off that pairing, the generator x facet incidence
+(`_generated`, which builds `cone_from_generators` and the lifted cone of
+a chart in `subdivision`).  `_read_off` reads them off any such pairing,
+also one with facets claimed rather than found by a DD.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul, not_
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .exact import (
     IntVec,
-    Scalar,
     dot,
     is_zero_vec,
     kernel_basis,
@@ -44,6 +46,9 @@ from .exact import (
     rank as matrix_rank,
     vec_neg,
 )
+
+if TYPE_CHECKING:
+    from .exact import Scalar
 
 
 class ConeError(ValueError):
@@ -117,26 +122,41 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
     return [r for r, _ in rays], lin
 
 
-def _orthogonal_basis(basis: Sequence[IntVec]) -> list[IntVec]:
-    """Integer Gram-Schmidt: primitive pairwise orthogonal vectors, same span.
+# a subspace ready to project off: see `_orthogonal_basis`
+Subspace = tuple[Optional[IntVec], list[IntVec]]
 
-    Each vector of the independent `basis` becomes its representative modulo
-    the ones before it, a positive multiple of its rational counterpart.
+
+def _orthogonal_basis(basis: Sequence[IntVec]) -> Subspace:
+    """The subspace spanned by the independent `basis`, ready to project
+    off: a selector that is 0 on the coordinate of each vector of `basis`
+    with one nonzero entry and 1 elsewhere (None when there is no such
+    vector), and the other vectors, zeroed there, by integer Gram-Schmidt:
+    primitive, pairwise orthogonal, each a positive multiple of its
+    rational counterpart.  Zeroing a coordinate projects off its unit
+    vector in one pass; a coordinate subspace is the common lineality.
     """
-    ortho: list[IntVec] = []
+    if not basis:
+        return None, []
+    units = {k for w in basis if w.count(0) == len(w) - 1 for k, x in enumerate(w) if x}
+    space: Subspace = (tuple(int(k not in units) for k in range(len(basis[0]))) if units
+                       else None, [])
     for w in basis:
-        ortho.append(_orthogonal_representative(w, ortho))
-    return ortho
+        if w.count(0) != len(w) - 1:
+            space[1].append(_orthogonal_representative(w, space))
+    return space
 
 
-def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[IntVec]:
-    """Primitive orthogonal-complement representative of v modulo span(ortho).
-
-    `ortho` must be pairwise orthogonal (`_orthogonal_basis`), so projecting
-    off one vector at a time projects off the span.  Returns None when v lies
-    in the subspace.  The representative is unique up to positive scaling,
-    so primitivizing makes it canonical.
+def _orthogonal_representative(v: IntVec, space: Subspace) -> Optional[IntVec]:
+    """Primitive orthogonal-complement representative of v modulo the
+    subspace `space` of `_orthogonal_basis`: v zeroed on its unit
+    coordinates, then projected off one orthogonal vector at a time.
+    Returns None when v lies in the subspace.  The representative is
+    unique up to positive scaling, so primitivizing makes it canonical,
+    whatever basis spans the subspace.
     """
+    selector, ortho = space
+    if selector is not None:
+        v = tuple(map(mul, v, selector))
     for o in ortho:
         ov = dot(o, v)
         if ov:
@@ -148,19 +168,20 @@ def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[I
 
 
 def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
-                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], dict[IntVec, int],
-                               list[IntVec]]:
+                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...],
+                               tuple[list[IntVec], list[IntVec], Optional[dict[IntVec, IntVec]]]]:
     """Canonical rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, by one DD,
-    and its table: each inequality's mask of the rays it is zero on, and the
-    inequalities negative on one, in input order.
+    and the arguments of `_table` that give its table: the DD's rays y, in
+    the order of the canonical rays, its distinct rows, and each distinct
+    inequality's row, or None when the rows are the inequalities.
 
     Of an inequality and its negation, the one lexicographically below zero
     joins the equalities; rows made primitive, as the public constructors
     make them, let every such pair be found.  The DD runs in the integer
     kernel of the equalities, basis B, on the distinct rows Ba; those
-    absorbed into equalities restrict to zero and drop out.  B is saturated, so the DD's
-    primitive rays y lift to primitive yB, and a.(yB) = (Ba).y: each
-    distinct row is paired with the rays once, in the DD's coordinates.
+    absorbed into equalities restrict to zero and drop out.  B is saturated,
+    so the DD's primitive rays y lift to primitive yB, and a.(yB) = (Ba).y:
+    each distinct row can be paired with the rays in the DD's coordinates.
     The lineality, when the DD finds any, is the integer kernel of all the
     rows, one HNF, saturated and canonical.  The rays are their
     representatives modulo it, positive multiples plus lineality vectors,
@@ -169,10 +190,11 @@ def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
     ineqs = dict.fromkeys(ineqs)
     origin = (0,) * rank   # a row is below it iff its first nonzero entry is negative
     eqs = [e for e in eqs if any(e)] + [a for a in ineqs if a < origin and vec_neg(a) in ineqs]
+    row_of = None
     if eqs:
         basis = kernel_basis(eqs, rank)
-        if not basis:   # the cone is {0}: no rays, every mask empty
-            return (), (), dict.fromkeys(ineqs, 0), []
+        if not basis:   # the cone is {0}: no rays, every row is ()
+            return (), (), ([], [()], dict.fromkeys(ineqs, ()))
         row_of = {a: tuple(sum(map(mul, b, a)) for b in basis) for a in ineqs}
         rows, dim = list(dict.fromkeys(row_of.values())), len(basis)
     else:
@@ -181,9 +203,19 @@ def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
     columns = list(zip(*basis))
     xs = [tuple(sum(map(mul, y, column)) for column in columns) for y in ys] if eqs else ys
     lin = kernel_basis(list(ineqs) + eqs, rank) if lin else ()
-    ortho = _orthogonal_basis(lin)
-    order = sorted((_orthogonal_representative(x, ortho), y) for x, y in zip(xs, ys))
-    ys = [y for _, y in order]
+    space = _orthogonal_basis(lin)
+    order = sorted((_orthogonal_representative(x, space), y) for x, y in zip(xs, ys))
+    return tuple(r for r, _ in order), lin, ([y for _, y in order], rows, row_of)
+
+
+def _table(ys: Sequence[IntVec], rows: Iterable[IntVec],
+           row_of: Optional[Mapping[IntVec, IntVec]] = None
+           ) -> tuple[dict[IntVec, int], list[IntVec]]:
+    """The table of the distinct `rows` on the rays ys: each row's mask of
+    the ys it is zero on (bit i for ys[i]), and the rows negative on one,
+    in order.  With `row_of`, the table of its keys instead, each paired as
+    its value, one of `rows`, so each distinct value is paired once.
+    """
     bits = [1 << i for i in range(len(ys))]
     zero, negative = {}, []
     for w in rows:
@@ -191,10 +223,11 @@ def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
         zero[w] = sum(compress(bits, map(not_, pairing)))
         if pairing and min(pairing) < 0:
             negative.append(w)
-    if eqs:
-        zero = {a: zero[w] for a, w in row_of.items()}
-        negative = [a for a, w in row_of.items() if w in negative]
-    return tuple(r for r, _ in order), lin, zero, negative
+    if row_of is None:
+        return zero, negative
+    below = set(negative)
+    return ({a: zero[w] for a, w in row_of.items()},
+            [a for a, w in row_of.items() if w in below])
 
 
 def _checked_rows(rank: int, rows: Iterable[Sequence[int]], what: str) -> list[IntVec]:
@@ -264,8 +297,8 @@ class Cone:
     def facets(self) -> tuple[IntVec, ...]:
         """Inner-normal facet inequality vectors (canonical, irredundant)."""
         if self._facets is None:
-            self._facets, self._span_eqs, _, _ = _canonical_vrep(self.rank, self.rays,
-                                                                 self.lineality)
+            self._facets, self._span_eqs, _ = _canonical_vrep(self.rank, self.rays,
+                                                              self.lineality)
         return self._facets
 
     # -- basic queries ---------------------------------------------------------
@@ -420,14 +453,29 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
 
 def _generated(rank: int, gens: Sequence[IntVec], lins: Sequence[IntVec]
                ) -> tuple[Cone, dict[IntVec, int], list[IntVec], tuple[int, ...]]:
-    """The cone spanned by `gens` plus the span of `lins`, the table of
-    `_canonical_vrep` that built it, and each of its rays' facet mask.
+    """The cone spanned by `gens` plus the span of `lins`, its table (each
+    generator's mask of the facets it is zero on, and those negative on
+    one), and each of its rays' facet mask.
 
     One DD, on the generators as inequalities of the dual, gives the facets
     and span equalities, the integer kernel of the generators, and so the
-    dimension, the rank minus their number; its pairing gives each
-    generator's mask of the facets it is zero on.  The rest is read off
-    that table, with no second DD or pairing:
+    dimension, the rank minus their number.  One pairing of the distinct
+    rows with the DD's rays, in its coordinates, gives the table
+    (`_table`); the cone is read off it by `_read_off`.
+    """
+    facets, span_eqs, pairing = _canonical_vrep(rank, gens, lins)
+    zero, negative = _table(*pairing)
+    cone, ray_masks = _read_off(rank, facets, span_eqs, zero, lins)
+    return cone, zero, negative, ray_masks
+
+
+def _read_off(rank: int, facets: tuple[IntVec, ...], span_eqs: tuple[IntVec, ...],
+              zero: Mapping[IntVec, int], lins: Sequence[IntVec]
+              ) -> tuple[Cone, tuple[int, ...]]:
+    """The cone spanned by the keys of `zero` plus the span of `lins`, and
+    each of its rays' facet mask, read off its facets, span equalities and
+    each generator's mask of the facets it is zero on, with no DD or
+    pairing:
 
     - the lineality space is the span of the lineality generators and of
       every generator tight on all facets (the minimal face of a cone is
@@ -444,19 +492,18 @@ def _generated(rank: int, gens: Sequence[IntVec], lins: Sequence[IntVec]
     The rays are reduced modulo the lineality as in `_canonical_vrep`.
     Each kernel is a saturated lattice in Hermite form, so canonical.
     """
-    facets, span_eqs, zero, negative = _canonical_vrep(rank, gens, lins)
     by_mask = dict(zip(zero.values(), zero))   # one generator per mask, the last
     full = (1 << len(facets)) - 1
     lin = kernel_basis(span_eqs + facets, rank) if by_mask.pop(full, None) or lins else ()
-    ortho = _orthogonal_basis(lin)
+    space = _orthogonal_basis(lin)
     kept: list[int] = []
     for mask in sorted(by_mask, key=int.bit_count, reverse=True):
         if all(mask & ~k for k in kept):
             kept.append(mask)
-    rays = sorted((_orthogonal_representative(by_mask[mask], ortho), mask) for mask in kept)
+    rays = sorted((_orthogonal_representative(by_mask[mask], space), mask) for mask in kept)
     cone = Cone._trusted(rank, tuple(r for r, _ in rays), lin, rank - len(span_eqs),
                          facets, span_eqs)
-    return cone, zero, negative, tuple(mask for _, mask in rays)
+    return cone, tuple(mask for _, mask in rays)
 
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],
@@ -465,8 +512,8 @@ def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],
 
     Every row must have length `rank` (ConeError otherwise).
     """
-    rays, lin, _, _ = _canonical_vrep(rank, _checked_rows(rank, inequalities, "inequality"),
-                                      _checked_rows(rank, equalities, "equality"))
+    rays, lin, _ = _canonical_vrep(rank, _checked_rows(rank, inequalities, "inequality"),
+                                   _checked_rows(rank, equalities, "equality"))
     return Cone(rank, rays, lin, None, None, _token=_CONE_TOKEN)
 
 
@@ -483,7 +530,7 @@ def dual_cone(c: Cone) -> Cone:
 def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.rank != c2.rank:
         raise ConeError("cannot intersect cones of different rank")
-    rays, lin, _, _ = _canonical_vrep(c1.rank, c1.facets + c2.facets, c1.span_eqs + c2.span_eqs)
+    rays, lin, _ = _canonical_vrep(c1.rank, c1.facets + c2.facets, c1.span_eqs + c2.span_eqs)
     return Cone(c1.rank, rays, lin, None, None, _token=_CONE_TOKEN)
 
 

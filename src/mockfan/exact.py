@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:   # importing fractions pulls in decimal and numbers
+    from fractions import Fraction
+    from typing import Union
+
+    Scalar = Union[int, Fraction]
 
 IntVec = tuple[int, ...]
-Scalar = Union[int, Fraction]
 
 
 class ExactError(ValueError):

@@ -18,12 +18,13 @@ Ambient coordinate order for charts: (M block | M-dagger block indexed
 -1..n-3 | delta), with the torus-fiber dual block of rank n-1 and one
 t-dual slot; the primal side reads (N block | N-dagger block | t).
 
-`verify` lifts the zero chart once, projects only the faces of its lifted
-cone that give bounded cells, and compares those bounded cones and active
-sets against the seven expected ones; `vol_expression` then assembles the
-signed stratum-class sum over them with the known annotations (two point
-strata, one very general degree-d hypersurface stratum in P^(2n-5), four
-symbolic strata).
+`verify` lifts the zero chart once, with its lifted cone C given in
+closed form (`lifted_cone_rays`) and certified rather than built by a
+double description, projects only the faces of C that give bounded cells,
+and compares those bounded cones and active sets against the seven
+expected ones; `vol_expression` then assembles the signed stratum-class
+sum over them with the known annotations (two point strata, one very
+general degree-d hypersurface stratum in P^(2n-5), four symbolic strata).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cones import Cone
-from .exact import IntVec
+from .exact import IntVec, vec_neg
 from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart, SubdivisionResult,
                           lift_chart)
 from .volume import ClassLabel, FormalSum, StratumAnnotation, vol_skeleton
@@ -255,6 +256,31 @@ def _dagger_sum_ray(spec: GrassmannSpec, coeff: int) -> IntVec:
     return tuple(v)
 
 
+def lifted_cone_rays(spec: GrassmannSpec) -> tuple[IntVec, ...]:
+    """The 2n + 4 rays of the lifted cone C = D^vee of the zero chart,
+    primitive and sorted: instance data, like the expected cones.
+
+    Write a ray (a; b; delta; h), with a the dagger slot -1, b in Z^(n-2)
+    the dagger slots 0 .. n-3, delta and the lift h; the M block is 0.
+    With 1 the all-ones vector the rays are (1; 0; 0; 0), (-1; 0; 0; d),
+    (-1; 1; 0; 0) and (1; -1; 0; d); (0; e_j; 0; 0) and (0; -e_j; 0; d)
+    for each j; and the four over tau0 .. tau3, (0; c l 1; 1; h l) for
+    (c, h) in (-2, 2d + 1), (-1, d), (1, -d), (2, 1 - 2d).  `verify`
+    certifies this claim (`subdivision._certify_lifted_cone`).
+    """
+    n, d, l = spec.n, spec.d, spec.l
+    m = index_data(n).m_rank
+    zero, ones = (0,) * (n - 2), (1,) * (n - 2)
+    rays = [(0,) * m + (a,) + b + (0, h)
+            for a, b, h in ((1, zero, 0), (-1, zero, d), (-1, ones, 0), (1, vec_neg(ones), d))]
+    for j in range(n - 2):
+        e = zero[:j] + (1,) + zero[j + 1:]
+        rays += [(0,) * (m + 1) + e + (0, 0), (0,) * (m + 1) + vec_neg(e) + (0, d)]
+    rays += [_dagger_sum_ray(spec, c * l) + (h * l,)
+             for c, h in ((-2, 2 * d + 1), (-1, d), (1, -d), (2, 1 - 2 * d))]
+    return tuple(sorted(rays))
+
+
 def expected_bounded_cones(spec: GrassmannSpec) -> dict[str, Cone]:
     """The seven bounded cones, with l-scaled dagger coefficients.
 
@@ -370,16 +396,19 @@ def verify(spec: GrassmannSpec, verify_fan: bool = True) -> VerificationReport:
     """Compare the bounded cells of the zero chart with the expected seven
     bounded cones and their active sets.
 
-    The lifted cone C is built once (`subdivision.lift_chart`); with
-    `verify_fan` it is first certified to be the dual of D
-    (`subdivision._certify_lifted_cone`), without it it is trusted.  Only
-    the lower faces of C whose rays all have t > 0 are walked and projected
+    The lifted cone C is taken once from its closed form
+    (`lifted_cone_rays`, through `subdivision.lift_chart`), with no DD;
+    with `verify_fan` it is first certified to be the dual of D
+    (`subdivision._certify_lifted_cone`), and a claim the certificate
+    rejects raises SubdivisionInconsistency, with no fallback to a DD;
+    without `verify_fan` it is trusted.  Only the lower faces of C whose
+    rays all have t > 0 are walked and projected
     (`LiftedChart.subdivide(bounded=True)`), with every per-face check of
-    the full walk; at every case measured C has four such rays, so the walk
-    visits at most 16 faces.  The full subdivision is built only when
-    `report.result` is read.
+    the full walk; C has four such rays, the rays over tau0 .. tau3, so
+    the walk visits at most 16 faces.  The full subdivision is built only
+    when `report.result` is read.
     """
-    lift = lift_chart(zero_chart(spec), verify=verify_fan)
+    lift = lift_chart(zero_chart(spec), verify_fan, lifted_cone_rays(spec))
     cells = lift.subdivide(bounded=True)
     bounded = set(cells.projected_fan.bounded_cones())
     expected = expected_bounded_cones(spec)

@@ -18,7 +18,10 @@ projects a walk of C's lower faces, all of them or only those whose rays
 all have t > 0, which project to the bounded cells.  `subdivide_chart` runs
 both with the full walk.  C is built as the dual of D, by the one
 generator-side double description (DD) of `cones`, which pairs D's
-generators with C's rays in the coordinates of C's span (`_lifted_cone`).
+generators with C's rays in the coordinates of C's span (`_lifted_cone`);
+or, when its rays are known in closed form, as for the Gr(2, n) zero
+chart, it is taken from them with no DD, D's generators paired with the
+claimed rays in the coordinates where one is nonzero (`_claimed_cone`).
 Verification certifies C, not its faces
 (`_certify_lifted_cone`): C is the dual of D, checked against that pairing
 and by a second DD from its facets; every walk is trusted.
@@ -34,12 +37,17 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .cones import (Cone, Face, _canonical_vrep, _generated, _orthogonal_basis,
-                    _orthogonal_representative, cone_from_generators, dual_cone, walk_faces)
-from .exact import IntVec, Scalar, dot, is_zero_vec, primitive, rank as matrix_rank
+                    _orthogonal_representative, _read_off, _table, cone_from_generators,
+                    dual_cone, walk_faces)
+from .exact import IntVec, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
+
+if TYPE_CHECKING:
+    from .exact import Scalar
 
 
 class ChartError(ValueError):
@@ -254,17 +262,21 @@ class LiftedChart:
                                  active)
 
 
-def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
+def lift_chart(chart: MockPolytopeChart, verify: bool = True,
+               rays: Optional[Sequence[IntVec]] = None) -> LiftedChart:
     """Build the lifted cone C, the dual of the lifted cone D, and check it.
 
     A support that reaches t < 0 is bad input and raises ChartError, as
     does a C with lineality.  `_lifted_cone` builds C and pairs D's
-    generators with its rays once.  With `verify` set,
-    `_certify_lifted_cone` checks, from C, dim S and that pairing, that C
-    is the dual of D; the lower faces of that cone project to the
+    generators with its rays once.  Given `rays`, the rays of C known in
+    closed form, primitive and sorted, `_claimed_cone` takes C from them
+    and pairs D's generators with them instead, with no DD.  With `verify`
+    set, `_certify_lifted_cone` checks, from C, dim S and that pairing,
+    that C is the dual of D; the lower faces of that cone project to the
     subdivision of the chart by construction, so every walk of it is
     trusted and no face is checked or derived again.  A failed check is a
-    pipeline bug and raises SubdivisionInconsistency.
+    pipeline bug, or a wrong claim, and raises SubdivisionInconsistency;
+    without `verify` a claim is trusted.
     Input that has no lifted cone behind it, a fan or result read from a
     file or the union of glued charts, is checked by `fan_from_cones`
     instead.  The same pairing gives, per ray of C, the bitset of the items
@@ -274,7 +286,10 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
     support = support_cone(chart)
     if any(x[-1] < 0 for x in support.rays) or any(v[-1] != 0 for v in support.lineality):
         raise ChartError("chart support reaches t < 0: its sigma duals must imply t >= 0")
-    big, masks, negative = _lifted_cone(chart, support.span_eqs)
+    if rays is None:
+        big, masks, negative = _lifted_cone(chart, support.span_eqs)
+    else:
+        big, masks, negative = _claimed_cone(chart, support.span_eqs, tuple(rays))
     apex = (0,) * r + (1,)
     if not big.contains(apex):
         raise SubdivisionInconsistency("subdivision inconsistency: (0,1) not in C")
@@ -297,9 +312,36 @@ def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec]
     if d.span_eqs:
         raise ChartError("chart support and items do not span the dual space: "
                          "the subdivision would not be strongly convex")
-    big = Cone._trusted(rank, d.facets, (), rank - len(d.lineality), d.rays, d.lineality,
-                        ray_masks)
-    return big, masks, negative
+    return _dual_of_D(d, ray_masks), masks, negative
+
+
+def _claimed_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec],
+                  rays: tuple[IntVec, ...]) -> tuple[Cone, dict[IntVec, int], list[IntVec]]:
+    """C with the claimed `rays` and no lineality, and its table, as `_lifted_cone`
+    gives them, with no DD: D's generators are paired with the rays once,
+    each distinct one in the coordinates where some ray is nonzero, and D,
+    over lin D = span{(e, 0) : e in `span_eqs`}, is read off that table by
+    `cones._read_off`, as `_generated` reads it off its DD's.  The claim is
+    trusted here; `_certify_lifted_cone` checks it.  Rays that are not
+    primitive, distinct, sorted and of C's rank are no claim of a
+    canonical C and raise SubdivisionInconsistency."""
+    rank = chart.ambient_dual_rank + 1
+    if (list(rays) != sorted(set(rays))
+            or any(len(x) != rank or not any(x) or primitive(x) != x for x in rays)):
+        raise SubdivisionInconsistency("subdivision inconsistency: the claimed rays of C "
+                                       "are not primitive, distinct and sorted")
+    used = [any(column) for column in zip(*rays)]
+    row_of = {g: tuple(compress(g, used)) for g in _generators_of_D(chart)}
+    masks, negative = _table([tuple(compress(x, used)) for x in rays], set(row_of.values()),
+                             row_of)
+    d, ray_masks = _read_off(rank, rays, (), masks, [e + (0,) for e in span_eqs])
+    return _dual_of_D(d, ray_masks), masks, negative
+
+
+def _dual_of_D(d: Cone, ray_masks: tuple[int, ...]) -> Cone:
+    """C = D^vee, with D's ray masks as its facet masks."""
+    return Cone._trusted(d.rank, d.facets, (), d.rank - len(d.lineality), d.rays, d.lineality,
+                         ray_masks)
 
 
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
@@ -337,10 +379,14 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
     by 4, so f.x = lambda g.x on R.  The lower faces of an exact C, which
     the walk finds, project to the chart's regular subdivision (De
     Loera-Rambau-Santos, Triangulations, ch. 2 and 5).  Trusted: d; the
-    pairing, made by `cones._canonical_vrep` from G in the coordinates y of
-    its DD, a basis B of span(C), with R = yB, by g.(yB) = (Bg).y; and the
-    second DD, which runs on other input than the DD that made C and must
-    reproduce its rays.
+    pairing, made by `cones._table` from G in the coordinates y of the DD
+    that made C, a basis B of span(C), with R = yB, by g.(yB) = (Bg).y, or,
+    for a claimed C, in the coordinates where some ray of R is nonzero; and
+    the second DD, which runs on other input than the one that made or
+    claimed C and must reproduce its rays.  So a claimed C needs no DD of
+    its own: this certificate is what makes the claim a result
+    (McConnell-Mehlhorn-Naeher-Schweitzer, Certifying algorithms, Comput.
+    Sci. Rev. 5, 2011).
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
@@ -350,16 +396,16 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
         g = max(negative, key=operator.itemgetter(-1))   # an item before a support dual
         fail(f"{'item exponent' if g[-1] else 'support dual'} {g[:-1]} is negative on a ray of C")
     generator_of = {m: g for g, m in masks.items()}   # the items, last, win a shared mask
-    ortho = _orthogonal_basis(eqs)
+    space = _orthogonal_basis(eqs)
     for j, (f, m) in enumerate(zip(facets, big.facet_masks())):
         if f in facets[:j]:
             fail(f"facet {f} of C repeats")
         g = generator_of.get(m)
-        if g is None or _orthogonal_representative(g, ortho) != f:
+        if g is None or _orthogonal_representative(g, space) != f:
             fail(f"facet {f} of C is no generator of D")
     if matrix_rank(rays) != d + 1:
         fail(f"the rays of C have rank {matrix_rank(rays)}, not {d + 1}")
-    again, lin, _, _ = _canonical_vrep(big.rank, facets, eqs)
+    again, lin, _ = _canonical_vrep(big.rank, facets, eqs)
     odd = list(lin) + sorted(x for x in set(rays + again) if rays.count(x) != again.count(x))
     if odd:
         fail(f"C and the cone its facets cut out differ at the ray or line {odd[0]}")

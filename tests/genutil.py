@@ -11,6 +11,7 @@ from mockfan import cones, subdivision
 from mockfan.cones import (Cone, ConeError, cone_from_generators, dual_cone, is_subcone,
                            walk_faces, zero_cone)
 from mockfan.exact import ExactError, IntVec, dot, hnf, kernel_basis, primitive, rank
+from mockfan.grassmann import GrassmannSpec, lifted_cone_rays, zero_chart
 from mockfan.subdivision import (ChartError, LiftedExponent, MockPolytopeChart, build_D,
                                  lift_chart, support_cone)
 
@@ -260,6 +261,29 @@ def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
     for verify in (False, True):
         lift = lift_chart(chart, verify)
         assert lift.big_cone == big and lift.zero_on == zero_on
+
+
+def assert_claim_equals_the_lift(spec: GrassmannSpec):
+    """The claimed C of the Gr(2, n) zero chart, `grassmann.lifted_cone_rays`
+    taken by `subdivision._claimed_cone`, is the C that the DD of
+    `_lifted_cone` builds, with the same rays, facets, span equalities,
+    dimension and facet masks, and the same mask and negative table; that C
+    is `dual_cone(build_D(chart))`; and `lift_chart` given the claim lifts
+    the chart as without it."""
+    chart = zero_chart(spec)
+    span_eqs = support_cone(chart).span_eqs
+    rays = lifted_cone_rays(spec)
+    claimed, *claimed_table = subdivision._claimed_cone(chart, span_eqs, rays)
+    built, *table = subdivision._lifted_cone(chart, span_eqs)
+    big = dual_cone(build_D(chart))
+    assert len(rays) == 2 * spec.n + 4 and big.rays == rays
+    for c in (claimed, built):
+        assert (c.rays, c.lineality, c.facets, c.span_eqs, c.dim(), c.facet_masks()) == (
+            big.rays, (), big.facets, big.span_eqs, big.dim(), big.facet_masks())
+    assert claimed_table == table
+    for verify in (False, True):
+        lift, claimed_lift = lift_chart(chart, verify), lift_chart(chart, verify, rays)
+        assert (claimed_lift.big_cone, claimed_lift.zero_on) == (lift.big_cone, lift.zero_on)
 
 
 # -- the canonical form by two HNFs per lattice: the oracle of `_canonical_vrep` --

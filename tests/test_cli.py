@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from mockfan import formats
-from mockfan.cli import main
+from mockfan import cli, formats
+from mockfan.cli import COMMANDS, build_parser, main
 from mockfan.cones import cone_from_generators as cg
 from mockfan.fans import fan_from_cones
 from mockfan.grassmann import GrassmannSpec, expected_vol_expression
@@ -218,3 +218,62 @@ def test_files_and_stdout_are_utf8(tmp_path, capsys):
     assert main(["subdivide", "-i", str(chart)]) == 0
     assert capsys.readouterr().out == out.read_bytes().decode("utf-8")
     assert "items ä" in out.read_text(encoding="utf-8")
+
+
+# -- the parser of one subcommand against the parser of all of them -------------
+
+def parse_outcome(parser, argv, capsys):
+    """What parsing argv does: the namespace, or the exit code; and the output."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+# a valid command line per subcommand, after its name
+VALID_ARGS = {"dual": ["-i", "x"], "faces": ["-i", "x"], "subdivide": ["-i", "x"],
+              "glue": ["-i", "x", "y"], "bounded": ["-i", "x"],
+              "rescale": ["-i", "x", "--scale", "2"],
+              "vol": ["-i", "x", "--annotations", "a"],
+              "grassmann-verify": ["--n", "5", "--d", "2"],
+              "grassmann-vol": ["--n", "6", "--d", "2", "--l", "1", "-o", "v"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_command_parser_parses_like_the_full_parser(command, capsys):
+    # --help, a missing or unknown argument, a bad value and a valid line:
+    # byte-identical output, equal exit codes and equal namespaces
+    assert sorted(VALID_ARGS) == sorted(COMMANDS)
+    for args in (["--help"], [], ["--bogus"], ["-o"], ["--scale", "x"], ["--n", "x"],
+                 VALID_ARGS[command], VALID_ARGS[command] + ["extra"]):
+        argv = [command] + args
+        assert (parse_outcome(build_parser(command), argv, capsys)
+                == parse_outcome(build_parser(), argv, capsys))
+
+
+def test_main_builds_only_the_parser_of_its_subcommand(monkeypatch, capsys):
+    built = []
+
+    def recording_build_parser(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    assert main(["grassmann-verify", "--n", "4", "--d", "2"]) == 0
+    for argv in ([], ["--help"], ["nosuch"], ["-o", "x", "dual"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == (0 if argv == ["--help"] else 2)
+    assert built == ["grassmann-verify", None, None, None, None]
+    capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # fractions pulls in decimal and numbers, which the engine never needs
+    code = ("import sys, mockfan.cli; "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -383,10 +383,17 @@ def test_single_dd_construction_edge_cases(rank, gens, lins):
 def test_integer_reduction_equals_fraction_reduction(data):
     v, vectors = data
     lin = saturated_subspace_basis(vectors, len(v))
-    ortho = cones._orthogonal_basis(lin)
-    assert all(dot(a, b) == 0 for a, b in itertools.combinations(ortho, 2))
+    space = cones._orthogonal_basis(lin)
+    selector, ortho = space
+    # the unit vectors the selector zeroes and the Gram-Schmidt vectors are
+    # pairwise orthogonal and span the lineality
+    units = [tuple(int(k == j) for k in range(len(v)))
+             for j, keep in enumerate(selector or ()) if not keep]
+    basis = units + ortho
+    assert all(dot(a, b) == 0 for a, b in itertools.combinations(basis, 2))
+    assert len(basis) == len(lin) == matrix_rank(list(lin) + basis)
     expected = fraction_reduction(v, lin) if any(v) else None
-    assert cones._orthogonal_representative(v, ortho) == expected
+    assert cones._orthogonal_representative(v, space) == expected
 
 
 # -- face dimensions graded from the mask walk against exact.rank ---------------

@@ -1,23 +1,25 @@
 import importlib.util
+import os
 import random
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from genutil import (assert_bounded_cells_equal_the_full_walk,
+from genutil import (assert_bounded_cells_equal_the_full_walk, assert_claim_equals_the_lift,
                      assert_lift_equals_the_dual_of_build_D)
-from mockfan import cones, subdivision
+from mockfan import cli, cones, grassmann, subdivision
 from mockfan.cones import cone_from_generators as cg
-from mockfan.exact import dot, rank as matrix_rank
+from mockfan.exact import dot, primitive, rank as matrix_rank
 from mockfan.fans import fan_from_cones, is_refinement, refines_cone_faces, rescale_cone
 from mockfan.grassmann import (CONE_NAMES, GrassmannError, GrassmannSpec,
                                VerificationFailed, _dagger_sum_ray, alpha_id, enumerate_S,
                                expected_bounded_cones, expected_active_sets,
                                expected_vol_expression, index_data, kappa,
-                               stratify_S, varpi, varpi_alpha, verify,
+                               lifted_cone_rays, stratify_S, varpi, varpi_alpha, verify,
                                vol_expression, weight_split, zero_chart)
-from mockfan.subdivision import build_D, subdivide_chart, support_cone
+from mockfan.subdivision import (SubdivisionInconsistency, build_D, subdivide_chart,
+                                 support_cone)
 from mockfan.volume import ClassLabel
 
 
@@ -236,28 +238,94 @@ def test_lift_equals_the_dual_of_build_D_on_the_sweep(case):
     assert_lift_equals_the_dual_of_build_D(zero_chart(GrassmannSpec(*map(int, case.split(",")))))
 
 
+# the cases on which the closed form of C was first checked against the DD
+CLAIM_CASES = ["4,2,1", "5,2,1", "6,2,1", "6,3,1", "6,4,1", "6,2,2", "6,2,3", "7,3,2", "8,2,1",
+               "8,3,1", "7,5,1", "10,2,1", "12,2,1", "5,3,2"]
+
+
+def claim_cases(small: bool):
+    """The sweep's and `CLAIM_CASES`, those with n <= 8 and d <= 4 or the others."""
+    cases = sorted(set(sweep_default_cases()) | set(CLAIM_CASES),
+                   key=lambda c: tuple(map(int, c.split(","))))
+    return [c for c in cases
+            if (int(c.split(",")[0]) <= 8 and int(c.split(",")[1]) <= 4) == small]
+
+
+@pytest.mark.parametrize("case", claim_cases(small=True))
+def test_claimed_C_equals_the_lift_and_the_dual_of_build_D(case):
+    assert_claim_equals_the_lift(GrassmannSpec(*map(int, case.split(","))))
+
+
+@pytest.mark.skipif(not os.environ.get("MOCKFAN_LARGE_CASES"),
+                    reason="large cases, about 20 s: set MOCKFAN_LARGE_CASES=1")
+@pytest.mark.parametrize("case", claim_cases(small=False))
+def test_claimed_C_equals_the_lift_and_the_dual_of_build_D_on_large_cases(case):
+    assert_claim_equals_the_lift(GrassmannSpec(*map(int, case.split(","))))
+
+
+def claims_one_ray_off(rays):
+    """Each claim of C with one ray moved by +-1 in one coordinate, one ray
+    dropped or one ray repeated."""
+    for k, x in enumerate(rays):
+        yield rays[:k] + rays[k + 1:]
+        yield rays[:k] + (x,) + rays[k:]
+        for j in range(len(x)):
+            for step in (-1, 1):
+                yield rays[:k] + (x[:j] + (x[j] + step,) + x[j + 1:],) + rays[k + 1:]
+
+
+@pytest.mark.parametrize("case", ["4,2,1", "5,2,2"])
+def test_verify_rejects_every_claim_of_C_one_ray_off(monkeypatch, case):
+    # a claim that is primitive, distinct and sorted reaches the certificate
+    spec = GrassmannSpec(*map(int, case.split(",")))
+    certified = 0
+    for claim in claims_one_ray_off(lifted_cone_rays(spec)):
+        monkeypatch.setattr(grassmann, "lifted_cone_rays", lambda spec: claim)
+        with pytest.raises(SubdivisionInconsistency) as failure:
+            verify(spec)
+        canonical = list(claim) == sorted(set(claim)) and all(
+            any(x) and primitive(x) == x for x in claim)
+        assert ("are not primitive, distinct and sorted" in str(failure.value)) != canonical
+        certified += canonical
+    assert certified >= len(lifted_cone_rays(spec))
+
+
+def test_grassmann_vol_exits_internal_on_a_wrong_claim(monkeypatch, capsys):
+    spec = GrassmannSpec(5, 2, 1)
+    rays = lifted_cone_rays(spec)
+    argv = ["grassmann-vol", "--n", "5", "--d", "2"]
+    for claim in (rays[1:], rays[:1] + rays, rays[:-1] + (rays[-1][:-1] + (rays[-1][-1] + 1,),)):
+        monkeypatch.setattr(grassmann, "lifted_cone_rays", lambda spec: claim)
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.startswith("error[internal]: ")
+
+
 @pytest.mark.parametrize("verify_fan", [True, False])
 def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify_fan):
-    # verify and vol_expression: one DD, the lift's, builds C, and one walk
-    # of at most 2^|T| faces runs; the full walk runs once, from the same C
-    # and with no DD at all, when `result` is read
+    # verify and vol_expression: C is claimed, so the lift runs no DD, and
+    # one walk of at most 2^|T| faces runs; the full walk runs once, from
+    # the same C and with no DD at all, when `result` is read
     # every DD goes through `cones._dd`; the calls made inside
-    # `subdivision._lifted_cone` are credited to the lift, the rest to "all"
+    # `subdivision._lifted_cone` or `_claimed_cone` are credited to the
+    # lift, the rest to "all"
     calls = {"lift": 0, "all": 0}
     crediting = ["all"]
     walks = []
-    dd, lifted_cone = cones._dd, subdivision._lifted_cone
+    dd = cones._dd
 
     def counted_dd(dim, rows):
         calls[crediting[0]] += 1
         return dd(dim, rows)
 
-    def counted_lift(chart, span_eqs):
-        crediting[0] = "lift"
-        try:
-            return lifted_cone(chart, span_eqs)
-        finally:
-            crediting[0] = "all"
+    def counted(lift):
+        def counted_lift(*args):
+            crediting[0] = "lift"
+            try:
+                return lift(*args)
+            finally:
+                crediting[0] = "all"
+        return counted_lift
 
     def counted_walk(c, lower, within):
         faces = cones.walk_faces(c, lower, within)
@@ -265,18 +333,19 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
         return faces
 
     monkeypatch.setattr(cones, "_dd", counted_dd)
-    monkeypatch.setattr(subdivision, "_lifted_cone", counted_lift)
+    for name in ("_lifted_cone", "_claimed_cone"):
+        monkeypatch.setattr(subdivision, name, counted(getattr(subdivision, name)))
     monkeypatch.setattr(subdivision, "walk_faces", counted_walk)
     spec = GrassmannSpec(6, 2, 1)
     report = verify(spec, verify_fan)
     assert vol_expression(spec, report) == expected_vol_expression(spec)
     t_positive = sum(1 for x in report.lift.big_cone.rays if x[-2] > 0)
-    assert calls["lift"] == 1 and len(walks) == 1 and walks[0] <= 2 ** t_positive
+    assert calls["lift"] == 0 and len(walks) == 1 and walks[0] <= 2 ** t_positive
     dds = calls["all"]
     assert dds == 1 + verify_fan   # the support's, and the certificate's
     result = report.result
     assert report.result is result
-    assert calls == {"lift": 1, "all": dds} and len(walks) == 2
+    assert calls == {"lift": 0, "all": dds} and len(walks) == 2
     assert (result.projected_fan.bounded_cones()
             == report.bounded.projected_fan.bounded_cones())
     monkeypatch.undo()
