@@ -3,8 +3,7 @@ and signed stratum-class bookkeeping, with a verified Gr(2,n) instance."""
 
 from .cones import Cone, Face, cone_from_generators, cone_from_inequalities, dual_cone
 from .fans import (Fan, euler_char_height1, fan_from_cones, is_bounded_cone,
-                   is_compactly_arranged, is_refinement, is_special_cone,
-                   is_specifically_reduced, refines_cone_faces, rescale,
+                   is_special_cone, is_specifically_reduced, rescale,
                    specifically_reduced_scale)
 from .grassmann import GrassmannSpec, verify, vol_expression
 from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart, SubdivisionResult,
@@ -13,9 +12,9 @@ from .volume import ClassLabel, FormalSum, StratumAnnotation, vol_skeleton
 
 __all__ = [
     "Cone", "Face", "cone_from_generators", "cone_from_inequalities", "dual_cone",
-    "Fan", "fan_from_cones", "is_refinement", "rescale", "euler_char_height1",
+    "Fan", "fan_from_cones", "rescale", "euler_char_height1",
     "is_special_cone", "is_bounded_cone", "is_specifically_reduced",
-    "specifically_reduced_scale", "is_compactly_arranged",
+    "specifically_reduced_scale",
     "LiftedExponent", "MockPolytopeChart", "SubdivisionResult", "LiftedChart",
     "build_D", "lift_chart", "subdivide_chart", "val_min", "glue_charts",
     "ClassLabel", "FormalSum", "StratumAnnotation", "vol_skeleton",

@@ -382,11 +382,23 @@ class Face:
     cone: Cone
 
 
-def walk_faces(c: Cone, lower: Optional[int] = None,
-               within: Optional[int] = None) -> list[Face]:
-    """Every face of c in walk order, graded as walked; with `lower`, a
-    bitset of facet indices, only the faces on one of those facets; with
-    `within`, a bitset of ray indices, only the faces whose rays are all in it.
+def _bit_indices(mask: int) -> list[int]:
+    """The indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def walk_masks(c: Cone, lower: Optional[int] = None,
+               within: Optional[int] = None) -> list[list[int]]:
+    """The ray masks of every face of c, level by level in walk order: the
+    faces at level k have grade k, the dimension of the lineality plus k.
+    With `lower`, a bitset of facet indices, only the faces on one of those
+    facets; with `within`, a bitset of ray indices, only the faces whose
+    rays are all in it.
 
     A face is its mask of extreme rays, and its tight set, the facets that
     hold it, determines it.  The walk goes up from the minimal face one
@@ -394,34 +406,34 @@ def walk_faces(c: Cone, lower: Optional[int] = None,
     tight set t and a ray r outside F span the smallest face G above both,
     with tight set t & tight(r) and rays every ray whose tight set holds
     it.  G covers F iff as many rays r give G as G has rays outside F.  So
-    the walk level is the grade, and each face's dimension is the
-    lineality's plus its level.  With `lower`, a candidate whose tight set
+    the walk level is the grade.  With `lower`, a candidate whose tight set
     misses `lower` is dropped.  With `within`, only the rays in it are
     tried, so a candidate with a ray outside `within` has fewer rays giving
     it than rays outside F and is no cover.  The faces on those facets,
     and the faces inside those rays, are downward closed, so each is
-    reached from one it covers.  The minimal face is always returned.  A
-    subset of c's sorted canonical rays, reduced modulo the same lineality,
-    is canonical as it stands.
+    reached from one it covers.  The minimal face is always walked.
     """
     facet_masks = c.facet_masks()
-    ray_tight = [(1 << i, sum(1 << j for j, fm in enumerate(facet_masks) if fm >> i & 1))
-                 for i in range(len(c.rays))]
-    tried = ray_tight if within is None else [(bit, tr) for bit, tr in ray_tight if bit & within]
+    tight = [0] * len(c.rays)
+    for j, fm in enumerate(facet_masks):
+        for i in _bit_indices(fm):
+            tight[i] |= 1 << j
+    ray_tight = [(1 << i, tr) for i, tr in enumerate(tight)]
+    tried = (1 << len(c.rays)) - 1
+    if within is not None:
+        tried &= within
     closure: dict[int, int] = {}
-    out: list[Face] = []
+    levels: list[list[int]] = []
     level = [(0, (1 << len(facet_masks)) - 1)]
     seen = {0}
-    dim = len(c.lineality)
     while level:
+        levels.append([mask for mask, _ in level])
         above = []
         for mask, t in level:
-            rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
-            out.append(Face(mask, Cone._trusted(c.rank, rays, c.lineality, dim)))
             counts: dict[int, int] = {}
-            for bit, tr in tried:
-                if not mask & bit:
-                    counts[t & tr] = counts.get(t & tr, 0) + 1
+            for i in _bit_indices(tried & ~mask):
+                u = t & tight[i]
+                counts[u] = counts.get(u, 0) + 1
             for u, k in counts.items():
                 if lower is not None and not u & lower:
                     continue
@@ -432,8 +444,26 @@ def walk_faces(c: Cone, lower: Optional[int] = None,
                     seen.add(g)
                     above.append((g, u))
         level = above
-        dim += 1
+    return levels
+
+
+def faces_of_masks(c: Cone, levels: Iterable[Iterable[int]]) -> list[Face]:
+    """The faces of c with the ray masks of `levels`, level k graded k as
+    in `walk_masks`.  A subset of c's sorted canonical rays, reduced modulo
+    the same lineality, is canonical as it stands."""
+    out = []
+    for dim, level in enumerate(levels, len(c.lineality)):
+        for mask in level:
+            rays = tuple(map(c.rays.__getitem__, _bit_indices(mask)))
+            out.append(Face(mask, Cone._trusted(c.rank, rays, c.lineality, dim)))
     return out
+
+
+def walk_faces(c: Cone, lower: Optional[int] = None,
+               within: Optional[int] = None) -> list[Face]:
+    """Every face of c in walk order, graded as walked, pruned by `lower`
+    and `within` as in `walk_masks`; the minimal face is always returned."""
+    return faces_of_masks(c, walk_masks(c, lower, within))
 
 
 # ---------------------------------------------------------------------------

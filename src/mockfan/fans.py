@@ -5,9 +5,9 @@ fans the classification predicates follow the degeneration picture: a cone
 is *special* when it is not contained in the hyperplane {t = 0}, and
 *bounded* when it is nonzero and every extreme ray has strictly positive
 t-coordinate (equivalently, its slice at t = 1 is a bounded polytope).
-The predicates "special", "bounded", "compactly arranged" and "specifically
-reduced" are inferred from how they are used in the source constructions,
-not restatements of external definitions; see the project README.
+The predicates "special", "bounded" and "specifically reduced" are
+inferred from how they are used in the source constructions, not
+restatements of external definitions; see the project README.
 
 The Euler characteristic of the open t = 1 slice of a special cone is
 (-1)^(dim - 1) when the cone is bounded and 0 otherwise; its additivity over
@@ -21,7 +21,7 @@ import math
 from typing import Iterable, Sequence
 
 from .cones import Cone, intersect, is_face_of, is_subcone, walk_faces, zero_cone
-from .exact import dot, primitive
+from .exact import primitive
 
 
 class FanError(ValueError):
@@ -84,8 +84,10 @@ class Fan:
     @staticmethod
     def _trusted(rank: int, cones: Iterable[Cone], has_t: bool) -> "Fan":
         """Internal constructor for cone sets already known to satisfy the
-        fan conditions (images under invertible maps, verified subdivisions)."""
-        ordered = tuple(sorted(set(cones), key=_cone_sort_key))
+        fan conditions (images under invertible maps, verified subdivisions).
+        Duplicates are dropped in input order, so cones already in the fan's
+        order sort in linear time; any order gives the same fan."""
+        ordered = tuple(sorted(dict.fromkeys(cones), key=_cone_sort_key))
         return Fan(rank, ordered, has_t, _token=_FAN_TOKEN)
 
     def __iter__(self):
@@ -112,10 +114,6 @@ class Fan:
     def _require_t(self, op: str):
         if not self.has_t_coordinate:
             raise FanError(f"{op} requires a fan with a t coordinate")
-
-    def special_cones(self) -> list[Cone]:
-        self._require_t("special_cones")
-        return [c for c in self.cones if is_special_cone(c)]
 
     def bounded_cones(self) -> list[Cone]:
         self._require_t("bounded_cones")
@@ -172,63 +170,6 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     return Fan._trusted(rank, closed, has_t)
 
 
-def is_refinement(fine: Fan, coarse: Fan) -> bool:
-    """True iff `fine` subdivides `coarse` with equal support.
-
-    Containment of every fine cone in a coarse cone is checked directly;
-    coverage of each coarse cone is certified wall by wall: every facet of a
-    maximal-dimensional fine cone inside sigma either lies on the boundary
-    of sigma or is shared with exactly one other such cone.
-    """
-    if fine.rank != coarse.rank:
-        raise FanError("refinement test requires equal rank")
-    coarse_list = list(coarse.cones)
-    for tau in fine.cones:
-        if not any(is_subcone(tau, sigma) for sigma in coarse_list):
-            return False
-    for sigma in coarse.cones:
-        if not _covers(fine, sigma):
-            return False
-    return True
-
-
-def _covers(fine: Fan, sigma: Cone) -> bool:
-    d = sigma.dim()
-    if d == 0:
-        return zero_cone(sigma.rank) in fine
-    cells = [tau for tau in fine.cones
-             if tau.dim() == d and is_subcone(tau, sigma)]
-    if not cells:
-        return False
-    wall_counts: dict[tuple, int] = {}
-    for tau in cells:
-        for fm in tau.facet_masks():
-            wall = tuple(r for i, r in enumerate(tau.rays) if fm >> i & 1)
-            wall_counts[wall] = wall_counts.get(wall, 0) + 1
-    for wall, count in wall_counts.items():
-        on_boundary = any(all(dot(g, f) == 0 for g in wall) for f in sigma.facets)
-        if on_boundary:
-            continue
-        if count != 2:
-            return False
-    return True
-
-
-def refines_cone_faces(fine: Fan, support: Cone) -> bool:
-    """True iff `fine` subdivides the face collection of one support cone.
-
-    The support may contain a linear subspace (fan membership is not
-    required of it); coverage of every face is certified by the same
-    wall-pairing scheme as `is_refinement`.
-    """
-    if fine.rank != support.rank:
-        raise FanError("refinement test requires equal rank")
-    for tau in fine.cones:
-        if not is_subcone(tau, support):
-            return False
-    return all(_covers(fine, face.cone) for face in support.faces())
-
-
 def rescale(f: Fan, n: int) -> Fan:
     """Image fan under (v, t) -> (n*v, t); bijective on cones."""
     f._require_t("rescale")
@@ -255,22 +196,3 @@ def specifically_reduced_scale(f: Fan) -> int:
     f._require_t("specifically_reduced_scale")
     ts = [c.rays[0][-1] for c in f.cones if c.dim() == 1 and is_special_cone(c)]
     return math.lcm(*ts)
-
-
-def is_compactly_arranged(f: Fan) -> bool:
-    """Special rays that share a cone always share a bounded cone.
-
-    For every cone of the fan, its rays with t > 0 must lie in one common
-    bounded cone.  This is the inferred operational form of the property:
-    what the downstream bookkeeping consumes is that any collection of
-    height-positive rays with a common coface admits a common bounded
-    coface.  A ray of c lies in b iff it is one of b's rays: in a fan it
-    spans a face of c, whose meet with b is a face of b.
-    """
-    f._require_t("is_compactly_arranged")
-    bounded = [set(b.rays) for b in f.bounded_cones()]
-    for c in f.cones:
-        special_rays = {r for r in c.rays if r[-1] > 0}
-        if special_rays and not any(special_rays <= b for b in bounded):
-            return False
-    return True

@@ -195,15 +195,6 @@ def enumerate_S(spec: GrassmannSpec) -> list[Alpha]:
     return sorted(out)
 
 
-def stratify_S(spec: GrassmannSpec, d0: int, d1: int, d2: int) -> list[Alpha]:
-    """The stratum of S_{J,d} with weight split exactly (d0, d1, d2)."""
-    if d0 + d1 + d2 != spec.d:
-        raise GrassmannError("stratum weights must sum to d")
-    if min(d0, d1, d2) < 0:
-        raise GrassmannError("stratum weights must be nonnegative")
-    return [a for a in enumerate_S(spec) if weight_split(spec.n, a) == (d0, d1, d2)]
-
-
 def alpha_id(n: int, alpha: Alpha) -> str:
     """Readable canonical id of a multidegree, e.g. '(0,1)^2*(2,3)'."""
     data = index_data(n)
@@ -303,8 +294,8 @@ def expected_bounded_cones(spec: GrassmannSpec) -> dict[str, Cone]:
 
 
 def expected_active_sets(spec: GrassmannSpec) -> dict[str, frozenset[str]]:
-    """Each cone's active set: the ids of the strata of S (`stratify_S`) it
-    is made of, with S enumerated once and bucketed by weight split."""
+    """Each cone's active set: the ids of the strata of S, by weight split,
+    it is made of, with S enumerated once and bucketed by weight split."""
     d = spec.d
     ids_by_split: dict[tuple[int, int, int], list[str]] = {}
     for alpha in enumerate_S(spec):

@@ -37,12 +37,12 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .cones import (Cone, Face, _canonical_vrep, _generated, _orthogonal_basis,
-                    _orthogonal_representative, _read_off, _table, cone_from_generators,
-                    dual_cone, walk_faces)
+from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _generated,
+                    _orthogonal_basis, _orthogonal_representative, _read_off, _table,
+                    cone_from_generators, dual_cone, faces_of_masks, walk_masks)
 from .exact import IntVec, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
@@ -161,11 +161,18 @@ def build_D(chart: MockPolytopeChart) -> Cone:
 
 @dataclass(frozen=True)
 class SubdivisionResult:
+    """The projected fan with its active sets, and the walked lower faces
+    of C: their ray masks level by level, level k of grade k
+    (`cones.walk_masks`), as `Face`s in `faces_avoiding` when read."""
     chart: MockPolytopeChart
     big_cone: Cone
-    faces_avoiding: tuple[Face, ...]
+    face_levels: tuple[tuple[int, ...], ...]
     projected_fan: Fan
     active_sets: Mapping[Cone, frozenset[str]]
+
+    @functools.cached_property
+    def faces_avoiding(self) -> tuple[Face, ...]:
+        return tuple(faces_of_masks(self.big_cone, self.face_levels))
 
     def active_set(self, cone: Cone) -> frozenset[str]:
         """Items attaining the minimum identically on the given fan cone."""
@@ -198,7 +205,7 @@ class LiftedChart:
         the fan is the bounded subfan, those cones and the zero cone.
 
         The faces are walked up from the minimal face of C by
-        `cones.walk_faces`, pruned to the facets that pair positively with
+        `cones.walk_masks`, pruned to the facets that pair positively with
         (0, 1), and with `bounded` to the rays with t > 0; both sets of
         faces are downward closed, and the minimal face is walked even when
         there is no such facet.  A face whose rays all have t > 0 cannot
@@ -206,26 +213,31 @@ class LiftedChart:
         and its projection take their dimension from one source, the walk
         level at which the face is reached: a lower face lies on a facet
         hyperplane that (0, 1) is not in, so pi keeps its dimension.  No
-        rank is computed per face.
+        rank is computed and no face of C is built as a cone.
 
-        The per-face work is done from data computed once per ray of C.
-        Each walked ray is projected and primitivised once; a face's
-        projection is the images of its rays in one fixed sorted order,
-        canonical as it stands.  The active set of a face is the AND of the
-        `zero_on` bitsets over its rays: every item zero on all of them.
-        This is exact: each lifted item (w, 1) is >= 0 on C, so it is zero
-        at a relative interior point (v, s) of the face iff it is zero on
-        all the face's rays, and then <w, v> = -s <= <w', v> for every item
-        w'.  A face on which no item is zero is not a lower face and raises
-        SubdivisionInconsistency, as do the projection checks below.
+        The per-face work is one pass over the set bits of the face's ray
+        mask, with data computed once per ray of C.  Each walked ray is
+        projected and primitivised once, and the images are sorted once; a
+        face's projection is the images at its rays' positions in that
+        order, canonical as it stands.  Sorting each level by those
+        positions sorts it by rays, so the projected cones come out in the
+        fan's (dimension, rays) order.  The active set of a face is the AND
+        of the `zero_on` bitsets over its rays: every item zero on all of
+        them.  This is exact: each lifted item (w, 1) is >= 0 on C, so it
+        is zero at a relative interior point (v, s) of the face iff it is
+        zero on all the face's rays, and then <w, v> = -s <= <w', v> for
+        every item w'.  A face on which no item is zero is not a lower face
+        and raises SubdivisionInconsistency, as do the projection checks
+        below.  The walked faces of C are built as `Face`s only when
+        `faces_avoiding` is read.
         """
         big = self.big_cone
         r = big.rank - 1
         within = sum(1 << i for i, x in enumerate(big.rays) if x[-2] > 0) if bounded else None
         # a face avoids (0, 1) exactly when some facet tight on it pairs
         # positively with (0, 1)
-        faces = walk_faces(big, sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0),
-                           within)
+        levels = walk_masks(big, sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0),
+                            within)
         # pi is injective on the span of a lower face, which lies on a facet
         # hyperplane that (0, 1) is not in, so the primitive images of a face's
         # rays are distinct and nonzero: in one sorted order of the images they
@@ -235,8 +247,8 @@ class LiftedChart:
         # as <f_B, x> = -l <f_B, (0, 1)> < 0.  So the images of all walked rays
         # are checked for that once, not face by face; the walk's masks are
         # distinct, so then are the projected cones.
-        walked = functools.reduce(operator.or_, (face.mask for face in faces), 0)
-        images = {i: big.rays[i][:-1] for i in _bits(walked)}
+        walked = functools.reduce(operator.or_, chain.from_iterable(levels), 0)
+        images = {i: big.rays[i][:-1] for i in _bit_indices(walked)}
         if any(is_zero_vec(v) for v in images.values()):
             raise SubdivisionInconsistency(
                 "subdivision inconsistency: a walked ray of C projects to zero")
@@ -244,22 +256,34 @@ class LiftedChart:
         if len(set(images.values())) != len(images):
             raise SubdivisionInconsistency(
                 "subdivision inconsistency: two walked rays of C have one projection")
-        ordered = [(1 << i, images[i]) for i in sorted(images, key=images.__getitem__)]
-        proj_cones = [Cone._trusted(r, tuple(v for bit, v in ordered if face.mask & bit), (),
-                                    face.cone.dim())
-                      for face in faces]
-        items = self.chart.items
-        everything = (1 << len(items)) - 1
-        active = {}
-        for face, cone in zip(faces, proj_cones):
-            on_face = functools.reduce(operator.and_, (self.zero_on[i] for i in _bits(face.mask)),
-                                       everything)
-            if not on_face:
-                raise SubdivisionInconsistency(
-                    f"subdivision inconsistency: no item is active on {list(cone.rays)}")
-            active[cone] = frozenset(items[k].id for k in _bits(on_face))
-        return SubdivisionResult(self.chart, big, tuple(faces), Fan._trusted(r, proj_cones, True),
-                                 active)
+        order = sorted(images, key=images.__getitem__)
+        projected = [images[i] for i in order]
+        position = [0] * len(big.rays)
+        for p, i in enumerate(order):
+            position[i] = p
+        ids = [it.id for it in self.chart.items]
+        everything = (1 << len(ids)) - 1
+        zero_on = self.zero_on
+        proj_cones, active = [], {}
+        for dim, level in enumerate(levels, len(big.lineality)):
+            rows = []
+            for mask in level:
+                at, on_face = [], everything
+                for i in _bit_indices(mask):
+                    at.append(position[i])
+                    on_face &= zero_on[i]
+                at.sort()
+                rows.append((at, on_face))
+            rows.sort()
+            for at, on_face in rows:
+                cone = Cone._trusted(r, tuple(map(projected.__getitem__, at)), (), dim)
+                if not on_face:
+                    raise SubdivisionInconsistency(
+                        f"subdivision inconsistency: no item is active on {list(cone.rays)}")
+                active[cone] = frozenset(map(ids.__getitem__, _bit_indices(on_face)))
+                proj_cones.append(cone)
+        return SubdivisionResult(self.chart, big, tuple(map(tuple, levels)),
+                                 Fan._trusted(r, proj_cones, True), active)
 
 
 def lift_chart(chart: MockPolytopeChart, verify: bool = True,
@@ -297,7 +321,7 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True,
         _certify_lifted_cone(big, support.dim(), masks, negative)
     zero_on = [0] * len(big.rays)
     for k, it in enumerate(chart.items):
-        for i in _bits(masks[chart.effective_exponent(it) + (1,)]):
+        for i in _bit_indices(masks[chart.effective_exponent(it) + (1,)]):
             zero_on[i] |= 1 << k
     return LiftedChart(chart, big, tuple(zero_on))
 
@@ -349,14 +373,6 @@ def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> Subdivisio
     `lift_chart`, and the projection of all its lower faces, by
     `LiftedChart.subdivide`."""
     return lift_chart(chart, verify).subdivide()
-
-
-def _bits(mask: int):
-    """The indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],

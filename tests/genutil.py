@@ -11,7 +11,9 @@ from mockfan import cones, subdivision
 from mockfan.cones import (Cone, ConeError, cone_from_generators, dual_cone, is_subcone,
                            walk_faces, zero_cone)
 from mockfan.exact import ExactError, IntVec, dot, hnf, kernel_basis, primitive, rank
-from mockfan.grassmann import GrassmannSpec, lifted_cone_rays, zero_chart
+from mockfan.fans import Fan, FanError, is_special_cone
+from mockfan.grassmann import (Alpha, GrassmannError, GrassmannSpec, enumerate_S,
+                               lifted_cone_rays, weight_split, zero_chart)
 from mockfan.subdivision import (ChartError, LiftedExponent, MockPolytopeChart, build_D,
                                  lift_chart, support_cone)
 
@@ -341,3 +343,96 @@ def make_cone(rank: int, rays, lineality) -> Cone:
     ortho = cones._orthogonal_basis(lin)
     reps = {cones._orthogonal_representative(r, ortho) for r in rays} - {None}
     return Cone(rank, tuple(sorted(reps)), lin, None, None, _token=cones._CONE_TOKEN)
+
+
+# -- predicates only the tests use: refinement, compact arrangement, strata ------
+
+def special_cones(f: Fan) -> list[Cone]:
+    """The cones of a t-flagged fan not inside {t = 0}."""
+    f._require_t("special_cones")
+    return [c for c in f.cones if is_special_cone(c)]
+
+
+def is_refinement(fine: Fan, coarse: Fan) -> bool:
+    """True iff `fine` subdivides `coarse` with equal support.
+
+    Containment of every fine cone in a coarse cone is checked directly;
+    coverage of each coarse cone is certified wall by wall: every facet of a
+    maximal-dimensional fine cone inside sigma either lies on the boundary
+    of sigma or is shared with exactly one other such cone.
+    """
+    if fine.rank != coarse.rank:
+        raise FanError("refinement test requires equal rank")
+    coarse_list = list(coarse.cones)
+    for tau in fine.cones:
+        if not any(is_subcone(tau, sigma) for sigma in coarse_list):
+            return False
+    for sigma in coarse.cones:
+        if not _covers(fine, sigma):
+            return False
+    return True
+
+
+def _covers(fine: Fan, sigma: Cone) -> bool:
+    d = sigma.dim()
+    if d == 0:
+        return zero_cone(sigma.rank) in fine
+    cells = [tau for tau in fine.cones
+             if tau.dim() == d and is_subcone(tau, sigma)]
+    if not cells:
+        return False
+    wall_counts: dict[tuple, int] = {}
+    for tau in cells:
+        for fm in tau.facet_masks():
+            wall = tuple(r for i, r in enumerate(tau.rays) if fm >> i & 1)
+            wall_counts[wall] = wall_counts.get(wall, 0) + 1
+    for wall, count in wall_counts.items():
+        on_boundary = any(all(dot(g, f) == 0 for g in wall) for f in sigma.facets)
+        if on_boundary:
+            continue
+        if count != 2:
+            return False
+    return True
+
+
+def refines_cone_faces(fine: Fan, support: Cone) -> bool:
+    """True iff `fine` subdivides the face collection of one support cone.
+
+    The support may contain a linear subspace (fan membership is not
+    required of it); coverage of every face is certified by the same
+    wall-pairing scheme as `is_refinement`.
+    """
+    if fine.rank != support.rank:
+        raise FanError("refinement test requires equal rank")
+    for tau in fine.cones:
+        if not is_subcone(tau, support):
+            return False
+    return all(_covers(fine, face.cone) for face in support.faces())
+
+
+def is_compactly_arranged(f: Fan) -> bool:
+    """Special rays that share a cone always share a bounded cone.
+
+    For every cone of the fan, its rays with t > 0 must lie in one common
+    bounded cone.  This is the inferred operational form of the property:
+    what the downstream bookkeeping consumes is that any collection of
+    height-positive rays with a common coface admits a common bounded
+    coface.  A ray of c lies in b iff it is one of b's rays: in a fan it
+    spans a face of c, whose meet with b is a face of b.
+    """
+    f._require_t("is_compactly_arranged")
+    bounded = [set(b.rays) for b in f.bounded_cones()]
+    for c in f.cones:
+        special_rays = {r for r in c.rays if r[-1] > 0}
+        if special_rays and not any(special_rays <= b for b in bounded):
+            return False
+    return True
+
+
+def stratify_S(spec: GrassmannSpec, d0: int, d1: int, d2: int) -> list[Alpha]:
+    """The stratum of S_{J,d} with weight split exactly (d0, d1, d2)."""
+    if d0 + d1 + d2 != spec.d:
+        raise GrassmannError("stratum weights must sum to d")
+    if min(d0, d1, d2) < 0:
+        raise GrassmannError("stratum weights must be nonnegative")
+    return [a for a in enumerate_S(spec) if weight_split(spec.n, a) == (d0, d1, d2)]

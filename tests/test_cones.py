@@ -410,6 +410,11 @@ def test_graded_face_dims_equal_rank(data):
     assert faces[-1].cone == c
 
 
+@given(st.integers(min_value=0, max_value=1 << 300))
+def test_bit_indices_are_the_set_bits_lowest_first(mask):
+    assert cones._bit_indices(mask) == [i for i, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
 # -- a walk pruned to some facets against the whole face lattice ----------------
 
 @given(generator_sets(), st.data())

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (is_face_of_oracle, random_orthant_chart, relative_interior_contains,
-                     relative_interior_point)
+from genutil import (is_compactly_arranged, is_face_of_oracle, is_refinement,
+                     random_orthant_chart, relative_interior_contains, relative_interior_point,
+                     special_cones)
 from mockfan.cones import cone_from_generators as cg
 from mockfan import cones, fans
 from mockfan.cones import intersect, is_subcone, zero_cone
 from mockfan.exact import rank as matrix_rank
 from mockfan.fans import (Fan, FanError, euler_char_height1, fan_from_cones,
-                          is_bounded_cone, is_compactly_arranged,
-                          is_refinement, is_special_cone,
+                          is_bounded_cone, is_special_cone,
                           is_specifically_reduced, rescale, rescale_cone,
                           specifically_reduced_scale)
 from mockfan.grassmann import GrassmannSpec, zero_chart
@@ -88,9 +88,20 @@ def test_special_bounded_classification():
 def test_special_requires_t_flag():
     f = fan_from_cones(2, [cg(2, [(1, 1)])], has_t=False)
     with pytest.raises(FanError, match="t coordinate"):
-        f.special_cones()
+        special_cones(f)
     with pytest.raises(FanError, match="t coordinate"):
         f.bounded_cones()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trusted_fan_is_the_same_for_shuffled_and_duplicated_input(seed):
+    rng = random.Random(seed)
+    fan = subdivide_chart(random_orthant_chart(rng)).projected_fan
+    assert list(fan.cones) == sorted(fan.cones, key=lambda c: (c.dim(), c.rays, c.lineality))
+    family = list(fan.cones) + rng.choices(fan.cones, k=len(fan))
+    rng.shuffle(family)
+    for members in (family, reversed(fan.cones), iter(family)):
+        assert Fan._trusted(fan.rank, members, fan.has_t_coordinate) == fan
 
 
 def test_euler_char():
@@ -130,8 +141,8 @@ def test_rescale_composition_and_bounded_bijection():
             assert len(r) == len(fan)
             bounded_images = {rescale_cone(c, n) for c in fan.bounded_cones()}
             assert bounded_images == set(r.bounded_cones())
-            specials = {rescale_cone(c, n) for c in fan.special_cones()}
-            assert specials == set(r.special_cones())
+            specials = {rescale_cone(c, n) for c in special_cones(fan)}
+            assert specials == set(special_cones(r))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 6))

@@ -7,16 +7,17 @@ from pathlib import Path
 import pytest
 
 from genutil import (assert_bounded_cells_equal_the_full_walk, assert_claim_equals_the_lift,
-                     assert_lift_equals_the_dual_of_build_D)
+                     assert_lift_equals_the_dual_of_build_D, is_compactly_arranged,
+                     is_refinement, refines_cone_faces, stratify_S)
 from mockfan import cli, cones, grassmann, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import dot, primitive, rank as matrix_rank
-from mockfan.fans import fan_from_cones, is_refinement, refines_cone_faces, rescale_cone
+from mockfan.fans import fan_from_cones, rescale_cone
 from mockfan.grassmann import (CONE_NAMES, GrassmannError, GrassmannSpec,
                                VerificationFailed, _dagger_sum_ray, alpha_id, enumerate_S,
                                expected_bounded_cones, expected_active_sets,
                                expected_vol_expression, index_data, kappa,
-                               lifted_cone_rays, stratify_S, varpi, varpi_alpha, verify,
+                               lifted_cone_rays, varpi, varpi_alpha, verify,
                                vol_expression, weight_split, zero_chart)
 from mockfan.subdivision import (SubdivisionInconsistency, build_D, subdivide_chart,
                                  support_cone)
@@ -203,12 +204,33 @@ def test_build_D_full_dimensional():
     assert matrix_rank(raw) == 11
 
 
-def sweep_default_cases():
+def sweep_module():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_grassmann_sweep.py"
     spec = importlib.util.spec_from_file_location("run_grassmann_sweep", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.DEFAULT_CASES
+    return module
+
+
+def sweep_default_cases():
+    return sweep_module().DEFAULT_CASES
+
+
+def test_sweep_full_times_the_full_subdivision_in_its_own_columns(capsys):
+    sweep = sweep_module()
+    assert sweep.main(["--cases", "4,2,1", "5,2,1"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert sweep.main(["--cases", "4,2,1", "5,2,1", "--full"]) == 0
+    full = capsys.readouterr().out.splitlines()
+    assert plain[0].split() == ["case", "items", "C", "rays", "facets", "bounded", "time",
+                                "status"]
+    assert full[0].split() == plain[0].split()[:-1] + ["cones", "full", "status"]
+    for case, plain_row, full_row in zip(("4,2,1", "5,2,1"), plain[1:], full[1:]):
+        n, d, l = map(int, case.split(","))
+        count = len(subdivide_chart(zero_chart(GrassmannSpec(n, d, l))).projected_fan)
+        assert full_row.split()[:5] == plain_row.split()[:5]
+        assert full_row.split()[6:] == [str(count), full_row.split()[7], "PASS"]
+    assert len(full) == len(plain) == 4 and full[-1].split()[0] == "total"
 
 
 @pytest.mark.parametrize("case", sweep_default_cases())
@@ -328,14 +350,14 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
         return counted_lift
 
     def counted_walk(c, lower, within):
-        faces = cones.walk_faces(c, lower, within)
-        walks.append(len(faces))
-        return faces
+        levels = cones.walk_masks(c, lower, within)
+        walks.append(sum(map(len, levels)))
+        return levels
 
     monkeypatch.setattr(cones, "_dd", counted_dd)
     for name in ("_lifted_cone", "_claimed_cone"):
         monkeypatch.setattr(subdivision, name, counted(getattr(subdivision, name)))
-    monkeypatch.setattr(subdivision, "walk_faces", counted_walk)
+    monkeypatch.setattr(subdivision, "walk_masks", counted_walk)
     spec = GrassmannSpec(6, 2, 1)
     report = verify(spec, verify_fan)
     assert vol_expression(spec, report) == expected_vol_expression(spec)
@@ -389,7 +411,6 @@ def test_effective_dimension_at_least_two_on_bounded(report521):
 
 
 def test_zero_chart_fan_compactly_arranged(report521):
-    from mockfan.fans import is_compactly_arranged
     assert is_compactly_arranged(report521.result.projected_fan)
 
 

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from genutil import (assert_bounded_cells_equal_the_full_walk,
                      assert_lift_equals_the_dual_of_build_D, assert_walk_matches_oracle,
-                     interior_lattice_point, lattice_points_in_support, lifted_from, make_cone,
-                     pair_with_D, random_orthant_chart, relative_interior_point, tight_facets)
+                     interior_lattice_point, is_refinement, lattice_points_in_support,
+                     lifted_from, make_cone, pair_with_D, random_orthant_chart,
+                     refines_cone_faces, relative_interior_point, tight_facets)
 from mockfan import cones, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
 from mockfan.exact import IntVec, dot, kernel_basis, primitive, rank as matrix_rank
-from mockfan.fans import (FanError, fan_from_cones, is_refinement, refines_cone_faces,
-                          rescale, rescale_cone)
+from mockfan.fans import Fan, FanError, fan_from_cones, rescale, rescale_cone
 from mockfan.grassmann import GrassmannSpec, zero_chart
 from mockfan.subdivision import (ChartError, GlueError, LiftedExponent,
                                  MockPolytopeChart, SubdivisionInconsistency,
@@ -956,16 +956,17 @@ def test_bounded_cells_equal_the_full_walk_on_seeded_charts(seed):
 
 @pytest.mark.parametrize("dim", [0, 1, 2, 3])
 def test_certificate_rejects_a_wrong_grade(monkeypatch, dim):
-    # one walked face of the given dimension is graded one too high
+    # one walked face of the given dimension is graded one too high: moved
+    # up one level of the walk
     def wrong_walk(c, lower, within):
-        faces = cones.walk_faces(c, lower, within)
-        k = min((i for i, f in enumerate(faces) if f.cone.dim() == dim),
-                key=lambda i: faces[i].mask)
-        f = faces[k]
-        faces[k] = Face(f.mask, Cone._trusted(c.rank, f.cone.rays, c.lineality, dim + 1))
-        return faces
+        levels = cones.walk_masks(c, lower, within) + [[]]
+        level = dim - len(c.lineality)
+        mask = min(levels[level])
+        levels[level].remove(mask)
+        levels[level + 1].append(mask)
+        return levels if levels[-1] else levels[:-1]
 
-    monkeypatch.setattr(subdivision, "walk_faces", wrong_walk)
+    monkeypatch.setattr(subdivision, "walk_masks", wrong_walk)
     with pytest.raises(SubdivisionInconsistency, match="graded dimension"):
         certify_lower_faces_of(triangle_chart())
 
@@ -1020,10 +1021,53 @@ def test_per_ray_projection_and_active_sets_on_the_zero_chart(n):
     assert_per_ray_data_equal_per_face_oracles(zero_chart(GrassmannSpec(n, 2, 1)))
 
 
+# -- the walked faces of C, built as `Face`s only when read ------------------------
+
+def assert_faces_avoiding_equal_the_walk(ch, verify=False):
+    """`faces_avoiding`, built when first read, holds the faces the walk of
+    `cones.walk_faces` gives, in its order, with their masks, rays and
+    grades, for the full walk and for the one pruned to t > 0; the walk is
+    checked against the closure oracle.  The projected cones are handed to
+    the fan already in its order."""
+    lift = subdivision.lift_chart(ch, verify)
+    big = lift.big_cone
+    lower = sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0)
+    for bounded in (False, True):
+        within = sum(1 << i for i, x in enumerate(big.rays) if x[-2] > 0) if bounded else None
+        handed, trusted = [], Fan._trusted
+
+        def handed_on(rank, family, has_t):
+            handed.append(list(family))
+            return trusted(rank, handed[-1], has_t)
+
+        with mock.patch.object(Fan, "_trusted", staticmethod(handed_on)):
+            res = lift.subdivide(bounded)
+        assert handed == [list(res.projected_fan.cones)]
+        assert "faces_avoiding" not in vars(res)
+        walked = cones.walk_faces(big, lower, within)
+        assert ([(f.mask, f.cone, f.cone.dim()) for f in res.faces_avoiding]
+                == [(f.mask, f.cone, f.cone.dim()) for f in walked])
+        assert res.faces_avoiding is res.faces_avoiding
+        assert res.face_levels == tuple(map(tuple, cones.walk_masks(big, lower, within)))
+        assert_walk_matches_oracle(big, lower, within)
+
+
+@given(general_charts())
+@settings(max_examples=40, deadline=None)
+def test_faces_avoiding_equal_the_walk_on_random_charts(ch):
+    assume(subdivide_full_support(ch) is not None)
+    assert_faces_avoiding_equal_the_walk(ch)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_faces_avoiding_equal_the_walk_on_the_zero_chart(n):
+    assert_faces_avoiding_equal_the_walk(zero_chart(GrassmannSpec(n, 2, 1)), verify=True)
+
+
 def test_a_walked_ray_projecting_to_zero_is_an_inconsistency(monkeypatch):
     # as if the walk reached all of C, the apex ray (0, 0, 0, 1) included
-    monkeypatch.setattr(subdivision, "walk_faces",
-                        lambda c, lower, within: cones.walk_faces(c, within=within))
+    monkeypatch.setattr(subdivision, "walk_masks",
+                        lambda c, lower, within: cones.walk_masks(c, within=within))
     with pytest.raises(SubdivisionInconsistency, match="projects to zero"):
         subdivide_chart(triangle_chart(), verify=False)
 
