@@ -22,8 +22,9 @@ Example:
 
 The large cases, outside the default grid:
     python3 scripts/run_grassmann_sweep.py --cases 14,2,1 16,2,1 8,4,1 7,5,1 9,4,1
-took 0.5, 1.2, 1.9, 2.9 and 6.2 s (82,251 items at 9,4,1), 12.7 s in all,
-on 2 vCPUs with CPython 3.11.7 (a shared host; single runs).
+took 0.42, 0.79, 1.09, 1.90 and 4.13 s (82,251 items at 9,4,1), 8.8 s in
+all, each the median of three runs, on 2 vCPUs with CPython 3.11.7 (a
+shared host; single runs spread by up to 40 %).
 """
 
 import argparse

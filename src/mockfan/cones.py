@@ -23,11 +23,10 @@ every cone; the H-side is computed lazily, by one call of the same routine
 on the dual side, for cones created through trusted internal paths and
 eagerly for generators.  A cone given by generators costs one DD
 (generators to facets) and one pairing of the distinct rows with its rays
-in the DD's coordinates (`_table`), made only there; its rays, lineality
-and ray masks are read off that pairing, the generator x facet incidence
-(`_generated`, which builds `cone_from_generators` and the lifted cone of
-a chart in `subdivision`).  `_read_off` reads them off any such pairing,
-also one with facets claimed rather than found by a DD.
+in the DD's coordinates; `_read_off` makes that pairing, the generator x
+facet incidence, and reads the rays, lineality and ray masks off it, for
+`cone_from_generators` and for the lifted cone of a chart in
+`subdivision`, whose facets may also be claimed rather than found by a DD.
 """
 
 from __future__ import annotations
@@ -124,6 +123,8 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
 
 # a subspace ready to project off: see `_orthogonal_basis`
 Subspace = tuple[Optional[IntVec], list[IntVec]]
+# a pairing to read a table off: see `_canonical_vrep` and `_read_off`
+Pairing = tuple[Sequence[IntVec], Iterable[IntVec], Optional[Mapping[IntVec, IntVec]]]
 
 
 def _orthogonal_basis(basis: Sequence[IntVec]) -> Subspace:
@@ -168,11 +169,10 @@ def _orthogonal_representative(v: IntVec, space: Subspace) -> Optional[IntVec]:
 
 
 def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
-                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...],
-                               tuple[list[IntVec], list[IntVec], Optional[dict[IntVec, IntVec]]]]:
+                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], Pairing]:
     """Canonical rays and lineality of {x : <a,x> >= 0, <e,x> = 0}, by one DD,
-    and the arguments of `_table` that give its table: the DD's rays y, in
-    the order of the canonical rays, its distinct rows, and each distinct
+    and the pairing that `_read_off` reads the table off: the DD's rays y,
+    in the order of the canonical rays, its distinct rows, and each distinct
     inequality's row, or None when the rows are the inequalities.
 
     Of an inequality and its negation, the one lexicographically below zero
@@ -206,28 +206,6 @@ def _canonical_vrep(rank: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
     space = _orthogonal_basis(lin)
     order = sorted((_orthogonal_representative(x, space), y) for x, y in zip(xs, ys))
     return tuple(r for r, _ in order), lin, ([y for _, y in order], rows, row_of)
-
-
-def _table(ys: Sequence[IntVec], rows: Iterable[IntVec],
-           row_of: Optional[Mapping[IntVec, IntVec]] = None
-           ) -> tuple[dict[IntVec, int], list[IntVec]]:
-    """The table of the distinct `rows` on the rays ys: each row's mask of
-    the ys it is zero on (bit i for ys[i]), and the rows negative on one,
-    in order.  With `row_of`, the table of its keys instead, each paired as
-    its value, one of `rows`, so each distinct value is paired once.
-    """
-    bits = [1 << i for i in range(len(ys))]
-    zero, negative = {}, []
-    for w in rows:
-        pairing = [sum(map(mul, w, y)) for y in ys]
-        zero[w] = sum(compress(bits, map(not_, pairing)))
-        if pairing and min(pairing) < 0:
-            negative.append(w)
-    if row_of is None:
-        return zero, negative
-    below = set(negative)
-    return ({a: zero[w] for a, w in row_of.items()},
-            [a for a, w in row_of.items() if w in below])
 
 
 def _checked_rows(rank: int, rows: Iterable[Sequence[int]], what: str) -> list[IntVec]:
@@ -474,37 +452,27 @@ def cone_from_generators(rank: int, generators: Sequence[Sequence[int]],
                          lineality_generators: Sequence[Sequence[int]] = ()) -> Cone:
     """Canonical cone spanned by `generators` plus the span of `lineality_generators`.
 
-    Every row must have length `rank` (ConeError otherwise); the cone is
-    built by `_generated`.
+    Every row must have length `rank` (ConeError otherwise).  One DD, on
+    the generators as inequalities of the dual, gives the facets and span
+    equalities, and `_read_off` reads the cone off its pairing.
     """
-    return _generated(rank, _checked_rows(rank, generators, "generator"),
-                      _checked_rows(rank, lineality_generators, "lineality"))[0]
-
-
-def _generated(rank: int, gens: Sequence[IntVec], lins: Sequence[IntVec]
-               ) -> tuple[Cone, dict[IntVec, int], list[IntVec], tuple[int, ...]]:
-    """The cone spanned by `gens` plus the span of `lins`, its table (each
-    generator's mask of the facets it is zero on, and those negative on
-    one), and each of its rays' facet mask.
-
-    One DD, on the generators as inequalities of the dual, gives the facets
-    and span equalities, the integer kernel of the generators, and so the
-    dimension, the rank minus their number.  One pairing of the distinct
-    rows with the DD's rays, in its coordinates, gives the table
-    (`_table`); the cone is read off it by `_read_off`.
-    """
-    facets, span_eqs, pairing = _canonical_vrep(rank, gens, lins)
-    zero, negative = _table(*pairing)
-    cone, ray_masks = _read_off(rank, facets, span_eqs, zero, lins)
-    return cone, zero, negative, ray_masks
+    lins = _checked_rows(rank, lineality_generators, "lineality")
+    return _read_off(rank, *_canonical_vrep(rank, _checked_rows(rank, generators, "generator"),
+                                            lins), lins)[0]
 
 
 def _read_off(rank: int, facets: tuple[IntVec, ...], span_eqs: tuple[IntVec, ...],
-              zero: Mapping[IntVec, int], lins: Sequence[IntVec]
-              ) -> tuple[Cone, tuple[int, ...]]:
-    """The cone spanned by the keys of `zero` plus the span of `lins`, and
-    each of its rays' facet mask, read off its facets, span equalities and
-    each generator's mask of the facets it is zero on, with no DD or
+              pairing: Pairing, lins: Sequence[IntVec]
+              ) -> tuple[Cone, dict[IntVec, int], list[IntVec], tuple[int, ...]]:
+    """The cone spanned by the generators plus the span of `lins`, its
+    table, and each of its rays' facet mask, read off its facets, span
+    equalities and `pairing`: the third value of `_canonical_vrep`, or the
+    same triple (ys, rows, row_of) for facets claimed rather than found by
+    a DD, with ys the facets in the coordinates of the rows.
+
+    Each distinct row is paired with the ys once.  The table is each
+    generator's mask of the facets it is zero on (bit i for facet i), and
+    the generators negative on one, in order.  The rest needs no DD or
     pairing:
 
     - the lineality space is the span of the lineality generators and of
@@ -522,6 +490,18 @@ def _read_off(rank: int, facets: tuple[IntVec, ...], span_eqs: tuple[IntVec, ...
     The rays are reduced modulo the lineality as in `_canonical_vrep`.
     Each kernel is a saturated lattice in Hermite form, so canonical.
     """
+    ys, rows, row_of = pairing
+    bits = [1 << i for i in range(len(ys))]
+    zero, negative = {}, []
+    for w in rows:
+        paired = [sum(map(mul, w, y)) for y in ys]
+        zero[w] = sum(compress(bits, map(not_, paired)))
+        if paired and min(paired) < 0:
+            negative.append(w)
+    if row_of is not None:
+        below = set(negative)
+        zero = {a: zero[w] for a, w in row_of.items()}
+        negative = [a for a, w in row_of.items() if w in below]
     by_mask = dict(zip(zero.values(), zero))   # one generator per mask, the last
     full = (1 << len(facets)) - 1
     lin = kernel_basis(span_eqs + facets, rank) if by_mask.pop(full, None) or lins else ()
@@ -533,7 +513,7 @@ def _read_off(rank: int, facets: tuple[IntVec, ...], span_eqs: tuple[IntVec, ...
     rays = sorted((_orthogonal_representative(by_mask[mask], space), mask) for mask in kept)
     cone = Cone._trusted(rank, tuple(r for r, _ in rays), lin, rank - len(span_eqs),
                          facets, span_eqs)
-    return cone, tuple(mask for _, mask in rays)
+    return cone, zero, negative, tuple(mask for _, mask in rays)
 
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],

@@ -132,8 +132,9 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
 
     Checks run in this order: each member's rank, in input order; then
     "member cone is not strongly convex" if any member has lineality; then,
-    on t-flagged fans, "negative t" if any member has a ray with t < 0
-    (height-one semantics break otherwise).
+    on t-flagged fans, "rank 0" if there is no t coordinate, and "negative
+    t" if any member has a ray with t < 0 (height-one semantics break
+    otherwise).
 
     One pass goes over the members, largest first, sorted by (-dim, rays).
     A member already in the face closure is skipped.  A member inside an
@@ -150,6 +151,8 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
         members.add(c)
     if not all(c.is_strongly_convex() for c in members):
         raise FanError("not a fan: member cone is not strongly convex")
+    if has_t and rank < 1:
+        raise FanError("not a fan: a t-flagged fan of rank 0 has no t-coordinate")
     if has_t and any(r[-1] < 0 for c in members for r in c.rays):
         raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
     maximal: list[Cone] = []

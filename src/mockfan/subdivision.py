@@ -16,15 +16,15 @@ The pipeline has two steps.  `lift_chart` builds C once, with its checks,
 and reads off each ray of C the items zero on it; `LiftedChart.subdivide`
 projects a walk of C's lower faces, all of them or only those whose rays
 all have t > 0, which project to the bounded cells.  `subdivide_chart` runs
-both with the full walk.  C is built as the dual of D, by the one
-generator-side double description (DD) of `cones`, which pairs D's
-generators with C's rays in the coordinates of C's span (`_lifted_cone`);
-or, when its rays are known in closed form, as for the Gr(2, n) zero
-chart, it is taken from them with no DD, D's generators paired with the
-claimed rays in the coordinates where one is nonzero (`_claimed_cone`).
-Verification certifies C, not its faces
-(`_certify_lifted_cone`): C is the dual of D, checked against that pairing
-and by a second DD from its facets; every walk is trusted.
+both with the full walk.  `_lifted_cone` builds C as the dual of D: its
+rays come from the one generator-side double description (DD) of `cones`,
+and D's generators are paired with them in the coordinates of C's span;
+or, when they are known in closed form, as for the Gr(2, n) zero chart,
+from the claim, with no DD, paired in the coordinates where one is
+nonzero.  One table read-off turns either pairing into C.  Verification
+certifies C, not its faces (`_certify_lifted_cone`): C is the dual of D,
+checked against that pairing and by a second DD from its facets; every
+walk is trusted.
 
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
 whose last slot is the delta (t-dual) coordinate; the lift appends one more
@@ -40,9 +40,9 @@ from dataclasses import dataclass, replace
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _generated,
-                    _orthogonal_basis, _orthogonal_representative, _read_off, _table,
-                    cone_from_generators, dual_cone, faces_of_masks, walk_masks)
+from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _orthogonal_basis,
+                    _orthogonal_representative, _read_off, cone_from_generators, dual_cone,
+                    faces_of_masks, walk_masks)
 from .exact import IntVec, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
@@ -292,28 +292,24 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True,
 
     A support that reaches t < 0 is bad input and raises ChartError, as
     does a C with lineality.  `_lifted_cone` builds C and pairs D's
-    generators with its rays once.  Given `rays`, the rays of C known in
-    closed form, primitive and sorted, `_claimed_cone` takes C from them
-    and pairs D's generators with them instead, with no DD.  With `verify`
-    set, `_certify_lifted_cone` checks, from C, dim S and that pairing,
-    that C is the dual of D; the lower faces of that cone project to the
-    subdivision of the chart by construction, so every walk of it is
-    trusted and no face is checked or derived again.  A failed check is a
-    pipeline bug, or a wrong claim, and raises SubdivisionInconsistency;
-    without `verify` a claim is trusted.
-    Input that has no lifted cone behind it, a fan or result read from a
-    file or the union of glued charts, is checked by `fan_from_cones`
-    instead.  The same pairing gives, per ray of C, the bitset of the items
-    zero on it, which the active sets of `LiftedChart.subdivide` read.
+    generators with its rays once; given `rays`, the rays of C known in
+    closed form, primitive and sorted, it takes them through and runs no
+    DD.  With `verify` set, `_certify_lifted_cone` checks, from C, dim S
+    and that pairing, that C is the dual of D; the lower faces of that
+    cone project to the subdivision of the chart by construction, so every
+    walk of it is trusted and no face is checked or derived again.  A
+    failed check is a pipeline bug, or a wrong claim, and raises
+    SubdivisionInconsistency; without `verify` a claim is trusted.  Input
+    that has no lifted cone behind it, a fan or result read from a file or
+    the union of glued charts, is checked by `fan_from_cones` instead.  The
+    same pairing gives, per ray of C, the bitset of the items zero on it,
+    which the active sets of `LiftedChart.subdivide` read.
     """
     r = chart.ambient_dual_rank
     support = support_cone(chart)
     if any(x[-1] < 0 for x in support.rays) or any(v[-1] != 0 for v in support.lineality):
         raise ChartError("chart support reaches t < 0: its sigma duals must imply t >= 0")
-    if rays is None:
-        big, masks, negative = _lifted_cone(chart, support.span_eqs)
-    else:
-        big, masks, negative = _claimed_cone(chart, support.span_eqs, tuple(rays))
+    big, masks, negative = _lifted_cone(chart, support.span_eqs, rays)
     apex = (0,) * r + (1,)
     if not big.contains(apex):
         raise SubdivisionInconsistency("subdivision inconsistency: (0,1) not in C")
@@ -326,46 +322,41 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True,
     return LiftedChart(chart, big, tuple(zero_on))
 
 
-def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec]
+def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec],
+                 rays: Optional[Sequence[IntVec]] = None
                  ) -> tuple[Cone, dict[IntVec, int], list[IntVec]]:
-    """C = D^vee and its table: the zero mask on C's rays of each generator of D, and those
-    negative on one.  `cones._generated` builds D over lin D = span{(e, 0) : e in `span_eqs`}."""
+    """C = D^vee, for D over lin D = span{(e, 0) : e in `span_eqs`}, and its
+    table: the zero mask on C's rays of each generator of D, and those
+    negative on one.  C's rays and the pairing come from the DD of
+    `cones._canonical_vrep` on D's generators, in the coordinates of C's
+    span; or, given `rays`, from the claim, with no DD, each distinct
+    generator paired in the coordinates where some ray is nonzero.  Either
+    way `cones._read_off` reads D and the table off the pairing, and C takes
+    D's ray masks as its facet masks.  A claim is trusted here;
+    `_certify_lifted_cone` checks it.  Rays that are not primitive,
+    distinct, sorted and of C's rank are no claim of a canonical C and
+    raise SubdivisionInconsistency."""
     rank = chart.ambient_dual_rank + 1
-    d, masks, negative, ray_masks = _generated(rank, _generators_of_D(chart),
-                                               [e + (0,) for e in span_eqs])
-    if d.span_eqs:
+    gens = _generators_of_D(chart)
+    lins = [e + (0,) for e in span_eqs]
+    if rays is None:
+        rays, eqs, pairing = _canonical_vrep(rank, gens, lins)
+    else:
+        rays = tuple(rays)
+        if (list(rays) != sorted(set(rays))
+                or any(len(x) != rank or not any(x) or primitive(x) != x for x in rays)):
+            raise SubdivisionInconsistency("subdivision inconsistency: the claimed rays of C "
+                                           "are not primitive, distinct and sorted")
+        used = [any(column) for column in zip(*rays)]
+        row_of = {g: tuple(compress(g, used)) for g in gens}
+        eqs, pairing = (), ([tuple(compress(x, used)) for x in rays], set(row_of.values()),
+                            row_of)
+    if eqs:
         raise ChartError("chart support and items do not span the dual space: "
                          "the subdivision would not be strongly convex")
-    return _dual_of_D(d, ray_masks), masks, negative
-
-
-def _claimed_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec],
-                  rays: tuple[IntVec, ...]) -> tuple[Cone, dict[IntVec, int], list[IntVec]]:
-    """C with the claimed `rays` and no lineality, and its table, as `_lifted_cone`
-    gives them, with no DD: D's generators are paired with the rays once,
-    each distinct one in the coordinates where some ray is nonzero, and D,
-    over lin D = span{(e, 0) : e in `span_eqs`}, is read off that table by
-    `cones._read_off`, as `_generated` reads it off its DD's.  The claim is
-    trusted here; `_certify_lifted_cone` checks it.  Rays that are not
-    primitive, distinct, sorted and of C's rank are no claim of a
-    canonical C and raise SubdivisionInconsistency."""
-    rank = chart.ambient_dual_rank + 1
-    if (list(rays) != sorted(set(rays))
-            or any(len(x) != rank or not any(x) or primitive(x) != x for x in rays)):
-        raise SubdivisionInconsistency("subdivision inconsistency: the claimed rays of C "
-                                       "are not primitive, distinct and sorted")
-    used = [any(column) for column in zip(*rays)]
-    row_of = {g: tuple(compress(g, used)) for g in _generators_of_D(chart)}
-    masks, negative = _table([tuple(compress(x, used)) for x in rays], set(row_of.values()),
-                             row_of)
-    d, ray_masks = _read_off(rank, rays, (), masks, [e + (0,) for e in span_eqs])
-    return _dual_of_D(d, ray_masks), masks, negative
-
-
-def _dual_of_D(d: Cone, ray_masks: tuple[int, ...]) -> Cone:
-    """C = D^vee, with D's ray masks as its facet masks."""
-    return Cone._trusted(d.rank, d.facets, (), d.rank - len(d.lineality), d.rays, d.lineality,
-                         ray_masks)
+    d, masks, negative, ray_masks = _read_off(rank, rays, eqs, pairing, lins)
+    return (Cone._trusted(rank, rays, (), rank - len(d.lineality), d.rays, d.lineality,
+                          ray_masks), masks, negative)
 
 
 def subdivide_chart(chart: MockPolytopeChart, verify: bool = True) -> SubdivisionResult:
@@ -379,8 +370,8 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
                          negative: Sequence[IntVec]) -> None:
     """Certify that C = `big` is D^vee, for D spanned by the generators G
     of `_generators_of_D`, seen only through their pairing with the rays R
-    of C, the table of `_lifted_cone`.  With F, E the facets and span
-    equalities of C and d = dim S:
+    of C, the table of `_lifted_cone`, built or claimed.  With F, E the
+    facets and span equalities of C and d = dim S:
 
     1. no g in G is `negative`: each is >= 0 on R, so cone(R) lies in D^vee;
     2. each f in F, none repeated, is the representative modulo span(E) of
@@ -395,7 +386,7 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
     by 4, so f.x = lambda g.x on R.  The lower faces of an exact C, which
     the walk finds, project to the chart's regular subdivision (De
     Loera-Rambau-Santos, Triangulations, ch. 2 and 5).  Trusted: d; the
-    pairing, made by `cones._table` from G in the coordinates y of the DD
+    pairing, made by `cones._read_off` from G in the coordinates y of the DD
     that made C, a basis B of span(C), with R = yB, by g.(yB) = (Bg).y, or,
     for a claimed C, in the coordinates where some ray of R is nonzero; and
     the second DD, which runs on other input than the one that made or

@@ -233,7 +233,7 @@ def lifted_from(d: Cone):
     """A stand-in for `subdivision._lifted_cone` that gives C = dual_cone(d),
     for a D that may be wrong, with its pairing with the chart's generators."""
     c = dual_cone(d)
-    return lambda chart, span_eqs: (c, *pair_with_D(chart, c.rays))
+    return lambda chart, span_eqs, rays=None: (c, *pair_with_D(chart, c.rays))
 
 
 def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
@@ -267,15 +267,15 @@ def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
 
 def assert_claim_equals_the_lift(spec: GrassmannSpec):
     """The claimed C of the Gr(2, n) zero chart, `grassmann.lifted_cone_rays`
-    taken by `subdivision._claimed_cone`, is the C that the DD of
-    `_lifted_cone` builds, with the same rays, facets, span equalities,
-    dimension and facet masks, and the same mask and negative table; that C
+    taken by `subdivision._lifted_cone`, is the C that its DD builds, with
+    the same rays, facets, span equalities, dimension and facet masks, and
+    the same mask and negative table; that C
     is `dual_cone(build_D(chart))`; and `lift_chart` given the claim lifts
     the chart as without it."""
     chart = zero_chart(spec)
     span_eqs = support_cone(chart).span_eqs
     rays = lifted_cone_rays(spec)
-    claimed, *claimed_table = subdivision._claimed_cone(chart, span_eqs, rays)
+    claimed, *claimed_table = subdivision._lifted_cone(chart, span_eqs, rays)
     built, *table = subdivision._lifted_cone(chart, span_eqs)
     big = dual_cone(build_D(chart))
     assert len(rays) == 2 * spec.n + 4 and big.rays == rays
@@ -285,6 +285,23 @@ def assert_claim_equals_the_lift(spec: GrassmannSpec):
     assert claimed_table == table
     for verify in (False, True):
         lift, claimed_lift = lift_chart(chart, verify), lift_chart(chart, verify, rays)
+        assert (claimed_lift.big_cone, claimed_lift.zero_on) == (lift.big_cone, lift.zero_on)
+
+
+def assert_own_claim_equals_the_lift(chart: MockPolytopeChart):
+    """The C that the DD of `subdivision._lifted_cone` builds, claimed back
+    by its own rays, is that C again, with the same rays, facets, span
+    equalities, dimension and facet masks, and the same mask and negative
+    table; and `lift_chart` given the claim lifts the chart as without it."""
+    span_eqs = support_cone(chart).span_eqs
+    built, *table = subdivision._lifted_cone(chart, span_eqs)
+    claimed, *claimed_table = subdivision._lifted_cone(chart, span_eqs, built.rays)
+    assert (claimed.rays, claimed.lineality, claimed.facets, claimed.span_eqs, claimed.dim(),
+            claimed.facet_masks()) == (built.rays, (), built.facets, built.span_eqs,
+                                       built.dim(), built.facet_masks())
+    assert claimed_table == table
+    for verify in (False, True):
+        lift, claimed_lift = lift_chart(chart, verify), lift_chart(chart, verify, built.rays)
         assert (claimed_lift.big_cone, claimed_lift.zero_on) == (lift.big_cone, lift.zero_on)
 
 

@@ -68,15 +68,20 @@ def test_bounded_classification(tmp_path, capsys):
 
 
 def test_commands_that_read_t_reject_a_fan_without_it(tmp_path, capsys):
-    # bounded, rescale and vol each classify by the t coordinate
+    # bounded, rescale and vol each classify by the t coordinate; a fan
+    # flagged has_t 1 but of rank 0 has no coordinate to be t
     fan_file = tmp_path / "fan.txt"
-    fan_file.write_text("schema mockfan.fan/1\nrank 2\nhas_t 0\nrays 2\n1 1\n0 1\n"
-                        "cones 1\ncone 0 1\n")
-    for argv in (["bounded"], ["rescale", "--scale", "2"], ["vol"]):
-        assert main(argv + ["-i", str(fan_file)]) == 2
-        captured = capsys.readouterr()
-        assert not captured.out
-        assert "requires a fan with a t coordinate" in captured.err
+    for text, message in [
+            ("schema mockfan.fan/1\nrank 2\nhas_t 0\nrays 2\n1 1\n0 1\ncones 1\ncone 0 1\n",
+             "requires a fan with a t coordinate"),
+            ("schema mockfan.fan/1\nrank 0\nhas_t 1\nrays 0\ncones 1\ncone\n",
+             "a t-flagged fan of rank 0 has no t-coordinate")]:
+        fan_file.write_text(text)
+        for argv in (["bounded"], ["rescale", "--scale", "2"], ["vol"]):
+            assert main(argv + ["-i", str(fan_file)]) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert message in captured.err
 
 
 def test_vol_with_annotations(tmp_path, capsys):

@@ -715,16 +715,18 @@ def test_cone_from_generators_equals_two_hnf_oracle_on_lineality_rich_input(syst
     assert_matches_oracle(dim, rows[2:], rows[:2])
 
 
-# -- the table of `_generated` against an explicit pairing ------------------------
+# -- the table of `_read_off` against an explicit pairing -------------------------
 
 def assert_table_is_the_full_coordinate_pairing(rank, gens, lins):
-    """`_generated` on raw rows, with each generator also shifted by a
-    lineality generator so that projections coincide, builds the cone of
-    `cone_from_generators`; its masks and negatives are `pair_with_D`'s
+    """`_read_off` of `_canonical_vrep` on raw rows, with each generator
+    also shifted by a lineality generator so that projections coincide,
+    builds the cone of `cone_from_generators`; its masks and negatives are `pair_with_D`'s
     rule, each generator paired with the canonical facets in all
     coordinates, and its ray masks are the rays' facet masks."""
     gens = list(gens) + [tuple(x + y for x, y in zip(g, l)) for g, l in zip(gens, lins)]
-    c, masks, negative, ray_masks = cones._generated(rank, gens, list(lins))
+    lins = list(lins)
+    c, masks, negative, ray_masks = cones._read_off(
+        rank, *cones._canonical_vrep(rank, gens, lins), lins)
     expected = cone_from_generators(rank, gens, lins)
     assert (c.rays, c.lineality, c.facets, c.span_eqs, c.dim()) == (
         expected.rays, expected.lineality, expected.facets, expected.span_eqs, expected.dim())

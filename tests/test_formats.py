@@ -457,6 +457,8 @@ READER_CASES = {
                  rank=3), (FanError, "not a fan: cone is not a face of any maximal "
                            "cone: [(-1, 0, 1), (1, 0, 1)]")),
     "only the zero cone": (fan_text([], [()]), fan_from_cones(2, [zero_cone(2)])),
+    "t-flagged, rank 0": (fan_text([], [()], rank=0, has_t=1),
+                          (FanError, "not a fan: a t-flagged fan of rank 0 has no t-coordinate")),
     "only the zero cone, rays listed": (fan_text([(1, 0)], [()]),
                                        fan_from_cones(2, [zero_cone(2)])),
     "a candidate with lineality": (

@@ -329,8 +329,7 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
     # one walk of at most 2^|T| faces runs; the full walk runs once, from
     # the same C and with no DD at all, when `result` is read
     # every DD goes through `cones._dd`; the calls made inside
-    # `subdivision._lifted_cone` or `_claimed_cone` are credited to the
-    # lift, the rest to "all"
+    # `subdivision._lifted_cone` are credited to the lift, the rest to "all"
     calls = {"lift": 0, "all": 0}
     crediting = ["all"]
     walks = []
@@ -355,8 +354,7 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
         return levels
 
     monkeypatch.setattr(cones, "_dd", counted_dd)
-    for name in ("_lifted_cone", "_claimed_cone"):
-        monkeypatch.setattr(subdivision, name, counted(getattr(subdivision, name)))
+    monkeypatch.setattr(subdivision, "_lifted_cone", counted(subdivision._lifted_cone))
     monkeypatch.setattr(subdivision, "walk_masks", counted_walk)
     spec = GrassmannSpec(6, 2, 1)
     report = verify(spec, verify_fan)

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genutil import (assert_bounded_cells_equal_the_full_walk,
-                     assert_lift_equals_the_dual_of_build_D, assert_walk_matches_oracle,
+                     assert_lift_equals_the_dual_of_build_D, assert_own_claim_equals_the_lift,
+                     assert_walk_matches_oracle,
                      interior_lattice_point, is_refinement, lattice_points_in_support,
                      lifted_from, make_cone, pair_with_D, random_orthant_chart,
                      refines_cone_faces, relative_interior_point, tight_facets)
@@ -22,7 +23,7 @@ from mockfan.fans import Fan, FanError, fan_from_cones, rescale, rescale_cone
 from mockfan.grassmann import GrassmannSpec, zero_chart
 from mockfan.subdivision import (ChartError, GlueError, LiftedExponent,
                                  MockPolytopeChart, SubdivisionInconsistency,
-                                 build_D, glue_charts, rescaled_chart,
+                                 build_D, glue_charts, lift_chart, rescaled_chart,
                                  subdivide_chart, support_cone, val_min)
 
 
@@ -800,9 +801,9 @@ def test_mask_active_sets_on_every_cone_of_the_zero_chart(n):
 def test_empty_active_set_is_an_inconsistency(monkeypatch):
     # as if no lifted item were zero on any ray of C
     lifted_cone = subdivision._lifted_cone
-    monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs: (
-        lifted_cone(chart, span_eqs)[0], {g: 0 for g in subdivision._generators_of_D(chart)},
-        []))
+    monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs, rays=None: (
+        lifted_cone(chart, span_eqs, rays)[0],
+        {g: 0 for g in subdivision._generators_of_D(chart)}, []))
     with pytest.raises(SubdivisionInconsistency, match="no item is active"):
         subdivide_chart(triangle_chart(), verify=False)
 
@@ -864,6 +865,69 @@ def test_lift_of_a_chart_with_lineality_is_a_chart_error():
         subdivision._lifted_cone(ch, support_cone(ch).span_eqs)
 
 
+# -- C claimed by its own rays against the DD that built it -----------------------
+
+@st.composite
+def sliced_orthant_charts(draw):
+    """Orthant charts cut by a hyperplane v.x = 0 that holds the t axis: the
+    support duals hold v and -v, so D has the lineality (v, 0)."""
+    ch = random_orthant_chart(draw(st.randoms(use_true_random=False)))
+    v = [draw(st.integers(-2, 2)) for _ in range(ch.ambient_dual_rank)]
+    v[draw(st.integers(0, len(v) - 2))] = draw(st.sampled_from([-2, -1, 1, 2]))
+    v[-1] = 0
+    return replace(ch, sigma_dual_generators=ch.sigma_dual_generators
+                   + (tuple(v), tuple(-x for x in v)))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_own_claim_equals_the_lift_on_random_orthant_charts(rng):
+    assert_own_claim_equals_the_lift(random_orthant_chart(rng))
+
+
+@given(sliced_orthant_charts())
+@settings(max_examples=60, deadline=None)
+def test_own_claim_equals_the_lift_where_D_has_lineality(ch):
+    assert build_D(ch).lineality
+    assert_own_claim_equals_the_lift(ch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_lift_runs_one_dd_none_on_a_claim_and_one_more_to_certify(monkeypatch, seed):
+    # every DD goes through `cones._dd`; the calls made inside
+    # `subdivision._lifted_cone` and `_certify_lifted_cone` are counted
+    # apart from those outside both, the support's
+    ch = random_orthant_chart(random.Random(seed))
+    rays = lift_chart(ch, verify=False).big_cone.rays
+    calls, where = Counter(), ["outside"]
+    dd = cones._dd
+
+    def counted_dd(dim, rows):
+        calls[where[-1]] += 1
+        return dd(dim, rows)
+
+    def credited(name):
+        inner = getattr(subdivision, name)
+
+        def run(*args):
+            where.append(name)
+            try:
+                return inner(*args)
+            finally:
+                where.pop()
+        monkeypatch.setattr(subdivision, name, run)
+
+    monkeypatch.setattr(cones, "_dd", counted_dd)
+    credited("_lifted_cone")
+    credited("_certify_lifted_cone")
+    for claim in (None, rays):
+        for verify in (False, True):
+            calls.clear()
+            lift_chart(ch, verify, claim)
+            assert (calls["_lifted_cone"], calls["_certify_lifted_cone"]) == (
+                int(claim is None), int(verify))
+
+
 @pytest.mark.parametrize("chart", [triangle_chart, skew_chart])
 def test_certificate_rejects_each_ray_of_C_perturbed_through_the_lift(monkeypatch, chart):
     # every ray of C moved by +-1 in every coordinate, fed in through the
@@ -876,8 +940,9 @@ def test_certificate_rejects_each_ray_of_C_perturbed_through_the_lift(monkeypatc
                 rays = c.rays[:k] + (tuple(v + step * (i == j) for i, v in enumerate(x)),) \
                     + c.rays[k + 1:]
                 bad = Cone._trusted(c.rank, rays, (), c.dim(), c.facets, c.span_eqs)
-                monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs: (
-                    bad, *pair_with_D(chart, bad.rays)))
+                monkeypatch.setattr(subdivision, "_lifted_cone",
+                                    lambda chart, span_eqs, rays=None: (
+                                        bad, *pair_with_D(chart, bad.rays)))
                 with pytest.raises(SubdivisionInconsistency):
                     subdivide_chart(ch)
 
