@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Run the Gr(2,n) verification over a parameter grid and print a summary.
 
-Each case builds the lifted cone C of the zero chart, walks only its faces
-that project to bounded cells, checks the seven bounded cones and their
-active sets, and reports the chart's items, the rays and facets of C, the
-bounded cones found and the wall-clock time in milliseconds; a last line
-gives the total time of all cases.  The full subdivision is never
-built unless `--full` is given: then each case also reads `report.result`,
-the full subdivision (every lower face of the same C walked and projected,
-with its active sets), and prints its cones and its time in two more
-columns, the verification's time left as it was.  Cases are `n,d,l`
-triples; the default grid covers the reference
-set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1, 12,2,1 (2211
-items; C has 28 rays and 267 facets) and 6,5,1 (the highest degree).
-C is taken from its closed form and certified, with no DD of its own.
+Each case verifies the zero chart on one row per S_(n-2)-orbit
+(`grassmann.verify`): C in its own coordinates, certified up to symmetry,
+and only its faces that project to bounded cells walked.  It reports the
+chart's items, from the closed-form stratum sizes, the rays and facets of
+C, the bounded cones found and the wall-clock time in milliseconds; a
+last line gives the total time of all cases.  No item-level chart is
+built unless `--full` is given: then each case also reads
+`report.result`, the full subdivision (the item chart, its lift from the
+same C, and every lower face walked and projected, with its active sets),
+and prints its cones and its time in two more columns, the verification's
+time left as it was.  Cases are `n,d,l` triples; the default grid covers
+the reference set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1,
+12,2,1, 6,5,1 (the highest degree), 16,2,1 (C has 36 rays and 513
+facets), 9,4,1 and 10,4,1 (194,580 items).  C is taken from its closed
+form and certified, with no DD of its own but the certificate's.
 
 Example:
     python3 scripts/run_grassmann_sweep.py
@@ -21,20 +23,21 @@ Example:
     python3 scripts/run_grassmann_sweep.py --cases 8,2,1 10,2,1 12,2,1 --full
 
 The large cases, outside the default grid:
-    python3 scripts/run_grassmann_sweep.py --cases 14,2,1 16,2,1 8,4,1 7,5,1 9,4,1
-took 0.42, 0.79, 1.09, 1.90 and 4.13 s (82,251 items at 9,4,1), 8.8 s in
-all, each the median of three runs, on 2 vCPUs with CPython 3.11.7 (a
-shared host; single runs spread by up to 40 %).
+    python3 scripts/run_grassmann_sweep.py --cases 24,2,1 32,2,1
+took 0.56-0.94 s and 2.2-3.6 s (38,226 and 123,256 items, 17 orbit rows
+each; C has 1,245 and 2,297 facets), three runs each, on 2 vCPUs with
+CPython 3.11.7 (a shared host); the default grid took about 0.5 s in all.
 """
 
 import argparse
 import sys
 import time
 
-from mockfan.grassmann import GrassmannSpec, verify, vol_expression
+from mockfan.grassmann import GrassmannSpec, stratum_size, verify, vol_expression
 
 DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1", "7,2,1",
-                 "8,2,1", "6,4,1", "7,3,1", "10,2,1", "12,2,1", "6,5,1"]
+                 "8,2,1", "6,4,1", "7,3,1", "10,2,1", "12,2,1", "6,5,1", "16,2,1", "9,4,1",
+                 "10,4,1"]
 
 
 def parse_case(text: str) -> GrassmannSpec:
@@ -65,7 +68,7 @@ def main(argv=None) -> int:
         report = verify(spec)
         elapsed = time.monotonic() - start
         total += elapsed
-        big = report.lift.big_cone
+        big = report.orbits.big_cone
         if args.full:
             start = time.monotonic()
             cones = len(report.result.projected_fan)
@@ -74,8 +77,10 @@ def main(argv=None) -> int:
             full_columns = f"{cones:>7}  {full * 1000:>7.0f}ms  "
         status = "PASS" if report.passed else "FAIL"
         all_ok &= report.passed
-        print(f"{text:>10}  {len(report.lift.chart.items):>6}  {len(big.rays):>6}  "
-              f"{len(big.facets):>6}  {len(report.bounded.projected_fan.bounded_cones()):>7}  "
+        items = sum(stratum_size(spec.n, (c0, c1, spec.d - c0 - c1))
+                    for c0 in range(spec.d + 1) for c1 in range(spec.d + 1 - c0))
+        print(f"{text:>10}  {items:>6}  {len(big.rays):>6}  "
+              f"{len(big.facets):>6}  {len(report.bounded_fan.bounded_cones()):>7}  "
               f"{elapsed * 1000:>7.0f}ms  {full_columns}{status}")
         if not report.passed:
             print(report.render())

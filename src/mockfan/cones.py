@@ -491,13 +491,7 @@ def _read_off(rank: int, facets: tuple[IntVec, ...], span_eqs: tuple[IntVec, ...
     Each kernel is a saturated lattice in Hermite form, so canonical.
     """
     ys, rows, row_of = pairing
-    bits = [1 << i for i in range(len(ys))]
-    zero, negative = {}, []
-    for w in rows:
-        paired = [sum(map(mul, w, y)) for y in ys]
-        zero[w] = sum(compress(bits, map(not_, paired)))
-        if paired and min(paired) < 0:
-            negative.append(w)
+    zero, negative = _pair_rows(ys, rows)
     if row_of is not None:
         below = set(negative)
         zero = {a: zero[w] for a, w in row_of.items()}
@@ -514,6 +508,19 @@ def _read_off(rank: int, facets: tuple[IntVec, ...], span_eqs: tuple[IntVec, ...
     cone = Cone._trusted(rank, tuple(r for r, _ in rays), lin, rank - len(span_eqs),
                          facets, span_eqs)
     return cone, zero, negative, tuple(mask for _, mask in rays)
+
+
+def _pair_rows(ys: Sequence[IntVec], rows: Iterable[IntVec]
+               ) -> tuple[dict[IntVec, int], list[IntVec]]:
+    """Each row's mask of the ys it is zero on, and the rows negative on one."""
+    bits = [1 << i for i in range(len(ys))]
+    zero, negative = {}, []
+    for w in rows:
+        paired = [sum(map(mul, w, y)) for y in ys]
+        zero[w] = sum(compress(bits, map(not_, paired)))
+        if paired and min(paired) < 0:
+            negative.append(w)
+    return zero, negative
 
 
 def cone_from_inequalities(rank: int, inequalities: Sequence[Sequence[int]],

@@ -25,7 +25,8 @@ Grammar (one record per line, whitespace separated):
 Label tokens: `pt`, `hyp:<ambient_dim>:<degree>`, `sym:<name>`.
 
 Blank lines and lines starting with `#` are skipped anywhere.  Readers reject
-a negative rank or count, a wrong `rendered` line, and text after the end.
+a negative rank or count, an item id repeated in one active set, a wrong
+`rendered` line, and text after the end.
 
 A fan is read through its maximal cones (`_read_fan_body`): a listed cone
 whose generators are the rays of a face of one (`Cone.face_mask`) needs no
@@ -152,21 +153,22 @@ def read_cone(text: str) -> Cone:
 # -- fans ----------------------------------------------------------------------
 
 def _fan_body(f: Fan) -> list[str]:
-    ray_index: dict = {}
-    rays: list[tuple[int, ...]] = []
+    """The fan's lines: rays in first-use order, then cones, from one table of ray indices."""
+    index: dict[tuple[int, ...], str] = {}
+    cones = []
     for c in f.cones:
+        line = ["cone"]
         for r in c.rays:
-            if r not in ray_index:
-                ray_index[r] = len(rays)
-                rays.append(r)
+            i = index.get(r)
+            if i is None:
+                i = index[r] = str(len(index))
+            line.append(i)
+        cones.append(" ".join(line))
     out = [f"rank {f.rank}", f"has_t {1 if f.has_t_coordinate else 0}",
-           f"rays {len(rays)}"]
-    out += [" ".join(map(str, r)) for r in rays]
+           f"rays {len(index)}"]
+    out += [" ".join(map(str, r)) for r in index]
     out.append(f"cones {len(f.cones)}")
-    for c in f.cones:
-        idx = " ".join(str(ray_index[r]) for r in c.rays)
-        out.append(f"cone {idx}".rstrip())
-    return out
+    return out + cones
 
 
 def write_fan(f: Fan) -> str:
@@ -269,9 +271,8 @@ def read_chart(text: str) -> MockPolytopeChart:
 def write_result(fan: Fan, active_sets: Mapping[Cone, frozenset[str]]) -> str:
     out = [f"schema {RESULT_SCHEMA}"] + _fan_body(fan)
     out.append(f"active_sets {len(fan.cones)}")
-    for idx, c in enumerate(fan.cones):
-        ids = " ".join(sorted(active_sets.get(c, frozenset())))
-        out.append(f"cone {idx} items {ids}".rstrip())
+    out += [" ".join(["cone", str(idx), "items", *sorted(active_sets.get(c, ()))])
+            for idx, c in enumerate(fan.cones)]
     return "\n".join(out) + "\n"
 
 
@@ -302,6 +303,8 @@ def read_result(text: str) -> tuple[Fan, dict[Cone, frozenset[str]]]:
         if fan.cones[idx] in active:
             raise ParseError(f"active set cone index {idx} repeated")
         active[fan.cones[idx]] = frozenset(tokens[2:])
+        if len(active[fan.cones[idx]]) != len(tokens) - 2:
+            raise ParseError(f"active set of cone index {idx} has a repeated item id")
     lines.end()
     return fan, active
 

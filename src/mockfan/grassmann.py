@@ -18,12 +18,17 @@ Ambient coordinate order for charts: (M block | M-dagger block indexed
 -1..n-3 | delta), with the torus-fiber dual block of rank n-1 and one
 t-dual slot; the primal side reads (N block | N-dagger block | t).
 
-`verify` lifts the zero chart once, with its lifted cone C given in
-closed form (`lifted_cone_rays`) and certified rather than built by a
-double description, projects only the faces of C that give bounded cells,
-and compares those bounded cones and active sets against the seven
-expected ones; `vol_expression` then assembles the signed stratum-class
-sum over them with the known annotations (two point strata, one very
+The instance is symmetric under S_(n-2), the permutations sigma of the
+Pluecker indices 2 .. n-1: sigma keeps J0, J1 and J2, so each monomial's
+weight split and kappa, and modulo the M block, E = lin D, it permutes the
+dagger slots 0 .. n-3.  `verify` works in C's own coordinates, E dropped,
+on one row per orbit (`orbit_chart`): C is claimed in closed form
+(`lifted_cone_rays`) and certified up to symmetry, the faces of C that
+give bounded cells are walked, and each orbit's active cells are compared
+with those its weight split expects; the monomials are enumerated only for
+the item-level chart (`zero_chart`) behind `report.result`.
+`vol_expression` then assembles the signed stratum-class sum over the seven
+bounded cones with the known annotations (two point strata, one very
 general degree-d hypersurface stratum in P^(2n-5), four symbolic strata).
 """
 
@@ -31,13 +36,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from math import comb, factorial, prod
+from operator import add
+from typing import Mapping, Optional
 
 from .cones import Cone
 from .exact import IntVec, vec_neg
-from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart, SubdivisionResult,
-                          lift_chart)
+from .fans import Fan
+from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart,
+                          SubdivisionInconsistency, SubdivisionResult, _claimed, _moves,
+                          lift_chart, lift_symmetric_chart)
 from .volume import ClassLabel, FormalSum, StratumAnnotation, vol_skeleton
 
 
@@ -65,7 +75,6 @@ class GrassmannSpec:
 
 
 Pair = tuple[int, int]
-Alpha = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,9 @@ class IndexData:
         return len(self.I) - 1
 
     @property
-    def dagger_rank(self) -> int:
-        return self.n - 1
-
-    @property
     def ambient_rank(self) -> int:
-        """Rank of the chart lattice: M block + dagger block + delta."""
-        return self.m_rank + self.dagger_rank + 1
+        """Rank of the chart lattice: M block + dagger block (n - 1) + delta."""
+        return self.m_rank + self.n
 
     def m_slot(self, pair: Pair) -> int:
         """Coordinate slot of the M basis vector w_pair - w_00; pair != (0,0)."""
@@ -128,110 +133,104 @@ def varpi(n: int, pair: Pair) -> IntVec:
     if pair not in data.J:
         raise GrassmannError(f"{pair} is not in J")
     i, j = pair
-    v = [0] * (data.ambient_rank - 1)
-
-    def eta(k: int):
-        v[data.dagger_slot(k)] += 1
-
-    def m_basis(p: Pair):
-        v[data.m_slot(p)] += 1
-
-    if pair == (0, 1):
-        pass
-    elif pair == (0, 2):
-        eta(-1)
-        eta(0)
-    elif i == 0:
-        eta(-1)
-        eta(j - 2)
-        m_basis((j - 2, j - 2))
+    if i == 0:   # (0,1) is 1; (0,2) has no M part, as w_00 - w_00 = 0
+        etas, m = ((), None) if j == 1 else ((-1, j - 2), (j - 2, j - 2) if j > 2 else None)
     elif i == 1:
-        eta(j - 2)
+        etas, m = (j - 2,), None
     else:
-        eta(-1)
-        eta(i - 2)
-        eta(j - 2)
-        m_basis((i - 2, j - 2))
-    return tuple(v)
-
-
-def varpi_alpha(n: int, alpha: Alpha) -> IntVec:
-    data = index_data(n)
+        etas, m = (-1, i - 2, j - 2), (i - 2, j - 2)
     v = [0] * (data.ambient_rank - 1)
-    for a, pair in zip(alpha, data.J):
-        if a:
-            w = varpi(n, pair)
-            for k in range(len(v)):
-                v[k] += a * w[k]
+    for k in etas:
+        v[data.dagger_slot(k)] += 1
+    if m:
+        v[data.m_slot(m)] += 1
     return tuple(v)
 
 
-def weight_split(n: int, alpha: Alpha) -> tuple[int, int, int]:
-    """(c0, c1, c2): the weight of alpha on J0, J1, J2, which are the
-    contiguous slices J[:1], J[1:k] and J[k:] of J, with k = 1 + |J1|."""
-    k = 1 + len(index_data(n).J1)
-    return alpha[0], sum(alpha[1:k]), sum(alpha[k:])
+def _kappa(d: int, c1: int) -> int:
+    """t-weight of a monomial of J1 weight c1: 0 at c1 = d, else 2(d - c1) - 1."""
+    return 0 if c1 == d else 2 * (d - c1) - 1
 
 
-def kappa(spec: GrassmannSpec, alpha: Alpha) -> int:
-    """t-weight of a monomial: 0 at full J1 weight, else 2(d - c1) - 1."""
-    if sum(alpha) != spec.d:
-        raise GrassmannError("alpha must have total degree d")
-    c1 = weight_split(spec.n, alpha)[1]
-    if c1 == spec.d:
-        return 0
-    return 2 * (spec.d - c1) - 1
-
-
-def enumerate_S(spec: GrassmannSpec) -> list[Alpha]:
-    """All degree-d multidegrees over J, in lexicographic order."""
+def _monomials(spec: GrassmannSpec) -> list[tuple[int, ...]]:
+    """S sparse: each monomial as the sorted slots in J of its d factors,
+    in lexicographic order of the multidegrees."""
     m = len(index_data(spec.n).J)
-    out: list[Alpha] = []
-    for slots in itertools.combinations_with_replacement(range(m), spec.d):
-        alpha = [0] * m
-        for k in slots:
-            alpha[k] += 1
-        out.append(tuple(alpha))
-    return sorted(out)
+    return list(itertools.combinations_with_replacement(range(m), spec.d))[::-1]
 
 
-def alpha_id(n: int, alpha: Alpha) -> str:
-    """Readable canonical id of a multidegree, e.g. '(0,1)^2*(2,3)'."""
-    data = index_data(n)
-    parts = []
-    for a, (i, j) in zip(alpha, data.J):
-        if a == 1:
-            parts.append(f"({i},{j})")
-        elif a > 1:
-            parts.append(f"({i},{j})^{a}")
-    return "*".join(parts) if parts else "1"
+@functools.lru_cache(maxsize=None)
+def _pair_names(n: int) -> tuple[str, ...]:
+    return tuple(f"({i},{j})" for i, j in index_data(n).J)
+
+
+def _slot_id(names: tuple[str, ...], slots: tuple[int, ...]) -> str:
+    """The id of a sparse monomial, e.g. '(0,1)^2*(2,3)', from `_pair_names`."""
+    return "*".join(names[s] if k == 1 else f"{names[s]}^{k}"
+                    for s, k in Counter(slots).items())
 
 
 def zero_chart(spec: GrassmannSpec) -> MockPolytopeChart:
     """Chart over the zero cone of the base: support {0} x N-dagger x [0, inf).
 
     Sigma duals are the +/- M basis (a lineality of the lifted cone) plus
-    delta; items are the monomials with exponent varpi_alpha and t-weight
-    kappa(alpha) at scale l.
+    delta; items are the monomials alpha, with exponent varpi_alpha, the
+    sum of the nonzero entries of their factors' varpi, and t-weight
+    kappa: 0 at J1 weight c1 = d, else 2(d - c1) - 1, at scale l.
     """
     data = index_data(spec.n)
     r = data.ambient_rank
-    duals: list[IntVec] = []
-    for k in range(data.m_rank):
-        e = [0] * r
-        e[k] = 1
-        duals.append(tuple(e))
-        e2 = [0] * r
-        e2[k] = -1
-        duals.append(tuple(e2))
-    delta = [0] * r
-    delta[data.delta_slot] = 1
-    duals.append(tuple(delta))
+    duals = [tuple(sign * (j == k) for j in range(r))
+             for k in range(data.m_rank) for sign in (1, -1)]
+    duals.append(tuple(int(j == data.delta_slot) for j in range(r)))
+    names = _pair_names(spec.n)
+    entries = [[(k, x) for k, x in enumerate(varpi(spec.n, pair)) if x] for pair in data.J]
+    j1 = range(1, 1 + len(data.J1))
     items = []
-    for alpha in enumerate_S(spec):
-        exponent = varpi_alpha(spec.n, alpha) + (0,)
-        items.append(LiftedExponent(alpha_id(spec.n, alpha), exponent, kappa(spec, alpha)))
+    for slots in _monomials(spec):
+        exponent = [0] * r
+        for s in slots:
+            for k, x in entries[s]:
+                exponent[k] += x
+        items.append(LiftedExponent(_slot_id(names, slots), tuple(exponent),
+                                    _kappa(spec.d, sum(s in j1 for s in slots))))
     return MockPolytopeChart("zero", r, tuple(duals), tuple(items), scale=spec.l)
+
+
+def orbit_chart(spec: GrassmannSpec) -> MockPolytopeChart:
+    """The zero chart up to symmetry: one item o0, o1, ... per S_(n-2)-orbit
+    of its rows (a; b; delta), b sorted, in C's own coordinates (E
+    dropped), and the support dual delta.  With V the distinct rows (a; b)
+    of J, each with its J1 flag, which must be invariant, the rows of
+    degree k are {sort_b(r + v) : r of degree k - 1, v in V}: r + sigma(v)
+    and sigma^-1(r) + v lie in one orbit.  No monomial is enumerated.
+    """
+    n, d, data = spec.n, spec.d, index_data(spec.n)
+    j1 = range(1, 1 + len(data.J1))
+    V = {(int(s in j1),) + varpi(n, pair)[data.m_rank:] for s, pair in enumerate(data.J)}
+    if any({tuple(map(v.__getitem__, p)) for v in V} != V for p in _moves(range(2, n), n)):
+        raise SubdivisionInconsistency("subdivision inconsistency: the rows of J are not "
+                                       "invariant under the permutations of b")
+    reps = {(0,) * n}   # (c1; a; b)
+    for _ in range(d):
+        reps = {x[:2] + tuple(sorted(x[2:]))
+                for x in (tuple(map(add, r, v)) for r in reps for v in V)}
+    items = [LiftedExponent(f"o{k}", x[1:] + (0,), _kappa(d, x[0]))
+             for k, x in enumerate(sorted(reps))]
+    return MockPolytopeChart("zero", n, ((0,) * (n - 1) + (1,),), tuple(items), scale=spec.l)
+
+
+def _orbit_split(d: int, item: LiftedExponent) -> tuple[int, int, int]:
+    """An orbit row's weight split: c1 from kappa, sum(b) = c1 + 2 c2."""
+    c1 = d if item.kappa == 0 else d - (item.kappa + 1) // 2
+    c2 = (sum(item.exponent[1:-1]) - c1) // 2
+    return d - c1 - c2, c1, c2
+
+
+def _orbit_size(item: LiftedExponent) -> int:
+    """The distinct permutations of an orbit row's b: its rows in C's coordinates."""
+    b = item.exponent[1:-1]
+    return factorial(len(b)) // prod(map(factorial, Counter(b).values()))
 
 
 CONE_NAMES = ("tau0", "tau1", "tau2", "tau3", "sigma0", "sigma1", "sigma2")
@@ -257,7 +256,7 @@ def lifted_cone_rays(spec: GrassmannSpec) -> tuple[IntVec, ...]:
     (-1; 1; 0; 0) and (1; -1; 0; d); (0; e_j; 0; 0) and (0; -e_j; 0; d)
     for each j; and the four over tau0 .. tau3, (0; c l 1; 1; h l) for
     (c, h) in (-2, 2d + 1), (-1, d), (1, -d), (2, 1 - 2d).  `verify`
-    certifies this claim (`subdivision._certify_lifted_cone`).
+    certifies this claim up to symmetry.
     """
     n, d, l = spec.n, spec.d, spec.l
     m = index_data(n).m_rank
@@ -293,55 +292,70 @@ def expected_bounded_cones(spec: GrassmannSpec) -> dict[str, Cone]:
     return cones
 
 
-def expected_active_sets(spec: GrassmannSpec) -> dict[str, frozenset[str]]:
-    """Each cone's active set: the ids of the strata of S, by weight split,
-    it is made of, with S enumerated once and bucketed by weight split."""
-    d = spec.d
-    ids_by_split: dict[tuple[int, int, int], list[str]] = {}
-    for alpha in enumerate_S(spec):
-        ids_by_split.setdefault(weight_split(spec.n, alpha), []).append(
-            alpha_id(spec.n, alpha))
-
-    def ids(strata: list[tuple[int, int, int]]) -> frozenset[str]:
-        return frozenset(i for split in strata for i in ids_by_split.get(split, ()))
-
+def _strata(d: int) -> dict[str, list[tuple[int, int, int]]]:
+    """Each expected cone's strata: the weight splits of its active monomials."""
     return {
-        "tau0": ids([(0, d - i, i) for i in range(1, d + 1)]),
-        "tau1": ids([(0, d - 1, 1), (0, d, 0)]),
-        "tau2": ids([(0, d, 0), (1, d - 1, 0)]),
-        "tau3": ids([(i, d - i, 0) for i in range(1, d + 1)]),
-        "sigma0": ids([(0, d - 1, 1)]),
-        "sigma1": ids([(0, d, 0)]),
-        "sigma2": ids([(1, d - 1, 0)]),
+        "tau0": [(0, d - i, i) for i in range(1, d + 1)],
+        "tau1": [(0, d - 1, 1), (0, d, 0)],
+        "tau2": [(0, d, 0), (1, d - 1, 0)],
+        "tau3": [(i, d - i, 0) for i in range(1, d + 1)],
+        "sigma0": [(0, d - 1, 1)],
+        "sigma1": [(0, d, 0)],
+        "sigma2": [(1, d - 1, 0)],
     }
+
+
+def stratum_size(n: int, split: tuple[int, int, int]) -> int:
+    """|S_(c0,c1,c2)|: multisets of sizes c1 over J1 and c2 over J2."""
+    _, c1, c2 = split
+    return comb(2 * (n - 2) + c1 - 1, c1) * comb((n - 2) * (n - 3) // 2 + c2 - 1, c2)
+
+
+def expected_active_sets(spec: GrassmannSpec) -> dict[str, frozenset[str]]:
+    """Each cone's active set: the ids of the monomials of its strata."""
+    k, names = 1 + len(index_data(spec.n).J1), _pair_names(spec.n)
+    ids_by_split: dict[tuple[int, int, int], list[str]] = {}
+    for slots in _monomials(spec):
+        c0, c2 = slots.count(0), sum(s >= k for s in slots)
+        ids_by_split.setdefault((c0, spec.d - c0 - c2, c2), []).append(_slot_id(names, slots))
+    return {name: frozenset(i for split in strata for i in ids_by_split.get(split, ()))
+            for name, strata in _strata(spec.d).items()}
 
 
 @dataclass(frozen=True)
 class ConeCheck:
+    """An expected cone, found or not, and whether its active set, of
+    `items` items, matches; a mismatch names the ids `missing` and `extra`."""
     name: str
     expected: Cone
     found: bool
-    expected_active: frozenset[str]
-    computed_active: Optional[frozenset[str]]
-
-    @property
-    def active_matches(self) -> bool:
-        return self.computed_active is not None and \
-            self.computed_active == self.expected_active
+    items: int
+    active_matches: bool
+    missing: tuple[str, ...] = ()
+    extra: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """The seven checks of `verify` and any unexpected bounded cone, read
-    off `bounded`: the bounded cells of the zero chart, that is its bounded
-    cones and the zero cone with their active sets.  `result`, the full
-    subdivision, is walked from the same lifted cone `lift` when it is
-    first read, and kept; no second DD runs."""
+    """The seven checks of `verify` and any unexpected bounded cone, read off
+    `bounded_fan`, the bounded cells in chart coordinates, and the ids of
+    the orbits of `orbits.chart`, the orbit lift, active on each.  `lift`,
+    the item-level lift of `zero_chart` from the same C, and its bounded
+    and full subdivisions `bounded` and `result` are built when read."""
     spec: GrassmannSpec
     checks: tuple[ConeCheck, ...]
     extra_bounded: tuple[Cone, ...]
-    bounded: SubdivisionResult
-    lift: LiftedChart
+    bounded_fan: Fan
+    active_orbits: Mapping[Cone, frozenset[str]]
+    orbits: LiftedChart
+
+    @functools.cached_property
+    def lift(self) -> LiftedChart:
+        return lift_chart(zero_chart(self.spec), False, lifted_cone_rays(self.spec))
+
+    @functools.cached_property
+    def bounded(self) -> SubdivisionResult:
+        return self.lift.subdivide(bounded=True)
 
     @functools.cached_property
     def result(self) -> SubdivisionResult:
@@ -367,11 +381,10 @@ class VerificationReport:
             lines.append(f"cone {c.name}: {'found' if c.found else 'NOT FOUND'}")
             if c.found:
                 if c.active_matches:
-                    lines.append(f"active {c.name}: match ({len(c.expected_active)} items)")
+                    lines.append(f"active {c.name}: match ({c.items} items)")
                 else:
-                    missing = sorted(c.expected_active - (c.computed_active or frozenset()))
-                    extra = sorted((c.computed_active or frozenset()) - c.expected_active)
-                    lines.append(f"active {c.name}: MISMATCH missing={missing} extra={extra}")
+                    lines.append(f"active {c.name}: MISMATCH missing={list(c.missing)} "
+                                 f"extra={list(c.extra)}")
         for c in self.extra_bounded:
             lines.append(f"unexpected bounded cone: rays={list(c.rays)}")
         total = len(self.checks)
@@ -385,34 +398,57 @@ class VerificationReport:
 
 def verify(spec: GrassmannSpec, verify_fan: bool = True) -> VerificationReport:
     """Compare the bounded cells of the zero chart with the expected seven
-    bounded cones and their active sets.
+    bounded cones and their active sets, one row per S_(n-2)-orbit.
 
-    The lifted cone C is taken once from its closed form
-    (`lifted_cone_rays`, through `subdivision.lift_chart`), with no DD;
-    with `verify_fan` it is first certified to be the dual of D
-    (`subdivision._certify_lifted_cone`), and a claim the certificate
-    rejects raises SubdivisionInconsistency, with no fallback to a DD;
-    without `verify_fan` it is trusted.  Only the lower faces of C whose
-    rays all have t > 0 are walked and projected
-    (`LiftedChart.subdivide(bounded=True)`), with every per-face check of
-    the full walk; C has four such rays, the rays over tau0 .. tau3, so
-    the walk visits at most 16 faces.  The full subdivision is built only
-    when `report.result` is read.
+    C, claimed by `lifted_cone_rays` and 0 on E, is lifted in its own
+    coordinates with the rows of `orbit_chart` (`lift_symmetric_chart`);
+    with `verify_fan` it is certified up to symmetry, and a rejected claim
+    raises SubdivisionInconsistency.  Its faces over tau0 .. tau3 are
+    walked, projected and padded back with E's zeros.  The tau rays are
+    fixed by S_(n-2), so an orbit is active on a cell or not as a whole:
+    a check compares the active orbits with those whose split the cell
+    expects, counts items by stratum sizes, and names the items of failing
+    orbits alone.  No monomial is enumerated unless a check fails.
     """
-    lift = lift_chart(zero_chart(spec), verify_fan, lifted_cone_rays(spec))
-    cells = lift.subdivide(bounded=True)
-    bounded = set(cells.projected_fan.bounded_cones())
+    data = index_data(spec.n)
+    m, r = data.m_rank, data.ambient_rank
+    rays = _claimed(lifted_cone_rays(spec), r + 1)
+    if any(any(x[:m]) for x in rays):
+        raise SubdivisionInconsistency("subdivision inconsistency: a claimed ray is nonzero on E")
+    orbits = lift_symmetric_chart(orbit_chart(spec), [x[m:] for x in rays],
+                                  range(1, spec.n - 1), verify_fan)
+    cells = orbits.subdivide(bounded=True)
+    active = {Cone._trusted(r, tuple((0,) * m + x for x in c.rays), (), c.dim()): ids
+              for c, ids in cells.active_sets.items()}   # E's zeros padded back
+    split = {it.id: _orbit_split(spec.d, it) for it in orbits.chart.items}
     expected = expected_bounded_cones(spec)
-    expected_active = expected_active_sets(spec)
     checks = []
-    for name in CONE_NAMES:
-        cone = expected[name]
-        found = cone in bounded
-        computed = cells.active_sets.get(cone) if found else None
-        checks.append(ConeCheck(name, cone, found, expected_active[name], computed))
-    extras = tuple(sorted(bounded - set(expected.values()),
+    for name, strata in _strata(spec.d).items():
+        want = frozenset(i for i, s in split.items() if s in strata)
+        got = active.get(expected[name])
+        missing = extra = ()
+        if got is not None and got != want:
+            missing, extra = (_items_of(spec, orbits.chart, ids)
+                              for ids in (want - got, got - want))
+        checks.append(ConeCheck(name, expected[name], got is not None,
+                                sum(stratum_size(spec.n, s) for s in strata), got == want,
+                                missing, extra))
+    fan = Fan._trusted(r, active, True)
+    extras = tuple(sorted(set(fan.bounded_cones()) - set(expected.values()),
                           key=lambda c: (c.dim(), c.rays)))
-    return VerificationReport(spec, tuple(checks), extras, cells, lift)
+    return VerificationReport(spec, tuple(checks), extras, fan, active, orbits)
+
+
+def _items_of(spec: GrassmannSpec, orbits: MockPolytopeChart,
+              ids: frozenset[str]) -> tuple[str, ...]:
+    """The sorted ids of the monomials in the orbits `ids` of `orbit_chart`."""
+    def key(e: IntVec, kappa: int) -> IntVec:
+        return e[:1] + tuple(sorted(e[1:-1])) + (kappa,)
+
+    orbit = {key(it.exponent, it.kappa): it.id for it in orbits.items}
+    m = index_data(spec.n).m_rank
+    return tuple(sorted(it.id for it in zero_chart(spec).items
+                        if orbit.get(key(it.exponent[m:], it.kappa)) in ids))
 
 
 def hypersurface_label(spec: GrassmannSpec) -> ClassLabel:
@@ -421,41 +457,36 @@ def hypersurface_label(spec: GrassmannSpec) -> ClassLabel:
 
 
 def grassmann_annotations(spec: GrassmannSpec) -> dict[Cone, StratumAnnotation]:
-    expected = expected_bounded_cones(spec)
-    ann: dict[Cone, StratumAnnotation] = {}
-    for name in ("tau1", "tau2"):
-        ann[expected[name]] = StratumAnnotation(name, (ClassLabel.point(),))
-    ann[expected["sigma1"]] = StratumAnnotation("sigma1", (hypersurface_label(spec),))
-    for name in ("tau0", "tau3", "sigma0", "sigma2"):
-        ann[expected[name]] = StratumAnnotation(name, (ClassLabel.symbolic(f"E({name})"),))
-    return ann
+    """A point at tau1 and tau2, the hypersurface at sigma1, E(name) elsewhere."""
+    known = {"tau1": ClassLabel.point(), "tau2": ClassLabel.point(),
+             "sigma1": hypersurface_label(spec)}
+    return {cone: StratumAnnotation(name, (known.get(name, ClassLabel.symbolic(f"E({name})")),))
+            for name, cone in expected_bounded_cones(spec).items()}
 
 
 def vol_expression(spec: GrassmannSpec, report: Optional[VerificationReport] = None) -> FormalSum:
     """The signed stratum-class sum over the verified bounded cones.
 
-    Runs (or reuses) the verification first and sums over its bounded
-    subfan (`report.bounded`), so the full subdivision is never built; cones
-    with fewer than two distinct active exponents are filtered out, which
-    keeps all seven here.
+    Runs (or reuses) the verification and sums over `report.bounded_fan`.
+    Cones with fewer than two distinct active exponents on the support,
+    rows in C's own coordinates (the active orbits' sizes summed), are
+    filtered out, which keeps all seven here.
     """
     if report is None:
         report = verify(spec)
     if not report.passed:
         raise VerificationFailed(
             f"verification failed for n={spec.n} d={spec.d} l={spec.l}")
-    cells = report.bounded
-    return vol_skeleton(cells.projected_fan, grassmann_annotations(spec),
-                        active_filter=lambda c: cells.effective_dimension(c) >= 2)
+    rows = {it.id: _orbit_size(it) for it in report.orbits.chart.items}
+    return vol_skeleton(report.bounded_fan, grassmann_annotations(spec),
+                        active_filter=lambda c: sum(map(rows.__getitem__,
+                                                        report.active_orbits[c])) >= 2)
 
 
 def expected_vol_expression(spec: GrassmannSpec) -> FormalSum:
     """The closed-form answer the pipeline must reproduce."""
-    total = FormalSum.zero()
-    for name in ("tau0", "tau3"):
-        total = total + FormalSum.of(ClassLabel.symbolic(f"E({name})"))
-    total = total + FormalSum.of(ClassLabel.point(), 2)
-    for name in ("sigma0", "sigma2"):
-        total = total - FormalSum.of(ClassLabel.symbolic(f"E({name})"))
-    total = total - FormalSum.of(hypersurface_label(spec))
-    return total
+    def e(name: str) -> FormalSum:
+        return FormalSum.of(ClassLabel.symbolic(f"E({name})"))
+
+    return (e("tau0") + e("tau3") + FormalSum.of(ClassLabel.point(), 2) - e("sigma0")
+            - e("sigma2") - FormalSum.of(hypersurface_label(spec)))

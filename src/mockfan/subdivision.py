@@ -21,10 +21,11 @@ rays come from the one generator-side double description (DD) of `cones`,
 and D's generators are paired with them in the coordinates of C's span;
 or, when they are known in closed form, as for the Gr(2, n) zero chart,
 from the claim, with no DD, paired in the coordinates where one is
-nonzero.  One table read-off turns either pairing into C.  Verification
-certifies C, not its faces (`_certify_lifted_cone`): C is the dual of D,
-checked against that pairing and by a second DD from its facets; every
-walk is trusted.
+nonzero.  One table read-off turns either pairing into C.  A chart given
+up to a symmetry, one item per orbit, is lifted by `lift_symmetric_chart`,
+C's facets the orbits of generators.  Verification certifies C, not its
+faces (`_certify_lifted_cone`): C is the dual of D, checked against that
+pairing and by a second DD from its facets; every walk is trusted.
 
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
 whose last slot is the delta (t-dual) coordinate; the lift appends one more
@@ -41,8 +42,8 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _orthogonal_basis,
-                    _orthogonal_representative, _read_off, cone_from_generators, dual_cone,
-                    faces_of_masks, walk_masks)
+                    _orthogonal_representative, _pair_rows, _read_off, cone_from_generators,
+                    dual_cone, faces_of_masks, walk_masks)
 from .exact import IntVec, dot, is_zero_vec, primitive, rank as matrix_rank
 from .fans import Fan, FanError, fan_from_cones
 
@@ -114,20 +115,11 @@ class MockPolytopeChart:
 
     def effective_exponent(self, item: LiftedExponent) -> IntVec:
         """Exponent with the t-weight folded in: scale * kappa on the delta slot."""
-        w = list(item.exponent)
-        w[-1] += self.scale * item.kappa
-        return tuple(w)
+        return item.exponent[:-1] + (item.exponent[-1] + self.scale * item.kappa,)
 
     def lifted_generators(self) -> list[IntVec]:
         """Height-one lifts of the effective exponents, deduplicated."""
-        seen = set()
-        out = []
-        for it in self.items:
-            g = self.effective_exponent(it) + (1,)
-            if g not in seen:
-                seen.add(g)
-                out.append(g)
-        return out
+        return list(dict.fromkeys(self.effective_exponent(it) + (1,) for it in self.items))
 
     def in_support(self, v: Sequence[Scalar]) -> bool:
         if len(v) != self.ambient_dual_rank:
@@ -174,18 +166,6 @@ class SubdivisionResult:
     def faces_avoiding(self) -> tuple[Face, ...]:
         return tuple(faces_of_masks(self.big_cone, self.face_levels))
 
-    def active_set(self, cone: Cone) -> frozenset[str]:
-        """Items attaining the minimum identically on the given fan cone."""
-        if cone not in self.projected_fan:
-            raise ChartError("cone does not belong to the projected fan")
-        return self.active_sets[cone]
-
-    def effective_dimension(self, cone: Cone) -> int:
-        """Number of distinct effective exponents among the cone's active items."""
-        active = self.active_set(cone)
-        return len({self.chart.effective_exponent(it)
-                    for it in self.chart.items if it.id in active})
-
 
 @dataclass(frozen=True)
 class LiftedChart:
@@ -207,29 +187,25 @@ class LiftedChart:
         The faces are walked up from the minimal face of C by
         `cones.walk_masks`, pruned to the facets that pair positively with
         (0, 1), and with `bounded` to the rays with t > 0; both sets of
-        faces are downward closed, and the minimal face is walked even when
-        there is no such facet.  A face whose rays all have t > 0 cannot
-        hold (0, 1), whose t is 0, so it is a lower face.  Every walked face
-        and its projection take their dimension from one source, the walk
-        level at which the face is reached: a lower face lies on a facet
-        hyperplane that (0, 1) is not in, so pi keeps its dimension.  No
-        rank is computed and no face of C is built as a cone.
+        faces are downward closed, and the minimal face is always walked.
+        A face whose rays all have t > 0 cannot hold (0, 1), so it is a
+        lower face.  A face and its projection take their dimension from
+        the walk level: a lower face lies on a facet hyperplane that (0, 1)
+        is not in, so pi keeps its dimension.
 
-        The per-face work is one pass over the set bits of the face's ray
-        mask, with data computed once per ray of C.  Each walked ray is
-        projected and primitivised once, and the images are sorted once; a
-        face's projection is the images at its rays' positions in that
-        order, canonical as it stands.  Sorting each level by those
-        positions sorts it by rays, so the projected cones come out in the
-        fan's (dimension, rays) order.  The active set of a face is the AND
-        of the `zero_on` bitsets over its rays: every item zero on all of
-        them.  This is exact: each lifted item (w, 1) is >= 0 on C, so it
-        is zero at a relative interior point (v, s) of the face iff it is
-        zero on all the face's rays, and then <w, v> = -s <= <w', v> for
-        every item w'.  A face on which no item is zero is not a lower face
-        and raises SubdivisionInconsistency, as do the projection checks
-        below.  The walked faces of C are built as `Face`s only when
-        `faces_avoiding` is read.
+        Per face, one pass over the set bits of its ray mask reads data
+        computed once per ray of C.  Each walked ray is projected and
+        primitivised once, and the images sorted once; a face's projection
+        is the images at its rays' positions, canonical as it stands, and
+        sorting each level by those positions gives the fan's (dimension,
+        rays) order.  The active set of a face is the AND of the `zero_on`
+        bitsets over its rays.  This is exact: each lifted item (w, 1) is
+        >= 0 on C, so it is zero at a relative interior point (v, s) of the
+        face iff it is zero on all its rays, and then <w, v> = -s <= <w',
+        v> for every item w'.  A face on which no item is zero is not a
+        lower face and raises SubdivisionInconsistency, as do the
+        projection checks below.  `faces_avoiding` builds the walked faces
+        of C as `Face`s when read.
         """
         big = self.big_cone
         r = big.rank - 1
@@ -293,28 +269,93 @@ def lift_chart(chart: MockPolytopeChart, verify: bool = True,
     A support that reaches t < 0 is bad input and raises ChartError, as
     does a C with lineality.  `_lifted_cone` builds C and pairs D's
     generators with its rays once; given `rays`, the rays of C known in
-    closed form, primitive and sorted, it takes them through and runs no
-    DD.  With `verify` set, `_certify_lifted_cone` checks, from C, dim S
-    and that pairing, that C is the dual of D; the lower faces of that
-    cone project to the subdivision of the chart by construction, so every
-    walk of it is trusted and no face is checked or derived again.  A
-    failed check is a pipeline bug, or a wrong claim, and raises
-    SubdivisionInconsistency; without `verify` a claim is trusted.  Input
-    that has no lifted cone behind it, a fan or result read from a file or
-    the union of glued charts, is checked by `fan_from_cones` instead.  The
-    same pairing gives, per ray of C, the bitset of the items zero on it,
+    closed form, it runs no DD.  With `verify` set, `_certify_lifted_cone`
+    checks that C is the dual of D, whose lower faces project to the
+    subdivision, so every walk of it is trusted; a failed check is a
+    pipeline bug, or a wrong claim, and raises SubdivisionInconsistency.
+    Without `verify` a claim is trusted.  Input with no lifted cone behind
+    it, read from a file or glued, is checked by `fan_from_cones` instead.
+    The pairing gives, per ray of C, the bitset of the items zero on it,
     which the active sets of `LiftedChart.subdivide` read.
     """
-    r = chart.ambient_dual_rank
+    support = _checked_support(chart)
+    big, masks, negative = _lifted_cone(chart, support.span_eqs, rays)
+    return _lifted(chart, big, verify, support.dim(), masks, negative)
+
+
+def lift_symmetric_chart(chart: MockPolytopeChart, rays: Sequence[IntVec],
+                         slots: Sequence[int], verify: bool = True) -> LiftedChart:
+    """`lift_chart` for C claimed by `rays` and a chart given up to the
+    permutations of the coordinates `slots`, one item per orbit, with a
+    full-dimensional support.  The rays and support duals must be invariant
+    under both `_moves`, which generate the permutations.  C's facets, with
+    no DD, are the orbits of the generators given whose tight rays have
+    rank dim C - 1, masks moved along; each is a generator of D, so
+    `_certify_lifted_cone` certifies C from them."""
+    support = _checked_support(chart)
+    rank = chart.ambient_dual_rank + 1
+    rays = _claimed(rays, rank)
+    index = {x: i for i, x in enumerate(rays)}
+    moves = _moves(slots, rank)
+    on_rays = [[index.get(tuple(map(x.__getitem__, p))) for x in rays] for p in moves]
+    duals = {g + (0,) for g in chart.sigma_dual_generators}
+    if any(None in q for q in on_rays) or any(
+            {tuple(map(g.__getitem__, p)) for g in duals} != duals for p in moves):
+        raise SubdivisionInconsistency("subdivision inconsistency: the claimed rays of C or the "
+                                       f"support duals are not invariant under {list(slots)}")
+    masks, negative = _pair_rows(rays, _generators_of_D(chart))
+    facets: dict[IntVec, int] = {}
+    for g, m in masks.items():
+        tight = list(map(rays.__getitem__, _bit_indices(m)))
+        if len(tight) >= rank - 1 and matrix_rank(tight) == rank - 1 and g not in facets:
+            facets[g], orbit = m, [g]
+            for f in orbit:   # grows as the moves reach new images
+                for p, q in zip(moves, on_rays):
+                    image = tuple(map(f.__getitem__, p))
+                    if image not in facets:
+                        facets[image] = sum(1 << q[i] for i in _bit_indices(facets[f]))
+                        orbit.append(image)
+    order = sorted(facets)
+    big = Cone._trusted(rank, rays, (), rank, tuple(order), (),
+                        tuple(map(facets.__getitem__, order)))
+    return _lifted(chart, big, verify, support.dim(), {**masks, **facets}, negative)
+
+
+def _moves(slots: Sequence[int], length: int) -> list[list[int]]:
+    """One transposition and one cycle of the coordinates `slots`, each as
+    the list p of the image `tuple(map(x.__getitem__, p))` of a vector x."""
+    s = list(slots)
+    return [[dict(zip(s, source)).get(i, i) for i in range(length)]
+            for source in (s[1:2] + s[:1] + s[2:], s[1:] + s[:1])]
+
+
+def _checked_support(chart: MockPolytopeChart) -> Cone:
+    """The chart's support, which must not reach t < 0 (ChartError)."""
     support = support_cone(chart)
     if any(x[-1] < 0 for x in support.rays) or any(v[-1] != 0 for v in support.lineality):
         raise ChartError("chart support reaches t < 0: its sigma duals must imply t >= 0")
-    big, masks, negative = _lifted_cone(chart, support.span_eqs, rays)
-    apex = (0,) * r + (1,)
+    return support
+
+
+def _claimed(rays: Sequence[IntVec], rank: int) -> tuple[IntVec, ...]:
+    """Claimed rays of C; rays that are not primitive, distinct, sorted and
+    of C's rank are no claim of a canonical C (SubdivisionInconsistency)."""
+    rays = tuple(rays)
+    if (list(rays) != sorted(set(rays))
+            or any(len(x) != rank or not any(x) or primitive(x) != x for x in rays)):
+        raise SubdivisionInconsistency("subdivision inconsistency: the claimed rays of C "
+                                       "are not primitive, distinct and sorted")
+    return rays
+
+
+def _lifted(chart: MockPolytopeChart, big: Cone, verify: bool, d: int,
+            masks: Mapping[IntVec, int], negative: Sequence[IntVec]) -> LiftedChart:
+    """The lift's checks and certificate, and per ray of C its items' bitset."""
+    apex = (0,) * chart.ambient_dual_rank + (1,)
     if not big.contains(apex):
         raise SubdivisionInconsistency("subdivision inconsistency: (0,1) not in C")
     if verify:
-        _certify_lifted_cone(big, support.dim(), masks, negative)
+        _certify_lifted_cone(big, d, masks, negative)
     zero_on = [0] * len(big.rays)
     for k, it in enumerate(chart.items):
         for i in _bit_indices(masks[chart.effective_exponent(it) + (1,)]):
@@ -332,21 +373,15 @@ def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec],
     span; or, given `rays`, from the claim, with no DD, each distinct
     generator paired in the coordinates where some ray is nonzero.  Either
     way `cones._read_off` reads D and the table off the pairing, and C takes
-    D's ray masks as its facet masks.  A claim is trusted here;
-    `_certify_lifted_cone` checks it.  Rays that are not primitive,
-    distinct, sorted and of C's rank are no claim of a canonical C and
-    raise SubdivisionInconsistency."""
+    D's ray masks as its facet masks.  A claim is trusted here, once
+    `_claimed` takes it; `_certify_lifted_cone` checks it."""
     rank = chart.ambient_dual_rank + 1
     gens = _generators_of_D(chart)
     lins = [e + (0,) for e in span_eqs]
     if rays is None:
         rays, eqs, pairing = _canonical_vrep(rank, gens, lins)
     else:
-        rays = tuple(rays)
-        if (list(rays) != sorted(set(rays))
-                or any(len(x) != rank or not any(x) or primitive(x) != x for x in rays)):
-            raise SubdivisionInconsistency("subdivision inconsistency: the claimed rays of C "
-                                           "are not primitive, distinct and sorted")
+        rays = _claimed(rays, rank)
         used = [any(column) for column in zip(*rays)]
         row_of = {g: tuple(compress(g, used)) for g in gens}
         eqs, pairing = (), ([tuple(compress(x, used)) for x in rays], set(row_of.values()),
@@ -393,7 +428,9 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
     claimed C and must reproduce its rays.  So a claimed C needs no DD of
     its own: this certificate is what makes the claim a result
     (McConnell-Mehlhorn-Naeher-Schweitzer, Certifying algorithms, Comput.
-    Sci. Rev. 5, 2011).
+    Sci. Rev. 5, 2011).  For a chart given up to symmetry
+    (`lift_symmetric_chart`), G is the generators given and C's facets, and
+    step 1 holds for every image of G as R is invariant.
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")
@@ -404,9 +441,11 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
         fail(f"{'item exponent' if g[-1] else 'support dual'} {g[:-1]} is negative on a ray of C")
     generator_of = {m: g for g, m in masks.items()}   # the items, last, win a shared mask
     space = _orthogonal_basis(eqs)
-    for j, (f, m) in enumerate(zip(facets, big.facet_masks())):
-        if f in facets[:j]:
+    seen = set()
+    for f, m in zip(facets, big.facet_masks()):
+        if f in seen:
             fail(f"facet {f} of C repeats")
+        seen.add(f)
         g = generator_of.get(m)
         if g is None or _orthogonal_representative(g, space) != f:
             fail(f"facet {f} of C is no generator of D")

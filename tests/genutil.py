@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,10 +13,10 @@ from mockfan.cones import (Cone, ConeError, cone_from_generators, dual_cone, is_
                            walk_faces, zero_cone)
 from mockfan.exact import ExactError, IntVec, dot, hnf, kernel_basis, primitive, rank
 from mockfan.fans import Fan, FanError, is_special_cone
-from mockfan.grassmann import (Alpha, GrassmannError, GrassmannSpec, enumerate_S,
-                               lifted_cone_rays, weight_split, zero_chart)
-from mockfan.subdivision import (ChartError, LiftedExponent, MockPolytopeChart, build_D,
-                                 lift_chart, support_cone)
+from mockfan.grassmann import (GrassmannError, GrassmannSpec, index_data, lifted_cone_rays,
+                               zero_chart)
+from mockfan.subdivision import (ChartError, LiftedExponent, MockPolytopeChart,
+                                 SubdivisionResult, build_D, lift_chart, support_cone)
 
 
 def random_generators(rng: random.Random, rank: int, count: int, entry: int = 5):
@@ -444,6 +445,63 @@ def is_compactly_arranged(f: Fan) -> bool:
         if special_rays and not any(special_rays <= b for b in bounded):
             return False
     return True
+
+
+def active_set(result: SubdivisionResult, cone: Cone) -> frozenset[str]:
+    """Items attaining the minimum identically on a cone of the result's fan."""
+    if cone not in result.projected_fan:
+        raise ChartError("cone does not belong to the projected fan")
+    return result.active_sets[cone]
+
+
+def effective_dimension(result: SubdivisionResult, cone: Cone) -> int:
+    """Number of distinct effective exponents among the cone's active items."""
+    active = active_set(result, cone)
+    return len({result.chart.effective_exponent(it)
+                for it in result.chart.items if it.id in active})
+
+
+# -- the Gr(2, n) monomials as dense multidegrees, the oracles of the sparse chart --
+
+Alpha = tuple[int, ...]
+
+
+def enumerate_S(spec: GrassmannSpec) -> list[Alpha]:
+    """All degree-d multidegrees over J, in lexicographic order."""
+    m = len(index_data(spec.n).J)
+    out: list[Alpha] = []
+    for slots in itertools.combinations_with_replacement(range(m), spec.d):
+        alpha = [0] * m
+        for k in slots:
+            alpha[k] += 1
+        out.append(tuple(alpha))
+    return sorted(out)
+
+
+def weight_split(n: int, alpha: Alpha) -> tuple[int, int, int]:
+    """(c0, c1, c2): the weight of alpha on J0, J1, J2, which are the
+    contiguous slices J[:1], J[1:k] and J[k:] of J, with k = 1 + |J1|."""
+    k = 1 + len(index_data(n).J1)
+    return alpha[0], sum(alpha[1:k]), sum(alpha[k:])
+
+
+def kappa(spec: GrassmannSpec, alpha: Alpha) -> int:
+    """t-weight of a monomial: 0 at full J1 weight, else 2(d - c1) - 1."""
+    if sum(alpha) != spec.d:
+        raise GrassmannError("alpha must have total degree d")
+    c1 = weight_split(spec.n, alpha)[1]
+    return 0 if c1 == spec.d else 2 * (spec.d - c1) - 1
+
+
+def alpha_id(n: int, alpha: Alpha) -> str:
+    """Readable canonical id of a multidegree, e.g. '(0,1)^2*(2,3)'."""
+    parts = []
+    for a, (i, j) in zip(alpha, index_data(n).J):
+        if a == 1:
+            parts.append(f"({i},{j})")
+        elif a > 1:
+            parts.append(f"({i},{j})^{a}")
+    return "*".join(parts) if parts else "1"
 
 
 def stratify_S(spec: GrassmannSpec, d0: int, d1: int, d2: int) -> list[Alpha]:

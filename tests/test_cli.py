@@ -205,6 +205,24 @@ def test_non_utf8_input_is_bad_input(tmp_path, capsys, command, kind, annotation
     assert err.startswith("error[input]: ") and "utf-8" in err and "Traceback" not in err
 
 
+# Each result file is well formed but for one active-set line.
+BAD_ACTIVE_SETS = {
+    "repeated cone index": ("cone 0 items a\ncone 0 items a", "active set cone index 0 repeated"),
+    "repeated item id": ("cone 0 items a\ncone 1 items b a b",
+                         "active set of cone index 1 has a repeated item id"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ACTIVE_SETS))
+def test_vol_exits_2_on_a_bad_active_set_line(tmp_path, capsys, case):
+    lines, message = BAD_ACTIVE_SETS[case]
+    path = tmp_path / "result.txt"
+    path.write_text("schema mockfan.result/1\nrank 2\nhas_t 1\nrays 1\n0 1\ncones 2\ncone\n"
+                    f"cone 0\nactive_sets 2\n{lines}\n", encoding="utf-8")
+    assert main(["vol", "-i", str(path)]) == 2
+    assert capsys.readouterr().err == f"error[input]: {message}\n"
+
+
 def test_integers_outside_the_grammar_exit_2(tmp_path, capsys):
     cone = tmp_path / "cone.txt"
     cone.write_text("schema mockfan.cone/1\nrank 2\nrays 1\n1_0 ５\nlineality 0\n",

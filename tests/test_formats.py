@@ -252,20 +252,26 @@ REPEATED_RESULT_TEXT = RESULT_TEXT.replace(
     "active_sets 2\ncone 0 items a b\ncone 0 items zz a b\n")
 REPEATED_ANNOTATIONS_TEXT = ("schema mockfan.annotations/1\nannotations 2\n"
                              "cone 1 labels pt\ncone 1 labels pt pt\n")
+# One item id twice in one active set: read as a set, it would lose a token.
+REPEATED_ITEM_RESULT_TEXT = RESULT_TEXT.replace("cone 1 items a\n", "cone 1 items a a\n")
 
 
 @pytest.mark.parametrize("reader, text, match", [
     (formats.read_result, REPEATED_RESULT_TEXT, "active set cone index 0 repeated"),
     (read_annotations_on_result_fan, REPEATED_ANNOTATIONS_TEXT,
-     "annotation cone index 1 repeated")], ids=["result", "annotations"])
+     "annotation cone index 1 repeated"),
+    (formats.read_result, REPEATED_ITEM_RESULT_TEXT,
+     "active set of cone index 1 has a repeated item id")],
+    ids=["result", "annotations", "result item"])
 def test_rejects_a_repeated_cone_index(reader, text, match):
     with pytest.raises(formats.ParseError, match=match):
         reader(text)
 
 
 @pytest.mark.parametrize("result_text, annotations_text", [
-    (REPEATED_RESULT_TEXT, ANNOTATIONS_TEXT), (RESULT_TEXT, REPEATED_ANNOTATIONS_TEXT)],
-    ids=["result", "annotations"])
+    (REPEATED_RESULT_TEXT, ANNOTATIONS_TEXT), (RESULT_TEXT, REPEATED_ANNOTATIONS_TEXT),
+    (REPEATED_ITEM_RESULT_TEXT, ANNOTATIONS_TEXT)],
+    ids=["result", "annotations", "result item"])
 def test_cli_exits_2_on_a_repeated_cone_index(tmp_path, capsys, result_text,
                                               annotations_text):
     result, annotations = tmp_path / "result.txt", tmp_path / "ann.txt"

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import os
 import random
 from math import comb
@@ -6,22 +7,24 @@ from pathlib import Path
 
 import pytest
 
-from genutil import (assert_bounded_cells_equal_the_full_walk, assert_claim_equals_the_lift,
-                     assert_lift_equals_the_dual_of_build_D, is_compactly_arranged,
-                     is_refinement, refines_cone_faces, stratify_S)
+from genutil import (alpha_id, assert_bounded_cells_equal_the_full_walk,
+                     assert_claim_equals_the_lift, assert_lift_equals_the_dual_of_build_D,
+                     effective_dimension, enumerate_S, is_compactly_arranged, is_refinement, kappa,
+                     refines_cone_faces, stratify_S, weight_split)
 from mockfan import cli, cones, grassmann, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import dot, primitive, rank as matrix_rank
 from mockfan.fans import fan_from_cones, rescale_cone
-from mockfan.grassmann import (CONE_NAMES, GrassmannError, GrassmannSpec,
-                               VerificationFailed, _dagger_sum_ray, alpha_id, enumerate_S,
-                               expected_bounded_cones, expected_active_sets,
-                               expected_vol_expression, index_data, kappa,
-                               lifted_cone_rays, varpi, varpi_alpha, verify,
-                               vol_expression, weight_split, zero_chart)
-from mockfan.subdivision import (SubdivisionInconsistency, build_D, subdivide_chart,
-                                 support_cone)
-from mockfan.volume import ClassLabel
+from mockfan.grassmann import (CONE_NAMES, ConeCheck, GrassmannError, GrassmannSpec,
+                               VerificationFailed, VerificationReport, _dagger_sum_ray,
+                               _monomials, _orbit_size, expected_bounded_cones,
+                               expected_active_sets, expected_vol_expression,
+                               grassmann_annotations, index_data, lifted_cone_rays,
+                               orbit_chart, stratum_size, varpi, verify, vol_expression,
+                               zero_chart)
+from mockfan.subdivision import (LiftedExponent, MockPolytopeChart, SubdivisionInconsistency,
+                                 build_D, lift_chart, subdivide_chart, support_cone)
+from mockfan.volume import ClassLabel, vol_skeleton
 
 
 def alpha_of(n, pairs):
@@ -139,6 +142,8 @@ def test_S_and_weight_splits_match_the_slot_by_slot_oracles(n, d):
     S = enumerate_S(spec)
     assert S == enumerate_S_oracle(spec)
     assert [weight_split(n, a) for a in S] == [weight_split_oracle(n, a) for a in S]
+    m = len(index_data(n).J)   # the sparse monomials of `zero_chart`, in the same order
+    assert [tuple(slots.count(k) for k in range(m)) for slots in _monomials(spec)] == S
 
 
 def expected_active_sets_oracle(spec):
@@ -189,6 +194,36 @@ def test_zero_chart_layout():
     chart_l2 = zero_chart(GrassmannSpec(5, 2, 2))
     it2 = next(i for i in chart_l2.items if i.id == alpha_id(5, a0))
     assert chart_l2.effective_exponent(it2)[data.delta_slot] == 6
+
+
+def zero_chart_oracle(spec):
+    """The zero chart from the dense multidegrees of `enumerate_S`: each
+    exponent the slot-by-slot sum of its factors' varpi, as `zero_chart`
+    built it before it took sparse monomials."""
+    data = index_data(spec.n)
+    items = []
+    for alpha in enumerate_S(spec):
+        v = [0] * (data.ambient_rank - 1)
+        for a, pair in zip(alpha, data.J):
+            for k, x in enumerate(varpi(spec.n, pair)):
+                v[k] += a * x
+        items.append(LiftedExponent(alpha_id(spec.n, alpha), tuple(v) + (0,), kappa(spec, alpha)))
+    r, duals = data.ambient_rank, []
+    for k in range(data.m_rank):   # +e_k, -e_k on the M block, then delta
+        for sign in (1, -1):
+            e = [0] * r
+            e[k] = sign
+            duals.append(tuple(e))
+    e = [0] * r
+    e[data.delta_slot] = 1
+    duals.append(tuple(e))
+    return MockPolytopeChart("zero", r, tuple(duals), tuple(items), scale=spec.l)
+
+
+@pytest.mark.parametrize("case", ["4,2,1", "5,3,2", "6,2,1", "6,4,1", "8,2,3", "5,5,1"])
+def test_zero_chart_equals_the_dense_oracle(case):
+    spec = GrassmannSpec(*map(int, case.split(",")))
+    assert zero_chart(spec) == zero_chart_oracle(spec)
 
 
 def test_build_D_full_dimensional():
@@ -273,14 +308,20 @@ def claim_cases(small: bool):
             if (int(c.split(",")[0]) <= 8 and int(c.split(",")[1]) <= 4) == small]
 
 
+def monomials(case):
+    """|S| of a case: the DD that builds C from them reaches about 60,000."""
+    n, d, _ = map(int, case.split(","))
+    return comb(n * (n - 1) // 2 + d - 1, d)
+
+
 @pytest.mark.parametrize("case", claim_cases(small=True))
 def test_claimed_C_equals_the_lift_and_the_dual_of_build_D(case):
     assert_claim_equals_the_lift(GrassmannSpec(*map(int, case.split(","))))
 
 
 @pytest.mark.skipif(not os.environ.get("MOCKFAN_LARGE_CASES"),
-                    reason="large cases, about 20 s: set MOCKFAN_LARGE_CASES=1")
-@pytest.mark.parametrize("case", claim_cases(small=False))
+                    reason="large cases, about 15 s: set MOCKFAN_LARGE_CASES=1")
+@pytest.mark.parametrize("case", [c for c in claim_cases(small=False) if monomials(c) <= 60_000])
 def test_claimed_C_equals_the_lift_and_the_dual_of_build_D_on_large_cases(case):
     assert_claim_equals_the_lift(GrassmannSpec(*map(int, case.split(","))))
 
@@ -323,20 +364,160 @@ def test_grassmann_vol_exits_internal_on_a_wrong_claim(monkeypatch, capsys):
         assert not captured.out and captured.err.startswith("error[internal]: ")
 
 
+def orbit_of_item(spec, item):
+    """The row of a `zero_chart` item in C's own coordinates, b sorted: its
+    orbit, as a row of `orbit_chart`."""
+    e = item.exponent[index_data(spec.n).m_rank:]
+    return e[:1] + tuple(sorted(e[1:-1])) + e[-1:], item.kappa
+
+
+def item_level_report(spec):
+    """`verify` as it was, the item-level oracle: the claimed C on
+    `zero_chart`, certified item by item, its bounded cells, the item
+    active sets against `expected_active_sets`, and the vol expression
+    filtered by distinct effective exponents."""
+    cells = lift_chart(zero_chart(spec), True, lifted_cone_rays(spec)).subdivide(bounded=True)
+    expected, expected_active = expected_bounded_cones(spec), expected_active_sets(spec)
+    checks = []
+    for name in CONE_NAMES:
+        want, got = expected_active[name], cells.active_sets.get(expected[name])
+        names = ((tuple(sorted(want - got)), tuple(sorted(got - want)))
+                 if got is not None and got != want else ((), ()))
+        checks.append(ConeCheck(name, expected[name], got is not None, len(want), got == want,
+                                *names))
+    extras = tuple(sorted(set(cells.projected_fan.bounded_cones()) - set(expected.values()),
+                          key=lambda c: (c.dim(), c.rays)))
+    report = VerificationReport(spec, tuple(checks), extras, cells.projected_fan, {}, None)
+    vol = vol_skeleton(cells.projected_fan, grassmann_annotations(spec),
+                       active_filter=lambda c: effective_dimension(cells, c) >= 2)
+    return report, cells, vol
+
+
+def assert_orbits_agree_with_the_items(spec):
+    """The orbit report and the item-level oracle agree: cones found, active
+    sets expanded to item ids, unexpected bounded cones, `render()` and,
+    when it passes, the vol expression."""
+    oracle, cells, vol = item_level_report(spec)
+    report = verify(spec)
+    assert (report.checks, report.extra_bounded) == (oracle.checks, oracle.extra_bounded)
+    assert report.render() == oracle.render()
+    assert report.bounded_fan == cells.projected_fan
+    orbit = {(it.exponent, it.kappa): it.id for it in report.orbits.chart.items}
+    for cone in cells.projected_fan:
+        assert {it.id for it in cells.chart.items if orbit[orbit_of_item(spec, it)]
+                in report.active_orbits[cone]} == cells.active_sets[cone]
+    if report.passed:
+        assert vol_expression(spec, report) == vol == expected_vol_expression(spec)
+
+
+@pytest.mark.parametrize("case", claim_cases(small=True))
+def test_orbit_report_agrees_with_the_item_level_oracle(case):
+    assert_orbits_agree_with_the_items(GrassmannSpec(*map(int, case.split(","))))
+
+
+@pytest.mark.skipif(not os.environ.get("MOCKFAN_LARGE_CASES"),
+                    reason="large cases, about 20 s: set MOCKFAN_LARGE_CASES=1")
+@pytest.mark.parametrize("case", claim_cases(small=False))
+def test_orbit_report_agrees_with_the_item_level_oracle_on_large_cases(case):
+    assert_orbits_agree_with_the_items(GrassmannSpec(*map(int, case.split(","))))
+
+
+@pytest.mark.parametrize("case", ["4,2,1", "5,3,2", "6,2,1"])
+def test_a_mismatch_names_the_items_of_the_failing_orbits_alone(monkeypatch, case):
+    # expect sigma2's stratum on sigma0 as well: both paths fail the same
+    # checks and name the same item ids
+    strata = grassmann._strata
+
+    def wrong(d):
+        out = strata(d)
+        out["sigma0"] = out["sigma0"] + out["sigma2"]
+        return out
+
+    monkeypatch.setattr(grassmann, "_strata", wrong)
+    assert_orbits_agree_with_the_items(GrassmannSpec(*map(int, case.split(","))))
+    report = verify(GrassmannSpec(*map(int, case.split(","))))
+    (check,) = [c for c in report.checks if not c.active_matches]
+    assert check.name == "sigma0" and check.missing and not check.extra
+    assert len(check.missing) == stratum_size(report.spec.n, (1, report.spec.d - 1, 0))
+
+
+@pytest.mark.parametrize("case", ["5,2,2", "5,3,2", "6,2,1", "6,4,1", "7,3,1", "8,2,1"])
+def test_orbits_expand_to_the_distinct_rows_of_the_chart(case):
+    spec = GrassmannSpec(*map(int, case.split(",")))
+    m = index_data(spec.n).m_rank
+    rows = {g[m:] for g in zero_chart(spec).lifted_generators()}
+    orbits = orbit_chart(spec)
+    expanded = set()
+    for g in orbits.lifted_generators():
+        assert g[1:-2] == tuple(sorted(g[1:-2]))
+        images = {g[:1] + p + g[-2:] for p in itertools.permutations(g[1:-2])}
+        assert not expanded & images   # one row per orbit
+        expanded |= images
+    assert expanded == rows
+    assert sum(map(_orbit_size, orbits.items)) == len(rows)
+
+
+@pytest.mark.parametrize("case", ["4,2,1", "5,2,2", "6,2,1"])
+def test_the_symmetric_certificate_rejects_each_mutation(monkeypatch, capsys, case):
+    spec = GrassmannSpec(*map(int, case.split(",")))
+    rays, m = lifted_cone_rays(spec), index_data(spec.n).m_rank
+    b0 = m + 1   # the dagger slot 0
+    # the ray (0; e_0; 0; 0) lifted by one, a claim with no image of it under b's permutations
+    moved = tuple(sorted(x[:-1] + (1,) if x[b0 - 1:] == (0, 1) + (0,) * (spec.n - 1) else x
+                         for x in rays))
+    assert moved != rays
+    orbits = {}
+    for x in rays:
+        orbits.setdefault(x[:b0] + tuple(sorted(x[b0:-2])) + x[-2:], []).append(x)
+    dropped = [tuple(x for x in rays if x not in orbit) for orbit in orbits.values()]
+    one_off = rays[:-1] + (rays[-1][:-1] + (rays[-1][-1] + 1,),)
+    argv = ["grassmann-vol", "--n", str(spec.n), "--d", str(spec.d), "--l", str(spec.l)]
+    for what, claim in [("not invariant", moved), ("one ray off", one_off)] + [
+            ("an orbit dropped", c) for c in dropped]:
+        monkeypatch.setattr(grassmann, "lifted_cone_rays", lambda spec: claim)
+        with pytest.raises(SubdivisionInconsistency) as failure:
+            verify(spec)
+        assert ("not invariant" in str(failure.value)) == (what == "not invariant"), what
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err.startswith("error[internal]: ")
+    assert len(dropped) >= 6
+
+
+def test_dropping_a_facet_orbit_of_rows_is_rejected(monkeypatch):
+    spec = GrassmannSpec(6, 2, 1)
+    chart = orbit_chart(spec)
+    facets = set(verify(spec).orbits.big_cone.facets)
+    held = [k for k, g in enumerate(chart.lifted_generators())
+            if any(g[:1] + p + g[-2:] in facets for p in itertools.permutations(g[1:-2]))]
+    assert len(held) >= 2
+    for k in held:
+        items = chart.items[:k] + chart.items[k + 1:]
+        monkeypatch.setattr(grassmann, "orbit_chart",
+                            lambda spec: MockPolytopeChart("zero", chart.ambient_dual_rank,
+                                                           chart.sigma_dual_generators, items,
+                                                           chart.scale))
+        with pytest.raises(SubdivisionInconsistency):
+            verify(spec)
+
+
 @pytest.mark.parametrize("verify_fan", [True, False])
 def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify_fan):
-    # verify and vol_expression: C is claimed, so the lift runs no DD, and
-    # one walk of at most 2^|T| faces runs; the full walk runs once, from
-    # the same C and with no DD at all, when `result` is read
+    # verify and vol_expression: C is claimed and lifted on the orbit rows in
+    # its own coordinates, so no item-level lift runs, and one walk of at
+    # most 2^|T| faces runs; the item-level lift runs, with its support's DD
+    # and no other, and the full walk once, when `result` is read
     # every DD goes through `cones._dd`; the calls made inside
     # `subdivision._lifted_cone` are credited to the lift, the rest to "all"
     calls = {"lift": 0, "all": 0}
     crediting = ["all"]
+    dims = []
     walks = []
     dd = cones._dd
 
     def counted_dd(dim, rows):
         calls[crediting[0]] += 1
+        dims.append(dim)
         return dd(dim, rows)
 
     def counted(lift):
@@ -359,15 +540,17 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
     spec = GrassmannSpec(6, 2, 1)
     report = verify(spec, verify_fan)
     assert vol_expression(spec, report) == expected_vol_expression(spec)
-    t_positive = sum(1 for x in report.lift.big_cone.rays if x[-2] > 0)
+    t_positive = sum(1 for x in report.orbits.big_cone.rays if x[-2] > 0)
     assert calls["lift"] == 0 and len(walks) == 1 and walks[0] <= 2 ** t_positive
     dds = calls["all"]
     assert dds == 1 + verify_fan   # the support's, and the certificate's
+    assert max(dims) <= spec.n + 1   # in C's own coordinates, E dropped
     result = report.result
-    assert report.result is result
-    assert calls == {"lift": 0, "all": dds} and len(walks) == 2
+    assert report.result is result and report.bounded.big_cone is report.lift.big_cone
+    assert calls == {"lift": 0, "all": dds + 1} and len(walks) == 3
     assert (result.projected_fan.bounded_cones()
-            == report.bounded.projected_fan.bounded_cones())
+            == report.bounded.projected_fan.bounded_cones()
+            == report.bounded_fan.bounded_cones())
     monkeypatch.undo()
     assert result == subdivide_chart(zero_chart(spec), verify=verify_fan)
 
@@ -405,7 +588,7 @@ def test_active_sets_face_monotone(report521):
 
 def test_effective_dimension_at_least_two_on_bounded(report521):
     for cone in report521.result.projected_fan.bounded_cones():
-        assert report521.result.effective_dimension(cone) >= 2
+        assert effective_dimension(report521.result, cone) >= 2
 
 
 def test_zero_chart_fan_compactly_arranged(report521):
@@ -454,7 +637,7 @@ def test_vol_difference_of_annotations_at_one_cone(report521):
     sigma1 = expected_bounded_cones(spec)["sigma1"]
     f_label = ClassLabel.symbolic("F(sigma1)")
     changed[sigma1] = StratumAnnotation("sigma1", (f_label,))
-    flt = lambda c: result.effective_dimension(c) >= 2
+    flt = lambda c: effective_dimension(result, c) >= 2
     v1 = vol_skeleton(result.projected_fan, base, active_filter=flt)
     v2 = vol_skeleton(result.projected_fan, changed, active_filter=flt)
     e_label = ClassLabel.hypersurface(2 * spec.n - 5, spec.d)
