@@ -389,8 +389,13 @@ def walk_masks(c: Cone, lower: Optional[int] = None,
     tried, so a candidate with a ray outside `within` has fewer rays giving
     it than rays outside F and is no cover.  The faces on those facets,
     and the faces inside those rays, are downward closed, so each is
-    reached from one it covers.  The minimal face is always walked.
+    reached from one it covers.  The minimal face is always walked.  Unpruned,
+    a cone with rays independent modulo its lineality has every subset of
+    them for a face: level k is the masks of k bits, and no facet is read.
     """
+    n = len(c.rays)
+    if lower is None and within is None and n == c.dim() - len(c.lineality):
+        return [[mask for mask in range(1 << n) if mask.bit_count() == k] for k in range(n + 1)]
     facet_masks = c.facet_masks()
     tight = [0] * len(c.rays)
     for j, fm in enumerate(facet_masks):

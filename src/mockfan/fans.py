@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import mul, not_
 from typing import Iterable, Sequence
 
-from .cones import Cone, intersect, is_face_of, is_subcone, walk_faces, zero_cone
-from .exact import primitive
+from .cones import Cone, intersect, is_face_of, walk_faces, zero_cone
+from .exact import IntVec, primitive, vec_neg
 
 
 class FanError(ValueError):
@@ -134,15 +135,21 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     "member cone is not strongly convex" if any member has lineality; then,
     on t-flagged fans, "rank 0" if there is no t coordinate, and "negative
     t" if any member has a ray with t < 0 (height-one semantics break
-    otherwise).
+    otherwise).  Then one pass goes over the members, largest first, sorted
+    by (-dim, rays), and skips those in the face closure.  A member inside
+    an earlier maximal cone is the stray, a face of no maximal cone, and is
+    named; any other is maximal, and its faces join the closure.  Last,
+    maximal cones must meet pairwise in a common face.
 
-    One pass goes over the members, largest first, sorted by (-dim, rays).
-    A member already in the face closure is skipped.  A member inside an
-    earlier maximal cone is not a face of it, nor of any later one, so it is
-    the stray and is named.  Any other member is maximal, and its faces
-    join the closure.  Two maximal cones must then meet in a face of each,
-    which together with face closure is the full pairwise condition, tested
-    by `is_face_of`.
+    Both tests read one table of ray bits (`_table`): a member lies in m iff
+    its rays are >= 0 on every cut of m.  Faces of faces are faces (Ziegler,
+    Lectures on Polytopes, ch. 2; De Loera-Rambau-Santos, Triangulations,
+    ch. 2): if ray sets A of m1 and B of m2 span faces holding the meet, a
+    cut of m1 with no positive ray in B is zero on the meet, so A and B
+    shrink to their rays on it; likewise with m2.  At the fixpoint
+    (`_certified`), A == B spans the meet, a common face, and an empty A or
+    B makes it {0}; otherwise `intersect` and `is_face_of` decide.  So the
+    first failing pair, and its message, stay those of `intersect` alone.
     """
     members: set[Cone] = set()
     for c in cones:
@@ -155,22 +162,50 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
         raise FanError("not a fan: a t-flagged fan of rank 0 has no t-coordinate")
     if has_t and any(r[-1] < 0 for c in members for r in c.rays):
         raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
-    maximal: list[Cone] = []
+    bit_of = {r: 1 << i for i, r in enumerate(dict.fromkeys(r for c in members for r in c.rays))}
+    maximal: list[tuple[Cone, int, int, list[tuple[int, int]]]] = []
+    known: dict[IntVec, tuple[int, int]] = {}
     closed: set[Cone] = set()
     for c in sorted(members or [zero_cone(rank)], key=lambda c: (-c.dim(), c.rays)):
         if c in closed:
             continue
-        if any(is_subcone(c, m) for m in maximal):
+        bits = sum(map(bit_of.__getitem__, c.rays))
+        if any(not bits & ~inside for _, _, inside, _ in maximal):
             raise FanError("not a fan: cone is not a face of any maximal cone: "
                            f"{list(c.rays)}")
-        maximal.append(c)
+        maximal.append((c, bits, *_table(c, bit_of, known)))
         closed.update(f.cone for f in walk_faces(c))
-    for m1, m2 in itertools.combinations(maximal, 2):
-        meet = intersect(m1, m2)
-        if not (is_face_of(meet, m1) and is_face_of(meet, m2)):
+    for (m1, a, _, cuts1), (m2, b, _, cuts2) in itertools.combinations(maximal, 2):
+        if not _certified(a, b, cuts1, cuts2) and not (
+                is_face_of(meet := intersect(m1, m2), m1) and is_face_of(meet, m2)):
             raise FanError("not a fan: intersection is not a common face: "
                            f"{list(m1.rays)} and {list(m2.rays)}")
     return Fan._trusted(rank, closed, has_t)
+
+
+def _table(m: Cone, bit_of: dict[IntVec, int], known: dict) -> tuple[int, list[tuple[int, int]]]:
+    """The bits of the rays in m; per cut of m (a facet, or a span equality in either sign)
+    not zero on all rays, of those it is > 0 and = 0 on, paired once into `known`."""
+    bits, cuts = list(bit_of.values()), []
+    inside = everything = sum(bits)
+    for f in m.facets + m.span_eqs + tuple(map(vec_neg, m.span_eqs)):
+        if f not in known:
+            paired = [sum(map(mul, f, r)) for r in bit_of]
+            known[f] = (sum(itertools.compress(bits, [v > 0 for v in paired])),
+                        sum(itertools.compress(bits, map(not_, paired))))
+        cuts.append(known[f])
+        inside &= cuts[-1][0] | cuts[-1][1]
+    return inside, [(pos, zero) for pos, zero in cuts if zero != everything]
+
+
+def _certified(a: int, b: int, cuts1: list[tuple[int, int]], cuts2: list[tuple[int, int]]) -> bool:
+    """Whether ray sets a and b, shrunk by the cuts to their fixpoint, certify the meet."""
+    while True:
+        zero = next(itertools.chain((z for p, z in cuts1 if not p & b and (a | b) & ~z),
+                                    (z for p, z in cuts2 if not p & a and (a | b) & ~z)), None)
+        if zero is None:
+            return a == b or not (a and b)
+        a, b = a & zero, b & zero
 
 
 def rescale(f: Fan, n: int) -> Fan:

@@ -1,16 +1,17 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genutil import (assert_walk_matches_oracle, integerize, is_face_of_oracle,
                      is_unimodular, make_cone, random_cone, random_generators,
                      relative_interior_point, saturated_subspace_basis, tight_facets,
                      vrep_from_constraints)
-from mockfan import cones
+from mockfan import cones, formats
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
                            is_face_of, is_subcone, walk_faces, zero_cone)
@@ -473,6 +474,42 @@ def test_walk_faces_matches_the_closure_oracle_on_every_pruning(c):
         assert_walk_matches_oracle(c, lower)
         for within in range(1 << len(c.rays)):
             assert_walk_matches_oracle(c, lower, within)
+
+
+# -- the boolean lattice of a simplicial cone against the generic walk -----------
+
+@st.composite
+def simplicial_cones(draw):
+    """A cone on generators independent modulo its lineality generators,
+    pointed or not: a prefix of independent vectors spans the lineality."""
+    rank = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+                            .map(tuple), max_size=rank))
+    assume(not vectors or matrix_rank(vectors) == len(vectors))
+    lineality = draw(st.integers(0, len(vectors)))
+    return cone_from_generators(rank, vectors[lineality:], vectors[:lineality])
+
+
+@given(simplicial_cones())
+@settings(max_examples=150, deadline=None)
+def test_simplicial_walk_is_the_boolean_lattice_of_the_generic_walk(c):
+    assert len(c.rays) == c.dim() - len(c.lineality)
+    boolean = cones.walk_masks(c)
+    assert c._facet_masks is None
+    # `within` holding every ray prunes nothing but takes the generic walk (a
+    # `lower` of every facet would drop the cone itself, tight on none)
+    every_ray = (1 << len(c.rays)) - 1
+    generic = cones.walk_masks(c, within=every_ray)
+    assert [set(level) for level in boolean] == [set(level) for level in generic]
+    assert [len(level) for level in boolean] == [comb(len(c.rays), k)
+                                                  for k in range(len(c.rays) + 1)]
+    text = formats.write_faces(c)
+    real = cones.walk_masks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "walk_masks", lambda cone, lower=None, within=None: real(
+            cone, lower, within if lower is not None or within is not None
+            else (1 << len(cone.rays)) - 1))
+        assert formats.write_faces(c) == text
 
 
 # -- DD with the adjacency pre-filter against DD without it ----------------------

@@ -285,14 +285,48 @@ def test_convexity_is_checked_before_t_whatever_the_member_order(reverse):
         fan_from_cones(2, family[::-1] if reverse else family, has_t=True)
 
 
+def test_member_outside_a_lower_dimensional_maximal_cone_span_is_no_stray_of_it():
+    # d and c are both >= 0 on the facets of the plane cone m, but off its
+    # plane, so neither lies in m; c is inside the full cone big, d is not
+    big = cg(3, [(1, 0, 1), (0, 1, 1), (0, 0, 1)])
+    m = cg(3, [(1, 0, 0), (0, 1, 0)])
+    d, c = cg(3, [(1, 1, -1)]), cg(3, [(1, 1, 3)])
+    assert fan_from_cones(3, [big, m, d]) == fan_from_cones_oracle(3, [big, m, d])
+    for family in ([big, m, d, c], [c, d, m, big]):
+        with pytest.raises(FanError, match="not a face of any maximal cone") as info:
+            fan_from_cones(3, family)
+        assert str(info.value).endswith(str(list(c.rays)))
+        assert outcome(fan_from_cones_oracle, 3, family) == outcome(fan_from_cones, 3, family)
+
+
 def test_the_pass_tests_each_maximal_cone_against_earlier_ones_only(monkeypatch):
     fan = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)), verify=False).projected_fan
-    calls = []
-    real = fans.is_subcone
-    monkeypatch.setattr(fans, "is_subcone", lambda *args: calls.append(args) or real(*args))
+    events = []
+    real = fans._table
+
+    class Inside(int):
+        """A maximal cone's inside set, which the stray test reads as `~inside`."""
+        def __invert__(self):
+            events.append(("lookup", self.cone))
+            return int.__invert__(self)
+
+    def table(m, *args):
+        inside, cuts = real(m, *args)
+        events.append(("table", m))
+        counted = Inside(inside)
+        counted.cone = m
+        return counted, cuts
+
+    monkeypatch.setattr(fans, "_table", table)
     assert fan_from_cones(fan.rank, list(fan), has_t=True) == fan
     k = sum(not any(set(c.rays) < set(d.rays) for d in fan) for c in fan)
-    assert len(calls) <= k * (k - 1) // 2
+    tabled = [m for kind, m in events if kind == "table"]
+    assert len(tabled) == k
+    # the i-th maximal cone is looked up once by each later one, and only then
+    for i, m in enumerate(tabled):
+        start = events.index(("table", m))
+        lookups = [j for j, event in enumerate(events) if event == ("lookup", m)]
+        assert len(lookups) == k - 1 - i and all(j > start for j in lookups)
 
 
 def test_direct_fan_construction_forbidden():
@@ -413,6 +447,23 @@ def test_fan_from_cones_agrees_with_the_pairwise_oracle(case):
         assert got.startswith("not a fan")
     if isinstance(got, Fan):
         assert is_compactly_arranged(got) == is_compactly_arranged_by_containment(got)
+
+
+@given(cone_families())
+@settings(max_examples=60, deadline=None)
+def test_fan_from_cones_agrees_with_the_oracle_when_every_meet_falls_back(case):
+    # tables with no cuts certify no meet, so every pair goes to `intersect`
+    kind, fan, family = case
+    real, meets = fans._table, []
+    real_intersect = fans.intersect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fans, "_table", lambda *args: (real(*args)[0], []))
+        mp.setattr(fans, "intersect", lambda *args: meets.append(args) or real_intersect(*args))
+        got = outcome(fan_from_cones, fan.rank, family)
+    assert got == outcome(fan_from_cones_oracle, fan.rank, family)
+    if kind in ("fan", "maximal"):
+        k = len({c for c in family if not any(set(c.rays) < set(d.rays) for d in family)})
+        assert got == fan and len(meets) == k * (k - 1) // 2
 
 
 @pytest.mark.parametrize("case", ["5,2,1", "6,2,1", "pentagon"])

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from unittest import mock
@@ -13,7 +14,7 @@ from mockfan.cones import ConeError, zero_cone
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import ExactError
 from mockfan.fans import FanError, fan_from_cones
-from mockfan.grassmann import GrassmannSpec, vol_expression, zero_chart
+from mockfan.grassmann import GrassmannSpec, verify, vol_expression, zero_chart
 from mockfan.subdivision import (LiftedExponent, MockPolytopeChart, rescaled_chart,
                                  subdivide_chart)
 from mockfan.volume import ClassLabel, FormalSum, StratumAnnotation
@@ -523,12 +524,43 @@ def test_facet_masks_are_computed_once_per_cone(monkeypatch):
     fan, _ = formats.read_result(formats.write_result(res.projected_fan, res.active_sets))
     maximal = [c for c in fan.cones
                if not any(set(c.rays) < set(d.rays) for d in fan.cones)]
+    simplicial = [c for c in maximal if len(c.rays) == c.dim()]
+    assert 0 < len(simplicial) < len(maximal)
     computed = [cone for cone, first in asked if first]
-    assert len({id(c) for c in computed}) == len(computed) == len(maximal)
-    # each face test (the reader's skip test and the pairwise test of
-    # fan_from_cones), then one walk per maximal cone in fan_from_cones
-    assert len(asked) == len(face_tests) + len(maximal)
+    assert len({id(c) for c in computed}) == len(computed)
+    assert set(maximal) - set(simplicial) <= set(computed) <= set(maximal)
+    # each face test (the reader's skip test; fan_from_cones certifies every
+    # meet from its table), then one walk per maximal cone in fan_from_cones,
+    # which gives a simplicial one its boolean lattice with no facet mask
+    assert len(asked) == len(face_tests) + len(maximal) - len(simplicial)
     assert {id(c) for c, _ in asked} == {id(c) for c in computed}
+
+
+def intersect_calls_reading(monkeypatch, results):
+    """The `intersect` calls of `fan_from_cones` while each result is read,
+    written back and compared with what was written."""
+    calls = []
+    real = fans.intersect
+    monkeypatch.setattr(fans, "intersect", lambda *args: calls.append(args) or real(*args))
+    for res in results:
+        text = formats.write_result(res.projected_fan, res.active_sets)
+        assert formats.write_result(*formats.read_result(text)) == text
+    return len(calls)
+
+
+def test_reading_results_meets_no_pair_of_maximal_cones_by_dd(monkeypatch):
+    rng = random.Random(2025)
+    results = [subdivide_chart(zero_chart(GrassmannSpec(n, 2, 1)), verify=False)
+               for n in (5, 6)]
+    results += [subdivide_chart(random_orthant_chart(rng), verify=False) for _ in range(40)]
+    assert intersect_calls_reading(monkeypatch, results) == 0
+
+
+@pytest.mark.skipif(not os.environ.get("MOCKFAN_LARGE_CASES"),
+                    reason="large case, about 2 s: set MOCKFAN_LARGE_CASES=1")
+def test_reading_the_8_2_1_result_meets_no_pair_of_maximal_cones_by_dd(monkeypatch):
+    result = verify(GrassmannSpec(8, 2, 1), verify_fan=False).result
+    assert intersect_calls_reading(monkeypatch, [result]) == 0
 
 
 # -- integers: an optional sign and ASCII digits, nothing else that int() takes --
