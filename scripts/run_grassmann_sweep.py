@@ -10,8 +10,8 @@ last line gives the total time of all cases.  No item-level chart is
 built unless `--full` is given: then each case also reads
 `report.result`, the full subdivision (the item chart, its lift from the
 same C, and every lower face walked and projected, with its active sets),
-and prints its cones and its time in two more columns, the verification's
-time left as it was.  Cases are `n,d,l` triples; the default grid covers
+and prints its cones, its time and the time of `formats.write_result` on
+it in three more columns, the verification's time left as it was.  Cases are `n,d,l` triples; the default grid covers
 the reference set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1,
 12,2,1, 6,5,1 (the highest degree), 16,2,1 (C has 36 rays and 513
 facets), 9,4,1 and 10,4,1 (194,580 items).  C is taken from its closed
@@ -27,12 +27,21 @@ The large cases, outside the default grid:
 took 0.56-0.94 s and 2.2-3.6 s (38,226 and 123,256 items, 17 orbit rows
 each; C has 1,245 and 2,297 facets), three runs each, on 2 vCPUs with
 CPython 3.11.7 (a shared host); the default grid took about 0.5 s in all.
+
+The full subdivision, `--cases 8,2,1 10,2,1 12,2,1 --full`, medians of
+three runs on the same host:
+
+    case     cones   full      write
+    8,2,1    4,364   0.076 s   0.019 s
+    10,2,1   21,668  0.34 s    0.14 s
+    12,2,1   101,932 2.46 s    1.23 s
 """
 
 import argparse
 import sys
 import time
 
+from mockfan import formats
 from mockfan.grassmann import GrassmannSpec, stratum_size, verify, vol_expression
 
 DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1", "7,2,1",
@@ -58,10 +67,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     all_ok = True
-    full_columns = f"{'cones':>7}  {'full':>9}  " if args.full else ""
+    full_columns = f"{'cones':>7}  {'full':>9}  {'write':>9}  " if args.full else ""
     print(f"{'case':>10}  {'items':>6}  {'C rays':>6}  {'facets':>6}  {'bounded':>7}  "
           f"{'time':>9}  {full_columns}status")
-    total = full_total = 0.0
+    total = full_total = write_total = 0.0
     for text in args.cases:
         spec = parse_case(text)
         start = time.monotonic()
@@ -71,10 +80,15 @@ def main(argv=None) -> int:
         big = report.orbits.big_cone
         if args.full:
             start = time.monotonic()
-            cones = len(report.result.projected_fan)
+            result = report.result
             full = time.monotonic() - start
+            start = time.monotonic()
+            formats.write_result(result.projected_fan, result.active_sets)
+            write = time.monotonic() - start
             full_total += full
-            full_columns = f"{cones:>7}  {full * 1000:>7.0f}ms  "
+            write_total += write
+            full_columns = (f"{len(result.projected_fan):>7}  {full * 1000:>7.0f}ms  "
+                            f"{write * 1000:>7.0f}ms  ")
         status = "PASS" if report.passed else "FAIL"
         all_ok &= report.passed
         items = sum(stratum_size(spec.n, (c0, c1, spec.d - c0 - c1))
@@ -87,7 +101,7 @@ def main(argv=None) -> int:
         elif args.vol:
             print(f"           vol = {vol_expression(spec, report).render()}")
     if args.full:
-        full_columns = f"{'':>7}  {full_total * 1000:>7.0f}ms  "
+        full_columns = f"{'':>7}  {full_total * 1000:>7.0f}ms  {write_total * 1000:>7.0f}ms  "
     print(f"{'total':>10}  {'':>6}  {'':>6}  {'':>6}  {'':>7}  {total * 1000:>7.0f}ms  "
           f"{full_columns}{'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1

@@ -372,41 +372,70 @@ def _bit_indices(mask: int) -> list[int]:
 
 def walk_masks(c: Cone, lower: Optional[int] = None,
                within: Optional[int] = None) -> list[list[int]]:
-    """The ray masks of every face of c, level by level in walk order: the
-    faces at level k have grade k, the dimension of the lineality plus k.
-    With `lower`, a bitset of facet indices, only the faces on one of those
-    facets; with `within`, a bitset of ray indices, only the faces whose
-    rays are all in it.
+    """The ray masks of every face of c, level by level, the faces at level
+    k of grade k, the dimension of the lineality plus k.  With `lower`, a
+    bitset of facet indices, only the faces on one of those facets; with
+    `within`, a bitset of ray indices, only those whose rays are all in it.
+    Both sets are downward closed; the minimal face is always walked.
 
-    A face is its mask of extreme rays, and its tight set, the facets that
-    hold it, determines it.  The walk goes up from the minimal face one
-    cover at a time (Kaibel-Pfetsch, Comput. Geom. 23, 2002): a face F with
-    tight set t and a ray r outside F span the smallest face G above both,
-    with tight set t & tight(r) and rays every ray whose tight set holds
-    it.  G covers F iff as many rays r give G as G has rays outside F.  So
-    the walk level is the grade.  With `lower`, a candidate whose tight set
-    misses `lower` is dropped.  With `within`, only the rays in it are
-    tried, so a candidate with a ray outside `within` has fewer rays giving
-    it than rays outside F and is no cover.  The faces on those facets,
-    and the faces inside those rays, are downward closed, so each is
-    reached from one it covers.  The minimal face is always walked.  Unpruned,
-    a cone with rays independent modulo its lineality has every subset of
-    them for a face: level k is the masks of k bits, and no facet is read.
+    Without `within` the walk goes down from c, or from the `lower` facets,
+    graded by the rank of one's rays (not by c's span equalities), each
+    level sorted.  A face's facets are its largest proper meets with c's
+    facet masks; a face with as many rays as its grade is simplicial, and
+    every subset of its rays is a face (Kaibel-Pfetsch, Comput. Geom. 23,
+    2002).  Faces found by meets count as seen after their level, so below
+    a level every subset of a seen face is seen, and a simplicial face's
+    subsets stop there.  With `within` the walk goes up by covers, as the
+    bounded cells are a few faces of a lattice that a descent would visit
+    whole: a face F with tight set t and a ray r in `within` outside F span
+    the smallest face G above both, of tight set t & tight(r), and G covers
+    F iff as many such r give G as G has rays outside F, so the level is
+    the grade; a candidate whose tight set misses `lower` is dropped.
     """
-    n = len(c.rays)
-    if lower is None and within is None and n == c.dim() - len(c.lineality):
-        return [[mask for mask in range(1 << n) if mask.bit_count() == k] for k in range(n + 1)]
+    if within is None:
+        facet_masks = None
+        if lower is None:
+            tops, grade = [(1 << len(c.rays)) - 1], c.dim() - len(c.lineality)
+        else:
+            facet_masks = c.facet_masks()
+            tops = list(dict.fromkeys(fm for j, fm in enumerate(facet_masks)
+                                      if lower >> j & 1)) or [0]
+            grade = matrix_rank([c.rays[i] for i in _bit_indices(tops[0])]
+                                + list(c.lineality)) - len(c.lineality)
+        levels: list[list[int]] = [[] for _ in range(grade)] + [tops]
+        seen, expand = set(tops), tops
+        for g in range(grade, 0, -1):
+            # each subset of a simplicial face once, its bits dropped from the highest
+            stack = [(mask, mask) for mask in expand if mask.bit_count() == g]
+            while stack:
+                face, free = stack.pop()
+                for i in _bit_indices(free):
+                    sub = face ^ 1 << i
+                    if sub not in seen:
+                        seen.add(sub)
+                        levels[sub.bit_count()].append(sub)
+                        stack.append((sub, free & ((1 << i) - 1)))
+            below: set[int] = set()
+            for mask in expand:
+                if mask.bit_count() != g:
+                    facet_masks = facet_masks or c.facet_masks()   # read once: c has facets
+                    # a facet of the face has g - 1 rays or more, and no larger meet holds it
+                    cut = {m for fm in facet_masks if (m := mask & fm).bit_count() >= g - 1}
+                    meets = sorted(cut - {mask}, key=int.bit_count, reverse=True)
+                    below.update(m for k, m in enumerate(meets) if all(m & ~n for n in meets[:k]))
+            expand = below - seen
+            seen |= expand
+            levels[g - 1] += expand
+        return [sorted(level) for level in levels]
     facet_masks = c.facet_masks()
     tight = [0] * len(c.rays)
     for j, fm in enumerate(facet_masks):
         for i in _bit_indices(fm):
             tight[i] |= 1 << j
     ray_tight = [(1 << i, tr) for i, tr in enumerate(tight)]
-    tried = (1 << len(c.rays)) - 1
-    if within is not None:
-        tried &= within
+    tried = ((1 << len(c.rays)) - 1) & within
     closure: dict[int, int] = {}
-    levels: list[list[int]] = []
+    levels = []
     level = [(0, (1 << len(facet_masks)) - 1)]
     seen = {0}
     while level:

@@ -185,11 +185,13 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
 
 def _table(m: Cone, bit_of: dict[IntVec, int], known: dict) -> tuple[int, list[tuple[int, int]]]:
     """The bits of the rays in m; per cut of m (a facet, or a span equality in either sign)
-    not zero on all rays, of those it is > 0 and = 0 on, paired once into `known`."""
+    not zero on all rays, of those it is > 0 and = 0 on, paired once into `known` up to sign."""
     bits, cuts = list(bit_of.values()), []
     inside = everything = sum(bits)
     for f in m.facets + m.span_eqs + tuple(map(vec_neg, m.span_eqs)):
-        if f not in known:
+        if f not in known and (neg := known.get(vec_neg(f))):
+            known[f] = (everything & ~(neg[0] | neg[1]), neg[1])   # > 0 where -f is < 0
+        elif f not in known:
             paired = [sum(map(mul, f, r)) for r in bit_of]
             known[f] = (sum(itertools.compress(bits, [v > 0 for v in paired])),
                         sum(itertools.compress(bits, map(not_, paired))))

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 from .cones import Cone, cone_from_generators
 from .fans import Fan, fan_from_cones, is_bounded_cone, is_special_cone
-from .subdivision import LiftedExponent, MockPolytopeChart
+from .subdivision import ActiveSets, LiftedExponent, MockPolytopeChart
 from .volume import ClassLabel, FormalSum, StratumAnnotation
 
 
@@ -271,8 +271,9 @@ def read_chart(text: str) -> MockPolytopeChart:
 def write_result(fan: Fan, active_sets: Mapping[Cone, frozenset[str]]) -> str:
     out = [f"schema {RESULT_SCHEMA}"] + _fan_body(fan)
     out.append(f"active_sets {len(fan.cones)}")
-    out += [" ".join(["cone", str(idx), "items", *sorted(active_sets.get(c, ()))])
-            for idx, c in enumerate(fan.cones)]
+    ids_of = (active_sets.sorted_ids if isinstance(active_sets, ActiveSets)
+              else lambda c: sorted(active_sets.get(c, ())))
+    out += [" ".join(["cone", str(idx), "items", *ids_of(c)]) for idx, c in enumerate(fan.cones)]
     return "\n".join(out) + "\n"
 
 

@@ -39,7 +39,7 @@ import functools
 import operator
 from dataclasses import dataclass, replace
 from itertools import chain, compress
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _orthogonal_basis,
                     _orthogonal_representative, _pair_rows, _read_off, cone_from_generators,
@@ -49,6 +49,8 @@ from .fans import Fan, FanError, fan_from_cones
 
 if TYPE_CHECKING:
     from .exact import Scalar
+
+_BITS = bytes.maketrans(b"01", b"\0\1")   # binary digits to the bytes `compress` reads
 
 
 class ChartError(ValueError):
@@ -151,9 +153,32 @@ def build_D(chart: MockPolytopeChart) -> Cone:
     return cone_from_generators(chart.ambient_dual_rank + 1, _generators_of_D(chart))
 
 
+@dataclass(frozen=True, eq=False)
+class ActiveSets(Mapping[Cone, frozenset[str]]):
+    """Active sets as bitsets: per cone, item ids in sorted order and the
+    bitset of the active ones.  A set is built when read; `sorted_ids`
+    gives its ids in written order, and none for a cone without a set."""
+    sets: dict[Cone, tuple[Sequence[str], int]]
+
+    def __getitem__(self, cone: Cone) -> frozenset[str]:
+        if cone not in self.sets:
+            raise KeyError(cone)
+        return frozenset(self.sorted_ids(cone))
+
+    def __iter__(self):
+        return iter(self.sets)
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def sorted_ids(self, cone: Cone) -> Iterable[str]:
+        ids, mask = self.sets.get(cone, ((), 0))
+        return compress(ids, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 @dataclass(frozen=True)
 class SubdivisionResult:
-    """The projected fan with its active sets, and the walked lower faces
+    """The projected fan with its `ActiveSets`, and the walked lower faces
     of C: their ray masks level by level, level k of grade k
     (`cones.walk_masks`), as `Face`s in `faces_avoiding` when read."""
     chart: MockPolytopeChart
@@ -170,9 +195,10 @@ class SubdivisionResult:
 @dataclass(frozen=True)
 class LiftedChart:
     """A chart's lifted cone C, built and checked once by `lift_chart`, and
-    per ray of C the bitset of the items whose lifted vector is zero on it.
-    `subdivide` projects a walk of C's lower faces, whole or pruned to the
-    bounded cells; each walk reads this one C, so no DD runs again."""
+    per ray of C the bitset of the items, in sorted-id order, whose lifted
+    vector is zero on it.  `subdivide` projects a walk of C's lower faces,
+    whole or pruned to the bounded cells; each walk reads this one C, so no
+    DD runs again."""
     chart: MockPolytopeChart
     big_cone: Cone
     zero_on: tuple[int, ...]
@@ -184,28 +210,26 @@ class LiftedChart:
         t > 0 (`x[-2] > 0`), whose faces project to the bounded cones, and
         the fan is the bounded subfan, those cones and the zero cone.
 
-        The faces are walked up from the minimal face of C by
-        `cones.walk_masks`, pruned to the facets that pair positively with
-        (0, 1), and with `bounded` to the rays with t > 0; both sets of
-        faces are downward closed, and the minimal face is always walked.
-        A face whose rays all have t > 0 cannot hold (0, 1), so it is a
-        lower face.  A face and its projection take their dimension from
-        the walk level: a lower face lies on a facet hyperplane that (0, 1)
-        is not in, so pi keeps its dimension.
+        `cones.walk_masks` walks the faces on the facets that pair
+        positively with (0, 1): down from those facets or, with `bounded`,
+        up from the minimal face within the rays with t > 0, whose faces
+        cannot hold (0, 1).  A face and its projection take their dimension
+        from the walk level: a lower face lies on a facet hyperplane that
+        (0, 1) is not in, so pi keeps its dimension.
 
-        Per face, one pass over the set bits of its ray mask reads data
+        Per face, a few passes over the set bits of its ray mask read data
         computed once per ray of C.  Each walked ray is projected and
         primitivised once, and the images sorted once; a face's projection
         is the images at its rays' positions, canonical as it stands, and
         sorting each level by those positions gives the fan's (dimension,
         rays) order.  The active set of a face is the AND of the `zero_on`
-        bitsets over its rays.  This is exact: each lifted item (w, 1) is
-        >= 0 on C, so it is zero at a relative interior point (v, s) of the
-        face iff it is zero on all its rays, and then <w, v> = -s <= <w',
-        v> for every item w'.  A face on which no item is zero is not a
-        lower face and raises SubdivisionInconsistency, as do the
-        projection checks below.  `faces_avoiding` builds the walked faces
-        of C as `Face`s when read.
+        bitsets over its rays, taken among the items, in sorted-id order,
+        of its ray with the fewest, and kept so (`ActiveSets`).  This is
+        exact: each lifted item (w, 1) is >= 0 on C, so it is zero at a
+        relative interior point (v, s) of the face iff it is zero on all
+        its rays, and then <w, v> = -s <= <w', v> for every item w'.  A
+        face on which no item is zero is not a lower face and raises
+        SubdivisionInconsistency, as do the projection checks below.
         """
         big = self.big_cone
         r = big.rank - 1
@@ -234,32 +258,36 @@ class LiftedChart:
                 "subdivision inconsistency: two walked rays of C have one projection")
         order = sorted(images, key=images.__getitem__)
         projected = [images[i] for i in order]
-        position = [0] * len(big.rays)
-        for p, i in enumerate(order):
-            position[i] = p
-        ids = [it.id for it in self.chart.items]
-        everything = (1 << len(ids)) - 1
-        zero_on = self.zero_on
+        position = dict(zip(order, range(len(order))))
+        # a face's items are numbered among those of its ray with the fewest:
+        # `spaces[a]` is ray a's ids and, per walked ray, those zero on it
+        ids = sorted(it.id for it in self.chart.items)
+        spaces = {None: (ids, self.zero_on)}   # the minimal face: every item
+        digits = {i: bin(self.zero_on[i])[:1:-1] for i in images}
+        for a, on_a in digits.items():
+            on_a = on_a.encode().translate(_BITS)
+            spaces[a] = (list(compress(ids, on_a)), {
+                j: int("".join(compress(d, on_a))[::-1] or "0", 2) for j, d in digits.items()})
+        count = {i: len(spaces[i][0]) for i in images}
         proj_cones, active = [], {}
         for dim, level in enumerate(levels, len(big.lineality)):
             rows = []
             for mask in level:
-                at, on_face = [], everything
-                for i in _bit_indices(mask):
-                    at.append(position[i])
-                    on_face &= zero_on[i]
-                at.sort()
-                rows.append((at, on_face))
+                rays = _bit_indices(mask)
+                space, on_a = spaces[min(rays, key=count.__getitem__, default=None)]
+                on_face = functools.reduce(operator.and_, map(on_a.__getitem__, rays),
+                                           (1 << len(space)) - 1)
+                rows.append((sorted(map(position.__getitem__, rays)), space, on_face))
             rows.sort()
-            for at, on_face in rows:
+            for at, space, on_face in rows:
                 cone = Cone._trusted(r, tuple(map(projected.__getitem__, at)), (), dim)
                 if not on_face:
                     raise SubdivisionInconsistency(
                         f"subdivision inconsistency: no item is active on {list(cone.rays)}")
-                active[cone] = frozenset(map(ids.__getitem__, _bit_indices(on_face)))
+                active[cone] = (space, on_face)
                 proj_cones.append(cone)
         return SubdivisionResult(self.chart, big, tuple(map(tuple, levels)),
-                                 Fan._trusted(r, proj_cones, True), active)
+                                 Fan._trusted(r, proj_cones, True), ActiveSets(active))
 
 
 def lift_chart(chart: MockPolytopeChart, verify: bool = True,
@@ -357,7 +385,7 @@ def _lifted(chart: MockPolytopeChart, big: Cone, verify: bool, d: int,
     if verify:
         _certify_lifted_cone(big, d, masks, negative)
     zero_on = [0] * len(big.rays)
-    for k, it in enumerate(chart.items):
+    for k, it in enumerate(sorted(chart.items, key=operator.attrgetter("id"))):
         for i in _bit_indices(masks[chart.effective_exponent(it) + (1,)]):
             zero_on[i] |= 1 << k
     return LiftedChart(chart, big, tuple(zero_on))

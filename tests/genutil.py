@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import pytest
+
 from mockfan import cones, subdivision
 from mockfan.cones import (Cone, ConeError, cone_from_generators, dual_cone, is_subcone,
                            walk_faces, zero_cone)
@@ -191,6 +193,41 @@ def assert_walk_matches_oracle(c: Cone, lower: Optional[int] = None,
                        c.lineality, len(c.lineality) + dims[mask]) for mask in masks})
 
 
+# -- the descent against the walk up by covers -------------------------------------
+
+def assert_walk_down_equals_the_walk_up(c: Cone, lower: Optional[int] = None):
+    """`walk_masks(c, lower)`, which goes down from c or the `lower` facets,
+    has the faces of the walk up by covers over every ray (`within` all of
+    them), level by level, each level sorted.  With `lower` it reads the
+    facet masks once and takes one `exact.rank`; `lower = 0` gives the
+    minimal face alone."""
+    every_ray = (1 << len(c.rays)) - 1
+    up = cones.walk_masks(c, lower, every_ray)
+    c.dim()   # cached before the counts, as the walk without `lower` reads it
+    reads, ranks = [], []
+    real_masks, real_rank = cones.Cone.facet_masks, cones.matrix_rank
+
+    def counted_masks(cone):
+        reads.append(cone)
+        return real_masks(cone)
+
+    def counted_rank(rows):
+        ranks.append(rows)
+        return real_rank(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones.Cone, "facet_masks", counted_masks)
+        mp.setattr(cones, "matrix_rank", counted_rank)
+        down = cones.walk_masks(c, lower)
+    assert [set(level) for level in down] == [set(level) for level in up]
+    assert all(level == sorted(level) for level in down)
+    assert sum(map(len, down)) == len({mask for level in down for mask in level})
+    if lower is not None:
+        assert len(reads) == 1 and len(ranks) == 1
+    if lower == 0:
+        assert down == [[0]]
+
+
 # -- the bounded cells against the full walk: the oracle of the pruned walk -------
 
 def assert_bounded_cells_equal_the_full_walk(chart: MockPolytopeChart, verify: bool = False):
@@ -240,7 +277,8 @@ def lifted_from(d: Cone):
 def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
     """The C that `subdivision._lifted_cone` builds is `dual_cone(build_D(chart))`,
     with the same rays, facets, span equalities, dimension and facet masks;
-    its mask and negative table is `pair_with_D`'s, and so is `zero_on`.
+    its mask and negative table is `pair_with_D`'s, and so is `zero_on`,
+    with the items numbered in sorted-id order.
     Where C has lineality, or the support reaches t < 0, `lift_chart` raises
     ChartError instead."""
     support = support_cone(chart)
@@ -258,7 +296,8 @@ def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
     assert c.facet_masks() == big.facet_masks()
     masks, negative = pair_with_D(chart, big.rays)
     assert table == [masks, negative] and not negative
-    zero_on = tuple(sum(1 << k for k, it in enumerate(chart.items)
+    by_id = sorted(chart.items, key=lambda it: it.id)
+    zero_on = tuple(sum(1 << k for k, it in enumerate(by_id)
                         if masks[chart.effective_exponent(it) + (1,)] >> i & 1)
                     for i in range(len(big.rays)))
     for verify in (False, True):

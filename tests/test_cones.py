@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genutil import (assert_walk_matches_oracle, integerize, is_face_of_oracle,
-                     is_unimodular, make_cone, random_cone, random_generators,
-                     relative_interior_point, saturated_subspace_basis, tight_facets,
-                     vrep_from_constraints)
+from genutil import (assert_walk_down_equals_the_walk_up, assert_walk_matches_oracle,
+                     integerize, is_face_of_oracle, is_unimodular, make_cone, random_cone,
+                     random_generators, relative_interior_point, saturated_subspace_basis,
+                     tight_facets, vrep_from_constraints)
 from mockfan import cones, formats
 from mockfan.cones import (Cone, ConeError, cone_from_generators,
                            cone_from_inequalities, dual_cone, intersect,
@@ -510,6 +510,63 @@ def test_simplicial_walk_is_the_boolean_lattice_of_the_generic_walk(c):
             cone, lower, within if lower is not None or within is not None
             else (1 << len(cone.rays)) - 1))
         assert formats.write_faces(c) == text
+
+
+# -- the descent from the cone or its facets against the walk up by covers -------
+
+@st.composite
+def cones_with_many_rays(draw):
+    """Cones on rank + 1 to 10 generators with a first entry > 0 and 0-2
+    lineality generators with a first entry 0: pointed modulo the
+    lineality, and more often than `generator_sets` gives, with more rays
+    than their grade."""
+    rank = draw(st.integers(2, 6))
+    tail = st.lists(st.integers(-3, 3), min_size=rank - 1, max_size=rank - 1).map(tuple)
+    gens = draw(st.lists(st.tuples(st.integers(1, 3)).flatmap(
+        lambda head: tail.map(lambda rest: head + rest)), min_size=rank + 1, max_size=10))
+    lins = draw(st.lists(tail.map(lambda rest: (0,) + rest), max_size=2))
+    return cone_from_generators(rank, gens, lins)
+
+
+@st.composite
+def zero_one_cones(draw):
+    """Cones over 0/1 polytopes of dimension 4 and 5: their faces of grade 3
+    and more are often not simplicial, so a meet of a face with a facet of
+    the cone can hold as many rays as a facet of the face and be none."""
+    rank = draw(st.integers(5, 6))
+    corners = list(itertools.product((0, 1), repeat=rank - 1))
+    chosen = draw(st.lists(st.sampled_from(corners), min_size=rank + 4, unique=True))
+    return cone_from_generators(rank, [(1,) + corner for corner in chosen])
+
+
+walk_cones = st.one_of(generator_sets().map(lambda gens: cone_from_generators(*gens)),
+                       cones_with_many_rays(), zero_one_cones())
+
+
+@given(walk_cones, st.data())
+@settings(max_examples=300, deadline=None)
+def test_walk_down_equals_the_walk_up_over_every_ray(c, data):
+    # `lower` None, 0, or any set of facets
+    assert_walk_down_equals_the_walk_up(c)
+    assert_walk_down_equals_the_walk_up(c, 0)
+    assert_walk_down_equals_the_walk_up(
+        c, data.draw(st.integers(0, (1 << len(c.facets)) - 1)))
+
+
+def test_walk_cones_are_pointed_or_not_and_often_not_simplicial():
+    seen = set()
+
+    @given(walk_cones)
+    @settings(max_examples=200, deadline=None, database=None)
+    def probe(c):
+        kind = "with lineality" if c.lineality else "pointed"
+        seen.add(kind)
+        if len(c.rays) > c.dim() - len(c.lineality):
+            seen.add(f"non-simplicial {kind}")
+
+    probe()
+    assert seen == {"pointed", "with lineality", "non-simplicial pointed",
+                    "non-simplicial with lineality"}
 
 
 # -- DD with the adjacency pre-filter against DD without it ----------------------

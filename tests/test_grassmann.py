@@ -1,7 +1,9 @@
+import hashlib
 import importlib.util
 import itertools
 import os
 import random
+import re
 from math import comb
 from pathlib import Path
 
@@ -9,9 +11,10 @@ import pytest
 
 from genutil import (alpha_id, assert_bounded_cells_equal_the_full_walk,
                      assert_claim_equals_the_lift, assert_lift_equals_the_dual_of_build_D,
-                     effective_dimension, enumerate_S, is_compactly_arranged, is_refinement, kappa,
-                     refines_cone_faces, stratify_S, weight_split)
-from mockfan import cli, cones, grassmann, subdivision
+                     assert_walk_down_equals_the_walk_up, effective_dimension, enumerate_S,
+                     is_compactly_arranged, is_refinement, kappa, refines_cone_faces,
+                     stratify_S, weight_split)
+from mockfan import cli, cones, formats, grassmann, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import dot, primitive, rank as matrix_rank
 from mockfan.fans import fan_from_cones, rescale_cone
@@ -259,12 +262,14 @@ def test_sweep_full_times_the_full_subdivision_in_its_own_columns(capsys):
     full = capsys.readouterr().out.splitlines()
     assert plain[0].split() == ["case", "items", "C", "rays", "facets", "bounded", "time",
                                 "status"]
-    assert full[0].split() == plain[0].split()[:-1] + ["cones", "full", "status"]
+    assert full[0].split() == plain[0].split()[:-1] + ["cones", "full", "write", "status"]
     for case, plain_row, full_row in zip(("4,2,1", "5,2,1"), plain[1:], full[1:]):
         n, d, l = map(int, case.split(","))
         count = len(subdivide_chart(zero_chart(GrassmannSpec(n, d, l))).projected_fan)
         assert full_row.split()[:5] == plain_row.split()[:5]
-        assert full_row.split()[6:] == [str(count), full_row.split()[7], "PASS"]
+        cells = full_row.split()[6:]
+        assert cells[0] == str(count) and cells[-1] == "PASS" and len(cells) == 4
+        assert all(re.fullmatch(r"\d+ms", cell) for cell in cells[1:3])
     assert len(full) == len(plain) == 4 and full[-1].split()[0] == "total"
 
 
@@ -553,6 +558,31 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
             == report.bounded_fan.bounded_cones())
     monkeypatch.undo()
     assert result == subdivide_chart(zero_chart(spec), verify=verify_fan)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_walk_down_equals_the_walk_up_on_the_lifted_cone(n):
+    spec = GrassmannSpec(n, 2, 1)
+    big = lift_chart(zero_chart(spec), False, lifted_cone_rays(spec)).big_cone
+    lower = sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0)
+    assert_walk_down_equals_the_walk_up(big, lower)
+    assert_walk_down_equals_the_walk_up(big)
+
+
+# sha256 of `formats.write_result` of the full subdivision of the zero chart,
+# the fingerprints of perfbench's RESULT_SHA256
+RESULT_SHA256 = {
+    (8, 2, 1): "af27cd9a4a5836ec5d05930fdb1a60d288de5728b071219c88746c055d29b6bc",
+    (4, 2, 1): "9d51255da036ab8b3f51af8a1859c9e7d8f48d005bf2dc0bd1a69e686c064c42",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESULT_SHA256))
+def test_full_subdivision_writes_the_pinned_result_file(case):
+    res = verify(GrassmannSpec(*case), verify_fan=False).result
+    text = formats.write_result(res.projected_fan, res.active_sets)
+    assert hashlib.sha256(text.encode()).hexdigest() == RESULT_SHA256[case]
+    assert text == formats.write_result(res.projected_fan, dict(res.active_sets))
 
 
 def test_expected_cones_are_primitive_height_one():

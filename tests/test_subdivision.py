@@ -15,7 +15,7 @@ from genutil import (active_set, assert_bounded_cells_equal_the_full_walk,
                      interior_lattice_point, is_refinement, lattice_points_in_support,
                      lifted_from, make_cone, pair_with_D, random_orthant_chart,
                      refines_cone_faces, relative_interior_point, tight_facets)
-from mockfan import cones, subdivision
+from mockfan import cones, formats, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
 from mockfan.exact import IntVec, dot, kernel_basis, primitive, rank as matrix_rank
@@ -796,6 +796,34 @@ def test_mask_active_sets_on_every_cone_of_the_zero_chart(n):
     res = subdivide_chart(ch)
     for cone in res.projected_fan:
         assert res.active_sets[cone] == active_set_oracle(ch, cone)
+
+
+def assert_active_sets_are_the_argmin_and_written_alike(ch, res):
+    """Each active set of `res`, read from its bitsets, is a frozenset and
+    the val_min argmin; the mapping holds the fan's cones and no other, and
+    `write_result` writes it as it writes a plain dict of it."""
+    fan, active = res.projected_fan, res.active_sets
+    for cone in fan:
+        assert type(active[cone]) is frozenset
+        assert active[cone] == active_set_oracle(ch, cone)
+    assert len(active) == len(fan) and set(active) == set(fan.cones)
+    with pytest.raises(KeyError):
+        active[cg(fan.rank + 1, [])]
+    assert formats.write_result(fan, active) == formats.write_result(fan, dict(active))
+
+
+@given(general_charts())
+@settings(max_examples=60, deadline=None)
+def test_active_sets_from_bitsets_are_the_argmin_and_written_alike(ch):
+    res = subdivide_full_support(ch)
+    assume(res is not None)
+    assert_active_sets_are_the_argmin_and_written_alike(ch, res)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_active_sets_from_bitsets_on_the_zero_chart(n):
+    ch = zero_chart(GrassmannSpec(n, 2, 1))
+    assert_active_sets_are_the_argmin_and_written_alike(ch, subdivide_chart(ch))
 
 
 def test_empty_active_set_is_an_inconsistency(monkeypatch):
