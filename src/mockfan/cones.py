@@ -26,7 +26,7 @@ eagerly for generators.  A cone given by generators costs one DD
 in the DD's coordinates; `_read_off` makes that pairing, the generator x
 facet incidence, and reads the rays, lineality and ray masks off it, for
 `cone_from_generators` and for the lifted cone of a chart in
-`subdivision`, whose facets may also be claimed rather than found by a DD.
+`subdivision`.
 """
 
 from __future__ import annotations
@@ -500,9 +500,7 @@ def _read_off(rank: int, facets: tuple[IntVec, ...], span_eqs: tuple[IntVec, ...
               ) -> tuple[Cone, dict[IntVec, int], list[IntVec], tuple[int, ...]]:
     """The cone spanned by the generators plus the span of `lins`, its
     table, and each of its rays' facet mask, read off its facets, span
-    equalities and `pairing`: the third value of `_canonical_vrep`, or the
-    same triple (ys, rows, row_of) for facets claimed rather than found by
-    a DD, with ys the facets in the coordinates of the rows.
+    equalities and `pairing`, the third value of `_canonical_vrep`.
 
     Each distinct row is paired with the ys once.  The table is each
     generator's mask of the facets it is zero on (bit i for facet i), and

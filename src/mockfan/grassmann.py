@@ -42,12 +42,12 @@ from math import comb, factorial, prod
 from operator import add
 from typing import Mapping, Optional
 
-from .cones import Cone
+from .cones import Cone, _pair_rows
 from .exact import IntVec, vec_neg
 from .fans import Fan
 from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart,
-                          SubdivisionInconsistency, SubdivisionResult, _claimed, _moves,
-                          lift_chart, lift_symmetric_chart)
+                          SubdivisionInconsistency, SubdivisionResult, _claimed, _lifted, _moves,
+                          lift_symmetric_chart)
 from .volume import ClassLabel, FormalSum, StratumAnnotation, vol_skeleton
 
 
@@ -340,8 +340,8 @@ class VerificationReport:
     """The seven checks of `verify` and any unexpected bounded cone, read off
     `bounded_fan`, the bounded cells in chart coordinates, and the ids of
     the orbits of `orbits.chart`, the orbit lift, active on each.  `lift`,
-    the item-level lift of `zero_chart` from the same C, and its bounded
-    and full subdivisions `bounded` and `result` are built when read."""
+    the item-level lift of `zero_chart` on the orbit lift's C, and its full
+    subdivision `result` are built when read."""
     spec: GrassmannSpec
     checks: tuple[ConeCheck, ...]
     extra_bounded: tuple[Cone, ...]
@@ -351,11 +351,20 @@ class VerificationReport:
 
     @functools.cached_property
     def lift(self) -> LiftedChart:
-        return lift_chart(zero_chart(self.spec), False, lifted_cone_rays(self.spec))
-
-    @functools.cached_property
-    def bounded(self) -> SubdivisionResult:
-        return self.lift.subdivide(bounded=True)
+        """`zero_chart` lifted on C with no DD: the orbit lift's C, E's m
+        zeros padded back onto its rays and facets, and E's unit vectors
+        its span equalities; masks and dim unchanged.  C is 0 on E, so each
+        distinct item row is paired with its rays in C's own coordinates."""
+        chart, small = zero_chart(self.spec), self.orbits.big_cone
+        m = index_data(self.spec.n).m_rank
+        pad, rank = (0,) * m, small.rank + m
+        eqs = tuple(tuple(int(j == k) for j in range(rank)) for k in range(m))
+        big = Cone._trusted(rank, tuple(pad + x for x in small.rays), (), small.dim(),
+                            tuple(pad + f for f in small.facets), eqs, small.facet_masks())
+        rows = {g: g[m:] for g in chart.lifted_generators()}
+        zero, negative = _pair_rows(small.rays, dict.fromkeys(rows.values()))
+        return _lifted(chart, big, False, small.dim() - 1,
+                       {g: zero[w] for g, w in rows.items()}, negative)
 
     @functools.cached_property
     def result(self) -> SubdivisionResult:

@@ -18,13 +18,12 @@ projects a walk of C's lower faces, all of them or only those whose rays
 all have t > 0, which project to the bounded cells.  `subdivide_chart` runs
 both with the full walk.  `_lifted_cone` builds C as the dual of D: its
 rays come from the one generator-side double description (DD) of `cones`,
-and D's generators are paired with them in the coordinates of C's span;
-or, when they are known in closed form, as for the Gr(2, n) zero chart,
-from the claim, with no DD, paired in the coordinates where one is
-nonzero.  One table read-off turns either pairing into C.  A chart given
-up to a symmetry, one item per orbit, is lifted by `lift_symmetric_chart`,
-C's facets the orbits of generators.  Verification certifies C, not its
-faces (`_certify_lifted_cone`): C is the dual of D, checked against that
+and D's generators are paired with them in the coordinates of C's span.
+C is built by that DD or, with rays known in closed form, as for the
+Gr(2, n) zero chart, claimed by `lift_symmetric_chart` for a chart given
+up to a symmetry, one item per orbit, C's facets the orbits of
+generators, with no DD.  Verification certifies C, not its faces
+(`_certify_lifted_cone`): C is the dual of D, checked against its
 pairing and by a second DD from its facets; every walk is trusted.
 
 Coordinates: a chart of ambient dual rank r has exponent vectors of rank r
@@ -39,7 +38,7 @@ import functools
 import operator
 from dataclasses import dataclass, replace
 from itertools import chain, compress
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _orthogonal_basis,
                     _orthogonal_representative, _pair_rows, _read_off, cone_from_generators,
@@ -290,24 +289,22 @@ class LiftedChart:
                                  Fan._trusted(r, proj_cones, True), ActiveSets(active))
 
 
-def lift_chart(chart: MockPolytopeChart, verify: bool = True,
-               rays: Optional[Sequence[IntVec]] = None) -> LiftedChart:
+def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:
     """Build the lifted cone C, the dual of the lifted cone D, and check it.
 
     A support that reaches t < 0 is bad input and raises ChartError, as
-    does a C with lineality.  `_lifted_cone` builds C and pairs D's
-    generators with its rays once; given `rays`, the rays of C known in
-    closed form, it runs no DD.  With `verify` set, `_certify_lifted_cone`
-    checks that C is the dual of D, whose lower faces project to the
-    subdivision, so every walk of it is trusted; a failed check is a
-    pipeline bug, or a wrong claim, and raises SubdivisionInconsistency.
-    Without `verify` a claim is trusted.  Input with no lifted cone behind
-    it, read from a file or glued, is checked by `fan_from_cones` instead.
-    The pairing gives, per ray of C, the bitset of the items zero on it,
-    which the active sets of `LiftedChart.subdivide` read.
+    does a C with lineality.  `_lifted_cone` builds C by one DD and pairs
+    D's generators with its rays once.  With `verify` set,
+    `_certify_lifted_cone` checks that C is the dual of D, whose lower
+    faces project to the subdivision, so every walk of it is trusted; a
+    failed check is a pipeline bug and raises SubdivisionInconsistency.
+    Input with no lifted cone behind it, read from a file or glued, is
+    checked by `fan_from_cones` instead.  The pairing gives, per ray of C,
+    the bitset of the items zero on it, which the active sets of
+    `LiftedChart.subdivide` read.
     """
     support = _checked_support(chart)
-    big, masks, negative = _lifted_cone(chart, support.span_eqs, rays)
+    big, masks, negative = _lifted_cone(chart, support.span_eqs)
     return _lifted(chart, big, verify, support.dim(), masks, negative)
 
 
@@ -391,29 +388,17 @@ def _lifted(chart: MockPolytopeChart, big: Cone, verify: bool, d: int,
     return LiftedChart(chart, big, tuple(zero_on))
 
 
-def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec],
-                 rays: Optional[Sequence[IntVec]] = None
+def _lifted_cone(chart: MockPolytopeChart, span_eqs: Sequence[IntVec]
                  ) -> tuple[Cone, dict[IntVec, int], list[IntVec]]:
     """C = D^vee, for D over lin D = span{(e, 0) : e in `span_eqs`}, and its
     table: the zero mask on C's rays of each generator of D, and those
     negative on one.  C's rays and the pairing come from the DD of
     `cones._canonical_vrep` on D's generators, in the coordinates of C's
-    span; or, given `rays`, from the claim, with no DD, each distinct
-    generator paired in the coordinates where some ray is nonzero.  Either
-    way `cones._read_off` reads D and the table off the pairing, and C takes
-    D's ray masks as its facet masks.  A claim is trusted here, once
-    `_claimed` takes it; `_certify_lifted_cone` checks it."""
+    span; `cones._read_off` reads D and the table off the pairing, and C
+    takes D's ray masks as its facet masks."""
     rank = chart.ambient_dual_rank + 1
-    gens = _generators_of_D(chart)
     lins = [e + (0,) for e in span_eqs]
-    if rays is None:
-        rays, eqs, pairing = _canonical_vrep(rank, gens, lins)
-    else:
-        rays = _claimed(rays, rank)
-        used = [any(column) for column in zip(*rays)]
-        row_of = {g: tuple(compress(g, used)) for g in gens}
-        eqs, pairing = (), ([tuple(compress(x, used)) for x in rays], set(row_of.values()),
-                            row_of)
+    rays, eqs, pairing = _canonical_vrep(rank, _generators_of_D(chart), lins)
     if eqs:
         raise ChartError("chart support and items do not span the dual space: "
                          "the subdivision would not be strongly convex")
@@ -433,7 +418,7 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
                          negative: Sequence[IntVec]) -> None:
     """Certify that C = `big` is D^vee, for D spanned by the generators G
     of `_generators_of_D`, seen only through their pairing with the rays R
-    of C, the table of `_lifted_cone`, built or claimed.  With F, E the
+    of C, the table of `_lifted_cone` or of a claim.  With F, E the
     facets and span equalities of C and d = dim S:
 
     1. no g in G is `negative`: each is >= 0 on R, so cone(R) lies in D^vee;
@@ -450,15 +435,15 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
     the walk finds, project to the chart's regular subdivision (De
     Loera-Rambau-Santos, Triangulations, ch. 2 and 5).  Trusted: d; the
     pairing, made by `cones._read_off` from G in the coordinates y of the DD
-    that made C, a basis B of span(C), with R = yB, by g.(yB) = (Bg).y, or,
-    for a claimed C, in the coordinates where some ray of R is nonzero; and
-    the second DD, which runs on other input than the one that made or
-    claimed C and must reproduce its rays.  So a claimed C needs no DD of
-    its own: this certificate is what makes the claim a result
-    (McConnell-Mehlhorn-Naeher-Schweitzer, Certifying algorithms, Comput.
-    Sci. Rev. 5, 2011).  For a chart given up to symmetry
-    (`lift_symmetric_chart`), G is the generators given and C's facets, and
-    step 1 holds for every image of G as R is invariant.
+    that made C, a basis B of span(C), with R = yB, by g.(yB) = (Bg).y, or
+    made from G and the claimed R as they stand; and the second DD, which
+    runs on other input than the one that made or claimed C and must
+    reproduce its rays.  So a claimed C needs no DD of its own: this
+    certificate is what makes the claim a result (McConnell-Mehlhorn-
+    Naeher-Schweitzer, Certifying algorithms, Comput. Sci. Rev. 5, 2011).
+    For a chart given up to symmetry (`lift_symmetric_chart`), G is the
+    generators given and C's facets, and step 1 holds for every image of
+    G as R is invariant.
     """
     def fail(what: str):
         raise SubdivisionInconsistency(f"subdivision inconsistency: {what}")

@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 import pytest
 
-from mockfan import cones, subdivision
+from mockfan import cones, grassmann, subdivision
 from mockfan.cones import (Cone, ConeError, cone_from_generators, dual_cone, is_subcone,
                            walk_faces, zero_cone)
 from mockfan.exact import ExactError, IntVec, dot, hnf, kernel_basis, primitive, rank
@@ -18,7 +18,8 @@ from mockfan.fans import Fan, FanError, is_special_cone
 from mockfan.grassmann import (GrassmannError, GrassmannSpec, index_data, lifted_cone_rays,
                                zero_chart)
 from mockfan.subdivision import (ChartError, LiftedExponent, MockPolytopeChart,
-                                 SubdivisionResult, build_D, lift_chart, support_cone)
+                                 SubdivisionInconsistency, SubdivisionResult, build_D, lift_chart,
+                                 lift_symmetric_chart, support_cone)
 
 
 def random_generators(rng: random.Random, rank: int, count: int, entry: int = 5):
@@ -271,7 +272,13 @@ def lifted_from(d: Cone):
     """A stand-in for `subdivision._lifted_cone` that gives C = dual_cone(d),
     for a D that may be wrong, with its pairing with the chart's generators."""
     c = dual_cone(d)
-    return lambda chart, span_eqs, rays=None: (c, *pair_with_D(chart, c.rays))
+    return lambda chart, span_eqs: (c, *pair_with_D(chart, c.rays))
+
+
+def cone_fields(c: Cone) -> tuple:
+    """What a lifted cone is compared by: rays, lineality, facets, span
+    equalities, dimension and facet masks."""
+    return c.rays, c.lineality, c.facets, c.span_eqs, c.dim(), c.facet_masks()
 
 
 def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
@@ -291,9 +298,7 @@ def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
             return
         raise AssertionError("a lifted cone with lineality or t < 0 was not rejected")
     c, *table = subdivision._lifted_cone(chart, support.span_eqs)
-    assert (c.rays, c.lineality, c.facets, c.span_eqs, c.dim()) == (
-        big.rays, (), big.facets, big.span_eqs, big.dim())
-    assert c.facet_masks() == big.facet_masks()
+    assert cone_fields(c) == cone_fields(big)
     masks, negative = pair_with_D(chart, big.rays)
     assert table == [masks, negative] and not negative
     by_id = sorted(chart.items, key=lambda it: it.id)
@@ -306,43 +311,36 @@ def assert_lift_equals_the_dual_of_build_D(chart: MockPolytopeChart):
 
 
 def assert_claim_equals_the_lift(spec: GrassmannSpec):
-    """The claimed C of the Gr(2, n) zero chart, `grassmann.lifted_cone_rays`
-    taken by `subdivision._lifted_cone`, is the C that its DD builds, with
-    the same rays, facets, span equalities, dimension and facet masks, and
-    the same mask and negative table; that C
-    is `dual_cone(build_D(chart))`; and `lift_chart` given the claim lifts
-    the chart as without it."""
+    """The item-level lift of `verify`, on the orbit lift's C with E's zeros
+    padded back, is the lift that the DD of `lift_chart` builds, certified
+    or not: the same C, field by field, which is `dual_cone(build_D(chart))`
+    and has the rays `grassmann.lifted_cone_rays` claims, and the same
+    `zero_on`."""
     chart = zero_chart(spec)
-    span_eqs = support_cone(chart).span_eqs
-    rays = lifted_cone_rays(spec)
-    claimed, *claimed_table = subdivision._lifted_cone(chart, span_eqs, rays)
-    built, *table = subdivision._lifted_cone(chart, span_eqs)
     big = dual_cone(build_D(chart))
-    assert len(rays) == 2 * spec.n + 4 and big.rays == rays
-    for c in (claimed, built):
-        assert (c.rays, c.lineality, c.facets, c.span_eqs, c.dim(), c.facet_masks()) == (
-            big.rays, (), big.facets, big.span_eqs, big.dim(), big.facet_masks())
-    assert claimed_table == table
+    rays = lifted_cone_rays(spec)
+    assert len(rays) == 2 * spec.n + 4 and big.rays == rays and not big.lineality
     for verify in (False, True):
-        lift, claimed_lift = lift_chart(chart, verify), lift_chart(chart, verify, rays)
-        assert (claimed_lift.big_cone, claimed_lift.zero_on) == (lift.big_cone, lift.zero_on)
+        lift, claimed = lift_chart(chart, verify), grassmann.verify(spec, verify).lift
+        assert cone_fields(claimed.big_cone) == cone_fields(lift.big_cone) == cone_fields(big)
+        assert (claimed.chart, claimed.zero_on) == (chart, lift.zero_on)
 
 
 def assert_own_claim_equals_the_lift(chart: MockPolytopeChart):
-    """The C that the DD of `subdivision._lifted_cone` builds, claimed back
-    by its own rays, is that C again, with the same rays, facets, span
-    equalities, dimension and facet masks, and the same mask and negative
-    table; and `lift_chart` given the claim lifts the chart as without it."""
-    span_eqs = support_cone(chart).span_eqs
-    built, *table = subdivision._lifted_cone(chart, span_eqs)
-    claimed, *claimed_table = subdivision._lifted_cone(chart, span_eqs, built.rays)
-    assert (claimed.rays, claimed.lineality, claimed.facets, claimed.span_eqs, claimed.dim(),
-            claimed.facet_masks()) == (built.rays, (), built.facets, built.span_eqs,
-                                       built.dim(), built.facet_masks())
-    assert claimed_table == table
+    """The C that the DD of `lift_chart` builds, claimed back by its own rays
+    with the trivial group (`lift_symmetric_chart` with no slots), lifts the
+    chart as the DD does, certified or not: the same C, field by field, and
+    the same `zero_on`.  A claim with one ray dropped is rejected by the
+    certificate."""
     for verify in (False, True):
-        lift, claimed_lift = lift_chart(chart, verify), lift_chart(chart, verify, built.rays)
-        assert (claimed_lift.big_cone, claimed_lift.zero_on) == (lift.big_cone, lift.zero_on)
+        lift = lift_chart(chart, verify)
+        claimed = lift_symmetric_chart(chart, lift.big_cone.rays, (), verify)
+        assert cone_fields(claimed.big_cone) == cone_fields(lift.big_cone)
+        assert claimed.zero_on == lift.zero_on
+    rays = lift.big_cone.rays
+    for k in range(len(rays)):
+        with pytest.raises(SubdivisionInconsistency):
+            lift_symmetric_chart(chart, rays[:k] + rays[k + 1:], (), True)
 
 
 # -- the canonical form by two HNFs per lattice: the oracle of `_canonical_vrep` --

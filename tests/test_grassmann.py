@@ -377,11 +377,11 @@ def orbit_of_item(spec, item):
 
 
 def item_level_report(spec):
-    """`verify` as it was, the item-level oracle: the claimed C on
-    `zero_chart`, certified item by item, its bounded cells, the item
+    """`verify` as it was, the item-level oracle: C built by DD on
+    `zero_chart` and certified item by item, its bounded cells, the item
     active sets against `expected_active_sets`, and the vol expression
     filtered by distinct effective exponents."""
-    cells = lift_chart(zero_chart(spec), True, lifted_cone_rays(spec)).subdivide(bounded=True)
+    cells = lift_chart(zero_chart(spec), True).subdivide(bounded=True)
     expected, expected_active = expected_bounded_cones(spec), expected_active_sets(spec)
     checks = []
     for name in CONE_NAMES:
@@ -510,8 +510,8 @@ def test_dropping_a_facet_orbit_of_rows_is_rejected(monkeypatch):
 def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify_fan):
     # verify and vol_expression: C is claimed and lifted on the orbit rows in
     # its own coordinates, so no item-level lift runs, and one walk of at
-    # most 2^|T| faces runs; the item-level lift runs, with its support's DD
-    # and no other, and the full walk once, when `result` is read
+    # most 2^|T| faces runs; reading `result` builds the item-level lift on
+    # that C with no DD, and runs the full walk once
     # every DD goes through `cones._dd`; the calls made inside
     # `subdivision._lifted_cone` are credited to the lift, the rest to "all"
     calls = {"lift": 0, "all": 0}
@@ -551,10 +551,12 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
     assert dds == 1 + verify_fan   # the support's, and the certificate's
     assert max(dims) <= spec.n + 1   # in C's own coordinates, E dropped
     result = report.result
-    assert report.result is result and report.bounded.big_cone is report.lift.big_cone
-    assert calls == {"lift": 0, "all": dds + 1} and len(walks) == 3
+    assert report.result is result
+    assert calls == {"lift": 0, "all": dds} and len(walks) == 2
+    bounded = report.lift.subdivide(bounded=True)
+    assert bounded.big_cone is report.lift.big_cone and len(walks) == 3
     assert (result.projected_fan.bounded_cones()
-            == report.bounded.projected_fan.bounded_cones()
+            == bounded.projected_fan.bounded_cones()
             == report.bounded_fan.bounded_cones())
     monkeypatch.undo()
     assert result == subdivide_chart(zero_chart(spec), verify=verify_fan)
@@ -563,7 +565,7 @@ def test_verify_runs_one_dd_and_walks_only_the_bounded_faces(monkeypatch, verify
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_walk_down_equals_the_walk_up_on_the_lifted_cone(n):
     spec = GrassmannSpec(n, 2, 1)
-    big = lift_chart(zero_chart(spec), False, lifted_cone_rays(spec)).big_cone
+    big = verify(spec, False).lift.big_cone
     lower = sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0)
     assert_walk_down_equals_the_walk_up(big, lower)
     assert_walk_down_equals_the_walk_up(big)

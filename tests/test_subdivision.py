@@ -23,8 +23,8 @@ from mockfan.fans import Fan, FanError, fan_from_cones, rescale, rescale_cone
 from mockfan.grassmann import GrassmannSpec, zero_chart
 from mockfan.subdivision import (ChartError, GlueError, LiftedExponent,
                                  MockPolytopeChart, SubdivisionInconsistency,
-                                 build_D, glue_charts, lift_chart, rescaled_chart,
-                                 subdivide_chart, support_cone, val_min)
+                                 build_D, glue_charts, lift_chart, lift_symmetric_chart,
+                                 rescaled_chart, subdivide_chart, support_cone, val_min)
 
 
 def halfline_chart():
@@ -829,8 +829,8 @@ def test_active_sets_from_bitsets_on_the_zero_chart(n):
 def test_empty_active_set_is_an_inconsistency(monkeypatch):
     # as if no lifted item were zero on any ray of C
     lifted_cone = subdivision._lifted_cone
-    monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs, rays=None: (
-        lifted_cone(chart, span_eqs, rays)[0],
+    monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs: (
+        lifted_cone(chart, span_eqs)[0],
         {g: 0 for g in subdivision._generators_of_D(chart)}, []))
     with pytest.raises(SubdivisionInconsistency, match="no item is active"):
         subdivide_chart(triangle_chart(), verify=False)
@@ -893,19 +893,7 @@ def test_lift_of_a_chart_with_lineality_is_a_chart_error():
         subdivision._lifted_cone(ch, support_cone(ch).span_eqs)
 
 
-# -- C claimed by its own rays against the DD that built it -----------------------
-
-@st.composite
-def sliced_orthant_charts(draw):
-    """Orthant charts cut by a hyperplane v.x = 0 that holds the t axis: the
-    support duals hold v and -v, so D has the lineality (v, 0)."""
-    ch = random_orthant_chart(draw(st.randoms(use_true_random=False)))
-    v = [draw(st.integers(-2, 2)) for _ in range(ch.ambient_dual_rank)]
-    v[draw(st.integers(0, len(v) - 2))] = draw(st.sampled_from([-2, -1, 1, 2]))
-    v[-1] = 0
-    return replace(ch, sigma_dual_generators=ch.sigma_dual_generators
-                   + (tuple(v), tuple(-x for x in v)))
-
+# -- C claimed by its own rays, with the trivial group, against the DD ----------
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
@@ -913,18 +901,12 @@ def test_own_claim_equals_the_lift_on_random_orthant_charts(rng):
     assert_own_claim_equals_the_lift(random_orthant_chart(rng))
 
 
-@given(sliced_orthant_charts())
-@settings(max_examples=60, deadline=None)
-def test_own_claim_equals_the_lift_where_D_has_lineality(ch):
-    assert build_D(ch).lineality
-    assert_own_claim_equals_the_lift(ch)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_a_lift_runs_one_dd_none_on_a_claim_and_one_more_to_certify(monkeypatch, seed):
     # every DD goes through `cones._dd`; the calls made inside
     # `subdivision._lifted_cone` and `_certify_lifted_cone` are counted
-    # apart from those outside both, the support's
+    # apart from those outside both, the support's; a claim, taken by
+    # `lift_symmetric_chart` with the trivial group, runs no `_lifted_cone`
     ch = random_orthant_chart(random.Random(seed))
     rays = lift_chart(ch, verify=False).big_cone.rays
     calls, where = Counter(), ["outside"]
@@ -951,9 +933,12 @@ def test_a_lift_runs_one_dd_none_on_a_claim_and_one_more_to_certify(monkeypatch,
     for claim in (None, rays):
         for verify in (False, True):
             calls.clear()
-            lift_chart(ch, verify, claim)
-            assert (calls["_lifted_cone"], calls["_certify_lifted_cone"]) == (
-                int(claim is None), int(verify))
+            if claim is None:
+                lift_chart(ch, verify)
+            else:
+                lift_symmetric_chart(ch, claim, (), verify)
+            assert (calls["_lifted_cone"], calls["_certify_lifted_cone"], calls["outside"]) == (
+                int(claim is None), int(verify), 1)
 
 
 @pytest.mark.parametrize("chart", [triangle_chart, skew_chart])
@@ -969,7 +954,7 @@ def test_certificate_rejects_each_ray_of_C_perturbed_through_the_lift(monkeypatc
                     + c.rays[k + 1:]
                 bad = Cone._trusted(c.rank, rays, (), c.dim(), c.facets, c.span_eqs)
                 monkeypatch.setattr(subdivision, "_lifted_cone",
-                                    lambda chart, span_eqs, rays=None: (
+                                    lambda chart, span_eqs: (
                                         bad, *pair_with_D(chart, bad.rays)))
                 with pytest.raises(SubdivisionInconsistency):
                     subdivide_chart(ch)
