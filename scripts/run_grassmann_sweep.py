@@ -10,11 +10,13 @@ last line gives the total time of all cases.  No item-level chart is
 built unless `--full` is given: then each case also reads
 `report.result`, the full subdivision (the item chart, its lift from the
 same C, and every lower face walked and projected, with its active sets),
-and prints its cones, its time and the time of `formats.write_result` on
-it in three more columns, the verification's time left as it was.  Cases are `n,d,l` triples; the default grid covers
-the reference set, the n = 4 corner, 7,2,1, 8,2,1, 6,4,1, 7,3,1, 10,2,1,
-12,2,1, 6,5,1 (the highest degree), 16,2,1 (C has 36 rays and 513
-facets), 9,4,1 and 10,4,1 (194,580 items).  C is taken from its closed
+and prints its cones, its time, the time of `formats.write_result` on it
+and that of `formats.read_result` on the text written, in four more
+columns, the verification's time left as it was; a result that does not
+write back to the same text fails its case.  Cases are `n,d,l` triples;
+the default grid covers the reference set, the n = 4 corner, 7,2,1,
+8,2,1, 6,4,1, 7,3,1, 10,2,1, 12,2,1, 6,5,1 (the highest degree), 16,2,1
+(C has 36 rays and 513 facets), 9,4,1 and 10,4,1 (194,580 items).  C is taken from its closed
 form and certified, with no DD of its own but the certificate's.
 
 Example:
@@ -31,10 +33,10 @@ CPython 3.11.7 (a shared host); the default grid took about 0.5 s in all.
 The full subdivision, `--cases 8,2,1 10,2,1 12,2,1 --full`, medians of
 three runs on the same host:
 
-    case     cones   full      write
-    8,2,1    4,364   0.076 s   0.019 s
-    10,2,1   21,668  0.34 s    0.14 s
-    12,2,1   101,932 2.46 s    1.23 s
+    case     cones   full      write     read
+    8,2,1    4,364   0.041 s   0.011 s   0.26 s
+    10,2,1   21,668  0.24 s    0.084 s   1.56 s
+    12,2,1   101,932 1.42 s    0.58 s    9.3 s
 """
 
 import argparse
@@ -56,6 +58,16 @@ def parse_case(text: str) -> GrassmannSpec:
     return GrassmannSpec(*(int(p) for p in parts))
 
 
+def read_back(written: str) -> tuple[float, bool]:
+    """The time of `formats.read_result` on `written`, and whether what it
+    reads writes `written` again; nothing read outlives the call, so the
+    next case's collector passes do not scan it."""
+    start = time.monotonic()
+    fan, active = formats.read_result(written)
+    read = time.monotonic() - start
+    return read, formats.write_result(fan, active) == written
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", nargs="+", default=DEFAULT_CASES,
@@ -67,10 +79,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     all_ok = True
-    full_columns = f"{'cones':>7}  {'full':>9}  {'write':>9}  " if args.full else ""
+    full_columns = (f"{'cones':>7}  {'full':>9}  {'write':>9}  {'read':>9}  "
+                    if args.full else "")
     print(f"{'case':>10}  {'items':>6}  {'C rays':>6}  {'facets':>6}  {'bounded':>7}  "
           f"{'time':>9}  {full_columns}status")
-    total = full_total = write_total = 0.0
+    total = full_total = write_total = read_total = 0.0
     for text in args.cases:
         spec = parse_case(text)
         start = time.monotonic()
@@ -78,19 +91,23 @@ def main(argv=None) -> int:
         elapsed = time.monotonic() - start
         total += elapsed
         big = report.orbits.big_cone
+        passed = report.passed
         if args.full:
             start = time.monotonic()
             result = report.result
             full = time.monotonic() - start
             start = time.monotonic()
-            formats.write_result(result.projected_fan, result.active_sets)
+            written = formats.write_result(result.projected_fan, result.active_sets)
             write = time.monotonic() - start
+            read, same = read_back(written)
+            passed &= same
             full_total += full
             write_total += write
+            read_total += read
             full_columns = (f"{len(result.projected_fan):>7}  {full * 1000:>7.0f}ms  "
-                            f"{write * 1000:>7.0f}ms  ")
-        status = "PASS" if report.passed else "FAIL"
-        all_ok &= report.passed
+                            f"{write * 1000:>7.0f}ms  {read * 1000:>7.0f}ms  ")
+        status = "PASS" if passed else "FAIL"
+        all_ok &= passed
         items = sum(stratum_size(spec.n, (c0, c1, spec.d - c0 - c1))
                     for c0 in range(spec.d + 1) for c1 in range(spec.d + 1 - c0))
         print(f"{text:>10}  {items:>6}  {len(big.rays):>6}  "
@@ -98,10 +115,13 @@ def main(argv=None) -> int:
               f"{elapsed * 1000:>7.0f}ms  {full_columns}{status}")
         if not report.passed:
             print(report.render())
+        elif not passed:
+            print("           the result read back from its text writes other text")
         elif args.vol:
             print(f"           vol = {vol_expression(spec, report).render()}")
     if args.full:
-        full_columns = f"{'':>7}  {full_total * 1000:>7.0f}ms  {write_total * 1000:>7.0f}ms  "
+        full_columns = (f"{'':>7}  {full_total * 1000:>7.0f}ms  {write_total * 1000:>7.0f}ms  "
+                        f"{read_total * 1000:>7.0f}ms  ")
     print(f"{'total':>10}  {'':>6}  {'':>6}  {'':>6}  {'':>7}  {total * 1000:>7.0f}ms  "
           f"{full_columns}{'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1

@@ -1,6 +1,7 @@
 """Exact-arithmetic engine for polyhedral cones, min-plus subdivision fans,
 and signed stratum-class bookkeeping, with a verified Gr(2,n) instance."""
 
+from ._record import replace
 from .cones import Cone, Face, cone_from_generators, cone_from_inequalities, dual_cone
 from .fans import (Fan, euler_char_height1, fan_from_cones, is_bounded_cone,
                    is_special_cone, is_specifically_reduced, rescale,
@@ -18,5 +19,5 @@ __all__ = [
     "LiftedExponent", "MockPolytopeChart", "SubdivisionResult", "LiftedChart",
     "build_D", "lift_chart", "subdivide_chart", "val_min", "glue_charts",
     "ClassLabel", "FormalSum", "StratumAnnotation", "vol_skeleton",
-    "GrassmannSpec", "verify", "vol_expression",
+    "GrassmannSpec", "verify", "vol_expression", "replace",
 ]

@@ -31,11 +31,11 @@ facet incidence, and reads the rays, lineality and ray masks off it, for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul, not_
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
+from ._record import record
 from .exact import (
     IntVec,
     dot,
@@ -314,11 +314,10 @@ class Cone:
     def faces(self) -> list["Face"]:
         """All faces, each exactly once, including the cone and its minimal face.
 
-        The unpruned walk (`walk_faces`), sorted by dimension and rays.
+        The unpruned walk (`walk_masks`), sorted by dimension and rays.
         """
-        out = walk_faces(self)
-        out.sort(key=lambda f: (f.cone.dim(), f.cone.rays))
-        return out
+        return sorted(faces_of_masks(self, walk_masks(self)),
+                      key=lambda f: (f.cone.dim(), f.cone.rays))
 
     def face_mask(self, rays: Iterable[IntVec]) -> Optional[int]:
         """The ray mask of the face whose extreme rays are exactly `rays`, or
@@ -353,7 +352,7 @@ class Cone:
 _CONE_TOKEN = object()
 
 
-@dataclass(frozen=True)
+@record
 class Face:
     """A face of a cone: its extreme-ray mask and the face as a cone."""
     mask: int
@@ -469,13 +468,6 @@ def faces_of_masks(c: Cone, levels: Iterable[Iterable[int]]) -> list[Face]:
             rays = tuple(map(c.rays.__getitem__, _bit_indices(mask)))
             out.append(Face(mask, Cone._trusted(c.rank, rays, c.lineality, dim)))
     return out
-
-
-def walk_faces(c: Cone, lower: Optional[int] = None,
-               within: Optional[int] = None) -> list[Face]:
-    """Every face of c in walk order, graded as walked, pruned by `lower`
-    and `within` as in `walk_masks`; the minimal face is always returned."""
-    return faces_of_masks(c, walk_masks(c, lower, within))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 from operator import mul, not_
 from typing import Iterable, Sequence
 
-from .cones import Cone, intersect, is_face_of, walk_faces, zero_cone
+from .cones import Cone, _bit_indices, intersect, is_face_of, walk_masks, zero_cone
 from .exact import IntVec, primitive, vec_neg
 
 
@@ -165,22 +165,25 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     bit_of = {r: 1 << i for i, r in enumerate(dict.fromkeys(r for c in members for r in c.rays))}
     maximal: list[tuple[Cone, int, int, list[tuple[int, int]]]] = []
     known: dict[IntVec, tuple[int, int]] = {}
-    closed: set[Cone] = set()
+    closed: dict[int, Cone] = {}   # the faces of the maximal cones, by their ray bits
     for c in sorted(members or [zero_cone(rank)], key=lambda c: (-c.dim(), c.rays)):
-        if c in closed:
+        ray_bits = list(map(bit_of.__getitem__, c.rays))
+        if (bits := sum(ray_bits)) in closed:
             continue
-        bits = sum(map(bit_of.__getitem__, c.rays))
         if any(not bits & ~inside for _, _, inside, _ in maximal):
             raise FanError("not a fan: cone is not a face of any maximal cone: "
                            f"{list(c.rays)}")
         maximal.append((c, bits, *_table(c, bit_of, known)))
-        closed.update(f.cone for f in walk_faces(c))
+        for dim, level in enumerate(walk_masks(c)):
+            for at in map(_bit_indices, level):
+                if (face := sum(map(ray_bits.__getitem__, at))) not in closed:
+                    closed[face] = Cone._trusted(rank, tuple(map(c.rays.__getitem__, at)), (), dim)
     for (m1, a, _, cuts1), (m2, b, _, cuts2) in itertools.combinations(maximal, 2):
         if not _certified(a, b, cuts1, cuts2) and not (
                 is_face_of(meet := intersect(m1, m2), m1) and is_face_of(meet, m2)):
             raise FanError("not a fan: intersection is not a common face: "
                            f"{list(m1.rays)} and {list(m2.rays)}")
-    return Fan._trusted(rank, closed, has_t)
+    return Fan._trusted(rank, closed.values(), has_t)
 
 
 def _table(m: Cone, bit_of: dict[IntVec, int], known: dict) -> tuple[int, list[tuple[int, int]]]:

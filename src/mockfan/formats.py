@@ -155,13 +155,14 @@ def read_cone(text: str) -> Cone:
 def _fan_body(f: Fan) -> list[str]:
     """The fan's lines: rays in first-use order, then cones, from one table of ray indices."""
     index: dict[tuple[int, ...], str] = {}
+    by_id: dict[int, str] = {}   # cones share ray tuples, so most rays skip hashing one
     cones = []
     for c in f.cones:
         line = ["cone"]
         for r in c.rays:
-            i = index.get(r)
+            i = by_id.get(id(r))
             if i is None:
-                i = index[r] = str(len(index))
+                i = by_id[id(r)] = index.setdefault(r, str(len(index)))
             line.append(i)
         cones.append(" ".join(line))
     out = [f"rank {f.rank}", f"has_t {1 if f.has_t_coordinate else 0}",

@@ -37,11 +37,11 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import add
 from typing import Mapping, Optional
 
+from ._record import record
 from .cones import Cone, _pair_rows
 from .exact import IntVec, vec_neg
 from .fans import Fan
@@ -59,7 +59,7 @@ class VerificationFailed(RuntimeError):
     """Raised when the computed subdivision does not match the expected data."""
 
 
-@dataclass(frozen=True)
+@record
 class GrassmannSpec:
     n: int
     d: int
@@ -77,7 +77,7 @@ class GrassmannSpec:
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@record
 class IndexData:
     """Index sets and coordinate layout for one n."""
     n: int
@@ -322,7 +322,7 @@ def expected_active_sets(spec: GrassmannSpec) -> dict[str, frozenset[str]]:
             for name, strata in _strata(spec.d).items()}
 
 
-@dataclass(frozen=True)
+@record
 class ConeCheck:
     """An expected cone, found or not, and whether its active set, of
     `items` items, matches; a mismatch names the ids `missing` and `extra`."""
@@ -335,7 +335,7 @@ class ConeCheck:
     extra: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """The seven checks of `verify` and any unexpected bounded cone, read off
     `bounded_fan`, the bounded cells in chart coordinates, and the ids of

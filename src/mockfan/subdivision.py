@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from ._record import record, replace
 from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _orthogonal_basis,
                     _orthogonal_representative, _pair_rows, _read_off, cone_from_generators,
                     dual_cone, faces_of_masks, walk_masks)
@@ -64,7 +64,7 @@ class GlueError(ValueError):
     """Charts whose subdivisions cannot be merged into one fan."""
 
 
-@dataclass(frozen=True)
+@record
 class LiftedExponent:
     """One item: an opaque id, its exponent vector, and its t-weight."""
     id: str
@@ -81,7 +81,7 @@ def _check_token(what: str, token: str):
         raise ChartError(f"{what} {token!r} must be a nonempty string without whitespace")
 
 
-@dataclass(frozen=True)
+@record
 class MockPolytopeChart:
     """Input data of one chart: support dual generators plus the item family."""
     label: str
@@ -152,7 +152,7 @@ def build_D(chart: MockPolytopeChart) -> Cone:
     return cone_from_generators(chart.ambient_dual_rank + 1, _generators_of_D(chart))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ActiveSets(Mapping[Cone, frozenset[str]]):
     """Active sets as bitsets: per cone, item ids in sorted order and the
     bitset of the active ones.  A set is built when read; `sorted_ids`
@@ -175,7 +175,7 @@ class ActiveSets(Mapping[Cone, frozenset[str]]):
         return compress(ids, bin(mask)[:1:-1].encode().translate(_BITS))
 
 
-@dataclass(frozen=True)
+@record
 class SubdivisionResult:
     """The projected fan with its `ActiveSets`, and the walked lower faces
     of C: their ray masks level by level, level k of grade k
@@ -191,7 +191,7 @@ class SubdivisionResult:
         return tuple(faces_of_masks(self.big_cone, self.face_levels))
 
 
-@dataclass(frozen=True)
+@record
 class LiftedChart:
     """A chart's lifted cone C, built and checked once by `lift_chart`, and
     per ray of C the bitset of the items, in sorted-id order, whose lifted
@@ -470,7 +470,7 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
         fail(f"C and the cone its facets cut out differ at the ray or line {odd[0]}")
 
 
-@dataclass(frozen=True)
+@record
 class GlueResult:
     fan: Fan
     active_sets: Mapping[Cone, frozenset[str]]

@@ -8,14 +8,14 @@ as annotations and are never computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
+from ._record import record
 from .cones import Cone
 from .fans import Fan, euler_char_height1
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class ClassLabel:
     """A symbolic stable-birational class: a point, a very general hypersurface
     of given degree in a projective space of given dimension, or a named class."""
@@ -111,7 +111,7 @@ class FormalSum:
         return f"FormalSum({self.render()})"
 
 
-@dataclass(frozen=True)
+@record
 class StratumAnnotation:
     """Connected components of the stratum over one cone: one label each."""
     cone_id: str

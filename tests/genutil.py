@@ -11,8 +11,8 @@ from typing import Iterable, Optional, Sequence
 import pytest
 
 from mockfan import cones, grassmann, subdivision
-from mockfan.cones import (Cone, ConeError, cone_from_generators, dual_cone, is_subcone,
-                           walk_faces, zero_cone)
+from mockfan.cones import (Cone, ConeError, Face, cone_from_generators, dual_cone,
+                           faces_of_masks, is_subcone, walk_masks, zero_cone)
 from mockfan.exact import ExactError, IntVec, dot, hnf, kernel_basis, primitive, rank
 from mockfan.fans import Fan, FanError, is_special_cone
 from mockfan.grassmann import (GrassmannError, GrassmannSpec, index_data, lifted_cone_rays,
@@ -121,6 +121,13 @@ def is_face_of_oracle(face: Cone, c: Cone) -> bool:
             mask &= fm
     rays = tuple(r for i, r in enumerate(c.rays) if mask >> i & 1)
     return (rays, c.lineality) == (face.rays, face.lineality)
+
+
+def walk_faces(c: Cone, lower: Optional[int] = None,
+               within: Optional[int] = None) -> list[Face]:
+    """Every face of c in walk order, graded as walked, pruned by `lower`
+    and `within` as in `walk_masks`; the minimal face is always returned."""
+    return faces_of_masks(c, walk_masks(c, lower, within))
 
 
 # -- the face walk before it went up by covers: the oracle of `walk_faces` -----

@@ -1,5 +1,8 @@
+import ast
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +303,18 @@ def test_importing_the_cli_loads_no_fractions():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_importing_mockfan_loads_no_dataclasses_or_inspect():
+    # dataclasses imports inspect, ast and dis, and writes each class's methods
+    # with exec: most of a command's start-up.  Measured against the modules the
+    # interpreter had before, so a site hook that loads them fails nothing.
+    code = ("import sys; bare = set(sys.modules); "
+            "import mockfan, mockfan.cli, mockfan.formats; "
+            "print(sorted(set(sys.modules) - bare))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = ast.literal_eval(proc.stdout)
+    assert "mockfan.cli" in added and "mockfan.formats" in added
+    assert not {"dataclasses", "inspect"} & set(added)

@@ -53,6 +53,22 @@ def test_fan_roundtrip_byte_identical():
     assert formats.write_fan(f2) == text
 
 
+def test_fan_text_is_the_same_whether_cones_share_ray_tuples_or_not():
+    # the writer numbers rays by tuple identity first, then by value
+    res = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)))
+    shared = res.projected_fan
+    apart = fans.Fan._trusted(shared.rank, [
+        cones.Cone._trusted(c.rank, tuple(tuple(list(r)) for r in c.rays), (), c.dim())
+        for c in shared], True)
+    rays = [r for fan in (shared, apart) for c in fan for r in c.rays]
+    assert len({id(r) for r in rays[:len(rays) // 2]}) < len(rays) // 2
+    assert len({id(r) for r in rays[len(rays) // 2:]}) == len(rays) // 2
+    assert apart == shared
+    assert formats.write_fan(apart) == formats.write_fan(shared)
+    assert (formats.write_result(apart, res.active_sets)
+            == formats.write_result(shared, res.active_sets))
+
+
 def test_chart_roundtrip_byte_identical():
     rng = random.Random(99)
     for _ in range(10):

@@ -254,7 +254,7 @@ def sweep_default_cases():
     return sweep_module().DEFAULT_CASES
 
 
-def test_sweep_full_times_the_full_subdivision_in_its_own_columns(capsys):
+def test_sweep_full_times_the_full_subdivision_in_its_own_columns(capsys, monkeypatch):
     sweep = sweep_module()
     assert sweep.main(["--cases", "4,2,1", "5,2,1"]) == 0
     plain = capsys.readouterr().out.splitlines()
@@ -262,15 +262,22 @@ def test_sweep_full_times_the_full_subdivision_in_its_own_columns(capsys):
     full = capsys.readouterr().out.splitlines()
     assert plain[0].split() == ["case", "items", "C", "rays", "facets", "bounded", "time",
                                 "status"]
-    assert full[0].split() == plain[0].split()[:-1] + ["cones", "full", "write", "status"]
+    assert full[0].split() == plain[0].split()[:-1] + ["cones", "full", "write", "read",
+                                                       "status"]
     for case, plain_row, full_row in zip(("4,2,1", "5,2,1"), plain[1:], full[1:]):
         n, d, l = map(int, case.split(","))
         count = len(subdivide_chart(zero_chart(GrassmannSpec(n, d, l))).projected_fan)
         assert full_row.split()[:5] == plain_row.split()[:5]
         cells = full_row.split()[6:]
-        assert cells[0] == str(count) and cells[-1] == "PASS" and len(cells) == 4
-        assert all(re.fullmatch(r"\d+ms", cell) for cell in cells[1:3])
+        assert cells[0] == str(count) and cells[-1] == "PASS" and len(cells) == 5
+        assert all(re.fullmatch(r"\d+ms", cell) for cell in cells[1:4])
     assert len(full) == len(plain) == 4 and full[-1].split()[0] == "total"
+    # a result that reads back to other text fails its case
+    written, write = [], sweep.formats.write_result
+    monkeypatch.setattr(sweep.formats, "write_result", lambda *args: written.append(
+        write(*args)) or written[-1] + "\n" * (len(written) % 2 == 0))
+    assert sweep.main(["--cases", "4,2,1", "--full"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "FAIL"
 
 
 @pytest.mark.parametrize("case", sweep_default_cases())

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 from unittest import mock
@@ -14,8 +13,8 @@ from genutil import (active_set, assert_bounded_cells_equal_the_full_walk,
                      assert_walk_matches_oracle, effective_dimension,
                      interior_lattice_point, is_refinement, lattice_points_in_support,
                      lifted_from, make_cone, pair_with_D, random_orthant_chart,
-                     refines_cone_faces, relative_interior_point, tight_facets)
-from mockfan import cones, formats, subdivision
+                     refines_cone_faces, relative_interior_point, tight_facets, walk_faces)
+from mockfan import cones, formats, replace, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
 from mockfan.exact import IntVec, dot, kernel_basis, primitive, rank as matrix_rank
@@ -1103,7 +1102,7 @@ def test_per_ray_projection_and_active_sets_on_the_zero_chart(n):
 
 def assert_faces_avoiding_equal_the_walk(ch, verify=False):
     """`faces_avoiding`, built when first read, holds the faces the walk of
-    `cones.walk_faces` gives, in its order, with their masks, rays and
+    `genutil.walk_faces` gives, in its order, with their masks, rays and
     grades, for the full walk and for the one pruned to t > 0; the walk is
     checked against the closure oracle.  The projected cones are handed to
     the fan already in its order."""
@@ -1122,7 +1121,7 @@ def assert_faces_avoiding_equal_the_walk(ch, verify=False):
             res = lift.subdivide(bounded)
         assert handed == [list(res.projected_fan.cones)]
         assert "faces_avoiding" not in vars(res)
-        walked = cones.walk_faces(big, lower, within)
+        walked = walk_faces(big, lower, within)
         assert ([(f.mask, f.cone, f.cone.dim()) for f in res.faces_avoiding]
                 == [(f.mask, f.cone, f.cone.dim()) for f in walked])
         assert res.faces_avoiding is res.faces_avoiding
