@@ -12,8 +12,10 @@ built unless `--full` is given: then each case also reads
 same C, and every lower face walked and projected, with its active sets),
 and prints its cones, its time, the time of `formats.write_result` on it
 and that of `formats.read_result` on the text written, in four more
-columns, the verification's time left as it was; a result that does not
-write back to the same text fails its case.  Cases are `n,d,l` triples;
+columns, the verification's time left as it was; a result whose text
+does not read back as the same fan, its ray table and cells built by
+`fan_from_cones` against those of `subdivide`, or does not write back to
+the same text fails its case.  Cases are `n,d,l` triples;
 the default grid covers the reference set, the n = 4 corner, 7,2,1,
 8,2,1, 6,4,1, 7,3,1, 10,2,1, 12,2,1, 6,5,1 (the highest degree), 16,2,1
 (C has 36 rays and 513 facets), 9,4,1 and 10,4,1 (194,580 items).  C is taken from its closed
@@ -31,12 +33,14 @@ each; C has 1,245 and 2,297 facets), three runs each, on 2 vCPUs with
 CPython 3.11.7 (a shared host); the default grid took about 0.5 s in all.
 
 The full subdivision, `--cases 8,2,1 10,2,1 12,2,1 --full`, medians of
-three runs on the same host:
+three runs on the same host.  `report.result` hands its fan over as one
+sorted ray table with a (dim, positions) cell per cone, which `write`
+reads as it is; `read` rebuilds the same table through `fan_from_cones`:
 
     case     cones   full      write     read
-    8,2,1    4,364   0.041 s   0.011 s   0.26 s
-    10,2,1   21,668  0.24 s    0.084 s   1.56 s
-    12,2,1   101,932 1.42 s    0.58 s    9.3 s
+    8,2,1    4,364   0.033 s   0.012 s   0.29 s
+    10,2,1   21,668  0.16 s    0.091 s   1.64 s
+    12,2,1   101,932 0.81 s    0.57 s    9.8 s
 """
 
 import argparse
@@ -44,6 +48,7 @@ import sys
 import time
 
 from mockfan import formats
+from mockfan.fans import Fan
 from mockfan.grassmann import GrassmannSpec, stratum_size, verify, vol_expression
 
 DEFAULT_CASES = ["4,2,1", "4,3,1", "5,2,1", "5,2,2", "5,3,1", "6,2,1", "7,2,1",
@@ -58,14 +63,15 @@ def parse_case(text: str) -> GrassmannSpec:
     return GrassmannSpec(*(int(p) for p in parts))
 
 
-def read_back(written: str) -> tuple[float, bool]:
+def read_back(written: str, fan: Fan) -> tuple[float, bool]:
     """The time of `formats.read_result` on `written`, and whether what it
-    reads writes `written` again; nothing read outlives the call, so the
-    next case's collector passes do not scan it."""
+    reads is `fan`, its ray table and cells built by `fan_from_cones`, and
+    writes `written` again; nothing read outlives the call, so the next
+    case's collector passes do not scan it."""
     start = time.monotonic()
-    fan, active = formats.read_result(written)
+    read_fan, active = formats.read_result(written)
     read = time.monotonic() - start
-    return read, formats.write_result(fan, active) == written
+    return read, read_fan == fan and formats.write_result(read_fan, active) == written
 
 
 def main(argv=None) -> int:
@@ -99,7 +105,7 @@ def main(argv=None) -> int:
             start = time.monotonic()
             written = formats.write_result(result.projected_fan, result.active_sets)
             write = time.monotonic() - start
-            read, same = read_back(written)
+            read, same = read_back(written, result.projected_fan)
             passed &= same
             full_total += full
             write_total += write
@@ -116,7 +122,8 @@ def main(argv=None) -> int:
         if not report.passed:
             print(report.render())
         elif not passed:
-            print("           the result read back from its text writes other text")
+            print("           the result read back from its text is another fan or writes "
+                  "other text")
         elif args.vol:
             print(f"           vol = {vol_expression(spec, report).render()}")
     if args.full:

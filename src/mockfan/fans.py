@@ -16,6 +16,7 @@ refinements is what the signed volume skeleton rests on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import mul, not_
@@ -69,47 +70,66 @@ def rescale_cone(c: Cone, n: int) -> Cone:
 # ---------------------------------------------------------------------------
 
 class Fan:
-    """Finite face-closed collection of strongly convex cones in one lattice."""
+    """Finite face-closed collection of strongly convex cones in one lattice,
+    kept as one ray table: `rays`, the distinct rays of its cones, sorted, and
+    per cone one cell (dim, positions of its rays in `rays`, sorted), the cells
+    in the fan's (dim, rays) order.  `cones` and `in` are built when read."""
 
-    __slots__ = ("rank", "cones", "has_t_coordinate", "_cone_set")
-
-    def __init__(self, rank: int, cones: tuple[Cone, ...], has_t: bool,
+    def __init__(self, rank: int, rays: tuple[IntVec, ...], cells: tuple, has_t: bool = False,
                  _token: object = None):
         if _token is not _FAN_TOKEN:
             raise FanError("use fan_from_cones")
         self.rank = rank
-        self.cones = cones
+        self.rays = rays
+        self.cells = cells
         self.has_t_coordinate = has_t
-        self._cone_set = frozenset(cones)
+
+    @staticmethod
+    def _of_cells(rank: int, rays: Sequence[IntVec], cells: Iterable, has_t: bool) -> "Fan":
+        """Internal constructor for a ray table and cells already in the fan's form."""
+        return Fan(rank, tuple(rays), tuple(cells), has_t, _token=_FAN_TOKEN)
 
     @staticmethod
     def _trusted(rank: int, cones: Iterable[Cone], has_t: bool) -> "Fan":
-        """Internal constructor for cone sets already known to satisfy the
-        fan conditions (images under invertible maps, verified subdivisions).
-        Duplicates are dropped in input order, so cones already in the fan's
-        order sort in linear time; any order gives the same fan."""
-        ordered = tuple(sorted(dict.fromkeys(cones), key=_cone_sort_key))
-        return Fan(rank, ordered, has_t, _token=_FAN_TOKEN)
+        """Internal constructor for cone sets already known to satisfy the fan
+        conditions (images under invertible maps, verified subdivisions), in any
+        order and with duplicates; the fan's `cones` are those given."""
+        cones = tuple(sorted(set(cones), key=lambda c: (c.dim(), c.rays)))
+        rays = sorted({r for c in cones for r in c.rays})
+        at = dict(zip(rays, range(len(rays))))
+        fan = Fan._of_cells(rank, rays, [(c.dim(), tuple(map(at.__getitem__, c.rays)))
+                                         for c in cones], has_t)
+        fan.__dict__["cones"] = cones
+        return fan
+
+    @functools.cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        return tuple(Cone._trusted(self.rank, tuple(map(self.rays.__getitem__, at)), (), dim)
+                     for dim, at in self.cells)
+
+    @functools.cached_property
+    def _positions(self) -> dict[Cone, int]:   # each cone's index in `cones`, behind `in`
+        return dict(zip(self.cones, range(len(self.cells))))
 
     def __iter__(self):
         return iter(self.cones)
 
     def __len__(self) -> int:
-        return len(self.cones)
+        return len(self.cells)
 
     def __contains__(self, c: Cone) -> bool:
-        return c in self._cone_set
+        return c in self._positions
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Fan) and self.rank == other.rank
                 and self.has_t_coordinate == other.has_t_coordinate
-                and self.cones == other.cones)
+                and self.rays == other.rays and self.cells == other.cells)
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.has_t_coordinate, self.cones))
+        return hash((self.rank, self.has_t_coordinate, self.rays, self.cells))
 
     def __repr__(self) -> str:
-        return (f"Fan(rank={self.rank}, cones={len(self.cones)}, "
+        return (f"Fan(rank={self.rank}, cones={len(self.cells)}, "
                 f"has_t={self.has_t_coordinate})")
 
     def _require_t(self, op: str):
@@ -122,10 +142,6 @@ class Fan:
 
 
 _FAN_TOKEN = object()
-
-
-def _cone_sort_key(c: Cone):
-    return (c.dim(), c.rays, c.lineality)
 
 
 def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan:
@@ -150,6 +166,7 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     (`_certified`), A == B spans the meet, a common face, and an empty A or
     B makes it {0}; otherwise `intersect` and `is_face_of` decide.  So the
     first failing pair, and its message, stay those of `intersect` alone.
+    The ray bits go in sorted ray order, so a closed face's bits are its cell.
     """
     members: set[Cone] = set()
     for c in cones:
@@ -162,10 +179,11 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
         raise FanError("not a fan: a t-flagged fan of rank 0 has no t-coordinate")
     if has_t and any(r[-1] < 0 for c in members for r in c.rays):
         raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
-    bit_of = {r: 1 << i for i, r in enumerate(dict.fromkeys(r for c in members for r in c.rays))}
+    rays = sorted({r for c in members for r in c.rays})
+    bit_of = {r: 1 << i for i, r in enumerate(rays)}   # in sorted order, so bits give cells
     maximal: list[tuple[Cone, int, int, list[tuple[int, int]]]] = []
     known: dict[IntVec, tuple[int, int]] = {}
-    closed: dict[int, Cone] = {}   # the faces of the maximal cones, by their ray bits
+    closed: dict[int, tuple] = {}   # the faces of the maximal cones, by their ray bits
     for c in sorted(members or [zero_cone(rank)], key=lambda c: (-c.dim(), c.rays)):
         ray_bits = list(map(bit_of.__getitem__, c.rays))
         if (bits := sum(ray_bits)) in closed:
@@ -177,13 +195,13 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
         for dim, level in enumerate(walk_masks(c)):
             for at in map(_bit_indices, level):
                 if (face := sum(map(ray_bits.__getitem__, at))) not in closed:
-                    closed[face] = Cone._trusted(rank, tuple(map(c.rays.__getitem__, at)), (), dim)
+                    closed[face] = (dim, tuple(_bit_indices(face)))
     for (m1, a, _, cuts1), (m2, b, _, cuts2) in itertools.combinations(maximal, 2):
         if not _certified(a, b, cuts1, cuts2) and not (
                 is_face_of(meet := intersect(m1, m2), m1) and is_face_of(meet, m2)):
             raise FanError("not a fan: intersection is not a common face: "
                            f"{list(m1.rays)} and {list(m2.rays)}")
-    return Fan._trusted(rank, closed.values(), has_t)
+    return Fan._of_cells(rank, rays, sorted(closed.values()), has_t)
 
 
 def _table(m: Cone, bit_of: dict[IntVec, int], known: dict) -> tuple[int, list[tuple[int, int]]]:

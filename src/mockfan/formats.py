@@ -153,23 +153,17 @@ def read_cone(text: str) -> Cone:
 # -- fans ----------------------------------------------------------------------
 
 def _fan_body(f: Fan) -> list[str]:
-    """The fan's lines: rays in first-use order, then cones, from one table of ray indices."""
-    index: dict[tuple[int, ...], str] = {}
-    by_id: dict[int, str] = {}   # cones share ray tuples, so most rays skip hashing one
-    cones = []
-    for c in f.cones:
-        line = ["cone"]
-        for r in c.rays:
-            i = by_id.get(id(r))
-            if i is None:
-                i = by_id[id(r)] = index.setdefault(r, str(len(index)))
-            line.append(i)
-        cones.append(" ".join(line))
-    out = [f"rank {f.rank}", f"has_t {1 if f.has_t_coordinate else 0}",
-           f"rays {len(index)}"]
-    out += [" ".join(map(str, r)) for r in index]
-    out.append(f"cones {len(f.cones)}")
-    return out + cones
+    """The fan's lines: rays in first-use order, then cones, read off the
+    fan's cells; `number[i]` is the written index of the ray at position i."""
+    number, used, cones = [None] * len(f.rays), [], []
+    for _, at in f.cells:
+        for i in at:
+            if number[i] is None:
+                number[i] = str(len(used))
+                used.append(i)
+        cones.append(" ".join(["cone", *map(number.__getitem__, at)]))
+    return ([f"rank {f.rank}", f"has_t {1 if f.has_t_coordinate else 0}", f"rays {len(used)}"]
+            + [" ".join(map(str, f.rays[i])) for i in used] + [f"cones {len(cones)}"] + cones)
 
 
 def write_fan(f: Fan) -> str:
@@ -271,10 +265,11 @@ def read_chart(text: str) -> MockPolytopeChart:
 
 def write_result(fan: Fan, active_sets: Mapping[Cone, frozenset[str]]) -> str:
     out = [f"schema {RESULT_SCHEMA}"] + _fan_body(fan)
-    out.append(f"active_sets {len(fan.cones)}")
-    ids_of = (active_sets.sorted_ids if isinstance(active_sets, ActiveSets)
-              else lambda c: sorted(active_sets.get(c, ())))
-    out += [" ".join(["cone", str(idx), "items", *ids_of(c)]) for idx, c in enumerate(fan.cones)]
+    out.append(f"active_sets {len(fan)}")
+    rows = (map(active_sets.sorted_ids, range(len(fan)))
+            if isinstance(active_sets, ActiveSets) and active_sets.fan == fan
+            else (sorted(active_sets.get(c, ())) for c in fan.cones))
+    out += [" ".join(["cone", str(k), "items", *ids]) for k, ids in enumerate(rows)]
     return "\n".join(out) + "\n"
 
 
@@ -328,16 +323,16 @@ def parse_label(token: str) -> ClassLabel:
         parts = token.split(":")
         if len(parts) != 3:
             raise ParseError(f"bad hypersurface label {token!r}")
-        dims = _ints(parts[1:], "hypersurface label")
-        if min(dims) < 1:
-            raise ParseError(f"hypersurface label {token!r} needs a dimension and degree >= 1")
-        return ClassLabel.hypersurface(dims[0], dims[1])
-    if token.startswith("sym:"):
-        name = token[4:]
-        if not name:
-            raise ParseError("symbolic label needs a name")
-        return ClassLabel.symbolic(name)
-    raise ParseError(f"unknown class label {token!r}")
+        make, args = ClassLabel.hypersurface, _ints(parts[1:], "hypersurface label")
+        what = f"hypersurface label {token!r} needs a dimension and degree >= 1"
+    elif token.startswith("sym:"):
+        make, args, what = ClassLabel.symbolic, (token[4:],), "symbolic label needs a name"
+    else:
+        raise ParseError(f"unknown class label {token!r}")
+    try:   # a label's own checks are the reader's
+        return make(*args)
+    except ValueError:
+        raise ParseError(what) from None
 
 
 def write_annotations(fan: Fan, annotations: Mapping[Cone, StratumAnnotation]) -> str:

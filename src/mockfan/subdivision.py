@@ -154,32 +154,31 @@ def build_D(chart: MockPolytopeChart) -> Cone:
 
 @record(eq=False)
 class ActiveSets(Mapping[Cone, frozenset[str]]):
-    """Active sets as bitsets: per cone, item ids in sorted order and the
-    bitset of the active ones.  A set is built when read; `sorted_ids`
-    gives its ids in written order, and none for a cone without a set."""
-    sets: dict[Cone, tuple[Sequence[str], int]]
+    """Active sets as bitsets, by position in `fan`: per cell, item ids in
+    sorted order and the bitset of the active ones.  A set is built when
+    read; `sorted_ids(k)` gives those of the k-th cone in written order."""
+    fan: Fan
+    rows: Sequence[tuple[Sequence[str], int]]
 
     def __getitem__(self, cone: Cone) -> frozenset[str]:
-        if cone not in self.sets:
-            raise KeyError(cone)
-        return frozenset(self.sorted_ids(cone))
+        return frozenset(self.sorted_ids(self.fan._positions[cone]))
 
     def __iter__(self):
-        return iter(self.sets)
+        return iter(self.fan)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.rows)
 
-    def sorted_ids(self, cone: Cone) -> Iterable[str]:
-        ids, mask = self.sets.get(cone, ((), 0))
+    def sorted_ids(self, k: int) -> Iterable[str]:
+        ids, mask = self.rows[k]
         return compress(ids, bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 @record
 class SubdivisionResult:
-    """The projected fan with its `ActiveSets`, and the walked lower faces
-    of C: their ray masks level by level, level k of grade k
-    (`cones.walk_masks`), as `Face`s in `faces_avoiding` when read."""
+    """The projected fan (one cell per walked face), its `ActiveSets` by cell,
+    and the walked lower faces of C: their ray masks level by level, level k
+    of grade k (`cones.walk_masks`), as `Face`s in `faces_avoiding` when read."""
     chart: MockPolytopeChart
     big_cone: Cone
     face_levels: tuple[tuple[int, ...], ...]
@@ -218,12 +217,13 @@ class LiftedChart:
 
         Per face, a few passes over the set bits of its ray mask read data
         computed once per ray of C.  Each walked ray is projected and
-        primitivised once, and the images sorted once; a face's projection
-        is the images at its rays' positions, canonical as it stands, and
-        sorting each level by those positions gives the fan's (dimension,
-        rays) order.  The active set of a face is the AND of the `zero_on`
-        bitsets over its rays, taken among the items, in sorted-id order,
-        of its ray with the fewest, and kept so (`ActiveSets`).  This is
+        primitivised once, and the images sorted once: the fan's ray table.
+        A face's cell is its dimension and its rays' positions there, its
+        projection's canonical rays; sorting each level by them gives the
+        fan's (dimension, rays) order, so no `Cone` is built.  The active set
+        of a face is the AND of the `zero_on` bitsets over its rays, taken
+        among the items, in sorted-id order, of its ray with the fewest, and
+        kept at its cell's position (`ActiveSets`).  This is
         exact: each lifted item (w, 1) is >= 0 on C, so it is zero at a
         relative interior point (v, s) of the face iff it is zero on all
         its rays, and then <w, v> = -s <= <w', v> for every item w'.  A
@@ -268,7 +268,7 @@ class LiftedChart:
             spaces[a] = (list(compress(ids, on_a)), {
                 j: int("".join(compress(d, on_a))[::-1] or "0", 2) for j, d in digits.items()})
         count = {i: len(spaces[i][0]) for i in images}
-        proj_cones, active = [], {}
+        cells, active = [], []
         for dim, level in enumerate(levels, len(big.lineality)):
             rows = []
             for mask in level:
@@ -276,17 +276,17 @@ class LiftedChart:
                 space, on_a = spaces[min(rays, key=count.__getitem__, default=None)]
                 on_face = functools.reduce(operator.and_, map(on_a.__getitem__, rays),
                                            (1 << len(space)) - 1)
-                rows.append((sorted(map(position.__getitem__, rays)), space, on_face))
+                rows.append((tuple(sorted(map(position.__getitem__, rays))), space, on_face))
             rows.sort()
             for at, space, on_face in rows:
-                cone = Cone._trusted(r, tuple(map(projected.__getitem__, at)), (), dim)
                 if not on_face:
-                    raise SubdivisionInconsistency(
-                        f"subdivision inconsistency: no item is active on {list(cone.rays)}")
-                active[cone] = (space, on_face)
-                proj_cones.append(cone)
-        return SubdivisionResult(self.chart, big, tuple(map(tuple, levels)),
-                                 Fan._trusted(r, proj_cones, True), ActiveSets(active))
+                    raise SubdivisionInconsistency("subdivision inconsistency: no item is active "
+                                                   f"on {list(map(projected.__getitem__, at))}")
+                cells.append((dim, at))
+                active.append((space, on_face))
+        fan = Fan._of_cells(r, projected, cells, True)
+        return SubdivisionResult(self.chart, big, tuple(map(tuple, levels)), fan,
+                                 ActiveSets(fan, active))
 
 
 def lift_chart(chart: MockPolytopeChart, verify: bool = True) -> LiftedChart:

@@ -28,6 +28,18 @@ class ClassLabel:
     HYPERSURFACE = "hypersurface"
     SYMBOLIC = "symbolic"
 
+    def __post_init__(self):
+        """A label is what its token reads back as: a symbolic name is one token, a
+        hypersurface's dimension and degree are ints >= 1, a kind sets no other field."""
+        dims = (self.ambient_dim, self.degree)
+        if not (self.kind == ClassLabel.POINT and (self.name, *dims) == ("", 0, 0)
+                or self.kind == ClassLabel.HYPERSURFACE and self.name == ""
+                and all(type(x) is int and x >= 1 for x in dims)
+                or self.kind == ClassLabel.SYMBOLIC and dims == (0, 0)
+                and isinstance(self.name, str) and self.name.split() == [self.name]):
+            raise ValueError(f"{self!r} is no point, hypersurface of dimension and degree "
+                             ">= 1, or symbolic class named by one token")
+
     @staticmethod
     def point() -> "ClassLabel":
         return ClassLabel(ClassLabel.POINT)

@@ -113,6 +113,35 @@ def test_label_tokens():
         formats.parse_label("hyp:5")
 
 
+LABELS = [ClassLabel.point(), ClassLabel.hypersurface(1, 1), ClassLabel.hypersurface(5, 3),
+          ClassLabel.symbolic("E(tau0)"), ClassLabel.symbolic("pt"), ClassLabel.symbolic("a:b"),
+          ClassLabel.symbolic("hyp:1:1"), ClassLabel.symbolic("#x")]
+
+
+def test_every_label_kind_reads_back_as_written():
+    expression = formats.write_expression(FormalSum({label: 1 for label in LABELS}))
+    assert formats.read_expression(expression) == FormalSum({label: 1 for label in LABELS})
+    fan = fan_from_cones(2, [cg(2, [(1, 0), (0, 1)])], has_t=True)
+    for label in LABELS:
+        assert formats.parse_label(formats.label_token(label)) == label
+        annotations = {c: StratumAnnotation(f"c{k}", (label,)) for k, c in enumerate(fan.cones)}
+        assert formats.read_annotations(formats.write_annotations(fan, annotations),
+                                        fan) == annotations
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("symbolic", {"name": "a b"}), ("symbolic", {"name": ""}), ("symbolic", {"name": "a\u2028b"}),
+    ("symbolic", {"name": "a", "degree": 1}), ("hypersurface", {"ambient_dim": 0, "degree": 2}),
+    ("hypersurface", {"ambient_dim": 3, "degree": 0}), ("hypersurface", {"ambient_dim": 3}),
+    ("hypersurface", {"ambient_dim": True, "degree": 2}), ("point", {"name": "x"}),
+    ("line", {}),
+])
+def test_a_label_with_no_token_that_reads_back_is_rejected(kind, fields):
+    # the writer would emit e.g. `sym:a b`, `sym:`, `hyp:0:2` or `pt` for these
+    with pytest.raises(ValueError, match="is no point"):
+        ClassLabel(kind, **fields)
+
+
 @pytest.mark.parametrize("terms", ["terms 2\n+1 pt\n+1 pt\n", "terms 2\n+1 pt\n-1 pt\n",
                                    "terms 1\n+0 pt\n", "terms 2\n-1 pt\n+0 hyp:5:3\n"])
 def test_expression_rejects_a_repeated_label_or_a_zero_coefficient(terms):

@@ -594,6 +594,15 @@ def test_full_subdivision_writes_the_pinned_result_file(case):
     assert text == formats.write_result(res.projected_fan, dict(res.active_sets))
 
 
+def test_the_full_10_2_1_subdivision_is_pinned():
+    # 21,668 cones, the table fan written as the per-cone fan wrote it
+    res = verify(GrassmannSpec(10, 2, 1), verify_fan=False).result
+    text = formats.write_result(res.projected_fan, res.active_sets)
+    assert len(res.projected_fan) == 21668
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8ee4fd93bbbceac602f71d8b9873c151a5dc4bafd388932467da56abb8e25451")
+
+
 def test_expected_cones_are_primitive_height_one():
     for l in (1, 2, 3):
         cones = expected_bounded_cones(GrassmannSpec(5, 2, l))

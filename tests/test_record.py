@@ -57,7 +57,7 @@ EXAMPLES = {
     SubdivisionResult: lambda: subdivide_chart(chart()),
     LiftedChart: lambda: lift_chart(chart()),
     GlueResult: lambda: glue_charts([subdivide_chart(chart())]),
-    ClassLabel: lambda: ClassLabel.hypersurface(5, 3),
+    ClassLabel: ClassLabel.point,   # a hypersurface or symbolic class needs more than its kind
     StratumAnnotation: lambda: StratumAnnotation("c0", [ClassLabel.point()]),
 }
 
@@ -150,6 +150,9 @@ def test_replace_agrees(case):
     (MockPolytopeChart, ("c", 2, ((0, 1),), (LiftedExponent("a", (0, 0, 0)),)), {}),
     (MockPolytopeChart, ("c", 2, ((0, 1),), (LiftedExponent("a", (0, 0)),) * 2), {}),
     (StratumAnnotation, ("c0", ()), {}),
+    (ClassLabel, ("hypersurface",), {}),
+    (ClassLabel, ("hypersurface", "", 5, 0), {}),
+    (ClassLabel, ("symbolic", "a b"), {}),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_validation_errors_agree(cls, args, kwargs):
     expected = outcome(twin(cls), *args, **kwargs)

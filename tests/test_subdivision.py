@@ -1105,21 +1105,25 @@ def assert_faces_avoiding_equal_the_walk(ch, verify=False):
     `genutil.walk_faces` gives, in its order, with their masks, rays and
     grades, for the full walk and for the one pruned to t > 0; the walk is
     checked against the closure oracle.  The projected cones are handed to
-    the fan already in its order."""
+    the fan as cells already in its order, and they are its cones."""
     lift = subdivision.lift_chart(ch, verify)
     big = lift.big_cone
     lower = sum(1 << j for j, f in enumerate(big.facets) if f[-1] > 0)
     for bounded in (False, True):
         within = sum(1 << i for i, x in enumerate(big.rays) if x[-2] > 0) if bounded else None
-        handed, trusted = [], Fan._trusted
+        handed, of_cells = [], Fan._of_cells
 
-        def handed_on(rank, family, has_t):
-            handed.append(list(family))
-            return trusted(rank, handed[-1], has_t)
+        def handed_on(rank, rays, cells, has_t):
+            handed.append((list(rays), list(cells)))
+            return of_cells(rank, *handed[-1], has_t)
 
-        with mock.patch.object(Fan, "_trusted", staticmethod(handed_on)):
+        with mock.patch.object(Fan, "_of_cells", staticmethod(handed_on)):
             res = lift.subdivide(bounded)
-        assert handed == [list(res.projected_fan.cones)]
+        [(rays, cells)] = handed
+        fan = res.projected_fan
+        assert rays == sorted(set(rays)) and cells == sorted(cells)
+        assert [tuple(map(rays.__getitem__, at)) for _, at in cells] == [c.rays for c in fan]
+        assert list(fan.cones) == sorted(fan.cones, key=lambda c: (c.dim(), c.rays))
         assert "faces_avoiding" not in vars(res)
         walked = walk_faces(big, lower, within)
         assert ([(f.mask, f.cone, f.cone.dim()) for f in res.faces_avoiding]
@@ -1139,6 +1143,41 @@ def test_faces_avoiding_equal_the_walk_on_random_charts(ch):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_faces_avoiding_equal_the_walk_on_the_zero_chart(n):
     assert_faces_avoiding_equal_the_walk(zero_chart(GrassmannSpec(n, 2, 1)), verify=True)
+
+
+# -- the fan's ray table against the generic path ------------------------------------
+
+def assert_table_fan_equals_the_generic_path(res):
+    """The fan `subdivide` makes from its cells equals, in its cones, their
+    order, `==`, `hash` and `in`, the fan `fan_from_cones` checks and closes
+    from those cones, and the one `Fan._trusted` makes of them."""
+    fan = res.projected_fan
+    members = list(fan.cones)
+    assert [c.dim() for c in members] == [matrix_rank(list(c.rays)) if c.rays else 0
+                                          for c in members]
+    rays = [r for c in members if c.dim() == 1 for r in c.rays]
+    others = [cg(fan.rank, pair) for pair in zip(rays, rays[1:] + rays[:1])]
+    for oracle in (fan_from_cones(fan.rank, members, has_t=True),
+                   Fan._trusted(fan.rank, reversed(members), True)):
+        assert oracle.cones == fan.cones
+        assert (oracle.rays, oracle.cells) == (fan.rays, fan.cells)
+        assert oracle == fan and fan == oracle and hash(oracle) == hash(fan)
+        assert all(c in fan and c in oracle for c in members)
+        assert [c in fan for c in others] == [c in oracle for c in others] == [
+            c in set(members) for c in others]
+
+
+@given(general_charts())
+@settings(max_examples=40, deadline=None)
+def test_table_fan_equals_the_generic_path_on_random_charts(ch):
+    res = subdivide_full_support(ch)
+    assume(res is not None)
+    assert_table_fan_equals_the_generic_path(res)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_table_fan_equals_the_generic_path_on_the_zero_chart(n):
+    assert_table_fan_equals_the_generic_path(subdivide_chart(zero_chart(GrassmannSpec(n, 2, 1))))
 
 
 def test_a_walked_ray_projecting_to_zero_is_an_inconsistency(monkeypatch):
