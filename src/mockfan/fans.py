@@ -61,8 +61,11 @@ def rescale_cone(c: Cone, n: int) -> Cone:
         raise FanError("rescale factor must be a positive integer")
     if c.lineality:
         raise FanError("rescale_cone requires a strongly convex cone")
-    rays = sorted(primitive(tuple(n * x for x in r[:-1]) + (r[-1],)) for r in c.rays)
-    return Cone._trusted(c.rank, tuple(rays), (), c.dim())
+    return Cone._trusted(c.rank, tuple(sorted(_rescaled(r, n) for r in c.rays)), (), c.dim())
+
+
+def _rescaled(r: IntVec, n: int) -> IntVec:
+    return primitive(tuple(n * x for x in r[:-1]) + (r[-1],))
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +91,6 @@ class Fan:
     def _of_cells(rank: int, rays: Sequence[IntVec], cells: Iterable, has_t: bool) -> "Fan":
         """Internal constructor for a ray table and cells already in the fan's form."""
         return Fan(rank, tuple(rays), tuple(cells), has_t, _token=_FAN_TOKEN)
-
-    @staticmethod
-    def _trusted(rank: int, cones: Iterable[Cone], has_t: bool) -> "Fan":
-        """Internal constructor for cone sets already known to satisfy the fan
-        conditions (images under invertible maps, verified subdivisions), in any
-        order and with duplicates; the fan's `cones` are those given."""
-        cones = tuple(sorted(set(cones), key=lambda c: (c.dim(), c.rays)))
-        rays = sorted({r for c in cones for r in c.rays})
-        at = dict(zip(rays, range(len(rays))))
-        fan = Fan._of_cells(rank, rays, [(c.dim(), tuple(map(at.__getitem__, c.rays)))
-                                         for c in cones], has_t)
-        fan.__dict__["cones"] = cones
-        return fan
 
     @functools.cached_property
     def cones(self) -> tuple[Cone, ...]:
@@ -232,13 +222,17 @@ def _certified(a: int, b: int, cuts1: list[tuple[int, int]], cuts2: list[tuple[i
 
 
 def rescale(f: Fan, n: int) -> Fan:
-    """Image fan under (v, t) -> (n*v, t); bijective on cones."""
+    """Image fan under (v, t) -> (n*v, t); bijective on cones, each the
+    `rescale_cone` image of its own, so the table maps ray by ray."""
     f._require_t("rescale")
     if n < 1:
         raise FanError("rescale factor must be a positive integer")
     if n == 1:
         return f
-    return Fan._trusted(f.rank, (rescale_cone(c, n) for c in f.cones), True)
+    rays = sorted(images := [_rescaled(r, n) for r in f.rays])   # distinct: the map is invertible
+    at = list(map({r: i for i, r in enumerate(rays)}.__getitem__, images))
+    return Fan._of_cells(f.rank, rays, sorted(   # the rays are sorted: position order is ray order
+        (dim, tuple(sorted(map(at.__getitem__, cell)))) for dim, cell in f.cells), True)
 
 
 def is_specifically_reduced(f: Fan) -> bool:

@@ -4,7 +4,8 @@ All schemas are integer-only and versioned by a leading `schema` line.
 Writers emit canonical objects deterministically, so writing what was read
 back out reproduces the file byte for byte.  Cone ids in result and
 annotation files are the 0-based positions in the fan's canonical cone
-listing.
+listing; a result's active sets travel by them, as an `ActiveSets`, and a
+cone with no line reads as the empty set, as the writer writes it.
 
 Grammar (one record per line, whitespace separated):
 
@@ -263,13 +264,12 @@ def read_chart(text: str) -> MockPolytopeChart:
 
 # -- results (fan + active sets) ------------------------------------------------
 
-def write_result(fan: Fan, active_sets: Mapping[Cone, frozenset[str]]) -> str:
-    out = [f"schema {RESULT_SCHEMA}"] + _fan_body(fan)
-    out.append(f"active_sets {len(fan)}")
-    rows = (map(active_sets.sorted_ids, range(len(fan)))
-            if isinstance(active_sets, ActiveSets) and active_sets.fan == fan
-            else (sorted(active_sets.get(c, ())) for c in fan.cones))
-    out += [" ".join(["cone", str(k), "items", *ids]) for k, ids in enumerate(rows)]
+def write_result(fan: Fan, active_sets: ActiveSets) -> str:
+    if getattr(active_sets, "fan", None) != fan:   # its rows are read by position
+        raise ValueError("write_result needs the ActiveSets of the fan it writes")
+    out = [f"schema {RESULT_SCHEMA}", *_fan_body(fan), f"active_sets {len(fan)}"]
+    out += [" ".join(["cone", str(k), "items", *active_sets.sorted_ids(k)])
+            for k in range(len(fan))]
     return "\n".join(out) + "\n"
 
 
@@ -284,26 +284,27 @@ def read_fan_or_result(text: str) -> Fan:
     raise ParseError(f"expected a fan or result file, got schema {' '.join(tokens)}")
 
 
-def read_result(text: str) -> tuple[Fan, dict[Cone, frozenset[str]]]:
+def read_result(text: str) -> tuple[Fan, ActiveSets]:
+    """The fan and its `ActiveSets`; a cone with no line has the empty set."""
     lines = _Lines(text)
     _check_schema(lines, RESULT_SCHEMA)
     fan = _read_fan_body(lines)
     nsets = _nonnegative(lines, "active_sets")
-    active: dict[Cone, frozenset[str]] = {}
+    rows: list = [None] * len(fan)
     for _ in range(nsets):
         tokens = lines.expect("cone")
         if len(tokens) < 2 or tokens[1] != "items":
             raise ParseError("active set line must be: cone <idx> items <ids...>")
         idx = _ints(tokens[:1], "cone index")[0]
-        if not 0 <= idx < len(fan.cones):
+        if not 0 <= idx < len(fan):
             raise ParseError(f"active set cone index {idx} out of range")
-        if fan.cones[idx] in active:
+        if rows[idx] is not None:
             raise ParseError(f"active set cone index {idx} repeated")
-        active[fan.cones[idx]] = frozenset(tokens[2:])
-        if len(active[fan.cones[idx]]) != len(tokens) - 2:
+        rows[idx] = ActiveSets.row(set(tokens[2:]))
+        if len(rows[idx][0]) != len(tokens) - 2:
             raise ParseError(f"active set of cone index {idx} has a repeated item id")
     lines.end()
-    return fan, active
+    return fan, ActiveSets(fan, [row or ActiveSets.row(()) for row in rows])
 
 
 # -- class labels, annotations, expressions --------------------------------------

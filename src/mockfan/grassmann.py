@@ -39,13 +39,13 @@ import itertools
 from collections import Counter
 from math import comb, factorial, prod
 from operator import add
-from typing import Mapping, Optional
+from typing import Optional
 
 from ._record import record
 from .cones import Cone, _pair_rows
 from .exact import IntVec, vec_neg
 from .fans import Fan
-from .subdivision import (LiftedChart, LiftedExponent, MockPolytopeChart,
+from .subdivision import (ActiveSets, LiftedChart, LiftedExponent, MockPolytopeChart,
                           SubdivisionInconsistency, SubdivisionResult, _claimed, _lifted, _moves,
                           lift_symmetric_chart)
 from .volume import ClassLabel, FormalSum, StratumAnnotation, vol_skeleton
@@ -346,7 +346,7 @@ class VerificationReport:
     checks: tuple[ConeCheck, ...]
     extra_bounded: tuple[Cone, ...]
     bounded_fan: Fan
-    active_orbits: Mapping[Cone, frozenset[str]]
+    active_orbits: ActiveSets
     orbits: LiftedChart
 
     @functools.cached_property
@@ -427,8 +427,9 @@ def verify(spec: GrassmannSpec, verify_fan: bool = True) -> VerificationReport:
     orbits = lift_symmetric_chart(orbit_chart(spec), [x[m:] for x in rays],
                                   range(1, spec.n - 1), verify_fan)
     cells = orbits.subdivide(bounded=True)
-    active = {Cone._trusted(r, tuple((0,) * m + x for x in c.rays), (), c.dim()): ids
-              for c, ids in cells.active_sets.items()}   # E's zeros padded back
+    small = cells.projected_fan   # E's zeros padded back: the rays stay sorted, the cells valid
+    fan = Fan._of_cells(r, [(0,) * m + x for x in small.rays], small.cells, True)
+    active = ActiveSets(fan, cells.active_sets.rows)
     split = {it.id: _orbit_split(spec.d, it) for it in orbits.chart.items}
     expected = expected_bounded_cones(spec)
     checks = []
@@ -442,9 +443,7 @@ def verify(spec: GrassmannSpec, verify_fan: bool = True) -> VerificationReport:
         checks.append(ConeCheck(name, expected[name], got is not None,
                                 sum(stratum_size(spec.n, s) for s in strata), got == want,
                                 missing, extra))
-    fan = Fan._trusted(r, active, True)
-    extras = tuple(sorted(set(fan.bounded_cones()) - set(expected.values()),
-                          key=lambda c: (c.dim(), c.rays)))
+    extras = tuple(c for c in fan.bounded_cones() if c not in expected.values())   # fan order
     return VerificationReport(spec, tuple(checks), extras, fan, active, orbits)
 
 

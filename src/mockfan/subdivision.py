@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import operator
 from itertools import chain, compress
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from ._record import record, replace
 from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _orthogonal_basis,
@@ -173,6 +173,11 @@ class ActiveSets(Mapping[Cone, frozenset[str]]):
         ids, mask = self.rows[k]
         return compress(ids, bin(mask)[:1:-1].encode().translate(_BITS))
 
+    @staticmethod
+    def row(ids: Collection[str]) -> tuple[list[str], int]:
+        """The row of a set of distinct ids, all of them active."""
+        return sorted(ids), (1 << len(ids)) - 1
+
 
 @record
 class SubdivisionResult:
@@ -183,7 +188,7 @@ class SubdivisionResult:
     big_cone: Cone
     face_levels: tuple[tuple[int, ...], ...]
     projected_fan: Fan
-    active_sets: Mapping[Cone, frozenset[str]]
+    active_sets: ActiveSets
 
     @functools.cached_property
     def faces_avoiding(self) -> tuple[Face, ...]:
@@ -473,7 +478,7 @@ def _certify_lifted_cone(big: Cone, d: int, masks: Mapping[IntVec, int],
 @record
 class GlueResult:
     fan: Fan
-    active_sets: Mapping[Cone, frozenset[str]]
+    active_sets: ActiveSets
 
 
 def glue_charts(results: Sequence[SubdivisionResult]) -> GlueResult:
@@ -481,22 +486,20 @@ def glue_charts(results: Sequence[SubdivisionResult]) -> GlueResult:
     if not results:
         raise GlueError("charts do not glue: nothing to glue")
     rank = results[0].projected_fan.rank
-    merged: dict[Cone, frozenset[str]] = {}
+    merged: dict[tuple[IntVec, ...], tuple[Cone, frozenset[str]]] = {}   # by the cone's rays
     for res in results:
         if res.projected_fan.rank != rank:
             raise GlueError("charts do not glue: rank mismatch")
-        for cone in res.projected_fan:
-            have = merged.get(cone)
-            if have is None:
-                merged[cone] = res.active_sets[cone]
-            elif have != res.active_sets[cone]:
+        for cone, ids in res.active_sets.items():
+            if merged.setdefault(cone.rays, (cone, ids))[1] != ids:
                 raise GlueError("charts do not glue: active sets disagree on a shared cone")
     # each chart's fan is face-closed, so their union is too
     try:
-        fan = fan_from_cones(rank, list(merged), has_t=True)
+        fan = fan_from_cones(rank, [cone for cone, _ in merged.values()], has_t=True)
     except FanError as exc:
         raise GlueError(f"charts do not glue: {exc}") from exc
-    return GlueResult(fan, merged)
+    ids = [merged[tuple(map(fan.rays.__getitem__, at))][1] for _, at in fan.cells]
+    return GlueResult(fan, ActiveSets(fan, list(map(ActiveSets.row, ids))))
 
 
 def rescaled_chart(chart: MockPolytopeChart, n: int) -> MockPolytopeChart:

@@ -6,11 +6,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import pytest
 
-from mockfan import cones, grassmann, subdivision
+from mockfan import cones, formats, grassmann, subdivision
 from mockfan.cones import (Cone, ConeError, Face, cone_from_generators, dual_cone,
                            faces_of_masks, is_subcone, walk_masks, zero_cone)
 from mockfan.exact import ExactError, IntVec, dot, hnf, kernel_basis, primitive, rank
@@ -405,6 +405,31 @@ def make_cone(rank: int, rays, lineality) -> Cone:
     ortho = cones._orthogonal_basis(lin)
     reps = {cones._orthogonal_representative(r, ortho) for r in rays} - {None}
     return Cone(rank, tuple(sorted(reps)), lin, None, None, _token=cones._CONE_TOKEN)
+
+
+# -- a fan and its result text by `Cone`s: the oracles of the cell path ------------
+
+def oracle_fan(rank: int, cones: Iterable[Cone], has_t: bool) -> Fan:
+    """The fan of a cone family already known to satisfy the fan conditions
+    (images under invertible maps, verified subdivisions), in any order and
+    with duplicates; the fan's `cones` are those given."""
+    cones = tuple(sorted(set(cones), key=lambda c: (c.dim(), c.rays)))
+    rays = sorted({r for c in cones for r in c.rays})
+    at = dict(zip(rays, range(len(rays))))
+    fan = Fan._of_cells(rank, rays, [(c.dim(), tuple(map(at.__getitem__, c.rays)))
+                                     for c in cones], has_t)
+    fan.__dict__["cones"] = cones
+    return fan
+
+
+def oracle_write_result(fan: Fan, active_sets: Mapping[Cone, Iterable[str]]) -> str:
+    """The result text of `fan` with each cone's active set looked up by the
+    cone and sorted, a cone missing from `active_sets` written with none."""
+    out = [f"schema {formats.RESULT_SCHEMA}"] + formats._fan_body(fan)
+    out.append(f"active_sets {len(fan)}")
+    rows = (sorted(active_sets.get(c, ())) for c in fan.cones)
+    out += [" ".join(["cone", str(k), "items", *ids]) for k, ids in enumerate(rows)]
+    return "\n".join(out) + "\n"
 
 
 # -- predicates only the tests use: refinement, compact arrangement, strata ------

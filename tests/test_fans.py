@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (is_compactly_arranged, is_face_of_oracle, is_refinement,
+from genutil import (is_compactly_arranged, is_face_of_oracle, is_refinement, oracle_fan,
                      random_orthant_chart, relative_interior_contains, relative_interior_point,
                      special_cones)
 from mockfan.cones import cone_from_generators as cg
@@ -101,7 +101,7 @@ def test_trusted_fan_is_the_same_for_shuffled_and_duplicated_input(seed):
     family = list(fan.cones) + rng.choices(fan.cones, k=len(fan))
     rng.shuffle(family)
     for members in (family, reversed(fan.cones), iter(family)):
-        assert Fan._trusted(fan.rank, members, fan.has_t_coordinate) == fan
+        assert oracle_fan(fan.rank, members, fan.has_t_coordinate) == fan
 
 
 def test_euler_char():
@@ -163,6 +163,33 @@ def test_rescale_cone_rejects_lineality_and_non_positive_factors():
     for n in (0, -1):
         with pytest.raises(FanError, match="positive integer"):
             rescale_cone(cg(3, [(1, 0, 1), (0, 1, 1)]), n)
+
+
+def assert_rescale_maps_the_table(fan):
+    """`rescale` maps the ray table, with no `Cone` built, to the oracle fan
+    of the `rescale_cone` images of the cones, in cones, order and hash."""
+    members = list(Fan._of_cells(fan.rank, fan.rays, fan.cells, True))   # `fan` builds none
+    for n in (2, 3, 6, 1):   # `rescale(fan, 1)` is `fan`, whose cones the last pass builds
+        scaled = rescale(fan, n)
+        assert "cones" not in vars(fan) and "cones" not in vars(scaled)
+        oracle = oracle_fan(fan.rank, [rescale_cone(c, n) for c in reversed(members)], True)
+        assert (scaled.rays, scaled.cells) == (oracle.rays, oracle.cells)
+        assert scaled == oracle and hash(scaled) == hash(oracle)
+        assert scaled.cones == oracle.cones
+        assert scaled.rays == tuple(sorted(set(scaled.rays)))
+    assert rescale(rescale(fan, 2), 3) == rescale(fan, 6)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rescale_maps_the_table_on_random_fans(seed):
+    assert_rescale_maps_the_table(
+        subdivide_chart(random_orthant_chart(random.Random(seed))).projected_fan)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_rescale_maps_the_table_on_the_zero_chart(n):
+    assert_rescale_maps_the_table(
+        subdivide_chart(zero_chart(GrassmannSpec(n, 2, 1)), verify=False).projected_fan)
 
 
 def test_rescale_computes_no_rank(monkeypatch):
@@ -366,7 +393,7 @@ def fan_from_cones_oracle(rank, cones, has_t=False):
             raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
         closed.update(f.cone for f in c.faces())
     verify_fan_condition_oracle(closed or {zero_cone(rank)})
-    return Fan._trusted(rank, closed or {zero_cone(rank)}, has_t)
+    return oracle_fan(rank, closed or {zero_cone(rank)}, has_t)
 
 
 FAMILIES = ("fan", "maximal", "subset", "overlap", "non_face", "perturbed", "split")

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import is_face_of_oracle, random_cone, random_orthant_chart
-from mockfan import cones, fans, formats
+from genutil import (is_face_of_oracle, oracle_fan, oracle_write_result, random_cone,
+                     random_orthant_chart)
+from mockfan import cones, fans, formats, subdivision
 from mockfan.cli import main
 from mockfan.cones import ConeError, zero_cone
 from mockfan.cones import cone_from_generators as cg
@@ -57,7 +58,7 @@ def test_fan_text_is_the_same_whether_cones_share_ray_tuples_or_not():
     # the writer numbers rays by tuple identity first, then by value
     res = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)))
     shared = res.projected_fan
-    apart = fans.Fan._trusted(shared.rank, [
+    apart = oracle_fan(shared.rank, [
         cones.Cone._trusted(c.rank, tuple(tuple(list(r)) for r in c.rays), (), c.dim())
         for c in shared], True)
     rays = [r for fan in (shared, apart) for c in fan for r in c.rays]
@@ -93,6 +94,53 @@ def test_result_roundtrip():
     assert fan == res.projected_fan
     assert active == dict(res.active_sets)
     assert formats.write_result(fan, active) == text
+
+
+def test_reading_and_writing_back_a_result_builds_no_cone_of_its_fan():
+    rng = random.Random(32)
+    results = [subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)))]
+    results += [subdivide_chart(random_orthant_chart(rng)) for _ in range(20)]
+    for res in results:
+        text = formats.write_result(res.projected_fan, res.active_sets)
+        fan, active = formats.read_result(text)
+        assert type(active) is subdivision.ActiveSets and active.fan is fan
+        assert formats.write_result(fan, active) == text
+        assert "cones" not in vars(fan)
+        assert fan == res.projected_fan and active == dict(res.active_sets)
+
+
+def result_listing(text, keep, rng):
+    """`text` with only the active-set lines of the cone indices in `keep`,
+    in a shuffled order."""
+    head, sets = text.split("active_sets ")
+    lines = [ln for ln in sets.splitlines()[1:] if int(ln.split()[1]) in keep]
+    rng.shuffle(lines)
+    return head + f"active_sets {len(lines)}\n" + "".join(ln + "\n" for ln in lines)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_cone_with_no_active_set_line_reads_as_the_empty_set(seed):
+    rng = random.Random(seed)
+    chart = random_orthant_chart(rng) if seed else zero_chart(GrassmannSpec(5, 2, 1))
+    res = subdivide_chart(chart)
+    fan = res.projected_fan
+    text = formats.write_result(fan, res.active_sets)
+    for keep in (set(range(len(fan))), set(rng.sample(range(len(fan)), len(fan) // 2)), set()):
+        read, active = formats.read_result(result_listing(text, keep, rng))
+        listed = {c: res.active_sets[c] for k, c in enumerate(fan.cones) if k in keep}
+        assert read == fan and len(active) == len(fan)
+        assert all(active[c] == listed.get(c, frozenset()) for c in fan.cones)
+        # what was written back from the dict of the listed cones alone
+        assert formats.write_result(read, active) == oracle_write_result(fan, listed)
+
+
+def test_write_result_refuses_the_active_sets_of_another_fan():
+    rng = random.Random(7)
+    res, other = (subdivide_chart(random_orthant_chart(rng)) for _ in range(2))
+    assert res.projected_fan != other.projected_fan
+    for active in (other.active_sets, dict(res.active_sets), {}):
+        with pytest.raises(ValueError, match="ActiveSets of the fan it writes"):
+            formats.write_result(res.projected_fan, active)
 
 
 def test_expression_roundtrip():

@@ -12,8 +12,8 @@ import pytest
 from genutil import (alpha_id, assert_bounded_cells_equal_the_full_walk,
                      assert_claim_equals_the_lift, assert_lift_equals_the_dual_of_build_D,
                      assert_walk_down_equals_the_walk_up, effective_dimension, enumerate_S,
-                     is_compactly_arranged, is_refinement, kappa, refines_cone_faces,
-                     stratify_S, weight_split)
+                     is_compactly_arranged, is_refinement, kappa, oracle_fan,
+                     oracle_write_result, refines_cone_faces, stratify_S, weight_split)
 from mockfan import cli, cones, formats, grassmann, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import dot, primitive, rank as matrix_rank
@@ -280,6 +280,20 @@ def test_sweep_full_times_the_full_subdivision_in_its_own_columns(capsys, monkey
     assert capsys.readouterr().out.splitlines()[1].split()[-1] == "FAIL"
 
 
+def test_sweep_full_fails_a_case_whose_reading_builds_the_cones(capsys, monkeypatch):
+    sweep = sweep_module()
+    read = sweep.formats.read_result
+
+    def read_by_cones(text):   # as a reader keyed by `Cone` would
+        fan, active = read(text)
+        return fan, fan.cones and active
+
+    monkeypatch.setattr(sweep.formats, "read_result", read_by_cones)
+    assert sweep.main(["--cases", "4,2,1", "--full"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[-1] == "FAIL" and "built its cones" in out[2]
+
+
 @pytest.mark.parametrize("case", sweep_default_cases())
 def test_expected_cones_equal_the_cones_built_by_dd(case):
     n, d, l = map(int, case.split(","))
@@ -403,6 +417,42 @@ def item_level_report(spec):
     vol = vol_skeleton(cells.projected_fan, grassmann_annotations(spec),
                        active_filter=lambda c: effective_dimension(cells, c) >= 2)
     return report, cells, vol
+
+
+def padded_oracle(spec, report):
+    """The bounded fan and active orbits of `verify` as the padded-`Cone`
+    path built them: each bounded cell of the orbit lift rebuilt with E's
+    zeros padded back, and the oracle fan of those cones."""
+    m, r = index_data(spec.n).m_rank, index_data(spec.n).ambient_rank
+    cells = report.orbits.subdivide(bounded=True)
+    active = {cones.Cone._trusted(r, tuple((0,) * m + x for x in c.rays), (), c.dim()): ids
+              for c, ids in cells.active_sets.items()}
+    return oracle_fan(r, active, True), active
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bounded_fan_and_active_orbits_equal_the_padded_cones(monkeypatch, n):
+    spec = GrassmannSpec(n, 2, 1)
+    report = verify(spec)
+    fan, active = report.bounded_fan, report.active_orbits
+    oracle, oracle_active = padded_oracle(spec, report)
+    assert (fan.rays, fan.cells) == (oracle.rays, oracle.cells)
+    assert fan == oracle and hash(fan) == hash(oracle) and fan.cones == oracle.cones
+    assert active.fan is fan and dict(active) == oracle_active
+    assert formats.write_result(fan, active) == oracle_write_result(oracle, oracle_active)
+    # two expected cones swapped for the zero cone: the two cells become
+    # unexpected bounded cones, listed in (dim, rays) order
+    expected = expected_bounded_cones(spec)
+    monkeypatch.setattr(grassmann, "expected_bounded_cones", lambda spec: {
+        **expected, "sigma1": cones.zero_cone(fan.rank), "tau1": cones.zero_cone(fan.rank)})
+    report = verify(spec)
+    oracle, _ = padded_oracle(spec, report)
+    assert report.extra_bounded == tuple(sorted(
+        {expected["sigma1"], expected["tau1"]}, key=lambda c: (c.dim(), c.rays)))
+    assert report.extra_bounded == tuple(sorted(
+        set(oracle.bounded_cones()) - set(grassmann.expected_bounded_cones(spec).values()),
+        key=lambda c: (c.dim(), c.rays)))
+    assert not report.passed
 
 
 def assert_orbits_agree_with_the_items(spec):
@@ -591,7 +641,7 @@ def test_full_subdivision_writes_the_pinned_result_file(case):
     res = verify(GrassmannSpec(*case), verify_fan=False).result
     text = formats.write_result(res.projected_fan, res.active_sets)
     assert hashlib.sha256(text.encode()).hexdigest() == RESULT_SHA256[case]
-    assert text == formats.write_result(res.projected_fan, dict(res.active_sets))
+    assert text == oracle_write_result(res.projected_fan, dict(res.active_sets))
 
 
 def test_the_full_10_2_1_subdivision_is_pinned():

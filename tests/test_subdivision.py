@@ -12,8 +12,9 @@ from genutil import (active_set, assert_bounded_cells_equal_the_full_walk,
                      assert_lift_equals_the_dual_of_build_D, assert_own_claim_equals_the_lift,
                      assert_walk_matches_oracle, effective_dimension,
                      interior_lattice_point, is_refinement, lattice_points_in_support,
-                     lifted_from, make_cone, pair_with_D, random_orthant_chart,
-                     refines_cone_faces, relative_interior_point, tight_facets, walk_faces)
+                     lifted_from, make_cone, oracle_fan, oracle_write_result, pair_with_D,
+                     random_orthant_chart, refines_cone_faces, relative_interior_point,
+                     tight_facets, walk_faces)
 from mockfan import cones, formats, replace, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
@@ -257,6 +258,20 @@ def test_glue_chart_over_face_restricts():
     for c in rsmall.projected_fan:
         assert rsmall.active_sets[c] == rbig.active_sets[c]
     assert set(glued.fan.cones) == set(rbig.projected_fan.cones)
+
+
+def test_glue_hands_over_the_active_sets_of_its_fan():
+    rng = random.Random(31)
+    for res in [subdivide_chart(halfline_chart())] + [
+            subdivide_chart(random_orthant_chart(rng)) for _ in range(10)]:
+        glued = glue_charts([res, res])
+        assert type(glued.active_sets) is subdivision.ActiveSets
+        assert glued.active_sets.fan is glued.fan and "cones" not in vars(glued.fan)
+        assert glued.fan == res.projected_fan
+        assert dict(glued.active_sets) == dict(res.active_sets)
+        assert (formats.write_result(glued.fan, glued.active_sets)
+                == oracle_write_result(glued.fan, dict(res.active_sets))
+                == formats.write_result(res.projected_fan, res.active_sets))
 
 
 def test_glue_inconsistent_kappa_fails():
@@ -800,7 +815,7 @@ def test_mask_active_sets_on_every_cone_of_the_zero_chart(n):
 def assert_active_sets_are_the_argmin_and_written_alike(ch, res):
     """Each active set of `res`, read from its bitsets, is a frozenset and
     the val_min argmin; the mapping holds the fan's cones and no other, and
-    `write_result` writes it as it writes a plain dict of it."""
+    `write_result` writes it as the Cone-keyed oracle writes a plain dict of it."""
     fan, active = res.projected_fan, res.active_sets
     for cone in fan:
         assert type(active[cone]) is frozenset
@@ -808,7 +823,7 @@ def assert_active_sets_are_the_argmin_and_written_alike(ch, res):
     assert len(active) == len(fan) and set(active) == set(fan.cones)
     with pytest.raises(KeyError):
         active[cg(fan.rank + 1, [])]
-    assert formats.write_result(fan, active) == formats.write_result(fan, dict(active))
+    assert formats.write_result(fan, active) == oracle_write_result(fan, dict(active))
 
 
 @given(general_charts())
@@ -1150,7 +1165,7 @@ def test_faces_avoiding_equal_the_walk_on_the_zero_chart(n):
 def assert_table_fan_equals_the_generic_path(res):
     """The fan `subdivide` makes from its cells equals, in its cones, their
     order, `==`, `hash` and `in`, the fan `fan_from_cones` checks and closes
-    from those cones, and the one `Fan._trusted` makes of them."""
+    from those cones, and the oracle fan of them."""
     fan = res.projected_fan
     members = list(fan.cones)
     assert [c.dim() for c in members] == [matrix_rank(list(c.rays)) if c.rays else 0
@@ -1158,7 +1173,7 @@ def assert_table_fan_equals_the_generic_path(res):
     rays = [r for c in members if c.dim() == 1 for r in c.rays]
     others = [cg(fan.rank, pair) for pair in zip(rays, rays[1:] + rays[:1])]
     for oracle in (fan_from_cones(fan.rank, members, has_t=True),
-                   Fan._trusted(fan.rank, reversed(members), True)):
+                   oracle_fan(fan.rank, reversed(members), True)):
         assert oracle.cones == fan.cones
         assert (oracle.rays, oracle.cells) == (fan.rays, fan.cells)
         assert oracle == fan and fan == oracle and hash(oracle) == hash(fan)
