@@ -39,11 +39,11 @@ def main(argv=None) -> int:
     result = report.result
     (outdir / "result.txt").write_text(
         formats.write_result(result.projected_fan, result.active_sets))
-    (outdir / "annotations.txt").write_text(
-        formats.write_annotations(result.projected_fan, grassmann_annotations(spec)))
-    if not report.passed:
+    if not report.passed:   # the annotated cones are the verified bounded ones
         sys.stderr.write(report.render() + "\n")
         return 1
+    (outdir / "annotations.txt").write_text(
+        formats.write_annotations(result.projected_fan, grassmann_annotations(spec)))
     (outdir / "vol.txt").write_text(
         formats.write_expression(vol_expression(spec, report)))
     print(f"wrote 4 files to {outdir} "

@@ -33,15 +33,17 @@ took 0.56-0.94 s and 2.2-3.6 s (38,226 and 123,256 items, 17 orbit rows
 each; C has 1,245 and 2,297 facets), three runs each, on 2 vCPUs with
 CPython 3.11.7 (a shared host); the default grid took about 0.5 s in all.
 
-The full subdivision, `--cases 8,2,1 10,2,1 12,2,1 --full`, medians of
-three runs on the same host.  `report.result` hands its fan over as one
-sorted ray table with a (dim, positions) cell per cone, which `write`
-reads as it is; `read` rebuilds the same table through `fan_from_cones`:
+The full subdivision, `--cases 8,2,1 10,2,1 12,2,1 --full`, on the same
+host (full and write: medians of three runs; read: two runs).
+`report.result` hands its fan over as one sorted ray table with a
+(dim, positions) cell per cone, which `write` reads as it is; `read`
+builds one DD per maximal cone, tests each other listed cone against its
+first holder, and rebuilds the same table through `fan_from_cones`:
 
     case     cones   full      write     read
-    8,2,1    4,364   0.033 s   0.012 s   0.29 s
-    10,2,1   21,668  0.16 s    0.091 s   1.64 s
-    12,2,1   101,932 0.81 s    0.57 s    9.8 s
+    8,2,1    4,364   0.033 s   0.012 s   0.23-0.25 s
+    10,2,1   21,668  0.16 s    0.091 s   1.24-1.30 s
+    12,2,1   101,932 0.81 s    0.57 s    6.9 s
 """
 
 import argparse

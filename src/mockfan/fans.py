@@ -238,8 +238,7 @@ def rescale(f: Fan, n: int) -> Fan:
 def is_specifically_reduced(f: Fan) -> bool:
     """Every 1-dimensional special cone has primitive generator with t = 1."""
     f._require_t("is_specifically_reduced")
-    return all(c.rays[0][-1] == 1
-               for c in f.cones if c.dim() == 1 and is_special_cone(c))
+    return all(r[-1] in (0, 1) for r in f.rays)   # each ray is a 1-dim cone; t >= 0
 
 
 def specifically_reduced_scale(f: Fan) -> int:
@@ -249,5 +248,4 @@ def specifically_reduced_scale(f: Fan) -> int:
     itself, so the answer is the lcm of the t-coordinates of the special rays.
     """
     f._require_t("specifically_reduced_scale")
-    ts = [c.rays[0][-1] for c in f.cones if c.dim() == 1 and is_special_cone(c)]
-    return math.lcm(*ts)
+    return math.lcm(*(r[-1] for r in f.rays if r[-1]))

@@ -30,10 +30,10 @@ a negative rank or count, an item id repeated in one active set, a wrong
 `rendered` line, and text after the end.
 
 A fan is read through its maximal cones (`_read_fan_body`): a listed cone
-whose generators are the rays of a face of one (`Cone.face_mask`) needs no
-DD, as `fan_from_cones` adds that face by face closure.
-A listing that is no fan fails with the message of its cone-by-cone
-reading, from one `fan_from_cones` call.
+whose generators are the rays of a face (`Cone.face_mask`) of the first
+built cone whose ray indices hold its own needs no DD, as `fan_from_cones`
+adds that face by face closure.  A listing that is no fan fails with the
+message of its cone-by-cone reading, from one `fan_from_cones` call.
 """
 
 from __future__ import annotations
@@ -174,18 +174,21 @@ def write_fan(f: Fan) -> str:
 def _read_fan_body(lines: _Lines) -> Fan:
     """The fan of the listed cones, with one DD per index-maximal cone.
 
-    Cones go largest ray-index set first; one whose index set lies in no
-    candidate's is a candidate.  One whose generators are the rays of a
-    face of a containing candidate (`Cone.face_mask`) is that face and is
-    not built; the rest are.
+    Cones go largest ray-index set first.  One whose generators are the
+    rays of a face (`Cone.face_mask`) of its holder, the first built cone
+    whose index set holds its own, is that face and is not built; the rest
+    are.  A holder has no holder of its own: that one would be built earlier
+    and hold the cone too.  In a fan, a cone inside two built cones lies in
+    their meet, a face of each, so it is a face of both or of neither: the
+    first holder decides as well as all of them would.
 
     A listing that is no fan fails as its cone-by-cone reading would, with
-    the same message: a skipped cone is a face of a built candidate, so if
-    the candidate has lineality the convexity check fires in both readings;
-    otherwise the face has no ray the candidate lacks, so it comes after the
-    candidate in the one sorted pass of `fan_from_cones`.  When the pass gets
-    to it, it is in the face closure (a face of a face is a face), unless the
-    pass has already stopped at its candidate as the stray.
+    the same message: a skipped cone is a face of a built cone, so if that
+    cone has lineality the convexity check fires in both readings;
+    otherwise the face has no ray the cone lacks, so it comes after the
+    cone in the one sorted pass of `fan_from_cones`.  When the pass gets to
+    it, it is in the face closure (a face of a face is a face), unless the
+    pass has already stopped at that cone as the stray.
     """
     rank = _nonnegative(lines, "rank")
     has_t = _one_int(lines.expect("has_t"), "has_t")
@@ -201,16 +204,12 @@ def _read_fan_body(lines: _Lines) -> Fan:
         if bad:
             raise ParseError(f"cone ray index {bad[0]} out of range for {nrays} rays")
         listed.append((sum(1 << i for i in set(idx)), [rays[i] for i in idx]))
-    cones: list[Cone] = []
-    candidates: list[tuple[int, Cone]] = []
+    built: list[tuple[int, Cone]] = []
     for mask, gens in sorted(listed, key=lambda entry: -entry[0].bit_count()):
-        containing = [c for index_mask, c in candidates if mask & ~index_mask == 0]
-        if any(c.face_mask(gens) is not None for c in containing):
-            continue
-        cones.append(cone_from_generators(rank, gens))
-        if not containing:
-            candidates.append((mask, cones[-1]))
-    return fan_from_cones(rank, cones, has_t=bool(has_t))
+        holder = next((c for held, c in built if mask & ~held == 0), None)
+        if holder is None or holder.face_mask(gens) is None:
+            built.append((mask, cone_from_generators(rank, gens)))
+    return fan_from_cones(rank, [c for _, c in built], has_t=bool(has_t))
 
 
 def read_fan(text: str) -> Fan:
@@ -337,13 +336,13 @@ def parse_label(token: str) -> ClassLabel:
 
 
 def write_annotations(fan: Fan, annotations: Mapping[Cone, StratumAnnotation]) -> str:
-    rows = []
-    for idx, c in enumerate(fan.cones):
-        ann = annotations.get(c)
-        if ann is None:
-            continue
-        labels = " ".join(label_token(l) for l in ann.labels)
-        rows.append(f"cone {idx} labels {labels}")
+    """One line per annotated cone, by its position in the fan; an annotated
+    cone that is not a cone of the fan raises ValueError."""
+    stray = next((c for c in annotations if c not in fan), None)
+    if stray is not None:
+        raise ValueError(f"annotated cone is not a cone of the fan: {stray!r}")
+    rows = [f"cone {idx} labels {' '.join(map(label_token, annotations[c].labels))}"
+            for idx, c in enumerate(fan.cones) if c in annotations]
     out = [f"schema {ANNOTATIONS_SCHEMA}", f"annotations {len(rows)}"] + rows
     return "\n".join(out) + "\n"
 

@@ -440,6 +440,21 @@ def special_cones(f: Fan) -> list[Cone]:
     return [c for c in f.cones if is_special_cone(c)]
 
 
+def is_specifically_reduced_oracle(f: Fan) -> bool:
+    """`fans.is_specifically_reduced` by cones: every 1-dimensional special
+    cone has its primitive generator at t = 1."""
+    f._require_t("is_specifically_reduced")
+    return all(c.rays[0][-1] == 1
+               for c in f.cones if c.dim() == 1 and is_special_cone(c))
+
+
+def specifically_reduced_scale_oracle(f: Fan) -> int:
+    """`fans.specifically_reduced_scale` by cones: the lcm of the
+    t-coordinates of the 1-dimensional special cones."""
+    f._require_t("specifically_reduced_scale")
+    return math.lcm(*[c.rays[0][-1] for c in f.cones if c.dim() == 1 and is_special_cone(c)])
+
+
 def is_refinement(fine: Fan, coarse: Fan) -> bool:
     """True iff `fine` subdivides `coarse` with equal support.
 

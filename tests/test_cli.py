@@ -153,11 +153,17 @@ def test_glue_failure_exit_code(tmp_path, capsys):
     assert "charts do not glue" in capsys.readouterr().err
 
 
+def src_env() -> dict:
+    """The environment with `src` on PYTHONPATH, for a subprocess that imports
+    mockfan from this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mockfan.cli", "grassmann-verify",
          "--n", "4", "--d", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert "status: PASS" in proc.stdout
 
@@ -300,7 +306,8 @@ def test_importing_the_cli_loads_no_fractions():
     # fractions pulls in decimal and numbers, which the engine never needs
     code = ("import sys, mockfan.cli; "
             "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -312,8 +319,8 @@ def test_importing_mockfan_loads_no_dataclasses_or_inspect():
     code = ("import sys; bare = set(sys.modules); "
             "import mockfan, mockfan.cli, mockfan.formats; "
             "print(sorted(set(sys.modules) - bare))")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     added = ast.literal_eval(proc.stdout)
     assert "mockfan.cli" in added and "mockfan.formats" in added

@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from mockfan import replace
+from mockfan.cli import main
+from mockfan.grassmann import GrassmannSpec, verify
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "export_instance_files.py"
 
 DIGESTS = {
@@ -56,3 +60,32 @@ def test_export_files_are_byte_identical(export_main, tmp_path, n, d, l):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert written == DIGESTS[n, d, l]
+
+
+@pytest.mark.parametrize("n, d, l", [(5, 2, 1), (6, 2, 1)])
+def test_exported_files_come_back_through_the_command_line(export_main, tmp_path, n, d, l):
+    # `mockfan subdivide` of the chart writes the result, and `mockfan vol`
+    # of the result and the annotations writes the expression, byte for byte
+    assert export_main(["--n", str(n), "--d", str(d), "--l", str(l),
+                        "-o", str(tmp_path)]) == 0
+    again = tmp_path / "again"
+    again.mkdir()
+    assert main(["subdivide", "-i", str(tmp_path / "zero_chart.txt"),
+                 "-o", str(again / "result.txt")]) == 0
+    assert main(["vol", "-i", str(tmp_path / "result.txt"),
+                 "--annotations", str(tmp_path / "annotations.txt"),
+                 "-o", str(again / "vol.txt")]) == 0
+    for name in ("result.txt", "vol.txt"):
+        assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_a_failed_verification_exits_1_with_its_report_and_no_annotations(
+        export_main, tmp_path, monkeypatch, capsys):
+    # the report of Gr(2, 4), failed by one unexpected bounded cone, given for
+    # Gr(2, 5): its fan holds none of the cones the annotations would name
+    report = verify(GrassmannSpec(4, 2, 1))
+    failed = replace(report, extra_bounded=tuple(report.bounded_fan.bounded_cones()[:1]))
+    monkeypatch.setitem(export_main.__globals__, "verify", lambda spec: failed)
+    assert export_main(["--n", "5", "--d", "2", "-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == failed.render() + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.txt", "zero_chart.txt"]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (is_compactly_arranged, is_face_of_oracle, is_refinement, oracle_fan,
-                     random_orthant_chart, relative_interior_contains, relative_interior_point,
-                     special_cones)
+from genutil import (is_compactly_arranged, is_face_of_oracle, is_refinement,
+                     is_specifically_reduced_oracle, oracle_fan, random_orthant_chart,
+                     relative_interior_contains, relative_interior_point, special_cones,
+                     specifically_reduced_scale_oracle)
 from mockfan.cones import cone_from_generators as cg
 from mockfan import cones, fans
 from mockfan.cones import intersect, is_subcone, zero_cone
@@ -228,6 +229,30 @@ def test_bounded_faces_stay_bounded_or_zero():
         for c in fan.bounded_cones():
             for f in c.faces():
                 assert f.cone.is_zero() or is_bounded_cone(f.cone)
+
+
+def assert_specifically_reduced_reads_the_ray_table(fan):
+    """Both predicates read `Fan.rays`, build no `cones`, and agree with the
+    cone-by-cone oracles."""
+    fresh = Fan._of_cells(fan.rank, fan.rays, fan.cells, True)
+    got = is_specifically_reduced(fresh), specifically_reduced_scale(fresh)
+    assert "cones" not in vars(fresh)
+    assert got == (is_specifically_reduced_oracle(fan), specifically_reduced_scale_oracle(fan))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_specifically_reduced_reads_the_ray_table_on_random_fans(seed):
+    chart = random_orthant_chart(random.Random(seed))
+    for scale in (1, 2, 3):
+        fan = subdivide_chart(rescaled_chart(chart, scale)).projected_fan
+        assert_specifically_reduced_reads_the_ray_table(fan)
+        assert_specifically_reduced_reads_the_ray_table(rescale(fan, 2))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_specifically_reduced_reads_the_ray_table_on_the_zero_chart(n):
+    assert_specifically_reduced_reads_the_ray_table(
+        subdivide_chart(zero_chart(GrassmannSpec(n, 2, 1)), verify=False).projected_fan)
 
 
 def test_specifically_reduced():

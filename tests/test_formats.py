@@ -15,7 +15,8 @@ from mockfan.cones import ConeError, zero_cone
 from mockfan.cones import cone_from_generators as cg
 from mockfan.exact import ExactError
 from mockfan.fans import FanError, fan_from_cones
-from mockfan.grassmann import GrassmannSpec, verify, vol_expression, zero_chart
+from mockfan.grassmann import (GrassmannSpec, grassmann_annotations, verify, vol_expression,
+                               zero_chart)
 from mockfan.subdivision import (LiftedExponent, MockPolytopeChart, rescaled_chart,
                                  subdivide_chart)
 from mockfan.volume import ClassLabel, FormalSum, StratumAnnotation
@@ -213,6 +214,18 @@ def test_annotations_roundtrip():
     text = formats.write_annotations(fan, ann)
     back = formats.read_annotations(text, fan)
     assert back == ann
+
+
+def test_annotations_of_a_cone_outside_the_fan_are_refused():
+    spec = GrassmannSpec(4, 2, 1)
+    fan = verify(spec).bounded_fan
+    annotations = grassmann_annotations(spec)
+    assert formats.write_annotations(fan, annotations).count("\ncone ") == 7
+    ray = cg(fan.rank, [(1,) + (0,) * (fan.rank - 1)])   # t = 0: no bounded cone
+    annotations[ray] = StratumAnnotation("ray", (ClassLabel.point(),))
+    with pytest.raises(ValueError, match=re.escape(
+            f"annotated cone is not a cone of the fan: {ray!r}")):
+        formats.write_annotations(fan, annotations)
 
 
 def test_parse_errors():
@@ -569,6 +582,13 @@ READER_CASES = {
     "a listed face of a non-face": (
         fan_text([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (2,)]),
         (FanError, "not a fan: cone is not a face of any maximal cone: [(1, 0), (1, 1)]")),
+    # the ray (1, 1) lies in the quadrant 0 1 (with a non-extreme index 2)
+    # and in the cone 2 3, and is a face of the second only: its first
+    # holder, the quadrant, builds it; the pair then fails to meet in a face
+    "a listed cone inside two candidates, a face of the second only": (
+        fan_text([(1, 0), (0, 1), (1, 1), (-1, 1)], [(0, 1, 2), (2, 3), (2,)]),
+        (FanError, "not a fan: intersection is not a common face: "
+                   "[(-1, 1), (1, 1)] and [(0, 1), (1, 0)]")),
 }
 
 
@@ -578,18 +598,34 @@ def test_fan_reader_cases(case):
     assert assert_reads_as_the_oracle(text) == expected
 
 
-def test_reading_a_result_runs_one_dd_per_maximal_cone(monkeypatch):
-    res = subdivide_chart(zero_chart(GrassmannSpec(5, 2, 1)), verify=False)
+def assert_reading_runs_one_dd_per_maximal_cone(monkeypatch, n):
+    """Reading the zero chart's result for Gr(2, n) runs one DD per maximal
+    cone and one face test per listed cone that is not maximal."""
+    res = subdivide_chart(zero_chart(GrassmannSpec(n, 2, 1)), verify=False)
     text = formats.write_result(res.projected_fan, res.active_sets)
-    calls = []
+    calls, face_tests = [], []
     real = formats.cone_from_generators
     monkeypatch.setattr(formats, "cone_from_generators",
                         lambda *args: calls.append(args) or real(*args))
+    real_face_mask = cones.Cone.face_mask
+    monkeypatch.setattr(cones.Cone, "face_mask",
+                        lambda cone, rays: face_tests.append(cone) or real_face_mask(cone, rays))
     fan, active = formats.read_result(text)
     assert fan == res.projected_fan and active == dict(res.active_sets)
-    maximal = [c for c in fan.cones
-               if not any(set(c.rays) < set(d.rays) for d in fan.cones)]
-    assert len(calls) == len(maximal) < len(fan.cones)
+    masks = [sum(1 << i for i in at) for _, at in fan.cells]   # each cone's rays
+    maximal = [m for m in masks if not any(m & ~d == 0 for d in masks if d != m)]
+    assert len(calls) == len(maximal) < len(fan)
+    assert len(face_tests) == len(fan) - len(maximal)   # against its first holder
+
+
+def test_reading_a_result_runs_one_dd_per_maximal_cone(monkeypatch):
+    assert_reading_runs_one_dd_per_maximal_cone(monkeypatch, 5)
+
+
+@pytest.mark.skipif(not os.environ.get("MOCKFAN_LARGE_CASES"),
+                    reason="large case, about 2 s: set MOCKFAN_LARGE_CASES=1")
+def test_reading_the_8_2_1_result_runs_one_dd_per_maximal_cone(monkeypatch):
+    assert_reading_runs_one_dd_per_maximal_cone(monkeypatch, 8)
 
 
 def test_facet_masks_are_computed_once_per_cone(monkeypatch):
@@ -622,9 +658,10 @@ def test_facet_masks_are_computed_once_per_cone(monkeypatch):
     computed = [cone for cone, first in asked if first]
     assert len({id(c) for c in computed}) == len(computed)
     assert set(maximal) - set(simplicial) <= set(computed) <= set(maximal)
-    # each face test (the reader's skip test; fan_from_cones certifies every
-    # meet from its table), then one walk per maximal cone in fan_from_cones,
-    # which gives a simplicial one its boolean lattice with no facet mask
+    # each face test (the reader's skip test of a listed face against its
+    # first holder; fan_from_cones certifies every meet from its table), then
+    # one walk per maximal cone in fan_from_cones, which gives a simplicial
+    # one its boolean lattice with no facet mask
     assert len(asked) == len(face_tests) + len(maximal) - len(simplicial)
     assert {id(c) for c, _ in asked} == {id(c) for c in computed}
 
