@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from mockfan import formats
-from mockfan.grassmann import (GrassmannSpec, grassmann_annotations, verify,
+from mockfan.grassmann import (GrassmannError, GrassmannSpec, grassmann_annotations, verify,
                                vol_expression, zero_chart)
 
 
@@ -28,7 +28,10 @@ def main(argv=None) -> int:
     ap.add_argument("-o", "--outdir", default=".")
     args = ap.parse_args(argv)
 
-    spec = GrassmannSpec(args.n, args.d, args.l)
+    try:
+        spec = GrassmannSpec(args.n, args.d, args.l)
+    except GrassmannError as exc:
+        ap.error(str(exc))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

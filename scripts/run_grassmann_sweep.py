@@ -63,7 +63,10 @@ def parse_case(text: str) -> GrassmannSpec:
     parts = text.split(",")
     if len(parts) != 3:
         raise SystemExit(f"bad case {text!r}: expected n,d,l")
-    return GrassmannSpec(*(int(p) for p in parts))
+    try:
+        return GrassmannSpec(*(int(p) for p in parts))
+    except ValueError as exc:   # a field that is no integer, or a GrassmannError
+        raise SystemExit(f"bad case {text!r}: {exc}") from None
 
 
 def read_back(written: str, fan: Fan) -> tuple[float, bool]:
@@ -87,6 +90,7 @@ def main(argv=None) -> int:
     ap.add_argument("--full", action="store_true",
                     help="also build and time the full subdivision per case")
     args = ap.parse_args(argv)
+    specs = [parse_case(text) for text in args.cases]   # every case checked before any runs
 
     all_ok = True
     full_columns = (f"{'cones':>7}  {'full':>9}  {'write':>9}  {'read':>9}  "
@@ -94,8 +98,7 @@ def main(argv=None) -> int:
     print(f"{'case':>10}  {'items':>6}  {'C rays':>6}  {'facets':>6}  {'bounded':>7}  "
           f"{'time':>9}  {full_columns}status")
     total = full_total = write_total = read_total = 0.0
-    for text in args.cases:
-        spec = parse_case(text)
+    for text, spec in zip(args.cases, specs):
         start = time.monotonic()
         report = verify(spec)
         elapsed = time.monotonic() - start

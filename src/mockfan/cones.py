@@ -9,8 +9,7 @@ what fans and the subdivision pipeline rely on.
 Everything is integer arithmetic.  The orthogonal representative comes from
 an integer Gram-Schmidt basis of the lineality, each step scaled by o.o > 0
 so that no `Fraction` is needed: the primitive result is the rational
-projection cleared to integers.  Unit vectors of the lineality, common in
-Hermite bases, are projected off by zeroing their coordinates.
+projection cleared to integers.
 
 Representation conversion is one routine, `_canonical_vrep`, the only
 caller of `_dd`: an incremental double description (DD) method over exact
@@ -102,9 +101,6 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
                 neg.append((r, mask, v, pos_in_list))
             else:
                 zero.append((r, mask | bit))
-        if not neg:
-            rays = [(r, m) for r, m, _, _ in pos] + zero
-            continue
         new = [(r, m) for r, m, _, _ in pos] + zero
         need = dim - len(lin) - 2
         masks = [m for _, m in rays]
@@ -121,43 +117,29 @@ def _dd(dim: int, inequalities: Sequence[IntVec]) -> tuple[list[IntVec], list[In
     return [r for r, _ in rays], lin
 
 
-# a subspace ready to project off: see `_orthogonal_basis`
-Subspace = tuple[Optional[IntVec], list[IntVec]]
 # a pairing to read a table off: see `_canonical_vrep` and `_read_off`
 Pairing = tuple[Sequence[IntVec], Iterable[IntVec], Optional[Mapping[IntVec, IntVec]]]
 
 
-def _orthogonal_basis(basis: Sequence[IntVec]) -> Subspace:
-    """The subspace spanned by the independent `basis`, ready to project
-    off: a selector that is 0 on the coordinate of each vector of `basis`
-    with one nonzero entry and 1 elsewhere (None when there is no such
-    vector), and the other vectors, zeroed there, by integer Gram-Schmidt:
-    primitive, pairwise orthogonal, each a positive multiple of its
-    rational counterpart.  Zeroing a coordinate projects off its unit
-    vector in one pass; a coordinate subspace is the common lineality.
+def _orthogonal_basis(basis: Sequence[IntVec]) -> list[IntVec]:
+    """An orthogonal basis of the span of the independent `basis`, by
+    integer Gram-Schmidt: each vector projected off the ones before it by
+    `_orthogonal_representative`, so primitive, and a positive multiple of
+    its rational counterpart.
     """
-    if not basis:
-        return None, []
-    units = {k for w in basis if w.count(0) == len(w) - 1 for k, x in enumerate(w) if x}
-    space: Subspace = (tuple(int(k not in units) for k in range(len(basis[0]))) if units
-                       else None, [])
+    ortho: list[IntVec] = []
     for w in basis:
-        if w.count(0) != len(w) - 1:
-            space[1].append(_orthogonal_representative(w, space))
-    return space
+        ortho.append(_orthogonal_representative(w, ortho))
+    return ortho
 
 
-def _orthogonal_representative(v: IntVec, space: Subspace) -> Optional[IntVec]:
-    """Primitive orthogonal-complement representative of v modulo the
-    subspace `space` of `_orthogonal_basis`: v zeroed on its unit
-    coordinates, then projected off one orthogonal vector at a time.
-    Returns None when v lies in the subspace.  The representative is
-    unique up to positive scaling, so primitivizing makes it canonical,
-    whatever basis spans the subspace.
+def _orthogonal_representative(v: IntVec, ortho: Sequence[IntVec]) -> Optional[IntVec]:
+    """Primitive orthogonal-complement representative of v modulo the span
+    of the pairwise orthogonal `ortho`: v projected off one vector at a
+    time, each step scaled by o.o > 0.  Returns None when v lies in the
+    span.  The representative is unique up to positive scaling, so
+    primitivizing makes it canonical, whatever basis spans the subspace.
     """
-    selector, ortho = space
-    if selector is not None:
-        v = tuple(map(mul, v, selector))
     for o in ortho:
         ov = dot(o, v)
         if ov:
@@ -283,10 +265,7 @@ class Cone:
 
     def dim(self) -> int:
         if self._dim is None:
-            if not self.rays and not self.lineality:
-                self._dim = 0
-            else:
-                self._dim = matrix_rank(list(self.rays) + list(self.lineality))
+            self._dim = matrix_rank(list(self.rays) + list(self.lineality))
         return self._dim
 
     def is_strongly_convex(self) -> bool:

@@ -227,8 +227,6 @@ def rescale(f: Fan, n: int) -> Fan:
     f._require_t("rescale")
     if n < 1:
         raise FanError("rescale factor must be a positive integer")
-    if n == 1:
-        return f
     rays = sorted(images := [_rescaled(r, n) for r in f.rays])   # distinct: the map is invertible
     at = list(map({r: i for i, r in enumerate(rays)}.__getitem__, images))
     return Fan._of_cells(f.rank, rays, sorted(   # the rays are sorted: position order is ray order

@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
-from .cones import Cone, cone_from_generators
+from .cones import Cone, _bit_indices, cone_from_generators
 from .fans import Fan, fan_from_cones, is_bounded_cone, is_special_cone
 from .subdivision import ActiveSets, LiftedExponent, MockPolytopeChart
 from .volume import ClassLabel, FormalSum, StratumAnnotation
@@ -400,16 +400,12 @@ def read_expression(text: str) -> FormalSum:
 # -- reports ----------------------------------------------------------------------
 
 def write_faces(c: Cone) -> str:
-    """Listing of all faces of a cone, sharing one ray table."""
+    """Listing of all faces of a cone, sharing one ray table: the cone's
+    `write_cone` block, then each face's ray indices, the bits of its mask."""
     faces = c.faces()
-    ray_index = {r: i for i, r in enumerate(c.rays)}
-    out = [f"schema {FACES_SCHEMA}", f"rank {c.rank}", f"rays {len(c.rays)}"]
-    out += [" ".join(map(str, r)) for r in c.rays]
-    out.append(f"lineality {len(c.lineality)}")
-    out += [" ".join(map(str, v)) for v in c.lineality]
-    out.append(f"faces {len(faces)}")
+    out = [f"schema {FACES_SCHEMA}", *write_cone(c).splitlines()[1:], f"faces {len(faces)}"]
     for f in faces:
-        idx = " ".join(str(ray_index[r]) for r in f.cone.rays)
+        idx = " ".join(map(str, _bit_indices(f.mask)))
         out.append(f"face dim {f.cone.dim()} rays {idx}".rstrip())
     return "\n".join(out) + "\n"
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genutil import (assert_walk_down_equals_the_walk_up, assert_walk_matches_oracle,
@@ -380,19 +380,18 @@ def test_single_dd_construction_edge_cases(rank, gens, lins):
     st.lists(st.integers(-4, 4), min_size=rank, max_size=rank).map(tuple),
     st.lists(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank).map(tuple),
              max_size=rank))))
+@example(((3, -2, 5, 1), [(1, 0, 0, 0), (0, 0, 1, 0)]))   # a coordinate subspace
+@example(((2, -3, 4), [(1, 1, 0), (0, 0, 1)]))          # a non-unit vector, then a unit one
+@example(((2, -3, 4), [(0, 1, 0), (1, 1, 1)]))          # a unit vector, then a non-unit one
+@example(((2, -3, 4), [(1, 0, 0), (0, 1, 1)]))          # the same, in Hermite form
 @settings(max_examples=300, deadline=None)
 def test_integer_reduction_equals_fraction_reduction(data):
     v, vectors = data
     lin = saturated_subspace_basis(vectors, len(v))
     space = cones._orthogonal_basis(lin)
-    selector, ortho = space
-    # the unit vectors the selector zeroes and the Gram-Schmidt vectors are
-    # pairwise orthogonal and span the lineality
-    units = [tuple(int(k == j) for k in range(len(v)))
-             for j, keep in enumerate(selector or ()) if not keep]
-    basis = units + ortho
-    assert all(dot(a, b) == 0 for a, b in itertools.combinations(basis, 2))
-    assert len(basis) == len(lin) == matrix_rank(list(lin) + basis)
+    # the Gram-Schmidt vectors are pairwise orthogonal and span the lineality
+    assert all(dot(a, b) == 0 for a, b in itertools.combinations(space, 2))
+    assert len(space) == len(lin) == matrix_rank(list(lin) + space)
     expected = fraction_reduction(v, lin) if any(v) else None
     assert cones._orthogonal_representative(v, space) == expected
 
@@ -465,10 +464,11 @@ def test_walk_faces_within_equals_the_unpruned_walk_filtered(gens, data):
 
 @pytest.mark.parametrize("c", [
     zero_cone(3),
+    cone_from_inequalities(3, [], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),   # its dim not yet known
     cone_from_generators(3, [], [(1, 0, 0), (0, 1, 1)]),
     orthant(3),
     cone_from_generators(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 2, 0)], [(0, 0, 1, 1)]),
-], ids=["zero", "subspace", "orthant", "lineality"])
+], ids=["zero", "zero-by-equalities", "subspace", "orthant", "lineality"])
 def test_walk_faces_matches_the_closure_oracle_on_every_pruning(c):
     for lower in [None, *range(1 << len(c.facets))]:
         assert_walk_matches_oracle(c, lower)

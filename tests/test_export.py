@@ -89,3 +89,11 @@ def test_a_failed_verification_exits_1_with_its_report_and_no_annotations(
     assert export_main(["--n", "5", "--d", "2", "-o", str(tmp_path)]) == 1
     assert capsys.readouterr().err == failed.render() + "\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["result.txt", "zero_chart.txt"]
+
+
+def test_bad_parameters_exit_2_with_a_message_and_write_no_file(export_main, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        export_main(["--n", "3", "--d", "2", "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: n must be at least 4")
+    assert not (tmp_path / "out").exists()

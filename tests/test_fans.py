@@ -170,7 +170,7 @@ def assert_rescale_maps_the_table(fan):
     """`rescale` maps the ray table, with no `Cone` built, to the oracle fan
     of the `rescale_cone` images of the cones, in cones, order and hash."""
     members = list(Fan._of_cells(fan.rank, fan.rays, fan.cells, True))   # `fan` builds none
-    for n in (2, 3, 6, 1):   # `rescale(fan, 1)` is `fan`, whose cones the last pass builds
+    for n in (2, 3, 6, 1):   # `rescale(fan, 1)` maps the table too, to a fan equal to `fan`
         scaled = rescale(fan, n)
         assert "cones" not in vars(fan) and "cones" not in vars(scaled)
         oracle = oracle_fan(fan.rank, [rescale_cone(c, n) for c in reversed(members)], True)

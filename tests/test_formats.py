@@ -40,7 +40,12 @@ def test_cone_roundtrip_byte_identical():
      "face dim 1 rays\nface dim 2 rays 0\nface dim 2 rays 1\nface dim 3 rays 0 1\n"),
     (zero_cone(3),
      "schema mockfan.faces/1\nrank 3\nrays 0\nlineality 0\nfaces 1\nface dim 0 rays\n"),
-], ids=["orthant", "lineality", "zero"])
+    (cg(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+     "schema mockfan.faces/1\nrank 3\nrays 4\n-1 0 1\n0 -1 1\n0 1 1\n1 0 1\nlineality 0\n"
+     "faces 10\nface dim 0 rays\nface dim 1 rays 0\nface dim 1 rays 1\nface dim 1 rays 2\n"
+     "face dim 1 rays 3\nface dim 2 rays 0 1\nface dim 2 rays 0 2\nface dim 2 rays 1 3\n"
+     "face dim 2 rays 2 3\nface dim 3 rays 0 1 2 3\n"),
+], ids=["orthant", "lineality", "zero", "square"])
 def test_faces_listing_is_unchanged(cone, text):
     # the listings written before the face walk went up by covers
     assert formats.write_faces(cone) == text

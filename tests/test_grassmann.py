@@ -294,6 +294,18 @@ def test_sweep_full_fails_a_case_whose_reading_builds_the_cones(capsys, monkeypa
     assert out[1].split()[-1] == "FAIL" and "built its cones" in out[2]
 
 
+@pytest.mark.parametrize("case, reason", [
+    ("4,2", "expected n,d,l"),
+    ("3,2,1", "n must be at least 4"),
+    ("4,x,1", "invalid literal for int()"),
+])
+def test_sweep_refuses_a_bad_case_in_one_line_before_any_case_runs(capsys, case, reason):
+    with pytest.raises(SystemExit) as exc:
+        sweep_module().main(["--cases", "4,2,1", case])
+    assert str(exc.value).startswith(f"bad case {case!r}: ") and reason in str(exc.value)
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("case", sweep_default_cases())
 def test_expected_cones_equal_the_cones_built_by_dd(case):
     n, d, l = map(int, case.split(","))
