@@ -34,16 +34,18 @@ each; C has 1,245 and 2,297 facets), three runs each, on 2 vCPUs with
 CPython 3.11.7 (a shared host); the default grid took about 0.5 s in all.
 
 The full subdivision, `--cases 8,2,1 10,2,1 12,2,1 --full`, on the same
-host (full and write: medians of three runs; read: two runs).
-`report.result` hands its fan over as one sorted ray table with a
-(dim, positions) cell per cone, which `write` reads as it is; `read`
-builds one DD per maximal cone, tests each other listed cone against its
-first holder, and rebuilds the same table through `fan_from_cones`:
+host (two runs each).  `report.result` hands its fan over as one sorted
+ray table with a (dim, mask) cell per cone, one table lookup per byte of
+each walked mask, and each face's active set chained from a face below it
+by one AND; `write` reads the table as it is, each cone line joined from
+per-byte strings of positions; `read` builds one DD per maximal cone,
+tests each other listed cone against its first holder, and rebuilds the
+same table through `fan_from_cones`:
 
-    case     cones   full      write     read
-    8,2,1    4,364   0.033 s   0.012 s   0.23-0.25 s
-    10,2,1   21,668  0.16 s    0.091 s   1.24-1.30 s
-    12,2,1   101,932 0.81 s    0.57 s    6.9 s
+    case     cones   full            write           read
+    8,2,1    4,364   0.026-0.045 s   0.012-0.021 s   0.29-0.34 s
+    10,2,1   21,668  0.11-0.12 s     0.088-0.089 s   1.6-1.7 s
+    12,2,1   101,932 0.56-0.59 s     0.58-0.60 s     8.9-9.4 s
 """
 
 import argparse

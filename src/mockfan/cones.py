@@ -30,7 +30,7 @@ facet incidence, and reads the rays, lineality and ray masks off it, for
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from operator import mul, not_
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -213,7 +213,7 @@ class Cone:
     """
 
     __slots__ = ("rank", "rays", "lineality", "_facets", "_span_eqs", "_dim", "_facet_masks",
-                 "_hash")
+                 "_hash", "_bit_of")
 
     def __init__(self, rank: int, rays: tuple[IntVec, ...], lineality: tuple[IntVec, ...],
                  facets: Optional[tuple[IntVec, ...]], span_eqs: Optional[tuple[IntVec, ...]],
@@ -228,6 +228,7 @@ class Cone:
         self._dim: Optional[int] = None
         self._facet_masks: Optional[tuple[int, ...]] = None
         self._hash = hash((rank, rays, lineality))
+        self._bit_of: Optional[dict[IntVec, int]] = None
 
     # -- construction helper -------------------------------------------------
 
@@ -303,8 +304,9 @@ class Cone:
         None when there is no such face: one of `rays` is not a canonical ray
         of this cone, or their mask is not the meet of the facet masks that
         hold it."""
-        bit_of = {r: 1 << i for i, r in enumerate(self.rays)}
-        bits = {bit_of.get(r) for r in rays}
+        if self._bit_of is None:   # built once: a reader asks one holder many times
+            self._bit_of = {r: 1 << i for i, r in enumerate(self.rays)}
+        bits = set(map(self._bit_of.get, rays))
         if None in bits:
             return None
         mask = sum(bits)
@@ -336,6 +338,16 @@ class Face:
     """A face of a cone: its extreme-ray mask and the face as a cone."""
     mask: int
     cone: Cone
+
+
+def _by_byte(values: Sequence, op, empty) -> list[list]:
+    """Per byte of a mask over `values` (bit i for values[i]), low byte first, per
+    byte value the fold `op(value, fold)` of its set bits' values, by doubling; a
+    bit whose value is None is never set in a mask read, and only copies entries."""
+    tables = [[empty] for _ in range(0, len(values), 8)]
+    for i, v in enumerate(values):
+        tables[i >> 3] += tables[i >> 3] if v is None else list(map(op, repeat(v), tables[i >> 3]))
+    return tables
 
 
 def _bit_indices(mask: int) -> list[int]:

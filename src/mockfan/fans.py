@@ -75,8 +75,11 @@ def _rescaled(r: IntVec, n: int) -> IntVec:
 class Fan:
     """Finite face-closed collection of strongly convex cones in one lattice,
     kept as one ray table: `rays`, the distinct rays of its cones, sorted, and
-    per cone one cell (dim, positions of its rays in `rays`, sorted), the cells
-    in the fan's (dim, rays) order.  `cones` and `in` are built when read."""
+    per cone one cell (dim, mask), the ray at position p of N on bit N - 1 - p,
+    in the fan's (dim, rays) order, which is the (dim, -mask) order: two cones
+    of one dimension do not hold each other's rays, so the highest bit in
+    which their masks differ is the lowest position at which their rays
+    differ, a ray of the earlier cone.  `cones` and `in` are built when read."""
 
     def __init__(self, rank: int, rays: tuple[IntVec, ...], cells: tuple, has_t: bool = False,
                  _token: object = None):
@@ -94,8 +97,8 @@ class Fan:
 
     @functools.cached_property
     def cones(self) -> tuple[Cone, ...]:
-        return tuple(Cone._trusted(self.rank, tuple(map(self.rays.__getitem__, at)), (), dim)
-                     for dim, at in self.cells)
+        return tuple(Cone._trusted(self.rank, _at(mask, self.rays), (), dim)
+                     for dim, mask in self.cells)
 
     @functools.cached_property
     def _positions(self) -> dict[Cone, int]:   # each cone's index in `cones`, behind `in`
@@ -134,6 +137,11 @@ class Fan:
 _FAN_TOKEN = object()
 
 
+def _at(mask: int, table: Sequence) -> tuple:
+    """The entries of `table` at the positions of a cell's mask (see `Fan`)."""
+    return tuple(itertools.compress(table, map("1".__eq__, f"{mask:0{len(table)}b}")))
+
+
 def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan:
     """Close the given cones under faces and verify the fan conditions.
 
@@ -156,7 +164,7 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     (`_certified`), A == B spans the meet, a common face, and an empty A or
     B makes it {0}; otherwise `intersect` and `is_face_of` decide.  So the
     first failing pair, and its message, stay those of `intersect` alone.
-    The ray bits go in sorted ray order, so a closed face's bits are its cell.
+    The ray bits are those of the cells, so a closed face's bits are its cell.
     """
     members: set[Cone] = set()
     for c in cones:
@@ -170,10 +178,10 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
     if has_t and any(r[-1] < 0 for c in members for r in c.rays):
         raise FanError("not a fan: negative t-coordinate ray in t-flagged fan")
     rays = sorted({r for c in members for r in c.rays})
-    bit_of = {r: 1 << i for i, r in enumerate(rays)}   # in sorted order, so bits give cells
+    bit_of = {r: 1 << i for i, r in enumerate(reversed(rays))}   # cell bits: see `Fan`
     maximal: list[tuple[Cone, int, int, list[tuple[int, int]]]] = []
     known: dict[IntVec, tuple[int, int]] = {}
-    closed: dict[int, tuple] = {}   # the faces of the maximal cones, by their ray bits
+    closed: dict[int, int] = {}   # the faces of the maximal cones: their ray bits, dims
     for c in sorted(members or [zero_cone(rank)], key=lambda c: (-c.dim(), c.rays)):
         ray_bits = list(map(bit_of.__getitem__, c.rays))
         if (bits := sum(ray_bits)) in closed:
@@ -184,14 +192,14 @@ def fan_from_cones(rank: int, cones: Sequence[Cone], has_t: bool = False) -> Fan
         maximal.append((c, bits, *_table(c, bit_of, known)))
         for dim, level in enumerate(walk_masks(c)):
             for at in map(_bit_indices, level):
-                if (face := sum(map(ray_bits.__getitem__, at))) not in closed:
-                    closed[face] = (dim, tuple(_bit_indices(face)))
+                closed.setdefault(sum(map(ray_bits.__getitem__, at)), dim)
     for (m1, a, _, cuts1), (m2, b, _, cuts2) in itertools.combinations(maximal, 2):
         if not _certified(a, b, cuts1, cuts2) and not (
                 is_face_of(meet := intersect(m1, m2), m1) and is_face_of(meet, m2)):
             raise FanError("not a fan: intersection is not a common face: "
                            f"{list(m1.rays)} and {list(m2.rays)}")
-    return Fan._of_cells(rank, rays, sorted(closed.values()), has_t)
+    return Fan._of_cells(rank, rays, sorted(zip(closed.values(), closed),
+                                           key=lambda cell: (cell[0], -cell[1])), has_t)
 
 
 def _table(m: Cone, bit_of: dict[IntVec, int], known: dict) -> tuple[int, list[tuple[int, int]]]:
@@ -228,9 +236,10 @@ def rescale(f: Fan, n: int) -> Fan:
     if n < 1:
         raise FanError("rescale factor must be a positive integer")
     rays = sorted(images := [_rescaled(r, n) for r in f.rays])   # distinct: the map is invertible
-    at = list(map({r: i for i, r in enumerate(rays)}.__getitem__, images))
+    bit = {r: 1 << i for i, r in enumerate(reversed(rays))}
     return Fan._of_cells(f.rank, rays, sorted(   # the rays are sorted: position order is ray order
-        (dim, tuple(sorted(map(at.__getitem__, cell)))) for dim, cell in f.cells), True)
+        ((dim, sum(map(bit.__getitem__, _at(mask, images)))) for dim, mask in f.cells),
+        key=lambda cell: (cell[0], -cell[1])), True)
 
 
 def is_specifically_reduced(f: Fan) -> bool:

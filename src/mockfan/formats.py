@@ -2,10 +2,13 @@
 
 All schemas are integer-only and versioned by a leading `schema` line.
 Writers emit canonical objects deterministically, so writing what was read
-back out reproduces the file byte for byte.  Cone ids in result and
-annotation files are the 0-based positions in the fan's canonical cone
-listing; a result's active sets travel by them, as an `ActiveSets`, and a
-cone with no line reads as the empty set, as the writer writes it.
+back out reproduces the file byte for byte.  A fan is written off its ray
+table and its (dim, mask) cells, the ray at position p of N on bit N - 1 - p,
+in (dim, -mask) order, the (dim, rays) order (`Fan`); its rays by position,
+which is first-use order, as each is a 1-dim cell listed before any cone
+that uses it.  Cone ids in result and annotation files are the 0-based
+positions in that listing; a result's active sets travel by them, as an
+`ActiveSets`, and a cone with no line reads as the empty set, as written.
 
 Grammar (one record per line, whitespace separated):
 
@@ -38,10 +41,11 @@ message of its cone-by-cone reading, from one `fan_from_cones` call.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Mapping, Sequence
 
-from .cones import Cone, _bit_indices, cone_from_generators
+from .cones import Cone, _bit_indices, _by_byte, cone_from_generators
 from .fans import Fan, fan_from_cones, is_bounded_cone, is_special_cone
 from .subdivision import ActiveSets, LiftedExponent, MockPolytopeChart
 from .volume import ClassLabel, FormalSum, StratumAnnotation
@@ -154,17 +158,14 @@ def read_cone(text: str) -> Cone:
 # -- fans ----------------------------------------------------------------------
 
 def _fan_body(f: Fan) -> list[str]:
-    """The fan's lines: rays in first-use order, then cones, read off the
-    fan's cells; `number[i]` is the written index of the ray at position i."""
-    number, used, cones = [None] * len(f.rays), [], []
-    for _, at in f.cells:
-        for i in at:
-            if number[i] is None:
-                number[i] = str(len(used))
-                used.append(i)
-        cones.append(" ".join(["cone", *map(number.__getitem__, at)]))
-    return ([f"rank {f.rank}", f"has_t {1 if f.has_t_coordinate else 0}", f"rays {len(used)}"]
-            + [" ".join(map(str, f.rays[i])) for i in used] + [f"cones {len(cones)}"] + cones)
+    """The fan's lines: its rays by position, then per cell, per byte of its
+    mask, high byte first, a table's string of the byte's positions."""
+    n = len(f.rays)
+    tables = _by_byte([f" {n - 1 - i}" for i in range(n)], operator.add, "")[::-1]
+    cones = ["cone" + "".join(map(list.__getitem__, tables, mask.to_bytes(len(tables), "big")))
+             for _, mask in f.cells]
+    return ([f"rank {f.rank}", f"has_t {1 if f.has_t_coordinate else 0}", f"rays {n}"]
+            + [" ".join(map(str, r)) for r in f.rays] + [f"cones {len(cones)}"] + cones)
 
 
 def write_fan(f: Fan) -> str:

@@ -40,11 +40,11 @@ from itertools import chain, compress
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from ._record import record, replace
-from .cones import (Cone, Face, _bit_indices, _canonical_vrep, _orthogonal_basis,
+from .cones import (Cone, Face, _bit_indices, _by_byte, _canonical_vrep, _orthogonal_basis,
                     _orthogonal_representative, _pair_rows, _read_off, cone_from_generators,
                     dual_cone, faces_of_masks, walk_masks)
 from .exact import IntVec, dot, is_zero_vec, primitive, rank as matrix_rank
-from .fans import Fan, FanError, fan_from_cones
+from .fans import Fan, FanError, _at, fan_from_cones
 
 if TYPE_CHECKING:
     from .exact import Scalar
@@ -220,15 +220,16 @@ class LiftedChart:
         from the walk level: a lower face lies on a facet hyperplane that
         (0, 1) is not in, so pi keeps its dimension.
 
-        Per face, a few passes over the set bits of its ray mask read data
-        computed once per ray of C.  Each walked ray is projected and
-        primitivised once, and the images sorted once: the fan's ray table.
-        A face's cell is its dimension and its rays' positions there, its
-        projection's canonical rays; sorting each level by them gives the
-        fan's (dimension, rays) order, so no `Cone` is built.  The active set
-        of a face is the AND of the `zero_on` bitsets over its rays, taken
-        among the items, in sorted-id order, of its ray with the fewest, and
-        kept at its cell's position (`ActiveSets`).  This is
+        Each walked ray is projected and primitivised once, and the images
+        sorted once: the fan's ray table.  A face's cell is its dimension and
+        the mask of its rays' images (`Fan`), read per byte of its mask off
+        one table; each level sorted by -mask is in the fan's order.  A face
+        F's active set is the AND of `zero_on` over its rays, among the items,
+        in sorted-id order, of its ray a with the fewest (the lowest on a
+        tie), which a second table finds per byte, kept at its cell's position
+        (`ActiveSets`).  It is on(F - b) & on(b), b the lowest ray of F but a,
+        if F - b was walked (a numbers F - b too); else, on a face of at most
+        one ray or not simplicial, the AND over F's rays.  This is
         exact: each lifted item (w, 1) is >= 0 on C, so it is zero at a
         relative interior point (v, s) of the face iff it is zero on all
         its rays, and then <w, v> = -s <= <w', v> for every item w'.  A
@@ -262,33 +263,40 @@ class LiftedChart:
                 "subdivision inconsistency: two walked rays of C have one projection")
         order = sorted(images, key=images.__getitem__)
         projected = [images[i] for i in order]
-        position = dict(zip(order, range(len(order))))
-        # a face's items are numbered among those of its ray with the fewest:
-        # `spaces[a]` is ray a's ids and, per walked ray, those zero on it
+        # `spaces[k]`, k = (count, a) as one int: walked ray a's ids, bit and, per walked
+        # ray's bit, the bitset of a's items zero on it; `none`: the minimal face's, every item
         ids = sorted(it.id for it in self.chart.items)
-        spaces = {None: (ids, self.zero_on)}   # the minimal face: every item
-        digits = {i: bin(self.zero_on[i])[:1:-1] for i in images}
-        for a, on_a in digits.items():
-            on_a = on_a.encode().translate(_BITS)
-            spaces[a] = (list(compress(ids, on_a)), {
-                j: int("".join(compress(d, on_a))[::-1] or "0", 2) for j, d in digits.items()})
-        count = {i: len(spaces[i][0]) for i in images}
-        cells, active = [], []
+        width = walked.bit_length() or 1   # one byte at least: the minimal face reads `none`
+        key, bit, none = [None] * width, [None] * width, (len(ids) + 1) * width   # None: unwalked
+        spaces = {none: (ids, 0, {1 << i: self.zero_on[i] for i in images})}
+        zeros = {i: bin(self.zero_on[i])[:1:-1] for i in images}
+        for p, a in enumerate(reversed(order)):
+            on_a = zeros[a].encode().translate(_BITS)
+            key[a], bit[a] = len(space := list(compress(ids, on_a))) * width + a, 1 << p
+            spaces[key[a]] = space, 1 << a, {
+                1 << j: int("".join(compress(d, on_a))[::-1] or "0", 2) for j, d in zeros.items()}
+        fewest, cell_of = _by_byte(key, min, none), _by_byte(bit, operator.or_, 0)
+        done, cells, active = {}, [], []   # `done`: each face's active bitset, by its mask
         for dim, level in enumerate(levels, len(big.lineality)):
-            rows = []
+            rows = {}
             for mask in level:
-                rays = _bit_indices(mask)
-                space, on_a = spaces[min(rays, key=count.__getitem__, default=None)]
-                on_face = functools.reduce(operator.and_, map(on_a.__getitem__, rays),
-                                           (1 << len(space)) - 1)
-                rows.append((tuple(sorted(map(position.__getitem__, rays))), space, on_face))
-            rows.sort()
-            for at, space, on_face in rows:
-                if not on_face:
-                    raise SubdivisionInconsistency("subdivision inconsistency: no item is active "
-                                                   f"on {list(map(projected.__getitem__, at))}")
-                cells.append((dim, at))
-                active.append((space, on_face))
+                at = mask.to_bytes(len(cell_of), "little")
+                space, own, on = spaces[min(map(list.__getitem__, fewest, at))]
+                other = (rest := mask & ~own) & -rest
+                if (on_face := done.get(mask ^ other)) is None:   # F - b not walked, or no b
+                    on_face = functools.reduce(operator.and_, [on[1 << i] for i in
+                                               _bit_indices(mask)], (1 << len(space)) - 1)
+                else:
+                    on_face &= on[other]
+                done[mask] = on_face
+                rows[sum(map(list.__getitem__, cell_of, at))] = space, on_face
+            by_rays = sorted(rows, reverse=True)   # the fan's order: see `Fan`
+            cells += [(dim, cell) for cell in by_rays]
+            active += map(rows.__getitem__, by_rays)
+        bad = next((k for k, (_, on_face) in enumerate(active) if not on_face), None)
+        if bad is not None:
+            raise SubdivisionInconsistency("subdivision inconsistency: no item is active "
+                                           f"on {list(_at(cells[bad][1], projected))}")
         fan = Fan._of_cells(r, projected, cells, True)
         return SubdivisionResult(self.chart, big, tuple(map(tuple, levels)), fan,
                                  ActiveSets(fan, active))
@@ -498,7 +506,7 @@ def glue_charts(results: Sequence[SubdivisionResult]) -> GlueResult:
         fan = fan_from_cones(rank, [cone for cone, _ in merged.values()], has_t=True)
     except FanError as exc:
         raise GlueError(f"charts do not glue: {exc}") from exc
-    ids = [merged[tuple(map(fan.rays.__getitem__, at))][1] for _, at in fan.cells]
+    ids = [merged[_at(mask, fan.rays)][1] for _, mask in fan.cells]
     return GlueResult(fan, ActiveSets(fan, list(map(ActiveSets.row, ids))))
 
 

@@ -409,15 +409,59 @@ def make_cone(rank: int, rays, lineality) -> Cone:
 
 # -- a fan and its result text by `Cone`s: the oracles of the cell path ------------
 
+def oracle_cells(cones: Iterable[Cone]) -> tuple[list, list[tuple[int, tuple[int, ...]]]]:
+    """The sorted distinct rays of a cone family and, per distinct cone in
+    the (dim, rays) order of the cones, its (dim, positions) cell: its rays'
+    positions in that table, sorted."""
+    cones = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
+    rays = sorted({r for c in cones for r in c.rays})
+    at = dict(zip(rays, range(len(rays))))
+    return rays, [(c.dim(), tuple(map(at.__getitem__, c.rays))) for c in cones]
+
+
+def position_cells(fan: Fan) -> list[tuple[int, tuple[int, ...]]]:
+    """The fan's (dim, mask) cells as (dim, positions): position p is in a
+    cell iff its mask has bit N - 1 - p, N the fan's ray count."""
+    n = len(fan.rays)
+    return [(dim, tuple(p for p in range(n) if mask >> (n - 1 - p) & 1))
+            for dim, mask in fan.cells]
+
+
+def assert_mask_cells_are_position_cells(fan: Fan):
+    """The fan's (dim, -mask) order is the (dim, sorted positions) order of
+    its cells, and those are the `oracle_cells` of its cones."""
+    at = position_cells(fan)
+    assert list(fan.cells) == sorted(fan.cells, key=lambda cell: (cell[0], -cell[1]))
+    assert at == sorted(at) and len(set(at)) == len(at)
+    assert oracle_cells(fan.cones) == (list(fan.rays), at)
+    assert [tuple(fan.rays[p] for p in positions) for _, positions in at] == [
+        c.rays for c in fan.cones]
+
+
+def first_use_fan_body(fan: Fan) -> list[str]:
+    """The lines of `formats._fan_body` with the rays numbered in first-use
+    order over the cells, as the writer numbered them before it wrote each
+    ray's position."""
+    number: dict[int, int] = {}
+    lines = []
+    for _, positions in position_cells(fan):
+        for p in positions:
+            number.setdefault(p, len(number))
+        lines.append(" ".join(["cone", *(str(number[p]) for p in positions)]))
+    return ([f"rank {fan.rank}", f"has_t {int(fan.has_t_coordinate)}", f"rays {len(number)}"]
+            + [" ".join(map(str, fan.rays[p])) for p in number] + [f"cones {len(lines)}"]
+            + lines)
+
+
 def oracle_fan(rank: int, cones: Iterable[Cone], has_t: bool) -> Fan:
     """The fan of a cone family already known to satisfy the fan conditions
     (images under invertible maps, verified subdivisions), in any order and
-    with duplicates; the fan's `cones` are those given."""
+    with duplicates; the fan's `cones` are those given, its cells
+    `oracle_cells` with each position list as its mask, in the same order."""
     cones = tuple(sorted(set(cones), key=lambda c: (c.dim(), c.rays)))
-    rays = sorted({r for c in cones for r in c.rays})
-    at = dict(zip(rays, range(len(rays))))
-    fan = Fan._of_cells(rank, rays, [(c.dim(), tuple(map(at.__getitem__, c.rays)))
-                                     for c in cones], has_t)
+    rays, cells = oracle_cells(cones)
+    fan = Fan._of_cells(rank, rays, [(dim, sum(1 << len(rays) - 1 - p for p in at))
+                                     for dim, at in cells], has_t)
     fan.__dict__["cones"] = cones
     return fan
 

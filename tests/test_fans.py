@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import (is_compactly_arranged, is_face_of_oracle, is_refinement,
-                     is_specifically_reduced_oracle, oracle_fan, random_orthant_chart,
+from genutil import (assert_mask_cells_are_position_cells, is_compactly_arranged,
+                     is_face_of_oracle, is_refinement, is_specifically_reduced_oracle,
+                     oracle_fan, random_orthant_chart,
                      relative_interior_contains, relative_interior_point, special_cones,
                      specifically_reduced_scale_oracle)
 from mockfan.cones import cone_from_generators as cg
@@ -499,6 +500,7 @@ def test_fan_from_cones_agrees_with_the_pairwise_oracle(case):
         assert got.startswith("not a fan")
     if isinstance(got, Fan):
         assert is_compactly_arranged(got) == is_compactly_arranged_by_containment(got)
+        assert_mask_cells_are_position_cells(got)
 
 
 @given(cone_families())

@@ -617,7 +617,7 @@ def assert_reading_runs_one_dd_per_maximal_cone(monkeypatch, n):
                         lambda cone, rays: face_tests.append(cone) or real_face_mask(cone, rays))
     fan, active = formats.read_result(text)
     assert fan == res.projected_fan and active == dict(res.active_sets)
-    masks = [sum(1 << i for i in at) for _, at in fan.cells]   # each cone's rays
+    masks = [mask for _, mask in fan.cells]   # each cone's rays
     maximal = [m for m in masks if not any(m & ~d == 0 for d in masks if d != m)]
     assert len(calls) == len(maximal) < len(fan)
     assert len(face_tests) == len(fan) - len(maximal)   # against its first holder
@@ -747,3 +747,15 @@ def test_ints_takes_only_a_sign_and_ascii_digits(token):
     assert formats._ints(["+5", "-0", "07"], "x") == (5, 0, 7)
     with pytest.raises(formats.ParseError, match=re.escape(f"bad integer in x: {token!r}")):
         formats._ints(["1", token], "x")
+
+
+def test_writing_the_8_2_1_fan_expands_no_mask(monkeypatch):
+    # 0 expansions measured, no headroom: each cone line is read off per-byte
+    # strings of its mask, and no `Cone` of the fan is built
+    res = verify(GrassmannSpec(8, 2, 1), verify_fan=False).result
+    expanded, real = [], cones._bit_indices
+    for module in (cones, fans, formats, subdivision):
+        monkeypatch.setattr(module, "_bit_indices", lambda m: expanded.append(m) or real(m))
+    lines = formats._fan_body(res.projected_fan)
+    assert len(lines) == 4 + 20 + 4364 and expanded == []
+    assert "cones" not in vars(res.projected_fan)

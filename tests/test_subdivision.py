@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genutil import (active_set, assert_bounded_cells_equal_the_full_walk,
-                     assert_lift_equals_the_dual_of_build_D, assert_own_claim_equals_the_lift,
-                     assert_walk_matches_oracle, effective_dimension,
-                     interior_lattice_point, is_refinement, lattice_points_in_support,
-                     lifted_from, make_cone, oracle_fan, oracle_write_result, pair_with_D,
-                     random_orthant_chart, refines_cone_faces, relative_interior_point,
-                     tight_facets, walk_faces)
-from mockfan import cones, formats, replace, subdivision
+                     assert_lift_equals_the_dual_of_build_D, assert_mask_cells_are_position_cells,
+                     assert_own_claim_equals_the_lift, assert_walk_matches_oracle,
+                     effective_dimension, interior_lattice_point, is_refinement,
+                     lattice_points_in_support, lifted_from, make_cone, oracle_fan,
+                     oracle_write_result, pair_with_D, position_cells, random_orthant_chart,
+                     refines_cone_faces, relative_interior_point, tight_facets, walk_faces)
+from mockfan import cones, formats, grassmann, replace, subdivision
 from mockfan.cones import cone_from_generators as cg
 from mockfan.cones import Cone, Face, cone_from_inequalities, dual_cone, intersect, is_subcone
 from mockfan.exact import IntVec, dot, kernel_basis, primitive, rank as matrix_rank
@@ -1136,8 +1136,9 @@ def assert_faces_avoiding_equal_the_walk(ch, verify=False):
             res = lift.subdivide(bounded)
         [(rays, cells)] = handed
         fan = res.projected_fan
-        assert rays == sorted(set(rays)) and cells == sorted(cells)
-        assert [tuple(map(rays.__getitem__, at)) for _, at in cells] == [c.rays for c in fan]
+        assert rays == sorted(set(rays)) and cells == sorted(cells, key=lambda c: (c[0], -c[1]))
+        assert [tuple(map(rays.__getitem__, at)) for _, at in position_cells(fan)] == [
+            c.rays for c in fan]
         assert list(fan.cones) == sorted(fan.cones, key=lambda c: (c.dim(), c.rays))
         assert "faces_avoiding" not in vars(res)
         walked = walk_faces(big, lower, within)
@@ -1212,3 +1213,106 @@ def test_two_walked_rays_with_one_projection_are_an_inconsistency(monkeypatch):
     monkeypatch.setattr(subdivision, "_lifted_cone", lifted_from(bad_d))
     with pytest.raises(SubdivisionInconsistency, match="one projection"):
         subdivide_chart(halfline_chart(), verify=False)
+
+
+# -- cells as ray masks, chained active sets, counted mask expansions --------------
+
+ZERO_CHART_SPECS = [GrassmannSpec(n, 2, l) for n in (4, 5, 6) for l in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("spec", ZERO_CHART_SPECS, ids=str)
+def test_mask_cells_are_position_cells_on_the_zero_chart(spec):
+    res = subdivide_chart(zero_chart(spec), verify=False)
+    assert_mask_cells_are_position_cells(res.projected_fan)
+    assert_mask_cells_are_position_cells(res.active_sets.fan)
+    assert_mask_cells_are_position_cells(rescale(res.projected_fan, 3))
+    text = formats.write_result(res.projected_fan, res.active_sets)
+    assert_mask_cells_are_position_cells(formats.read_result(text)[0])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mask_cells_are_position_cells_on_random_charts(seed):
+    res = subdivide_chart(random_orthant_chart(random.Random(seed)))
+    fan = res.projected_fan
+    assert_mask_cells_are_position_cells(fan)
+    assert_mask_cells_are_position_cells(fan_from_cones(fan.rank, list(fan), has_t=True))
+    assert_mask_cells_are_position_cells(glue_charts([res, res]).fan)
+    assert_mask_cells_are_position_cells(rescale(fan, 2))
+
+
+def test_mask_cells_are_position_cells_on_glued_charts():
+    items = (LiftedExponent("a", (0, 0, 0), 1), LiftedExponent("b", (1, -2, 0), 0),
+             LiftedExponent("c", (-2, 1, 0), 2))
+    small = MockPolytopeChart("face", 3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), items)
+    glued = glue_charts([subdivide_chart(orthant_chart(items)), subdivide_chart(small)])
+    assert_mask_cells_are_position_cells(glued.fan)
+
+
+def assert_chained_active_sets_are_the_per_ray_and(ch):
+    """Each walked face's active set, chained up the levels, is the AND of
+    `zero_on` over all its rays, and its row numbers the items of its ray
+    with the fewest, the lowest such ray on a tie, or every item on the
+    minimal face; in both walks, and at the face's cell, its projection."""
+    lift = lift_chart(ch, verify=False)
+    big, ids = lift.big_cone, sorted(it.id for it in ch.items)
+    items_of = [[x for j, x in enumerate(ids) if z >> j & 1] for z in lift.zero_on]
+    for bounded in (False, True):
+        res = lift.subdivide(bounded)
+        fan = res.projected_fan
+        cell_at = {cell: k for k, cell in enumerate(fan.cells)}
+        n = len(fan.rays)
+        for grade, level in enumerate(res.face_levels):
+            for mask in level:
+                rays = [i for i in range(len(big.rays)) if mask >> i & 1]
+                cell = sum(1 << n - 1 - fan.rays.index(primitive(big.rays[i][:-1])) for i in rays)
+                k = cell_at[(len(big.lineality) + grade, cell)]
+                on = (1 << len(ids)) - 1
+                for i in rays:
+                    on &= lift.zero_on[i]
+                assert list(res.active_sets.sorted_ids(k)) == [
+                    x for j, x in enumerate(ids) if on >> j & 1]
+                fewest = min(rays, key=lambda i: (len(items_of[i]), i), default=None)
+                assert res.active_sets.rows[k][0] == (ids if fewest is None else items_of[fewest])
+
+
+@pytest.mark.parametrize("spec", ZERO_CHART_SPECS, ids=str)
+def test_chained_active_sets_are_the_per_ray_and_on_the_zero_chart(spec):
+    ch = zero_chart(spec)
+    levels = subdivide_chart(ch, verify=False).face_levels
+    assert any(mask.bit_count() > grade for grade, level in enumerate(levels) for mask in level)
+    assert_chained_active_sets_are_the_per_ray_and(ch)
+
+
+@given(general_charts())
+@settings(max_examples=40, deadline=None)
+def test_chained_active_sets_are_the_per_ray_and_on_random_charts(ch):
+    assume(subdivide_full_support(ch) is not None)
+    assert_chained_active_sets_are_the_per_ray_and(ch)
+
+
+def test_no_item_active_names_the_first_cell_in_fan_order(monkeypatch):
+    # with no lifted item zero on any ray, the minimal face keeps every item
+    # and the first cell without one is the first ray of the fan
+    fan = subdivide_chart(triangle_chart(), verify=False).projected_fan
+    lifted_cone = subdivision._lifted_cone
+    monkeypatch.setattr(subdivision, "_lifted_cone", lambda chart, span_eqs: (
+        lifted_cone(chart, span_eqs)[0],
+        {g: 0 for g in subdivision._generators_of_D(chart)}, []))
+    with pytest.raises(SubdivisionInconsistency) as info:
+        subdivide_chart(triangle_chart(), verify=False)
+    assert str(info.value) == ("subdivision inconsistency: no item is active on "
+                               f"{[fan.rays[0]]}")
+
+
+def test_the_8_2_1_subdivision_expands_only_the_faces_it_cannot_chain(monkeypatch):
+    # 198 expansions measured: the walked set, 176 faces that are not simplicial and
+    # 21 of at most one ray; the bound leaves 10 % headroom over that, against the
+    # 4,365 of one expansion per face before the active sets were chained
+    lift = grassmann.verify(GrassmannSpec(8, 2, 1), verify_fan=False).lift   # the benchmark's
+    expanded, real = [], cones._bit_indices
+    monkeypatch.setattr(subdivision, "_bit_indices", lambda m: expanded.append(m) or real(m))
+    res = lift.subdivide()
+    unchained = [m for grade, level in enumerate(res.face_levels) for m in level
+                 if m.bit_count() > grade or m.bit_count() <= 1]
+    assert len(res.projected_fan) == 4364 and len(unchained) == 197
+    assert len(expanded) <= 1 + len(unchained) and len(expanded) <= 220
